@@ -251,34 +251,6 @@ void BM_LinearForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearForward)->ArgsProduct({{0, 1}})->ArgNames({"fused"});
 
-/// SpMM with the bias+ReLU epilogue fused per (row, tile) slice versus
-/// separate bias/ReLU passes over the full output.
-void BM_SpmmBiasRelu(benchmark::State& state) {
-  const bool fused = state.range(0) != 0;
-  set_kernel_threads(1);
-  const Netlist& netlist = shared_netlist(100000);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  Matrix embedding(tensors.node_count(), 64, 0.5f);
-  const Matrix bias(1, 64, 0.1f);
-  Matrix out;
-  for (auto _ : state) {
-    if (fused) {
-      tensors.pred.spmm_bias_relu(embedding, bias, out);
-    } else {
-      tensors.pred.spmm(embedding, out);
-      const SimdOps& ops = simd_ops();
-      for (std::size_t r = 0; r < out.rows(); ++r) {
-        ops.bias_add(out.row(r), bias.row(0), out.cols());
-      }
-      ops.relu(out.data(), out.rows() * out.cols());
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tensors.pred.nnz()));
-}
-BENCHMARK(BM_SpmmBiasRelu)->ArgsProduct({{0, 1}})->ArgNames({"fused"});
-
 /// Whole-graph inference with the CSR forms in node order (reorder 0)
 /// versus RCM compute order (reorder 1). Results are bitwise identical;
 /// only the SpMM gather locality changes.

@@ -7,6 +7,7 @@
 #include "common/trace.h"
 #include "cop/cop.h"
 #include "dft/flow_journal.h"
+#include "gcn/engine.h"
 #include "gcn/graph_tensors.h"
 #include "gcn/incremental.h"
 #include "scoap/scoap.h"
@@ -14,18 +15,6 @@
 namespace gcnt {
 
 namespace {
-
-std::vector<std::int32_t> cascade_predictions(
-    const std::vector<IncrementalGcnEngine>& engines, std::size_t n) {
-  std::vector<std::int32_t> predictions(n, 1);
-  for (const IncrementalGcnEngine& engine : engines) {
-    const auto positive = engine.positive_probability();
-    for (std::size_t v = 0; v < predictions.size(); ++v) {
-      if (positive[v] < 0.5f) predictions[v] = 0;
-    }
-  }
-  return predictions;
-}
 
 bool valid_target(const Netlist& netlist, NodeId v,
                   const std::unordered_set<NodeId>& controlled) {
@@ -54,12 +43,10 @@ GcnCpiResult run_gcn_cpi(Netlist& netlist,
                  netlist.size(), options.resume);
   }
 
-  std::vector<IncrementalGcnEngine> engines;
-  engines.reserve(stages.size());
+  std::vector<std::unique_ptr<GcnEngine>> engines;
   int max_depth = 0;
   for (const GcnModel* stage : stages) {
-    engines.emplace_back(*stage,
-                         IncrementalGcnOptions{options.full_fallback_fraction});
+    engines.push_back(make_gcn_engine(*stage));
     max_depth = std::max(max_depth, stage->config().depth);
   }
   DirtyConeTracker tracker;
@@ -112,29 +99,18 @@ GcnCpiResult run_gcn_cpi(Netlist& netlist,
     if (options.standardize_features) fresh.standardize_features();
     if (!have_cache || !options.incremental) {
       tensors = std::move(fresh);
-      for (IncrementalGcnEngine& engine : engines) engine.refresh(tensors);
+      for (auto& engine : engines) engine->refresh(tensors);
       have_cache = true;
       tracker.clear();
     } else {
-      const std::size_t old_nodes = tensors.node_count();
-      for (NodeId v = 0; v < old_nodes; ++v) {
-        const float* previous = tensors.features.row(v);
-        const float* current = fresh.features.row(v);
-        if (!std::equal(previous, previous + kNodeFeatureDim, current)) {
-          tracker.record_feature(v);
-        }
-      }
-      for (NodeId v = static_cast<NodeId>(old_nodes); v < fresh.node_count();
-           ++v) {
-        tracker.record_new_node(v);
-      }
+      tracker.record_rebuild(tensors, fresh);
       tensors = std::move(fresh);
       const std::vector<NodeId> dirty = tracker.affected(tensors, max_depth);
       dirty_nodes_counter.add(dirty.size());
       iteration_span.arg("dirty", static_cast<double>(dirty.size()));
-      for (IncrementalGcnEngine& engine : engines) {
-        engine.update(tensors, dirty);
-        if (engine.last_was_full()) full_fallbacks_counter.add();
+      for (auto& engine : engines) {
+        engine->update(tensors, dirty);
+        if (engine->last_was_full()) full_fallbacks_counter.add();
       }
       tracker.clear();
     }

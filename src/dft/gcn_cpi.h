@@ -34,8 +34,6 @@ struct GcnCpiOptions {
   /// standardize_features recenters every row each iteration, so the
   /// engine then always takes its full-graph fallback.
   bool incremental = true;
-  /// Dirty fraction above which the engine falls back to a full forward.
-  double full_fallback_fraction = 0.25;
   /// When non-empty, each iteration's accepted insertion batch — target
   /// plus drive-toward-one flag — is journaled (fsync'd) before it is
   /// applied, making an interrupted sweep resumable (dft/flow_journal.h).

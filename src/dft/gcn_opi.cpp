@@ -6,100 +6,15 @@
 #include "common/trace.h"
 #include "dft/flow_journal.h"
 #include "dft/impact.h"
+#include "gcn/engine.h"
 #include "gcn/graph_tensors.h"
 #include "gcn/incremental.h"
-#include "gcn/shard.h"
 #include "scoap/scoap.h"
 
 #include <memory>
 #include <string>
 
 namespace gcnt {
-
-namespace {
-
-/// Per-stage prediction engine: the monolithic incremental engine by
-/// default, or the sharded out-of-core engine when the options ask for
-/// it. Both produce bit-identical logits (pinned by tests/shard_test.cpp),
-/// so the flow logic above never needs to know which one runs.
-class PredictionEngine {
- public:
-  PredictionEngine(const GcnModel& model, const GcnOpiOptions& options,
-                   std::size_t stage) {
-    if (options.shards > 0) {
-      ShardedGcnOptions sharded;
-      sharded.shards = options.shards;
-      sharded.halo = options.shard_halo;
-      sharded.full_fallback_fraction = options.full_fallback_fraction;
-      if (!options.shard_spill_dir.empty()) {
-        // Cascade stages must not collide on block keys.
-        sharded.spill_dir =
-            options.shard_spill_dir + "/stage" + std::to_string(stage);
-      }
-      sharded_ = std::make_unique<ShardedGcnEngine>(model, sharded);
-    } else {
-      monolithic_ = std::make_unique<IncrementalGcnEngine>(
-          model, IncrementalGcnOptions{options.full_fallback_fraction});
-    }
-  }
-
-  void refresh(const GraphTensors& tensors) {
-    if (sharded_) {
-      sharded_->refresh(tensors);
-    } else {
-      monolithic_->refresh(tensors);
-    }
-  }
-
-  void update(const GraphTensors& tensors, const std::vector<NodeId>& dirty) {
-    if (sharded_) {
-      sharded_->update(tensors, dirty);
-    } else {
-      monolithic_->update(tensors, dirty);
-    }
-  }
-
-  std::vector<float> positive_probability() const {
-    return sharded_ ? sharded_->positive_probability()
-                    : monolithic_->positive_probability();
-  }
-
-  bool last_was_full() const {
-    return sharded_ ? sharded_->last_was_full()
-                    : monolithic_->last_was_full();
-  }
-
- private:
-  std::unique_ptr<IncrementalGcnEngine> monolithic_;
-  std::unique_ptr<ShardedGcnEngine> sharded_;
-};
-
-/// Whole-graph cascade prediction from the per-stage engine logits:
-/// positive iff every stage keeps the node.
-std::vector<std::int32_t> cascade_predictions(
-    const std::vector<PredictionEngine>& engines, std::size_t n) {
-  std::vector<std::int32_t> predictions(n, 1);
-  for (const PredictionEngine& engine : engines) {
-    const auto positive = engine.positive_probability();
-    for (std::size_t v = 0; v < predictions.size(); ++v) {
-      if (positive[v] < 0.5f) predictions[v] = 0;
-    }
-  }
-  return predictions;
-}
-
-/// OP targets must drive a real signal; pins and already-inserted OPs are
-/// excluded, as are nodes that already feed an OP.
-bool valid_target(const Netlist& netlist, NodeId v) {
-  const CellType t = netlist.type(v);
-  if (is_sink(t) || t == CellType::kInput) return false;
-  for (NodeId g : netlist.fanouts(v)) {
-    if (netlist.type(g) == CellType::kObserve) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 OpiResult run_gcn_opi(Netlist& netlist,
                       const std::vector<const GcnModel*>& stages,
@@ -130,13 +45,17 @@ OpiResult run_gcn_opi(Netlist& netlist,
   if (options.standardize_features) tensors.standardize_features();
 
   // One prediction engine per cascade stage (monolithic incremental or
-  // sharded out-of-core); the dirty cone is expanded to the deepest stage
-  // so every engine's closure is covered.
-  std::vector<PredictionEngine> engines;
-  engines.reserve(stages.size());
+  // sharded out-of-core, bit-identical either way); the dirty cone is
+  // expanded to the deepest stage so every engine's closure is covered.
+  // Cascade stages must not collide on spill block keys.
+  std::vector<std::unique_ptr<GcnEngine>> engines;
   int max_depth = 0;
   for (std::size_t stage = 0; stage < stages.size(); ++stage) {
-    engines.emplace_back(*stages[stage], options, stage);
+    engines.push_back(make_gcn_engine(
+        *stages[stage], options.shards, options.shard_halo,
+        options.shard_spill_dir.empty()
+            ? std::string()
+            : options.shard_spill_dir + "/stage" + std::to_string(stage)));
     max_depth = std::max(max_depth, stages[stage]->config().depth);
   }
   DirtyConeTracker tracker;
@@ -198,15 +117,15 @@ OpiResult run_gcn_opi(Netlist& netlist,
     {
       TraceSpan predict_span("opi.predict");
       if (!have_cache || !options.incremental) {
-        for (PredictionEngine& engine : engines) engine.refresh(tensors);
+        for (auto& engine : engines) engine->refresh(tensors);
         have_cache = true;
       } else {
         const std::vector<NodeId> dirty = tracker.affected(tensors, max_depth);
         dirty_nodes_counter.add(dirty.size());
         predict_span.arg("dirty", static_cast<double>(dirty.size()));
-        for (PredictionEngine& engine : engines) {
-          engine.update(tensors, dirty);
-          if (engine.last_was_full()) full_fallbacks_counter.add();
+        for (auto& engine : engines) {
+          engine->update(tensors, dirty);
+          if (engine->last_was_full()) full_fallbacks_counter.add();
         }
       }
       tracker.clear();
@@ -215,7 +134,7 @@ OpiResult run_gcn_opi(Netlist& netlist,
 
     std::vector<NodeId> candidates;
     for (NodeId v = 0; v < predictions.size(); ++v) {
-      if (predictions[v] == 1 && valid_target(netlist, v)) {
+      if (predictions[v] == 1 && netlist.can_observe(v)) {
         candidates.push_back(v);
       }
     }

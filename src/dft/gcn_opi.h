@@ -35,9 +35,6 @@ struct GcnOpiOptions {
   /// full re-inference; see gcn/incremental.h) instead of re-running the
   /// whole-graph forward every iteration.
   bool incremental = true;
-  /// Dirty fraction above which the incremental engine falls back to a
-  /// full forward (tracked by the `opi.full_fallbacks` stats counter).
-  double full_fallback_fraction = 0.25;
   /// > 0: predict with the sharded out-of-core engine (gcn/shard.h) at
   /// this shard count instead of the monolithic incremental engine —
   /// bit-identical logits, one-shard peak residency. 0 = monolithic.

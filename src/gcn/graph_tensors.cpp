@@ -148,6 +148,15 @@ void scatter_compute_rows(const GraphTensors& tensors,
   }
 }
 
+void gather_rows(const Matrix& src, const std::vector<std::uint32_t>& rows,
+                 Matrix& out) {
+  out.resize(rows.size(), src.cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const float* in = src.row(rows[i]);
+    std::copy(in, in + src.cols(), out.row(i));
+  }
+}
+
 float transform_feature(double raw) noexcept {
   return static_cast<float>(std::log1p(raw));
 }

@@ -122,6 +122,11 @@ void gather_compute_rows(const GraphTensors& tensors, const Matrix& node_major,
 void scatter_compute_rows(const GraphTensors& tensors,
                           const Matrix& compute_major, Matrix& out);
 
+/// out.row(i) = src.row(rows[i]): a compact rows.size() x cols copy of the
+/// listed rows (capacity-reusing).
+void gather_rows(const Matrix& src, const std::vector<std::uint32_t>& rows,
+                 Matrix& out);
+
 /// Builds tensors from a netlist with precomputed SCOAP measures and
 /// logic levels.
 GraphTensors build_graph_tensors(const Netlist& netlist,

@@ -3,24 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/stats.h"
 #include "common/trace.h"
-#include "nn/loss.h"
 
 namespace gcnt {
 
 namespace {
-
-/// Copies the listed rows of `src` into `out`, reshaped (capacity-
-/// reusing) to a compact rows.size() x cols matrix.
-void gather_rows(const Matrix& src, const std::vector<NodeId>& rows,
-                 Matrix& out) {
-  out.resize(rows.size(), src.cols());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const float* in = src.row(rows[i]);
-    std::copy(in, in + src.cols(), out.row(i));
-  }
-}
 
 /// Writes compact row i back to dst.row(rows[i]).
 void scatter_rows(const Matrix& compact, const std::vector<NodeId>& rows,
@@ -29,17 +16,6 @@ void scatter_rows(const Matrix& compact, const std::vector<NodeId>& rows,
     const float* in = compact.row(i);
     std::copy(in, in + compact.cols(), dst.row(rows[i]));
   }
-}
-
-/// Grows `m` to new_rows x cols, preserving existing rows (new rows zero).
-void grow_rows(Matrix& m, std::size_t new_rows, std::size_t cols) {
-  if (m.rows() == new_rows && m.cols() == cols) return;
-  Matrix grown(new_rows, cols);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const float* in = m.row(r);
-    std::copy(in, in + m.cols(), grown.row(r));
-  }
-  m = std::move(grown);
 }
 
 }  // namespace
@@ -52,6 +28,22 @@ void DirtyConeTracker::record_edge(NodeId from, NodeId to) {
 void DirtyConeTracker::record_feature(NodeId v) { seeds_.push_back(v); }
 
 void DirtyConeTracker::record_new_node(NodeId v) { seeds_.push_back(v); }
+
+void DirtyConeTracker::record_rebuild(const GraphTensors& previous,
+                                      const GraphTensors& rebuilt) {
+  const std::size_t kept =
+      std::min(previous.node_count(), rebuilt.node_count());
+  for (NodeId v = 0; v < kept; ++v) {
+    const float* before = previous.features.row(v);
+    if (!std::equal(before, before + kNodeFeatureDim,
+                    rebuilt.features.row(v))) {
+      record_feature(v);
+    }
+  }
+  for (NodeId v = static_cast<NodeId>(kept); v < rebuilt.node_count(); ++v) {
+    record_new_node(v);
+  }
+}
 
 std::vector<NodeId> DirtyConeTracker::affected(const GraphTensors& tensors,
                                                int depth) const {
@@ -111,163 +103,50 @@ std::vector<NodeId> DirtyConeTracker::affected(const GraphTensors& tensors,
 
 IncrementalGcnEngine::IncrementalGcnEngine(const GcnModel& model,
                                            IncrementalGcnOptions options)
-    : model_(&model), options_(options) {}
+    : GcnEngine(model, options.full_fallback_fraction) {}
 
-const Matrix& IncrementalGcnEngine::refresh(const GraphTensors& tensors) {
+void IncrementalGcnEngine::full_pass(const GraphTensors& tensors) {
   GCNT_KERNEL_SCOPE("gcn.incremental.refresh");
   TraceSpan span("gcn.incremental.refresh");
   span.arg("nodes", static_cast<double>(tensors.node_count()));
-  if (model_->precision() == Precision::kInt8) {
-    // The incremental contract is bit-identity with the *cached fp32*
-    // embeddings; re-propagating a dirty subset through dynamic
-    // activation quantization would not reproduce whole-graph int8 bits
-    // (the quantization range is global). The engine therefore always
-    // runs fp32 and counts the downgrade instead of silently mixing
-    // tiers (see docs/API.md "Quantized inference").
-    static Counter& fallbacks =
-        StatsRegistry::instance().counter("quant.fallback");
-    fallbacks.add();
-  }
-  const float wp = model_->w_pr();
-  const float ws = model_->w_su();
-
-  // Mirrors GcnModel::run_forward kernel-for-kernel so the cached
-  // embeddings (and logits) are bit-identical to a plain infer().
-  const auto& encoders = model_->encoders();
-  embeddings_.resize(encoders.size() + 1);
-  Matrix* emb = &ws_.ping;
-  Matrix* alt = &ws_.pong;
-  gather_compute_rows(tensors, tensors.features, *emb);
-  embeddings_[0].copy_from(*emb);
-  for (std::size_t d = 0; d < encoders.size(); ++d) {
-    tensors.pred.spmm(*emb, ws_.pred_sum);
-    tensors.succ.spmm(*emb, ws_.succ_sum);
-    ws_.aggregated.copy_from(*emb);
-    ws_.aggregated.axpy(wp, ws_.pred_sum);
-    ws_.aggregated.axpy(ws, ws_.succ_sum);
-
-    encoders[d].forward_relu(ws_.aggregated, *alt);
-    embeddings_[d + 1].copy_from(*alt);
-    std::swap(emb, alt);
-  }
-
-  const auto& fc = model_->fc_layers();
-  for (std::size_t i = 0; i < fc.size(); ++i) {
-    if (i + 1 < fc.size()) {
-      fc[i].forward_relu(*emb, *alt);
-      std::swap(emb, alt);
-    } else if (tensors.reordered()) {
-      // Cached embeddings stay in compute order; logits scatter back to
-      // node order (the boundary every caller sees).
-      fc[i].forward(*emb, *alt);
-      scatter_compute_rows(tensors, *alt, logits_);
-    } else {
-      fc[i].forward(*emb, logits_);
-    }
-  }
-  cached_nodes_ = tensors.node_count();
-  last_was_full_ = true;
-  last_dirty_rows_ = cached_nodes_;
-  return logits_;
+  model_->infer(tensors, ws_, logits_, &embeddings_);
 }
 
-const Matrix& IncrementalGcnEngine::update(const GraphTensors& tensors,
-                                           const std::vector<NodeId>& dirty) {
+void IncrementalGcnEngine::dirty_pass(const GraphTensors& tensors,
+                                      const std::vector<NodeId>& dirty) {
   const std::size_t n = tensors.node_count();
-  if (cached_nodes_ == 0 || n < cached_nodes_ ||
-      static_cast<double>(dirty.size()) >
-          options_.full_fallback_fraction * static_cast<double>(n)) {
-    return refresh(tensors);
-  }
-  if (tensors.pred.rows() != n || tensors.succ.rows() != n) {
-    throw std::invalid_argument(
-        "IncrementalGcnEngine::update: tensors need rebuild_csr()");
-  }
-  for (const NodeId v : dirty) {
-    if (v >= n) {
-      throw std::out_of_range(
-          "IncrementalGcnEngine::update: dirty node out of range");
-    }
-  }
   GCNT_KERNEL_SCOPE("gcn.incremental.update");
   TraceSpan span("gcn.incremental.update");
   span.arg("nodes", static_cast<double>(n));
   span.arg("dirty", static_cast<double>(dirty.size()));
-  if (model_->precision() == Precision::kInt8) {
-    // Same fp32 downgrade as refresh() (the fallback-to-refresh branch
-    // above already counted its own pass).
-    static Counter& fallbacks =
-        StatsRegistry::instance().counter("quant.fallback");
-    fallbacks.add();
-  }
-  last_was_full_ = false;
-  last_dirty_rows_ = dirty.size();
-
-  const float wp = model_->w_pr();
-  const float ws = model_->w_su();
-  const auto& encoders = model_->encoders();
 
   // Appended nodes grow every cached layer (new rows are always dirty, so
   // their zero placeholders are overwritten below).
-  for (std::size_t d = 0; d < embeddings_.size(); ++d) {
-    grow_rows(embeddings_[d], n, embeddings_[d].cols());
-  }
-  grow_rows(logits_, n, logits_.cols());
-  cached_nodes_ = n;
+  for (Matrix& layer : embeddings_) grow_rows(layer, n);
+  grow_rows(logits_, n);
+  if (dirty.empty()) return;
 
   // E_0 rows come straight from the (already updated) feature matrix;
   // the cached layers live in compute row order.
-  for (const NodeId v : dirty) {
-    const float* in = tensors.features.row(v);
-    std::copy(in, in + tensors.features.cols(),
-              embeddings_[0].row(tensors.row_of(v)));
-  }
-  if (dirty.empty()) return logits_;
   dirty_rows_.resize(dirty.size());
   for (std::size_t i = 0; i < dirty.size(); ++i) {
     dirty_rows_[i] = tensors.row_of(dirty[i]);
+    const float* in = tensors.features.row(dirty[i]);
+    std::copy(in, in + tensors.features.cols(),
+              embeddings_[0].row(dirty_rows_[i]));
   }
 
   // Re-propagate the dirty rows layer by layer. A clean row's inputs are
   // all clean (the dirty set is the D-hop closure), so reading the cached
-  // E_{d-1} for neighbors is exact; and every kernel here preserves the
-  // whole-graph per-row accumulation order, so each recomputed row is
-  // bit-identical to a full forward.
-  Matrix* emb = &ws_.ping;
-  Matrix* alt = &ws_.pong;
-  gather_rows(embeddings_[0], dirty_rows_, *emb);
-  for (std::size_t d = 0; d < encoders.size(); ++d) {
-    tensors.pred.spmm_rows(dirty_rows_, embeddings_[d], ws_.pred_sum);
-    tensors.succ.spmm_rows(dirty_rows_, embeddings_[d], ws_.succ_sum);
-    ws_.aggregated.copy_from(*emb);
-    ws_.aggregated.axpy(wp, ws_.pred_sum);
-    ws_.aggregated.axpy(ws, ws_.succ_sum);
-
-    encoders[d].forward_relu(ws_.aggregated, *alt);
-    scatter_rows(*alt, dirty_rows_, embeddings_[d + 1]);
-    std::swap(emb, alt);
+  // E_{d-1} for neighbors is exact, and the row-subset layer step
+  // reproduces each recomputed row bit-for-bit.
+  for (std::size_t d = 0; d + 1 < embeddings_.size(); ++d) {
+    model_->layer_step(d, tensors.pred, tensors.succ, embeddings_[d],
+                       &dirty_rows_, Precision::kFp32, ws_, ws_.ping);
+    scatter_rows(ws_.ping, dirty_rows_, embeddings_[d + 1]);
   }
-
-  const auto& fc = model_->fc_layers();
-  for (std::size_t i = 0; i < fc.size(); ++i) {
-    if (i + 1 < fc.size()) {
-      fc[i].forward_relu(*emb, *alt);
-      std::swap(emb, alt);
-    } else {
-      fc[i].forward(*emb, *alt);
-      scatter_rows(*alt, dirty, logits_);
-    }
-  }
-  return logits_;
-}
-
-std::vector<float> IncrementalGcnEngine::positive_probability() const {
-  const Matrix probabilities = softmax(logits_);
-  std::vector<float> positive(probabilities.rows());
-  for (std::size_t r = 0; r < probabilities.rows(); ++r) {
-    positive[r] = probabilities.at(r, 1);
-  }
-  return positive;
+  model_->fc_head(ws_.ping, Precision::kFp32, ws_, ws_.pong);
+  scatter_rows(ws_.pong, dirty, logits_);
 }
 
 }  // namespace gcnt

@@ -13,15 +13,16 @@
 // re-propagation pointless.
 //
 // The incremental path is bit-identical to GcnModel::infer on the updated
-// tensors: spmm_rows / gemm / ReLU all preserve the per-row accumulation
-// order of their whole-graph counterparts, so recomputing a subset of rows
-// yields exactly the bits a full pass would (pinned by
-// tests/incremental_test.cpp).
+// tensors: both run GcnModel::layer_step, whose row-subset form (spmm_rows,
+// gathered identity term, gemm, ReLU) preserves the per-row accumulation
+// order of the whole-graph form, so recomputing a subset of rows yields
+// exactly the bits a full pass would (pinned by tests/incremental_test.cpp).
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "gcn/engine.h"
 #include "gcn/graph_tensors.h"
 #include "gcn/model.h"
 #include "gcn/workspace.h"
@@ -41,6 +42,13 @@ class DirtyConeTracker {
 
   /// Node `v` was appended since the last sync (new OP / CP cells).
   void record_new_node(NodeId v);
+
+  /// Seeds the rows a from-scratch tensor rebuild changed (control-point
+  /// insertion rewires fanouts, so its delta is not append-only): every
+  /// feature row that differs from `previous`, plus every node `rebuilt`
+  /// appended.
+  void record_rebuild(const GraphTensors& previous,
+                      const GraphTensors& rebuilt);
 
   bool empty() const noexcept { return seeds_.empty(); }
   std::size_t seed_count() const noexcept { return seeds_.size(); }
@@ -67,49 +75,23 @@ struct IncrementalGcnOptions {
 /// Per-model incremental inference state: cached E_0..E_D and logits of
 /// the last (full or incremental) forward. The model's parameters must not
 /// change between calls (the OPI/CPI flows use trained, frozen models).
-class IncrementalGcnEngine {
+class IncrementalGcnEngine : public GcnEngine {
  public:
   explicit IncrementalGcnEngine(const GcnModel& model,
                                 IncrementalGcnOptions options = {});
 
-  /// Full whole-graph forward (same kernels and order as
-  /// GcnModel::infer), caching every intermediate embedding.
-  const Matrix& refresh(const GraphTensors& tensors);
-
-  /// Re-propagates only `dirty` rows (a DirtyConeTracker::affected set for
-  /// this model's depth, against the *rebuilt* tensors). Falls back to
-  /// refresh() when there is no cache yet or the dirty fraction exceeds
-  /// the configured threshold. Returns the updated whole-graph logits.
-  const Matrix& update(const GraphTensors& tensors,
-                       const std::vector<NodeId>& dirty);
-
-  /// Logits of the last refresh()/update() (N x num_classes).
-  const Matrix& logits() const noexcept { return logits_; }
-
-  /// Positive-class probability per node from the cached logits —
-  /// identical to GcnModel::predict_positive_probability.
-  std::vector<float> positive_probability() const;
-
-  /// True when the last update() degenerated to a full forward.
-  bool last_was_full() const noexcept { return last_was_full_; }
-  /// Rows re-propagated by the last update() (node count on fallback).
-  std::size_t last_dirty_rows() const noexcept { return last_dirty_rows_; }
-
-  const GcnModel& model() const noexcept { return *model_; }
-
  private:
-  const GcnModel* model_;
-  IncrementalGcnOptions options_;
-  std::vector<Matrix> embeddings_;  ///< E_0 .. E_D, whole-graph rows
-  Matrix logits_;
-  /// Scratch reused by refresh()/update(); with a stable graph size the
+  /// GcnModel::infer with the embeddings sink: E_0..E_D land in the cache.
+  void full_pass(const GraphTensors& tensors) override;
+  void dirty_pass(const GraphTensors& tensors,
+                  const std::vector<NodeId>& dirty) override;
+
+  std::vector<Matrix> embeddings_;  ///< E_0 .. E_D, compute row order
+  /// Scratch reused by every pass; with a stable graph size the
   /// steady-state re-propagation allocates nothing.
   ForwardWorkspace ws_;
   /// Dirty node ids mapped into compute row order (reused scratch).
   std::vector<NodeId> dirty_rows_;
-  std::size_t cached_nodes_ = 0;  ///< 0 = no valid cache
-  bool last_was_full_ = false;
-  std::size_t last_dirty_rows_ = 0;
 };
 
 }  // namespace gcnt

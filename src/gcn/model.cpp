@@ -80,18 +80,88 @@ void GcnModel::install_quantized(std::vector<QuantizedLinear> encoders,
   gauge.set(static_cast<std::int64_t>(precision_));
 }
 
-void GcnModel::run_forward(const GraphTensors& graph, Cache* cache,
-                           ForwardWorkspace& ws, Matrix& out) const {
-  if (cache == nullptr && precision_ == Precision::kInt8) {
-    // The int8 tier serves inference only; the training forward (which
-    // must cache fp32 activations for backward) always runs fp32.
-    run_forward_int8(graph, ws, out);
-    return;
+void GcnModel::layer_step(std::size_t d, const CsrMatrix& pred,
+                          const CsrMatrix& succ, const Matrix& in,
+                          const std::vector<std::uint32_t>* rows,
+                          Precision precision, ForwardWorkspace& ws,
+                          Matrix& out) const {
+  // The int8 tier quantizes the activation once for both SpMMs; the
+  // identity term reuses the exact fp32 rows, so only the neighbor sums
+  // flow through codes (one activation round-trip per layer).
+  const bool int8 = rows == nullptr && precision == Precision::kInt8;
+  if (int8) {
+    quantize_tensor(in, ws.qact);
+    spmm_q8(pred, ws.qact, ws.pred_sum);
+    spmm_q8(succ, ws.qact, ws.succ_sum);
+  } else if (rows == nullptr) {
+    pred.spmm(in, ws.pred_sum);
+    succ.spmm(in, ws.succ_sum);
+  } else {
+    pred.spmm_rows(*rows, in, ws.pred_sum);
+    succ.spmm_rows(*rows, in, ws.succ_sum);
   }
-  TraceSpan span(cache ? "gcn.forward" : "gcn.infer");
+  if (rows == nullptr) {
+    ws.aggregated.copy_from(in);
+  } else {
+    gather_rows(in, *rows, ws.aggregated);
+  }
+
+  if (int8) {
+    // axpy_exact, not Matrix::axpy: the SimdOps axpy contracts to FMA
+    // only on the vector targets, which would break the int8 tier's
+    // cross-target bit-identity (quant.h file comment).
+    axpy_exact(ws.aggregated, w_pr(), ws.pred_sum);
+    axpy_exact(ws.aggregated, w_su(), ws.succ_sum);
+    quantize_tensor(ws.aggregated, ws.qagg);
+    quantized_linear_forward(ws.qagg, qencoders_[d], encoders_[d].bias.value,
+                             out, /*relu=*/true);
+  } else {
+    ws.aggregated.axpy(w_pr(), ws.pred_sum);
+    ws.aggregated.axpy(w_su(), ws.succ_sum);
+    // Encoding: E = ReLU(G * W + b), fused into one output pass.
+    encoders_[d].forward_relu(ws.aggregated, out);
+  }
+}
+
+void GcnModel::fc_head(const Matrix& in, Precision precision,
+                       ForwardWorkspace& ws, Matrix& out,
+                       std::vector<Matrix>* inputs) const {
+  if (inputs) inputs->resize(fc_.size());
+  const Matrix* x = &in;
+  for (std::size_t i = 0; i < fc_.size(); ++i) {
+    const bool hidden = i + 1 < fc_.size();
+    Matrix& y = hidden ? (i % 2 == 0 ? ws.pred_sum : ws.succ_sum) : out;
+    if (inputs) (*inputs)[i].copy_from(*x);
+    if (precision == Precision::kInt8) {
+      quantize_tensor(*x, ws.qact);
+      quantized_linear_forward(ws.qact, qfc_[i], fc_[i].bias.value, y,
+                               /*relu=*/hidden);
+    } else if (hidden) {
+      fc_[i].forward_relu(*x, y);
+    } else {
+      fc_[i].forward(*x, y);
+    }
+    x = &y;
+  }
+}
+
+void GcnModel::run_forward(const GraphTensors& graph, Cache* cache,
+                           std::vector<Matrix>* embeddings,
+                           ForwardWorkspace& ws, Matrix& out) const {
+  // Caching forwards feed fp32-only consumers (backward(), the
+  // incremental engine's dirty-row steps), so only plain inference takes
+  // the int8 tier.
+  if (cache) embeddings = &cache->embeddings;
+  const Precision precision = embeddings ? Precision::kFp32 : precision_;
+  const char* infer_span =
+      precision == Precision::kInt8 ? "gcn.infer_int8" : "gcn.infer";
+  TraceSpan span(cache ? "gcn.forward" : infer_span);
   span.arg("nodes", static_cast<double>(graph.node_count()));
-  const float wp = w_pr();
-  const float wsu = w_su();
+  if (precision == Precision::kInt8 &&
+      (qencoders_.size() != encoders_.size() || qfc_.size() != fc_.size())) {
+    throw Error(ErrorKind::kInternal,
+                "GcnModel: quantized snapshots not calibrated");
+  }
 
   // Ping-pong the activations through the workspace: after one warm-up
   // pass per graph, the whole forward allocates nothing. All internal
@@ -100,124 +170,50 @@ void GcnModel::run_forward(const GraphTensors& graph, Cache* cache,
   Matrix* emb = &ws.ping;
   Matrix* alt = &ws.pong;
   gather_compute_rows(graph, graph.features, *emb);
+  if (embeddings) {
+    embeddings->resize(encoders_.size() + 1);
+    (*embeddings)[0].copy_from(*emb);
+  }
   if (cache) {
-    cache->embeddings.resize(encoders_.size() + 1);
     cache->aggregated.resize(encoders_.size());
     cache->pred_sums.resize(encoders_.size());
     cache->succ_sums.resize(encoders_.size());
-    cache->fc_inputs.resize(fc_.size());
-    cache->fc_outputs.resize(fc_.size() - 1);
-    cache->embeddings[0].copy_from(*emb);
   }
-
   for (std::size_t d = 0; d < encoders_.size(); ++d) {
-    // Aggregation (Eq. 1): G = E + w_pr * P*E + w_su * S*E.
-    graph.pred.spmm(*emb, ws.pred_sum);
-    graph.succ.spmm(*emb, ws.succ_sum);
-    ws.aggregated.copy_from(*emb);
-    ws.aggregated.axpy(wp, ws.pred_sum);
-    ws.aggregated.axpy(wsu, ws.succ_sum);
-
-    // Encoding: E = ReLU(G * W + b), fused into one output pass.
-    encoders_[d].forward_relu(ws.aggregated, *alt);
-
+    layer_step(d, graph.pred, graph.succ, *emb, nullptr, precision, ws, *alt);
+    if (embeddings) (*embeddings)[d + 1].copy_from(*alt);
     if (cache) {
       cache->pred_sums[d].copy_from(ws.pred_sum);
       cache->succ_sums[d].copy_from(ws.succ_sum);
       cache->aggregated[d].copy_from(ws.aggregated);
-      cache->embeddings[d + 1].copy_from(*alt);
     }
     std::swap(emb, alt);
   }
 
-  // FC head: fused ReLU between hidden layers; the final layer writes
-  // the raw logits straight into `out`.
-  for (std::size_t i = 0; i < fc_.size(); ++i) {
-    if (cache) cache->fc_inputs[i].copy_from(*emb);
-    if (i + 1 < fc_.size()) {
-      fc_[i].forward_relu(*emb, *alt);
-      if (cache) cache->fc_outputs[i].copy_from(*alt);
-      std::swap(emb, alt);
-    } else if (graph.reordered()) {
-      fc_[i].forward(*emb, *alt);
-      scatter_compute_rows(graph, *alt, out);
-    } else {
-      fc_[i].forward(*emb, out);
-    }
-  }
-}
-
-void GcnModel::run_forward_int8(const GraphTensors& graph,
-                                ForwardWorkspace& ws, Matrix& out) const {
-  TraceSpan span("gcn.infer_int8");
-  span.arg("nodes", static_cast<double>(graph.node_count()));
-  if (qencoders_.size() != encoders_.size() || qfc_.size() != fc_.size()) {
-    throw Error(ErrorKind::kInternal,
-                "run_forward_int8: quantized snapshots not calibrated");
-  }
-  const float wp = w_pr();
-  const float wsu = w_su();
-
-  // Mirrors run_forward's ping-pong structure. Activations stay fp32 in
-  // ping/pong; the quantized code buffers are derived views feeding the
-  // int8 kernels: qact encodes the current activation for the two SpMMs,
-  // qagg encodes the aggregated matrix for the dense layer. The Eq. 1
-  // identity term reuses the exact fp32 activation (only the neighbor
-  // sums flow through codes), which keeps the quantization error per
-  // layer to one activation round-trip.
-  Matrix* emb = &ws.ping;
-  Matrix* alt = &ws.pong;
-  gather_compute_rows(graph, graph.features, *emb);
-
-  for (std::size_t d = 0; d < encoders_.size(); ++d) {
-    quantize_tensor(*emb, ws.qact);
-    spmm_q8(graph.pred, ws.qact, ws.pred_sum);
-    spmm_q8(graph.succ, ws.qact, ws.succ_sum);
-    ws.aggregated.copy_from(*emb);
-    // axpy_exact, not Matrix::axpy: the SimdOps axpy contracts to FMA
-    // only on the vector targets, which would break the int8 tier's
-    // cross-target bit-identity (quant.h file comment).
-    axpy_exact(ws.aggregated, wp, ws.pred_sum);
-    axpy_exact(ws.aggregated, wsu, ws.succ_sum);
-
-    quantize_tensor(ws.aggregated, ws.qagg);
-    quantized_linear_forward(ws.qagg, qencoders_[d], encoders_[d].bias.value,
-                             *alt, /*relu=*/true);
-    std::swap(emb, alt);
-  }
-
-  for (std::size_t i = 0; i < fc_.size(); ++i) {
-    quantize_tensor(*emb, ws.qact);
-    if (i + 1 < fc_.size()) {
-      quantized_linear_forward(ws.qact, qfc_[i], fc_[i].bias.value, *alt,
-                               /*relu=*/true);
-      std::swap(emb, alt);
-    } else if (graph.reordered()) {
-      quantized_linear_forward(ws.qact, qfc_[i], fc_[i].bias.value, *alt,
-                               /*relu=*/false);
-      scatter_compute_rows(graph, *alt, out);
-    } else {
-      quantized_linear_forward(ws.qact, qfc_[i], fc_[i].bias.value, out,
-                               /*relu=*/false);
-    }
+  std::vector<Matrix>* fc_inputs = cache ? &cache->fc_inputs : nullptr;
+  if (graph.reordered()) {
+    fc_head(*emb, precision, ws, *alt, fc_inputs);
+    scatter_compute_rows(graph, *alt, out);
+  } else {
+    fc_head(*emb, precision, ws, out, fc_inputs);
   }
 }
 
 Matrix GcnModel::forward(const GraphTensors& graph) {
   Matrix out;
-  run_forward(graph, &cache_, ws_, out);
+  run_forward(graph, &cache_, nullptr, ws_, out);
   return out;
 }
 
 Matrix GcnModel::infer(const GraphTensors& graph) const {
   Matrix out;
-  run_forward(graph, nullptr, ws_, out);
+  run_forward(graph, nullptr, nullptr, ws_, out);
   return out;
 }
 
 void GcnModel::infer(const GraphTensors& graph, ForwardWorkspace& ws,
-                     Matrix& out) const {
-  run_forward(graph, nullptr, ws, out);
+                     Matrix& out, std::vector<Matrix>* embeddings) const {
+  run_forward(graph, nullptr, embeddings, ws, out);
 }
 
 void GcnModel::backward(const GraphTensors& graph, const Matrix& dlogits) {
@@ -234,9 +230,9 @@ void GcnModel::backward(const GraphTensors& graph, const Matrix& dlogits) {
     Matrix dinput;
     fc_[i].backward(cache_.fc_inputs[i], grad, dinput);
     if (i > 0) {
-      // Undo the ReLU that produced fc_inputs[i].
+      // Undo the ReLU of hidden layer i-1, whose output is fc_inputs[i].
       Matrix masked;
-      Relu::backward(cache_.fc_outputs[i - 1], dinput, masked);
+      Relu::backward(cache_.fc_inputs[i], dinput, masked);
       grad = std::move(masked);
     } else {
       grad = std::move(dinput);

@@ -62,9 +62,33 @@ class GcnModel {
   /// Zero-allocation inference: writes logits into `out` using the
   /// caller's workspace. After one warm-up call per graph, steady-state
   /// calls perform no heap allocations (see gcn/workspace.h). Use
-  /// distinct workspaces for concurrent callers.
-  void infer(const GraphTensors& graph, ForwardWorkspace& ws,
-             Matrix& out) const;
+  /// distinct workspaces for concurrent callers. A non-null `embeddings`
+  /// also receives E_0..E_D in compute row order (the incremental
+  /// engine's cache); such a caching forward always runs fp32.
+  void infer(const GraphTensors& graph, ForwardWorkspace& ws, Matrix& out,
+             std::vector<Matrix>* embeddings = nullptr) const;
+
+  /// The Eq. 1 layer step of encoder d, the one place a GCN layer is
+  /// computed:  G = E + w_pr*(P*E) + w_su*(S*E);  out = ReLU(G*W_d + b_d).
+  /// `rows` null: every row — `in` is E for the whole graph, the SpMMs are
+  /// the row-blocked CsrMatrix::spmm, and kInt8 selects the int8 kernels.
+  /// `rows` non-null: only those rows of pred/succ (ids into `in`) are
+  /// computed, into a compact rows->size()-row `out`, always in fp32 (no
+  /// row-subset int8 kernel exists). Each fp32 output row is bit-identical
+  /// to the same row of the whole-graph step. P*E, S*E and G are left in
+  /// ws.pred_sum / ws.succ_sum / ws.aggregated; `out` must be none of
+  /// those and not `in`.
+  void layer_step(std::size_t d, const CsrMatrix& pred, const CsrMatrix& succ,
+                  const Matrix& in, const std::vector<std::uint32_t>* rows,
+                  Precision precision, ForwardWorkspace& ws,
+                  Matrix& out) const;
+
+  /// FC head over every row of `in`: hidden layers with fused ReLU
+  /// ping-pong through ws.pred_sum / ws.succ_sum, and the last layer writes
+  /// the raw logits into `out` (which must be neither). A non-null
+  /// `inputs` receives each FC layer's input (the training cache).
+  void fc_head(const Matrix& in, Precision precision, ForwardWorkspace& ws,
+               Matrix& out, std::vector<Matrix>* inputs = nullptr) const;
 
   /// Positive-class probability per node.
   std::vector<float> predict_positive_probability(const GraphTensors& graph) const;
@@ -115,14 +139,12 @@ class GcnModel {
                          std::vector<QuantizedLinear> fc);
 
  private:
-  /// Shared forward; fills `cache` when non-null. Scratch lives in `ws`,
-  /// logits land in `out` (the last FC layer writes them directly).
+  /// Shared whole-graph forward; fills `cache` (training) or `embeddings`
+  /// when non-null. Scratch lives in `ws`, node-order logits land in `out`.
   struct Cache;
   void run_forward(const GraphTensors& graph, Cache* cache,
-                   ForwardWorkspace& ws, Matrix& out) const;
-  /// Int8 inference forward (run_forward's quantized twin; cache-free).
-  void run_forward_int8(const GraphTensors& graph, ForwardWorkspace& ws,
-                        Matrix& out) const;
+                   std::vector<Matrix>* embeddings, ForwardWorkspace& ws,
+                   Matrix& out) const;
 
   GcnConfig config_;
   Param w_pr_;
@@ -139,7 +161,6 @@ class GcnModel {
     std::vector<Matrix> pred_sums;   ///< P * E_{d-1}
     std::vector<Matrix> succ_sums;   ///< S * E_{d-1}
     std::vector<Matrix> fc_inputs;   ///< input to each FC layer
-    std::vector<Matrix> fc_outputs;  ///< post-ReLU output of hidden FCs
   };
   Cache cache_;
   /// Scratch for forward()/infer(graph); mutable so const inference can

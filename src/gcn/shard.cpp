@@ -1,46 +1,17 @@
 #include "gcn/shard.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <stdexcept>
 #include <utility>
 
 #include "common/artifact.h"
 #include "common/error.h"
 #include "common/stats.h"
 #include "common/trace.h"
-#include "nn/loss.h"
 
 namespace gcnt {
-
-namespace {
-
-/// Copies the listed rows of `src` into `out`, reshaped (capacity-
-/// reusing) to a compact rows.size() x cols matrix.
-void gather_rows(const Matrix& src, const std::vector<std::uint32_t>& rows,
-                 Matrix& out) {
-  out.resize(rows.size(), src.cols());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const float* in = src.row(rows[i]);
-    std::copy(in, in + src.cols(), out.row(i));
-  }
-}
-
-/// Grows `m` to new_rows x cols, preserving existing rows (new rows zero).
-void grow_rows(Matrix& m, std::size_t new_rows, std::size_t cols) {
-  if (m.rows() == new_rows && m.cols() == cols) return;
-  Matrix grown(new_rows, cols);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const float* in = m.row(r);
-    std::copy(in, in + m.cols(), grown.row(r));
-  }
-  m = std::move(grown);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ShardStore
@@ -97,109 +68,7 @@ void ShardStore::get_export(int layer, std::size_t producer,
             out);
 }
 
-void ShardStore::set_block_precision(Precision precision) {
-  clear();
-  block_precision_ = precision;
-}
-
-void ShardStore::put_block_q8(const std::string& key, const Matrix& block) {
-  if (!on_disk()) {
-    quantize_tensor(block, qmemory_[key]);
-    return;
-  }
-  static Counter& writes =
-      StatsRegistry::instance().counter("shard.spill_writes");
-  static Counter& write_bytes =
-      StatsRegistry::instance().counter("shard.spill_write_bytes");
-  QuantizedTensor q;
-  quantize_tensor(block, q);
-  // shard-block-q8: u64 rows, u64 cols, then rows f32 scales, rows i32
-  // zero points, then rows*cols code bytes (native-endian; spill files
-  // are host-local). Per-row quantization adds 8 bytes/row — noise next
-  // to the 4x code-byte saving on any realistic embedding width.
-  const std::uint64_t rows = q.rows;
-  const std::uint64_t cols = q.cols;
-  const std::size_t meta = 16 + rows * 8;
-  std::string payload(meta + q.codes.size(), '\0');
-  std::memcpy(&payload[0], &rows, 8);
-  std::memcpy(&payload[8], &cols, 8);
-  if (rows > 0) {
-    std::memcpy(&payload[16], q.scales.data(), rows * 4);
-    std::memcpy(&payload[16 + rows * 4], q.zero_points.data(), rows * 4);
-  }
-  if (!q.codes.empty()) {
-    std::memcpy(&payload[meta], q.codes.data(), q.codes.size());
-  }
-  write_artifact_file(path_of(key), "shard-block-q8", payload);
-  writes.add();
-  write_bytes.add(payload.size());
-  written_.insert(key);
-}
-
-void ShardStore::get_block_q8(const std::string& key, Matrix& out) const {
-  if (!on_disk()) {
-    const auto it = qmemory_.find(key);
-    if (it == qmemory_.end()) {
-      throw Error(ErrorKind::kInternal,
-                  "ShardStore: missing in-memory block '" + key + "'");
-    }
-    dequantize_tensor(it->second, out);
-    return;
-  }
-  static Counter& reads =
-      StatsRegistry::instance().counter("shard.spill_reads");
-  static Counter& read_bytes =
-      StatsRegistry::instance().counter("shard.spill_read_bytes");
-  const std::string payload =
-      read_artifact_file(path_of(key), "shard-block-q8");
-  if (payload.size() < 16) {
-    throw Error(ErrorKind::kCorrupt,
-                "ShardStore: block '" + key + "' shorter than its header");
-  }
-  QuantizedTensor q;
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  std::memcpy(&rows, payload.data(), 8);
-  std::memcpy(&cols, payload.data() + 8, 8);
-  const std::size_t meta = 16 + rows * 8;
-  if (payload.size() != meta + rows * cols) {
-    throw Error(ErrorKind::kCorrupt,
-                "ShardStore: block '" + key + "' header/shape mismatch");
-  }
-  q.rows = rows;
-  q.cols = cols;
-  q.scales.resize(rows);
-  q.zero_points.resize(rows);
-  if (rows > 0) {
-    std::memcpy(q.scales.data(), payload.data() + 16, rows * 4);
-    std::memcpy(q.zero_points.data(), payload.data() + 16 + rows * 4,
-                rows * 4);
-  }
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    if (!std::isfinite(q.scales[r]) || q.scales[r] <= 0.0f ||
-        q.zero_points[r] < 0 || q.zero_points[r] > 127) {
-      throw Error(ErrorKind::kCorrupt,
-                  "ShardStore: block '" + key + "' scale/zero-point invalid");
-    }
-  }
-  q.codes.assign(payload.begin() + static_cast<std::ptrdiff_t>(meta),
-                 payload.end());
-  for (const std::uint8_t code : q.codes) {
-    if (code > 127) {
-      throw Error(ErrorKind::kCorrupt,
-                  "ShardStore: block '" + key + "' code outside [0, 127]");
-    }
-  }
-  dequantize_tensor(q, out);
-  reads.add();
-  read_bytes.add(payload.size());
-}
-
 void ShardStore::put_block(const std::string& key, const Matrix& block) {
-  if (block_precision_ == Precision::kInt8) {
-    put_block_q8(key, block);
-    return;
-  }
   if (!on_disk()) {
     memory_[key].copy_from(block);
     return;
@@ -224,10 +93,6 @@ void ShardStore::put_block(const std::string& key, const Matrix& block) {
 }
 
 void ShardStore::get_block(const std::string& key, Matrix& out) const {
-  if (block_precision_ == Precision::kInt8) {
-    get_block_q8(key, out);
-    return;
-  }
   if (!on_disk()) {
     const auto it = memory_.find(key);
     if (it == memory_.end()) {
@@ -251,22 +116,23 @@ void ShardStore::get_block(const std::string& key, Matrix& out) const {
   std::uint64_t cols = 0;
   std::memcpy(&rows, payload.data(), 8);
   std::memcpy(&cols, payload.data() + 8, 8);
-  if (payload.size() != 16 + rows * cols * sizeof(float)) {
+  // The shape comes from untrusted bytes: bound it by the payload before
+  // multiplying, so a hostile header cannot wrap rows * cols to a size
+  // that passes the check.
+  const std::size_t body = payload.size() - 16;
+  if ((cols == 0 ? rows != 0 : rows > body / sizeof(float) / cols) ||
+      rows * cols * sizeof(float) != body) {
     throw Error(ErrorKind::kCorrupt,
                 "ShardStore: block '" + key + "' size/shape mismatch");
   }
   out.resize(rows, cols);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    std::memcpy(out.row(r), payload.data() + 16 + r * cols * sizeof(float),
-                cols * sizeof(float));
-  }
+  if (body != 0) std::memcpy(out.data(), payload.data() + 16, body);
   reads.add();
   read_bytes.add(payload.size());
 }
 
 void ShardStore::clear() {
   memory_.clear();
-  qmemory_.clear();
   for (const std::string& key : written_) {
     std::remove(path_of(key).c_str());
   }
@@ -278,7 +144,8 @@ void ShardStore::clear() {
 
 ShardedGcnEngine::ShardedGcnEngine(const GcnModel& model,
                                    ShardedGcnOptions options)
-    : model_(&model), options_(std::move(options)) {
+    : GcnEngine(model, options.full_fallback_fraction),
+      options_(std::move(options)) {
   if (options_.shards == 0) {
     throw Error(ErrorKind::kUsage, "ShardedGcnEngine: shards must be > 0");
   }
@@ -286,7 +153,6 @@ ShardedGcnEngine::ShardedGcnEngine(const GcnModel& model,
     throw Error(ErrorKind::kUsage, "ShardedGcnEngine: halo must be >= 1");
   }
   store_.configure(options_.spill_dir);
-  store_.set_block_precision(options_.block_precision);
 }
 
 const GraphPartition& ShardedGcnEngine::partition() const {
@@ -491,34 +357,16 @@ void ShardedGcnEngine::put_exports(int layer, std::size_t p,
 
 void ShardedGcnEngine::run_fc(const GraphTensors& tensors, const Matrix& input,
                               const std::vector<std::uint32_t>& rows) {
-  const auto& fc = model_->fc_layers();
-  const Matrix* in = &input;
-  Matrix* a = &fc_a_;
-  Matrix* b = &fc_b_;
-  const Matrix* final_out = in;
-  for (std::size_t i = 0; i < fc.size(); ++i) {
-    if (i + 1 < fc.size()) {
-      fc[i].forward_relu(*in, *a);
-      in = a;
-      std::swap(a, b);
-    } else {
-      fc[i].forward(*in, *a);
-      final_out = a;
-    }
-  }
+  model_->fc_head(input, Precision::kFp32, ws_, ws_.ping);
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const float* src = final_out->row(i);
-    std::copy(src, src + final_out->cols(),
+    const float* src = ws_.ping.row(i);
+    std::copy(src, src + ws_.ping.cols(),
               logits_.row(tensors.node_of(rows[i])));
   }
 }
 
-const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
+void ShardedGcnEngine::full_pass(const GraphTensors& tensors) {
   const std::size_t n = tensors.node_count();
-  if (tensors.pred.rows() != n || tensors.succ.rows() != n) {
-    throw std::invalid_argument(
-        "ShardedGcnEngine::refresh: tensors need rebuild_csr()");
-  }
   GCNT_KERNEL_SCOPE("gcn.shard.forward");
   TraceSpan span("gcn.shard.forward");
   span.arg("nodes", static_cast<double>(n));
@@ -527,16 +375,6 @@ const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
       StatsRegistry::instance().counter("shard.forwards");
   static Counter& rounds = StatsRegistry::instance().counter("shard.rounds");
   forwards.add();
-  if (model_->precision() == Precision::kInt8) {
-    // The sharded compute path stays fp32 (its per-kernel accumulation
-    // orders are what make it bit-identical to the monolithic engines);
-    // a model in int8 mode is downgraded here and counted, like the
-    // incremental engine. Block *storage* precision is a separate,
-    // explicit opt-in (ShardedGcnOptions::block_precision).
-    static Counter& fallbacks =
-        StatsRegistry::instance().counter("quant.fallback");
-    fallbacks.add();
-  }
 
   if (!has_partition_ || partition_.row_count() != n ||
       cached_pred_nnz_ != tensors.pred.nnz() ||
@@ -546,10 +384,7 @@ const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
   store_.clear();
   logits_.resize(n, model_->config().num_classes);
 
-  const float wp = model_->w_pr();
-  const float wsu = model_->w_su();
-  const auto& encoders = model_->encoders();
-  const std::size_t layer_count = encoders.size();
+  const std::size_t layer_count = model_->encoders().size();
   const std::size_t halo = static_cast<std::size_t>(partition_.halo_depth());
 
   std::size_t done = 0;
@@ -567,12 +402,8 @@ const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
       for (std::size_t j = 1; j <= m; ++j) {
         const std::size_t d = done + j - 1;
         const auto& rows = ls.rows_within[m - j];
-        ls.pred.spmm_rows(rows, *x, ws_.pred_sum);
-        ls.succ.spmm_rows(rows, *x, ws_.succ_sum);
-        gather_rows(*x, rows, ws_.aggregated);
-        ws_.aggregated.axpy(wp, ws_.pred_sum);
-        ws_.aggregated.axpy(wsu, ws_.succ_sum);
-        encoders[d].forward_relu(ws_.aggregated, compact_out_);
+        model_->layer_step(d, ls.pred, ls.succ, *x, &rows, Precision::kFp32,
+                           ws_, compact_out_);
         // Persist this layer's owner rows (and their halo exports) so the
         // incremental path can later re-propagate any layer.
         gather_rows(compact_out_, ls.owner_pos_in[m - j], owner_block_);
@@ -597,45 +428,13 @@ const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
     }
     done += m;
   }
-  if (layer_count == 0) {
-    // Degenerate MLP: the FC head reads E_0 (the features) directly.
-    for (std::size_t k = 0; k < partition_.shard_count(); ++k) {
-      const auto& owners = partition_.shard(k).owners;
-      owner_block_.resize(owners.size(), tensors.features.cols());
-      for (std::size_t i = 0; i < owners.size(); ++i) {
-        const float* in = tensors.features.row(tensors.node_of(owners[i]));
-        std::copy(in, in + tensors.features.cols(), owner_block_.row(i));
-      }
-      run_fc(tensors, owner_block_, owners);
-    }
-  }
-
-  cached_nodes_ = n;
   cached_pred_nnz_ = tensors.pred.nnz();
   cached_succ_nnz_ = tensors.succ.nnz();
-  last_was_full_ = true;
-  last_dirty_rows_ = n;
-  return logits_;
 }
 
-const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
-                                       const std::vector<NodeId>& dirty) {
+void ShardedGcnEngine::dirty_pass(const GraphTensors& tensors,
+                                  const std::vector<NodeId>& dirty) {
   const std::size_t n = tensors.node_count();
-  if (cached_nodes_ == 0 || n < cached_nodes_ ||
-      static_cast<double>(dirty.size()) >
-          options_.full_fallback_fraction * static_cast<double>(n)) {
-    return refresh(tensors);
-  }
-  if (tensors.pred.rows() != n || tensors.succ.rows() != n) {
-    throw std::invalid_argument(
-        "ShardedGcnEngine::update: tensors need rebuild_csr()");
-  }
-  for (const NodeId v : dirty) {
-    if (v >= n) {
-      throw std::out_of_range(
-          "ShardedGcnEngine::update: dirty node out of range");
-    }
-  }
   GCNT_KERNEL_SCOPE("gcn.shard.update");
   TraceSpan span("gcn.shard.update");
   span.arg("nodes", static_cast<double>(n));
@@ -644,13 +443,6 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
   static Counter& extends =
       StatsRegistry::instance().counter("shard.partition_extends");
   updates.add();
-  if (model_->precision() == Precision::kInt8) {
-    static Counter& fallbacks =
-        StatsRegistry::instance().counter("quant.fallback");
-    fallbacks.add();
-  }
-  last_was_full_ = false;
-  last_dirty_rows_ = dirty.size();
 
   const std::size_t shard_count = partition_.shard_count();
   std::vector<std::uint8_t> affected_flag(shard_count, 0);
@@ -667,16 +459,15 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
       affected_flag[k] = 1;
     }
     rebuild_send_views();
-    grow_rows(logits_, n, logits_.cols());
+    grow_rows(logits_, n);
     extends.add();
     extended = !affected.empty();
     StatsRegistry::instance().gauge("shard.halo_rows").set(
         static_cast<std::int64_t>(partition_.total_halo_rows()));
   }
-  cached_nodes_ = n;
   cached_pred_nnz_ = tensors.pred.nnz();
   cached_succ_nnz_ = tensors.succ.nnz();
-  if (dirty.empty()) return logits_;
+  if (dirty.empty()) return;
 
   // Group the dirty rows by owning shard; per shard, keep the global
   // compute rows ascending plus their positions in the active list and
@@ -708,28 +499,23 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
     dirty_shards.push_back(k);
   }
 
-  const float wp = model_->w_pr();
-  const float wsu = model_->w_su();
-  const auto& encoders = model_->encoders();
-  const std::size_t layer_count = encoders.size();
+  const std::size_t layer_count = model_->encoders().size();
 
   // Layer-synchronous re-propagation: every dirty shard finishes layer d
   // before any shard starts layer d+1, so the halo gathers always read
-  // fully updated blocks one layer back.
+  // fully updated blocks one layer back. After the last layer a shard's
+  // compact output rows are exactly its dirty rows, so the FC head runs
+  // on them directly.
   for (std::size_t d = 1; d <= layer_count; ++d) {
     for (const std::size_t k : dirty_shards) {
       gather_active(tensors, k, static_cast<int>(d - 1), active_a_);
       const LocalShard& ls = locals_[k];
-      ls.pred.spmm_rows(dirty_local[k], active_a_, ws_.pred_sum);
-      ls.succ.spmm_rows(dirty_local[k], active_a_, ws_.succ_sum);
-      gather_rows(active_a_, dirty_local[k], ws_.aggregated);
-      ws_.aggregated.axpy(wp, ws_.pred_sum);
-      ws_.aggregated.axpy(wsu, ws_.succ_sum);
-      encoders[d - 1].forward_relu(ws_.aggregated, compact_out_);
+      model_->layer_step(d - 1, ls.pred, ls.succ, active_a_, &dirty_local[k],
+                         Precision::kFp32, ws_, compact_out_);
       store_.get(static_cast<int>(d), k, owner_block_);
       const auto& owners = partition_.shard(k).owners;
       if (owner_block_.rows() < owners.size()) {
-        grow_rows(owner_block_, owners.size(), owner_block_.cols());
+        grow_rows(owner_block_, owners.size());
       }
       for (std::size_t i = 0; i < dirty_owner_pos[k].size(); ++i) {
         const float* in = compact_out_.row(i);
@@ -739,6 +525,8 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
       store_.put(static_cast<int>(d), k, owner_block_);
       if (d < layer_count) {
         put_exports(static_cast<int>(d), k, owner_block_);
+      } else {
+        run_fc(tensors, compact_out_, dirty_global[k]);
       }
     }
     if (extended && d < layer_count) {
@@ -760,32 +548,6 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
       }
     }
   }
-
-  for (const std::size_t k : dirty_shards) {
-    if (layer_count == 0) {
-      owner_block_.resize(dirty_global[k].size(), tensors.features.cols());
-      for (std::size_t i = 0; i < dirty_global[k].size(); ++i) {
-        const float* in =
-            tensors.features.row(tensors.node_of(dirty_global[k][i]));
-        std::copy(in, in + tensors.features.cols(), owner_block_.row(i));
-      }
-      run_fc(tensors, owner_block_, dirty_global[k]);
-      continue;
-    }
-    store_.get(static_cast<int>(layer_count), k, owner_block_);
-    gather_rows(owner_block_, dirty_owner_pos[k], compact_out_);
-    run_fc(tensors, compact_out_, dirty_global[k]);
-  }
-  return logits_;
-}
-
-std::vector<float> ShardedGcnEngine::positive_probability() const {
-  const Matrix probabilities = softmax(logits_);
-  std::vector<float> positive(probabilities.rows());
-  for (std::size_t r = 0; r < probabilities.rows(); ++r) {
-    positive[r] = probabilities.at(r, 1);
-  }
-  return positive;
 }
 
 }  // namespace gcnt

@@ -13,9 +13,9 @@
 // Bitwise identity with the monolithic path is a hard invariant, pinned
 // by tests/shard_test.cpp: the shard-local CSR forms are carved out of
 // the global CSR with each row's nonzero order preserved
-// (CsrMatrix::from_parts), and every kernel here (spmm_rows, axpy,
-// gemm_bias_act) accumulates per output element in the same order as its
-// whole-graph counterpart — so sharded logits equal GcnModel::infer
+// (CsrMatrix::from_parts), and every layer runs the row-subset form of
+// GcnModel::layer_step, which accumulates per output element in the same
+// order as the whole-graph step — so sharded logits equal GcnModel::infer
 // bit-for-bit for any K, halo depth, thread count, or reorder policy.
 //
 // Round structure: with halo depth D and L encoder layers, a full forward
@@ -34,9 +34,9 @@
 #include <string>
 #include <vector>
 
+#include "gcn/engine.h"
 #include "gcn/graph_tensors.h"
 #include "gcn/model.h"
-#include "gcn/quant.h"
 #include "gcn/workspace.h"
 #include "graph/partition.h"
 
@@ -49,8 +49,9 @@ namespace gcnt {
 /// native-endian — spill files are host-local scratch, not interchange).
 /// Disk writes are atomic (temp + fsync + rename), so a crash mid-spill
 /// leaves the previous block or none — never a torn file; reads verify
-/// the envelope CRC and throw Error{kCorrupt} on any damage, Error{kIo}
-/// when a block file is missing or unreadable.
+/// the envelope CRC and the header shape against the payload size and
+/// throw Error{kCorrupt} on any damage, Error{kIo} when a block file is
+/// missing or unreadable.
 class ShardStore {
  public:
   ShardStore() = default;
@@ -58,15 +59,6 @@ class ShardStore {
   /// Switches to disk mode rooted at `dir` (created if missing); an empty
   /// dir reverts to memory mode. Call before any put().
   void configure(std::string dir);
-
-  /// Block storage precision. kFp32 (default) stores blocks verbatim.
-  /// kInt8 stores each block as 7-bit activation codes + scale/zero-point
-  /// ("shard-block-q8" artifacts on disk) — 4x less spill traffic and
-  /// resident halo state, at the cost of one quantization round-trip per
-  /// block, so sharded results are no longer bit-identical to the
-  /// monolithic engines. Clears existing blocks; call before any put().
-  void set_block_precision(Precision precision);
-  Precision block_precision() const noexcept { return block_precision_; }
 
   bool on_disk() const noexcept { return !dir_.empty(); }
   const std::string& dir() const noexcept { return dir_; }
@@ -92,22 +84,16 @@ class ShardStore {
 
   /// Blocks currently stored (memory entries or files written).
   std::size_t block_count() const noexcept {
-    if (on_disk()) return written_.size();
-    return block_precision_ == Precision::kInt8 ? qmemory_.size()
-                                                : memory_.size();
+    return on_disk() ? written_.size() : memory_.size();
   }
 
  private:
   void put_block(const std::string& key, const Matrix& block);
   void get_block(const std::string& key, Matrix& out) const;
-  void put_block_q8(const std::string& key, const Matrix& block);
-  void get_block_q8(const std::string& key, Matrix& out) const;
   std::string path_of(const std::string& key) const;
 
   std::string dir_;
-  Precision block_precision_ = Precision::kFp32;
   std::map<std::string, Matrix> memory_;
-  std::map<std::string, QuantizedTensor> qmemory_;  ///< int8 mode blocks
   std::set<std::string> written_;  ///< disk keys, for clear()
 };
 
@@ -121,47 +107,23 @@ struct ShardedGcnOptions {
   /// Non-empty: spill off-shard blocks to artifact files under this
   /// directory instead of keeping them in memory (true out-of-core mode).
   std::string spill_dir;
-  /// Storage precision for off-shard embedding blocks (see
-  /// ShardStore::set_block_precision). kInt8 quarters spill bytes but
-  /// gives up bit-identity with the monolithic engines; the default
-  /// keeps the exact contract.
-  Precision block_precision = Precision::kFp32;
   /// Same semantics as IncrementalGcnOptions: dirty fractions beyond this
   /// make update() run a full sharded refresh instead.
   double full_fallback_fraction = 0.25;
 };
 
-/// Shard-at-a-time counterpart of IncrementalGcnEngine: same refresh() /
-/// update() contract (update()'s `dirty` must be the D-hop dirty cone,
-/// including every appended node), same bit-exact logits, but peak
-/// residency of one shard's working set instead of the whole graph. The
-/// engine tracks one evolving graph across calls, exactly like the
-/// incremental engine's cache.
-class ShardedGcnEngine {
+/// Shard-at-a-time counterpart of IncrementalGcnEngine: same GcnEngine
+/// contract and bit-exact logits, but peak residency of one shard's
+/// working set instead of the whole graph. refresh() (re)partitions when
+/// the graph changed shape; update() re-propagates the dirty rows through
+/// the stored blocks shard by shard and layer-synchronously, extending
+/// the partition over appended rows. The engine tracks one evolving graph
+/// across calls, exactly like the incremental engine's cache.
+class ShardedGcnEngine : public GcnEngine {
  public:
   explicit ShardedGcnEngine(const GcnModel& model,
                             ShardedGcnOptions options = {});
 
-  /// Full sharded forward; (re)partitions when the graph changed shape.
-  const Matrix& refresh(const GraphTensors& tensors);
-
-  /// Re-propagates only the dirty rows through the stored blocks,
-  /// shard-by-shard and layer-synchronously. Extends the partition over
-  /// appended rows. Falls back to refresh() when there is no cache yet or
-  /// the dirty fraction exceeds the threshold.
-  const Matrix& update(const GraphTensors& tensors,
-                       const std::vector<NodeId>& dirty);
-
-  /// Logits of the last refresh()/update() (N x num_classes, node order).
-  const Matrix& logits() const noexcept { return logits_; }
-
-  /// Positive-class probability per node from the cached logits.
-  std::vector<float> positive_probability() const;
-
-  bool last_was_full() const noexcept { return last_was_full_; }
-  std::size_t last_dirty_rows() const noexcept { return last_dirty_rows_; }
-
-  const GcnModel& model() const noexcept { return *model_; }
   const ShardedGcnOptions& options() const noexcept { return options_; }
 
   /// The active partition. Throws Error{kUsage} before the first
@@ -199,6 +161,9 @@ class ShardedGcnEngine {
     std::vector<std::uint32_t> positions;
   };
 
+  void full_pass(const GraphTensors& tensors) override;
+  void dirty_pass(const GraphTensors& tensors,
+                  const std::vector<NodeId>& dirty) override;
   void rebuild_all(const GraphTensors& tensors);
   void rebuild_local(const GraphTensors& tensors, std::size_t k);
   void rebuild_send_views();
@@ -211,31 +176,24 @@ class ShardedGcnEngine {
   /// block.
   void put_exports(int layer, std::size_t p, const Matrix& owner_block);
   /// FC head over a compact block whose row i belongs to global compute
-  /// row rows[i]; scatters the final logits into node order.
+  /// row rows[i]; scatters the final logits into logits_ (node order).
   void run_fc(const GraphTensors& tensors, const Matrix& input,
               const std::vector<std::uint32_t>& rows);
 
-  const GcnModel* model_;
   ShardedGcnOptions options_;
   GraphPartition partition_;
   bool has_partition_ = false;
   std::vector<LocalShard> locals_;
   std::vector<std::vector<ExportPlan>> send_;
   ShardStore store_;
-  Matrix logits_;
   ForwardWorkspace ws_;
   Matrix active_a_;     ///< shard active-block ping
   Matrix active_b_;     ///< shard active-block pong
   Matrix compact_out_;  ///< per-layer compact activation output
   Matrix owner_block_;  ///< owner-row block staging
   Matrix xbuf_;         ///< export-row staging
-  Matrix fc_a_;         ///< FC chain ping
-  Matrix fc_b_;         ///< FC chain pong
-  std::size_t cached_nodes_ = 0;  ///< 0 = no valid stored blocks
   std::size_t cached_pred_nnz_ = 0;
   std::size_t cached_succ_nnz_ = 0;
-  bool last_was_full_ = false;
-  std::size_t last_dirty_rows_ = 0;
 };
 
 }  // namespace gcnt

@@ -29,8 +29,10 @@ namespace gcnt {
 
 class ForwardWorkspace {
  public:
-  Matrix pred_sum;    ///< P * E_{d-1} (or its dirty-row slice)
-  Matrix succ_sum;    ///< S * E_{d-1} (or its dirty-row slice)
+  /// P * E_{d-1} (or its row-subset slice); FC-head scratch afterwards.
+  Matrix pred_sum;
+  /// S * E_{d-1} (or its row-subset slice); FC-head scratch afterwards.
+  Matrix succ_sum;
   Matrix aggregated;  ///< G_d = E + w_pr*pred_sum + w_su*succ_sum
   Matrix ping;        ///< activation ping-pong buffer A
   Matrix pong;        ///< activation ping-pong buffer B

@@ -187,6 +187,15 @@ NodeId Netlist::insert_observe_point(NodeId target) {
   return op;
 }
 
+bool Netlist::can_observe(NodeId v) const {
+  const CellType t = type(v);
+  if (is_sink(t) || t == CellType::kInput) return false;
+  for (NodeId g : fanouts(v)) {
+    if (type(g) == CellType::kObserve) return false;
+  }
+  return true;
+}
+
 std::vector<std::string> Netlist::validate() const {
   std::vector<std::string> problems;
   for (NodeId v = 0; v < size(); ++v) {

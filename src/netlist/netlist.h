@@ -84,6 +84,10 @@ class Netlist {
   /// OBSERVE node and the edge target -> op. Returns the new node's id.
   NodeId insert_observe_point(NodeId target);
 
+  /// True when `v` may take an observation point: it drives a real signal
+  /// (not a sink or primary input) and does not already feed an OBSERVE.
+  bool can_observe(NodeId v) const;
+
   /// Result of insert_control_point().
   struct ControlPoint {
     NodeId control;  ///< the new tester-driven INPUT

@@ -1,7 +1,5 @@
 #include "serve/session.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 #include "common/stats.h"
 #include "common/trace.h"
@@ -59,16 +57,6 @@ std::uint64_t ModelRegistry::reload(const std::string& path) {
 
 namespace {
 
-/// OP targets must drive a real signal (same rule as run_gcn_opi).
-bool valid_observe_target(const Netlist& netlist, NodeId v) {
-  const CellType t = netlist.type(v);
-  if (is_sink(t) || t == CellType::kInput) return false;
-  for (NodeId g : netlist.fanouts(v)) {
-    if (netlist.type(g) == CellType::kObserve) return false;
-  }
-  return true;
-}
-
 bool valid_control_target(const Netlist& netlist, NodeId v) {
   const CellType t = netlist.type(v);
   return !is_sink(t) && t != CellType::kInput;
@@ -111,21 +99,7 @@ const Matrix& ServeSession::logits(const ModelRegistry::Snapshot& snapshot,
     levels_ = netlist_.logic_levels();
     GraphTensors fresh = build_graph_tensors(netlist_, scoap_, levels_);
     if (standardize_) fresh.standardize_features();
-    if (engine_ && have_cache_) {
-      const std::size_t old_nodes =
-          std::min(tensors_.node_count(), fresh.node_count());
-      for (NodeId v = 0; v < old_nodes; ++v) {
-        const float* previous = tensors_.features.row(v);
-        const float* current = fresh.features.row(v);
-        if (!std::equal(previous, previous + kNodeFeatureDim, current)) {
-          tracker_.record_feature(v);
-        }
-      }
-      for (NodeId v = static_cast<NodeId>(old_nodes);
-           v < fresh.node_count(); ++v) {
-        tracker_.record_new_node(v);
-      }
-    }
+    if (engine_ && have_cache_) tracker_.record_rebuild(tensors_, fresh);
     tensors_ = std::move(fresh);
     structural_rebuild_ = false;
     csr_stale_ = false;
@@ -151,7 +125,7 @@ const Matrix& ServeSession::logits(const ModelRegistry::Snapshot& snapshot,
   // Edited session: the incremental engine caches E_0..E_D so an
   // insertion batch costs one dirty-cone re-propagation.
   if (engine_ == nullptr) {
-    engine_ = std::make_unique<IncrementalGcnEngine>(*model_);
+    engine_ = make_gcn_engine(*model_);
     have_cache_ = false;
     have_plain_ = false;
   }
@@ -191,7 +165,7 @@ NodeId ServeSession::append_observe(NodeId target) {
                     " out of range (session has " +
                     std::to_string(netlist_.size()) + " nodes)");
   }
-  if (!valid_observe_target(netlist_, target)) {
+  if (!netlist_.can_observe(target)) {
     throw Error(ErrorKind::kUsage,
                 "node " + std::to_string(target) +
                     " cannot take an observation point");

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "gcn/engine.h"
 #include "gcn/graph_tensors.h"
 #include "gcn/incremental.h"
 #include "gcn/model.h"
@@ -132,7 +133,7 @@ class ServeSession {
 
   /// Cached-embedding engine; constructed lazily on the first edited
   /// forward, dropped on model reload.
-  std::unique_ptr<IncrementalGcnEngine> engine_;
+  std::unique_ptr<GcnEngine> engine_;
   bool have_cache_ = false;
 };
 

@@ -251,44 +251,6 @@ void CsrMatrix::spmm_rows(const std::vector<std::uint32_t>& row_ids,
                   });
 }
 
-void CsrMatrix::spmm_bias_relu(const Matrix& dense, const Matrix& bias,
-                               Matrix& out) const {
-  GCNT_KERNEL_SCOPE("spmm_bias_relu");
-  if (dense.rows() != cols_) {
-    throw std::invalid_argument("spmm_bias_relu: dimension mismatch");
-  }
-  const std::size_t n = dense.cols();
-  if (bias.rows() != 1 || bias.cols() != n) {
-    throw std::invalid_argument("spmm_bias_relu: bias shape mismatch");
-  }
-  out.resize(rows_, n, 0.0f);
-  // Same row-block x column-tile walk as spmm(); the bias+ReLU epilogue
-  // runs on each (row, tile) slice right after its nonzero loop, while
-  // the slice is still cache-hot. Each slice is written by exactly one
-  // block and the epilogue is elementwise, so the bitwise guarantees of
-  // spmm() carry over unchanged.
-  const std::size_t tile = std::min(spmm_tile_cols(), n);
-  const SimdOps& ops = simd_ops();
-  const float* bias_row = bias.row(0);
-  parallel_blocks(
-      rows_, kMinParallelRows,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        for (std::size_t j0 = 0; j0 < n; j0 += tile) {
-          const std::size_t j1 = std::min(n, j0 + tile);
-          for (std::size_t r = row_begin; r < row_end; ++r) {
-            float* orow = out.row(r);
-            for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-              GCNT_DEBUG_ASSERT(col_index_[k] < cols_,
-                                "spmm_bias_relu: column index out of range");
-              ops.axpy(orow + j0, dense.row(col_index_[k]) + j0, values_[k],
-                       j1 - j0);
-            }
-            ops.bias_relu(orow + j0, bias_row + j0, j1 - j0);
-          }
-        }
-      });
-}
-
 CsrMatrix CsrMatrix::from_parts(std::size_t rows, std::size_t cols,
                                 std::vector<std::uint32_t> row_ptr,
                                 std::vector<std::uint32_t> col_index,

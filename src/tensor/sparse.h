@@ -110,18 +110,6 @@ class CsrMatrix {
   void spmm_rows(const std::vector<std::uint32_t>& row_ids,
                  const Matrix& dense, Matrix& out, float alpha = 1.0f) const;
 
-  /// Fused epilogue variant for spmm-terminal pipelines:
-  /// out = ReLU(this * dense + bias), with bias a 1 x dense.cols() row
-  /// broadcast over output rows. The bias+ReLU runs on each output
-  /// row-tile slice right after its nonzero loop completes — one pass
-  /// over the output instead of three — and applies the exact same
-  /// per-element operation sequence, so the result is bitwise identical
-  /// to spmm() + bias add + Relu::forward for any thread count and tile
-  /// width. (The GCN layer itself is GEMM-terminal; its fused epilogue
-  /// is gemm_bias_act — see matrix.h.)
-  void spmm_bias_relu(const Matrix& dense, const Matrix& bias,
-                      Matrix& out) const;
-
   /// Structural transpose (values preserved).
   CsrMatrix transpose() const;
 

@@ -284,6 +284,39 @@ TEST(Incremental, OpiFlowIdenticalWithAndWithoutIncremental) {
   EXPECT_EQ(full.final_positive_predictions,
             incremental.final_positive_predictions);
   EXPECT_GT(incremental.inserted.size(), 0u);
+
+  // The sharded engine predicts the same bits, so the flow must insert
+  // exactly the same OPs for every shard count and halo depth, and with
+  // off-shard blocks spilled to disk.
+  const Netlist original = test_netlist(61, 600);
+  const auto run = [&](const std::vector<const GcnModel*>& stages,
+                       std::size_t shards, int halo, std::string spill_dir) {
+    Netlist netlist = original;
+    GcnOpiOptions sharded = options;
+    sharded.shards = shards;
+    sharded.shard_halo = halo;
+    sharded.shard_spill_dir = std::move(spill_dir);
+    return run_gcn_opi(netlist, stages, sharded).inserted;
+  };
+  for (const std::size_t shards : {2u, 4u}) {
+    for (const int halo : {1, 2}) {
+      EXPECT_EQ(run({&model}, shards, halo, {}), incremental.inserted)
+          << "shards=" << shards << " halo=" << halo;
+    }
+  }
+  EXPECT_EQ(run({&model}, 2, 1, testing::TempDir() + "gcnt_opi_spill"),
+            incremental.inserted);
+
+  // A two-stage cascade spills each stage under its own subdirectory;
+  // shared block keys would make the stages read each other's embeddings.
+  GcnConfig second_config = small_config(2);
+  second_config.seed = 78;
+  const GcnModel second(second_config);
+  const std::vector<NodeId> cascade = run({&model, &second}, 0, 1, {});
+  EXPECT_GT(cascade.size(), 0u);
+  EXPECT_EQ(run({&model, &second}, 3, 1,
+                testing::TempDir() + "gcnt_opi_cascade_spill"),
+            cascade);
 }
 
 TEST(Incremental, CpiFlowIdenticalWithAndWithoutIncremental) {

@@ -366,33 +366,6 @@ TEST_F(QuantTest, ShardedEngineFallsBackToFp32AndCounts) {
   set_stats_enabled(stats_were_enabled);
 }
 
-TEST_F(QuantTest, ShardStoreQ8RoundTripMemoryAndDisk) {
-  const Matrix block = random_dense(37, 19, 0xB8, 3.0f);
-  // Reference: one quantization round-trip — exactly what the q8 store
-  // must reproduce (it stores codes, not floats).
-  QuantizedTensor q;
-  quantize_tensor(block, q);
-  Matrix expected;
-  dequantize_tensor(q, expected);
-
-  ShardStore memory_store;
-  memory_store.set_block_precision(Precision::kInt8);
-  memory_store.put(0, 0, block);
-  Matrix memory_out;
-  memory_store.get(0, 0, memory_out);
-  EXPECT_EQ(expected, memory_out);
-
-  ShardStore disk_store;
-  disk_store.configure(testing::TempDir() + "gcnt_quant_store");
-  disk_store.set_block_precision(Precision::kInt8);
-  disk_store.put(0, 0, block);
-  Matrix disk_out;
-  disk_store.get(0, 0, disk_out);
-  EXPECT_EQ(expected, disk_out)
-      << "disk round-trip must match the in-memory codes exactly";
-  disk_store.clear();
-}
-
 // Regression: a workspace reused across graphs of different sizes /
 // dimensions must produce the same bits as a fresh workspace, in both
 // precision tiers, and settle into zero allocations per steady-state

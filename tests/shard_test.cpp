@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -603,6 +604,16 @@ TEST(ShardStore, CorruptedBlockIsRejected) {
   std::fputc(byte ^ 0x40, f);
   std::fclose(f);
   Matrix out;
+  EXPECT_EQ(kind_of([&] { store.get(1, 0, out); }), ErrorKind::kCorrupt);
+
+  // A valid envelope around a hostile header: rows = 2^62, cols = 4 makes
+  // rows * cols * sizeof(float) wrap to 0, matching the empty body.
+  std::string forged(16, '\0');
+  const std::uint64_t rows = std::uint64_t{1} << 62;
+  const std::uint64_t cols = 4;
+  std::memcpy(&forged[0], &rows, 8);
+  std::memcpy(&forged[8], &cols, 8);
+  write_artifact_file(path, "shard-block", forged);
   EXPECT_EQ(kind_of([&] { store.get(1, 0, out); }), ErrorKind::kCorrupt);
   store.clear();
 }

@@ -306,43 +306,6 @@ TEST_F(SimdTest, GemmBiasActMatchesUnfusedBitwise) {
   }
 }
 
-// spmm_bias_relu must be bitwise identical to spmm + bias + ReLU for any
-// tile width and thread count on a fixed target.
-TEST_F(SimdTest, SpmmBiasReluMatchesUnfusedBitwise) {
-  const CsrMatrix csr = random_csr(250, 180, 2500, 133);
-  const Matrix dense = random_dense(180, 48, 144);
-  const Matrix bias = random_dense(1, 48, 155);
-
-  for (const SimdTarget target :
-       {SimdTarget::kScalar, SimdTarget::kAvx2, SimdTarget::kAvx512}) {
-    if (!simd_target_available(target)) continue;
-    ASSERT_TRUE(set_simd_target(target));
-
-    Matrix reference;
-    csr.spmm(dense, reference);
-    for (std::size_t r = 0; r < reference.rows(); ++r) {
-      for (std::size_t c = 0; c < reference.cols(); ++c) {
-        const float v = reference.at(r, c) + bias.at(0, c);
-        reference.at(r, c) = v > 0.0f ? v : 0.0f;
-      }
-    }
-
-    for (const std::size_t tile :
-         {std::size_t{0}, std::size_t{8}, std::size_t{64}}) {
-      for (const int threads : {1, 8}) {
-        set_spmm_tile_cols(tile);
-        set_kernel_threads(threads);
-        Matrix fused;
-        csr.spmm_bias_relu(dense, bias, fused);
-        EXPECT_EQ(reference, fused) << simd_target_name() << " tile " << tile
-                                    << " threads " << threads;
-      }
-    }
-    set_spmm_tile_cols(0);
-    set_kernel_threads(0);
-  }
-}
-
 // Elementwise ops route through the dispatch table; axpy/scale/relu must
 // be bitwise identical to their naive loops per target (lanes map 1:1).
 TEST_F(SimdTest, ElementwiseOpsMatchNaiveLoops) {

@@ -374,8 +374,9 @@ int cmd_opi(const Args& args) {
   Netlist netlist = read_netlist_file(args.positional.at(0));
   GcnModel model = load_model_file(args.get("model", "model.txt"));
   // int8 requests quantize the model here; the incremental/sharded
-  // engines inside run_gcn_opi keep their fp32 bit-identity contract and
-  // tick quant.fallback instead (docs/API.md "Quantized inference").
+  // engines inside run_gcn_opi still compute fp32 (there is no
+  // row-subset int8 kernel yet) and tick quant.fallback per pass
+  // (docs/API.md "Quantized inference").
   if (cli_precision(args) == Precision::kInt8 &&
       model.precision() != Precision::kInt8) {
     model.set_precision(Precision::kInt8);
@@ -460,9 +461,10 @@ int cmd_flow(const Args& args) {
   std::cout << "trained " << history.size() << " epochs, final loss "
             << Table::num(history.back().loss, 4) << "\n";
 
-  // Quantize after training (calibration reads the trained weights); the
-  // OPI engines below fall back to fp32 with a quant.fallback tick, so
-  // this mainly exercises the flag plumbing end to end under --trace.
+  // Quantize after training (calibration reads the trained weights). The
+  // OPI engines below compute fp32 — no row-subset int8 kernel exists
+  // yet — and tick quant.fallback, so this mainly exercises the flag
+  // plumbing end to end under --trace.
   if (cli_precision(args) == Precision::kInt8) {
     model.set_precision(Precision::kInt8);
   }
