@@ -28,10 +28,9 @@
 #include "common/table.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "gcn/incremental.h"
+#include "gcn/editable_design.h"
 #include "gen/generator.h"
 #include "netlist/netlist.h"
-#include "scoap/scoap.h"
 
 namespace {
 
@@ -78,17 +77,15 @@ SizeResult run_size(const GcnModel& model, std::size_t gates) {
   config.trap_fraction = 0.0;  // timing only
   Netlist netlist = generate_circuit(config);
 
-  ScoapMeasures scoap = compute_scoap(netlist);
-  std::vector<std::uint32_t> levels = netlist.logic_levels();
-  GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
+  EditableDesign design(netlist, false);
 
   SizeResult result;
   result.nodes = netlist.size();
   TraceSpan size_span("opi_bench.size");
   size_span.arg("nodes", static_cast<double>(result.nodes));
 
-  IncrementalGcnEngine engine(model);
-  engine.refresh(tensors);
+  design.set_models({&model});
+  design.predict();
 
   const std::vector<NodeId> targets =
       pick_targets(netlist, kRounds * kBatch);
@@ -102,32 +99,17 @@ SizeResult run_size(const GcnModel& model, std::size_t gates) {
   double update_total = 0.0;
   double infer_total = 0.0;
   std::size_t dirty_total = 0;
-  DirtyConeTracker tracker;
   for (std::size_t round = 0; round < rounds; ++round) {
-    // The insertion batch, exactly as run_gcn_opi applies it.
     for (std::size_t i = 0; i < kBatch; ++i) {
-      const NodeId target = targets[round * kBatch + i];
-      const NodeId op = netlist.insert_observe_point(target);
-      update_observability_after_observe(netlist, target, scoap);
-      levels.resize(netlist.size(), 0);
-      levels[op] = levels[target] + 1;
-      const std::vector<NodeId> cone = netlist.fanin_cone(target);
-      std::vector<NodeId> changed_rows;
-      append_observe_point(tensors, netlist, target, op, scoap, cone,
-                           &changed_rows);
-      tracker.record_new_node(op);
-      tracker.record_edge(target, op);
-      for (NodeId v : changed_rows) tracker.record_feature(v);
+      design.observe(targets[round * kBatch + i]);
     }
-    tensors.rebuild_csr();
+    const GraphTensors& tensors = design.tensors();  // one rebuild_csr
 
     // Incremental re-prediction: cone expansion + dirty-row forward.
     Timer update_timer;
-    const std::vector<NodeId> dirty =
-        tracker.affected(tensors, model.config().depth);
-    engine.update(tensors, dirty);
+    design.predict();
     update_total += update_timer.seconds();
-    tracker.clear();
+    const GcnEngine& engine = design.engine(0);
     dirty_total += engine.last_dirty_rows();
     result.fallback_hit |= engine.last_was_full();
 
@@ -143,7 +125,7 @@ SizeResult run_size(const GcnModel& model, std::size_t gates) {
   result.full_infer_s = infer_total / r;
   result.update_s = update_total / r;
   result.dirty_fraction = static_cast<double>(dirty_total) /
-                          (r * static_cast<double>(tensors.node_count()));
+                          (r * static_cast<double>(netlist.size()));
   return result;
 }
 

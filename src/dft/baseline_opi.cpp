@@ -7,19 +7,6 @@
 
 namespace gcnt {
 
-namespace {
-
-bool valid_target(const Netlist& netlist, NodeId v) {
-  const CellType t = netlist.type(v);
-  if (is_sink(t) || t == CellType::kInput) return false;
-  for (NodeId g : netlist.fanouts(v)) {
-    if (netlist.type(g) == CellType::kObserve) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 BaselineOpiResult run_baseline_opi(Netlist& netlist,
                                    const BaselineOpiOptions& options) {
   BaselineOpiResult result;
@@ -27,7 +14,7 @@ BaselineOpiResult run_baseline_opi(Netlist& netlist,
     const CopMeasures cop = compute_cop(netlist);
     std::vector<std::pair<double, NodeId>> candidates;
     for (NodeId v = 0; v < netlist.size(); ++v) {
-      if (!valid_target(netlist, v)) continue;
+      if (!netlist.can_observe(v)) continue;
       if (cop.observability[v] < options.observability_threshold) {
         candidates.emplace_back(cop.observability[v], v);
       }

@@ -8,15 +8,6 @@
 
 namespace gcnt {
 
-namespace {
-
-bool valid_target(const Netlist& netlist, NodeId v) {
-  const CellType t = netlist.type(v);
-  return !is_sink(t) && t != CellType::kInput;
-}
-
-}  // namespace
-
 CpiResult run_baseline_cpi(Netlist& netlist, const CpiOptions& options) {
   CpiResult result;
   std::unordered_set<NodeId> already_controlled;
@@ -27,7 +18,7 @@ CpiResult run_baseline_cpi(Netlist& netlist, const CpiOptions& options) {
     // (rarity, node, rare value is one?)
     std::vector<std::tuple<double, NodeId, bool>> candidates;
     for (NodeId v = 0; v < netlist.size(); ++v) {
-      if (!valid_target(netlist, v) || already_controlled.count(v)) continue;
+      if (!netlist.can_control(v) || already_controlled.count(v)) continue;
       const double p1 = cop.prob_one[v];
       const double rarity = std::min(p1, 1.0 - p1);
       if (rarity < options.probability_threshold) {

@@ -7,22 +7,9 @@
 #include "common/trace.h"
 #include "cop/cop.h"
 #include "dft/flow_journal.h"
-#include "gcn/engine.h"
-#include "gcn/graph_tensors.h"
-#include "gcn/incremental.h"
-#include "scoap/scoap.h"
+#include "gcn/editable_design.h"
 
 namespace gcnt {
-
-namespace {
-
-bool valid_target(const Netlist& netlist, NodeId v,
-                  const std::unordered_set<NodeId>& controlled) {
-  const CellType t = netlist.type(v);
-  return !is_sink(t) && t != CellType::kInput && !controlled.count(v);
-}
-
-}  // namespace
 
 GcnCpiResult run_gcn_cpi(Netlist& netlist,
                          const std::vector<const GcnModel*>& stages,
@@ -43,41 +30,25 @@ GcnCpiResult run_gcn_cpi(Netlist& netlist,
                  netlist.size(), options.resume);
   }
 
-  std::vector<std::unique_ptr<GcnEngine>> engines;
-  int max_depth = 0;
-  for (const GcnModel* stage : stages) {
-    engines.push_back(make_gcn_engine(*stage));
-    max_depth = std::max(max_depth, stage->config().depth);
-  }
-  DirtyConeTracker tracker;
-  GraphTensors tensors;
-  bool have_cache = false;
+  EditableDesign design(netlist, options.standardize_features);
+  design.set_models(stages);
 
-  // Single mutation path shared by the live sweep and journal replay.
-  const auto apply_insertion = [&](NodeId target, bool rare_is_one) {
-    const Netlist::ControlPoint cp =
-        netlist.insert_control_point(target, rare_is_one);
-    controlled.insert(target);
-    // Structural seeds for the next iteration's dirty cone: the new
-    // cells, the retargeted driver, and every rewired consumer.
-    tracker.record_new_node(cp.control);
-    tracker.record_new_node(cp.gate);
-    if (cp.inverter != kInvalidNode) tracker.record_new_node(cp.inverter);
-    tracker.record_feature(target);
-    for (NodeId w : netlist.fanouts(cp.gate)) tracker.record_feature(w);
-    result.inserted.push_back(cp);
+  // The live sweep and journal replay both apply a journal record.
+  const auto apply = [&](const FlowJournalRecord& record) {
+    for (const auto& [target, flag] : record.entries) {
+      result.inserted.push_back(design.control(target, flag != 0));
+      controlled.insert(target);
+    }
   };
 
   // Replay journaled batches from an interrupted sweep; the drive
   // polarity is taken from the journal, not recomputed, so the resumed
-  // netlist matches the interrupted one exactly. Tensors are rebuilt at
-  // the top of the first live iteration as usual.
+  // netlist matches the interrupted one exactly. The first live predict()
+  // does a full refresh.
   std::size_t start_iteration = 0;
   for (const FlowJournalRecord& record : journal.records()) {
     TraceSpan replay_span("cpi.replay");
-    for (const auto& [target, flag] : record.entries) {
-      apply_insertion(target, flag != 0);
-    }
+    apply(record);
     replayed_counter.add();
     result.iterations = record.iteration + 1;
     start_iteration = record.iteration + 1;
@@ -90,35 +61,21 @@ GcnCpiResult run_gcn_cpi(Netlist& netlist,
   for (std::size_t iteration = start_iteration;
        iteration < options.max_iterations; ++iteration) {
     TraceSpan iteration_span("cpi.iteration");
-    // CP insertion rewires fanouts, so tensors are rebuilt per iteration
-    // (the graph deltas are not append-only as in the OPI flow). The
-    // engines then re-propagate only the rows the rebuild actually
-    // changed: the structural seeds recorded at insertion time plus every
-    // feature row that differs from the previous iteration.
-    GraphTensors fresh = build_graph_tensors(netlist);
-    if (options.standardize_features) fresh.standardize_features();
-    if (!have_cache || !options.incremental) {
-      tensors = std::move(fresh);
-      for (auto& engine : engines) engine->refresh(tensors);
-      have_cache = true;
-      tracker.clear();
-    } else {
-      tracker.record_rebuild(tensors, fresh);
-      tensors = std::move(fresh);
-      const std::vector<NodeId> dirty = tracker.affected(tensors, max_depth);
-      dirty_nodes_counter.add(dirty.size());
-      iteration_span.arg("dirty", static_cast<double>(dirty.size()));
-      for (auto& engine : engines) {
-        engine->update(tensors, dirty);
-        if (engine->last_was_full()) full_fallbacks_counter.add();
-      }
-      tracker.clear();
+    // CP insertion rewires fanouts, so the design rebuilds the tensors
+    // after each batch; the engines then re-propagate only the rows the
+    // rebuild actually changed.
+    const EditableDesign::Prediction p = design.predict(options.incremental);
+    dirty_nodes_counter.add(p.dirty_rows);
+    full_fallbacks_counter.add(p.full_fallbacks);
+    if (!p.refreshed) {
+      iteration_span.arg("dirty", static_cast<double>(p.dirty_rows));
     }
-    const auto predictions = cascade_predictions(engines, tensors.node_count());
+    const auto predictions = design.predictions();
 
     std::vector<NodeId> candidates;
     for (NodeId v = 0; v < predictions.size(); ++v) {
-      if (predictions[v] == 1 && valid_target(netlist, v, controlled)) {
+      if (predictions[v] == 1 && netlist.can_control(v) &&
+          !controlled.count(v)) {
         candidates.push_back(v);
       }
     }
@@ -159,9 +116,7 @@ GcnCpiResult run_gcn_cpi(Netlist& netlist,
       record.entries.emplace_back(target, cop.prob_one[target] < 0.5 ? 1 : 0);
     }
     if (journal.is_open()) journal.append(record);
-    for (const auto& [target, flag] : record.entries) {
-      apply_insertion(target, flag != 0);
-    }
+    apply(record);
     log_info("gcn-cpi iteration ", iteration + 1, ": ", candidates.size(),
              " positives, inserted ", budget, " CPs");
   }

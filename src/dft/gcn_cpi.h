@@ -27,12 +27,12 @@ struct GcnCpiOptions {
   std::size_t rank_cone_limit = 96;
   /// Must match the training-time feature convention of `stages`.
   bool standardize_features = false;
-  /// Re-predict via the dirty-cone incremental engine: tensors are still
-  /// rebuilt per iteration (CP insertion rewires fanouts and shifts SCOAP
-  /// globally), but only rows whose features or structure actually changed
-  /// are re-propagated. Bit-identical to a full re-inference. Note that
-  /// standardize_features recenters every row each iteration, so the
-  /// engine then always takes its full-graph fallback.
+  /// Re-predict via the dirty-cone incremental engine: the tensors are
+  /// rebuilt after each batch (CP insertion rewires fanouts and shifts
+  /// SCOAP globally) in the previous locality order, and only rows whose
+  /// features or structure changed are re-propagated. Bit-identical to a
+  /// full re-inference. standardize_features recenters every row on each
+  /// rebuild, so the engine then always takes its full-graph fallback.
   bool incremental = true;
   /// When non-empty, each iteration's accepted insertion batch — target
   /// plus drive-toward-one flag — is journaled (fsync'd) before it is

@@ -6,13 +6,7 @@
 #include "common/trace.h"
 #include "dft/flow_journal.h"
 #include "dft/impact.h"
-#include "gcn/engine.h"
-#include "gcn/graph_tensors.h"
-#include "gcn/incremental.h"
-#include "scoap/scoap.h"
-
-#include <memory>
-#include <string>
+#include "gcn/editable_design.h"
 
 namespace gcnt {
 
@@ -39,61 +33,25 @@ OpiResult run_gcn_opi(Netlist& netlist,
                  netlist.size(), options.resume);
   }
 
-  ScoapMeasures scoap = compute_scoap(netlist);
-  std::vector<std::uint32_t> levels = netlist.logic_levels();
-  GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
-  if (options.standardize_features) tensors.standardize_features();
-
-  // One prediction engine per cascade stage (monolithic incremental or
-  // sharded out-of-core, bit-identical either way); the dirty cone is
-  // expanded to the deepest stage so every engine's closure is covered.
-  // Cascade stages must not collide on spill block keys.
-  std::vector<std::unique_ptr<GcnEngine>> engines;
-  int max_depth = 0;
-  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
-    engines.push_back(make_gcn_engine(
-        *stages[stage], options.shards, options.shard_halo,
-        options.shard_spill_dir.empty()
-            ? std::string()
-            : options.shard_spill_dir + "/stage" + std::to_string(stage)));
-    max_depth = std::max(max_depth, stages[stage]->config().depth);
-  }
-  DirtyConeTracker tracker;
-  bool have_cache = false;
+  // The cascade's engines (monolithic incremental or sharded out-of-core,
+  // bit-identical either way) and all derived state live in the design.
+  EditableDesign design(netlist, options.standardize_features);
+  design.set_models(stages, options.shards, options.shard_halo,
+                    options.shard_spill_dir);
 
   OpiResult result;
-
-  // Single mutation path, shared by the live sweep and journal replay, so
-  // a resumed run reproduces the interrupted run's netlist exactly.
-  const auto apply_insertion = [&](NodeId target) {
-    const NodeId op = netlist.insert_observe_point(target);
-    update_observability_after_observe(netlist, target, scoap);
-    levels.resize(netlist.size(), 0);
-    levels[op] = levels[target] + 1;
-    const std::vector<NodeId> cone = netlist.fanin_cone(target);
-    std::vector<NodeId> changed_rows;
-    append_observe_point(tensors, netlist, target, op, scoap, cone,
-                         &changed_rows);
-    // Record the perturbation for the next iteration's dirty cone: the
-    // appended edge, the new node, and the feature rows whose stored
-    // value actually changed (a tight subset of the refreshed cone).
-    tracker.record_new_node(op);
-    tracker.record_edge(target, op);
-    for (NodeId v : changed_rows) tracker.record_feature(v);
-    result.inserted.push_back(target);
-  };
-
-  // Replay journaled batches from an interrupted sweep. Prediction and
-  // ranking are skipped — the journal already holds their outcome — and
-  // the first live iteration afterwards does a full refresh (have_cache
-  // is still false), which is bit-identical to the incremental updates
-  // the interrupted run performed.
+  // Replay journaled batches from an interrupted sweep through the same
+  // observe() the live sweep uses, so a resumed run reproduces the
+  // interrupted run's netlist exactly. Prediction and ranking are skipped
+  // — the journal already holds their outcome — and the first live
+  // predict() does a full refresh, which is bit-identical to the
+  // incremental updates the interrupted run performed.
   std::size_t start_iteration = 0;
   for (const FlowJournalRecord& record : journal.records()) {
     TraceSpan replay_span("opi.replay");
-    for (const auto& [target, flag] : record.entries) {
-      (void)flag;
-      apply_insertion(target);
+    for (const auto& entry : record.entries) {
+      design.observe(entry.first);
+      result.inserted.push_back(entry.first);
     }
     inserted_counter.add(record.entries.size());
     replayed_counter.add();
@@ -101,7 +59,6 @@ OpiResult run_gcn_opi(Netlist& netlist,
     start_iteration = record.iteration + 1;
   }
   if (start_iteration != 0) {
-    tensors.rebuild_csr();
     log_info("gcn-opi resume: replayed ", journal.records().size(),
              " journaled iterations (", result.inserted.size(), " OPs)");
   }
@@ -116,21 +73,14 @@ OpiResult run_gcn_opi(Netlist& netlist,
     // bit-identical to a full re-inference, but proportional to the cone.
     {
       TraceSpan predict_span("opi.predict");
-      if (!have_cache || !options.incremental) {
-        for (auto& engine : engines) engine->refresh(tensors);
-        have_cache = true;
-      } else {
-        const std::vector<NodeId> dirty = tracker.affected(tensors, max_depth);
-        dirty_nodes_counter.add(dirty.size());
-        predict_span.arg("dirty", static_cast<double>(dirty.size()));
-        for (auto& engine : engines) {
-          engine->update(tensors, dirty);
-          if (engine->last_was_full()) full_fallbacks_counter.add();
-        }
+      const EditableDesign::Prediction p = design.predict(options.incremental);
+      dirty_nodes_counter.add(p.dirty_rows);
+      full_fallbacks_counter.add(p.full_fallbacks);
+      if (!p.refreshed) {
+        predict_span.arg("dirty", static_cast<double>(p.dirty_rows));
       }
-      tracker.clear();
     }
-    const auto predictions = cascade_predictions(engines, tensors.node_count());
+    const auto predictions = design.predictions();
 
     std::vector<NodeId> candidates;
     for (NodeId v = 0; v < predictions.size(); ++v) {
@@ -143,7 +93,8 @@ OpiResult run_gcn_opi(Netlist& netlist,
     result.iterations = iteration + 1;
 
     // Rank every positive prediction by impact (Fig. 6).
-    ImpactEvaluator evaluator(stages, netlist, tensors, scoap, levels);
+    ImpactEvaluator evaluator(stages, netlist, design.tensors(),
+                              design.scoap(), design.levels());
     std::vector<std::pair<int, NodeId>> ranked;
     ranked.reserve(candidates.size());
     for (NodeId v : candidates) {
@@ -178,9 +129,10 @@ OpiResult run_gcn_opi(Netlist& netlist,
       for (NodeId target : planned) record.entries.emplace_back(target, 0);
       journal.append(record);
     }
-    for (NodeId target : planned) apply_insertion(target);
+    for (NodeId target : planned) design.observe(target);
+    result.inserted.insert(result.inserted.end(), planned.begin(),
+                           planned.end());
     const std::size_t inserted = planned.size();
-    tensors.rebuild_csr();
     iteration_span.arg("positives", static_cast<double>(candidates.size()));
     iteration_span.arg("inserted", static_cast<double>(inserted));
     inserted_counter.add(inserted);

@@ -61,18 +61,6 @@ std::vector<float> GcnEngine::positive_probability() const {
   return positive;
 }
 
-std::vector<std::int32_t> cascade_predictions(
-    const std::vector<std::unique_ptr<GcnEngine>>& engines, std::size_t n) {
-  std::vector<std::int32_t> predictions(n, 1);
-  for (const auto& engine : engines) {
-    const auto positive = engine->positive_probability();
-    for (std::size_t v = 0; v < n; ++v) {
-      if (positive[v] < 0.5f) predictions[v] = 0;
-    }
-  }
-  return predictions;
-}
-
 std::unique_ptr<GcnEngine> make_gcn_engine(const GcnModel& model,
                                            std::size_t shards, int halo,
                                            std::string spill_dir) {

@@ -12,7 +12,6 @@
 // `quant.fallback` counter once per pass instead of silently mixing tiers).
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,11 +81,6 @@ std::unique_ptr<GcnEngine> make_gcn_engine(const GcnModel& model,
                                            std::size_t shards = 0,
                                            int halo = 1,
                                            std::string spill_dir = {});
-
-/// Cascade prediction over per-stage engines (n nodes): 1 where every
-/// engine's cached positive-class probability is at least 0.5.
-std::vector<std::int32_t> cascade_predictions(
-    const std::vector<std::unique_ptr<GcnEngine>>& engines, std::size_t n);
 
 /// Grows `m` to new_rows rows, preserving existing rows (new rows zero).
 void grow_rows(Matrix& m, std::size_t new_rows);

@@ -223,7 +223,8 @@ void GraphTensors::rebuild_csr() {
 
 GraphTensors build_graph_tensors(const Netlist& netlist,
                                  const ScoapMeasures& scoap,
-                                 const std::vector<std::uint32_t>& levels) {
+                                 const std::vector<std::uint32_t>& levels,
+                                 const GraphTensors* keep_order) {
   TraceSpan span("graph.build_tensors");
   span.arg("nodes", static_cast<double>(netlist.size()));
   GraphTensors tensors;
@@ -255,6 +256,10 @@ GraphTensors build_graph_tensors(const Netlist& netlist,
     for (NodeId w : netlist.fanouts(v)) {
       tensors.succ_coo.add(v, w, 1.0f);
     }
+  }
+  if (keep_order != nullptr) {
+    tensors.compute_row = keep_order->compute_row;
+    tensors.compute_node = keep_order->compute_node;
   }
   tensors.rebuild_csr();
   return tensors;

@@ -128,10 +128,13 @@ void gather_rows(const Matrix& src, const std::vector<std::uint32_t>& rows,
                  Matrix& out);
 
 /// Builds tensors from a netlist with precomputed SCOAP measures and
-/// logic levels.
+/// logic levels. A reordered `keep_order` lends its permutation (plus an
+/// identity tail) so engines caching its rows stay valid; `netlist` must
+/// have kept all of its node ids.
 GraphTensors build_graph_tensors(const Netlist& netlist,
                                  const ScoapMeasures& scoap,
-                                 const std::vector<std::uint32_t>& levels);
+                                 const std::vector<std::uint32_t>& levels,
+                                 const GraphTensors* keep_order = nullptr);
 
 /// Convenience: computes SCOAP and levels internally.
 GraphTensors build_graph_tensors(const Netlist& netlist);

@@ -29,22 +29,6 @@ void DirtyConeTracker::record_feature(NodeId v) { seeds_.push_back(v); }
 
 void DirtyConeTracker::record_new_node(NodeId v) { seeds_.push_back(v); }
 
-void DirtyConeTracker::record_rebuild(const GraphTensors& previous,
-                                      const GraphTensors& rebuilt) {
-  const std::size_t kept =
-      std::min(previous.node_count(), rebuilt.node_count());
-  for (NodeId v = 0; v < kept; ++v) {
-    const float* before = previous.features.row(v);
-    if (!std::equal(before, before + kNodeFeatureDim,
-                    rebuilt.features.row(v))) {
-      record_feature(v);
-    }
-  }
-  for (NodeId v = static_cast<NodeId>(kept); v < rebuilt.node_count(); ++v) {
-    record_new_node(v);
-  }
-}
-
 std::vector<NodeId> DirtyConeTracker::affected(const GraphTensors& tensors,
                                                int depth) const {
   GCNT_KERNEL_SCOPE("dirty_cone.affected");

@@ -43,13 +43,6 @@ class DirtyConeTracker {
   /// Node `v` was appended since the last sync (new OP / CP cells).
   void record_new_node(NodeId v);
 
-  /// Seeds the rows a from-scratch tensor rebuild changed (control-point
-  /// insertion rewires fanouts, so its delta is not append-only): every
-  /// feature row that differs from `previous`, plus every node `rebuilt`
-  /// appended.
-  void record_rebuild(const GraphTensors& previous,
-                      const GraphTensors& rebuilt);
-
   bool empty() const noexcept { return seeds_.empty(); }
   std::size_t seed_count() const noexcept { return seeds_.size(); }
 

@@ -187,9 +187,13 @@ NodeId Netlist::insert_observe_point(NodeId target) {
   return op;
 }
 
-bool Netlist::can_observe(NodeId v) const {
+bool Netlist::can_control(NodeId v) const {
   const CellType t = type(v);
-  if (is_sink(t) || t == CellType::kInput) return false;
+  return !is_sink(t) && t != CellType::kInput;
+}
+
+bool Netlist::can_observe(NodeId v) const {
+  if (!can_control(v)) return false;
   for (NodeId g : fanouts(v)) {
     if (type(g) == CellType::kObserve) return false;
   }

@@ -88,6 +88,10 @@ class Netlist {
   /// (not a sink or primary input) and does not already feed an OBSERVE.
   bool can_observe(NodeId v) const;
 
+  /// True when `v` may take a control point: it drives a real signal (not
+  /// a sink or primary input).
+  bool can_control(NodeId v) const;
+
   /// Result of insert_control_point().
   struct ControlPoint {
     NodeId control;  ///< the new tester-driven INPUT

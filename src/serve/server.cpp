@@ -1048,7 +1048,7 @@ std::string ServeServer::handle_append_observe(const Frame& frame) {
     throw Error(ErrorKind::kUsage, "unknown session '" + name + "'");
   }
   std::lock_guard<std::mutex> lock(session->mutex());
-  const NodeId op = session->append_observe(target);
+  const NodeId op = session->design().observe(target);
   std::string payload;
   WireWriter writer(payload);
   writer.u32(op);
@@ -1067,7 +1067,7 @@ std::string ServeServer::handle_append_control(const Frame& frame) {
   }
   std::lock_guard<std::mutex> lock(session->mutex());
   const Netlist::ControlPoint cp =
-      session->append_control(target, drive_to_one);
+      session->design().control(target, drive_to_one);
   std::string payload;
   WireWriter writer(payload);
   writer.u32(cp.control);

@@ -2,11 +2,11 @@
 // Resident state of the `gcnt serve` daemon: the hot-reloadable model
 // registry and named netlist sessions.
 //
-// A session keeps a netlist, its SCOAP measures, its GraphTensors and the
-// last-forward caches resident between requests, so an infer request on a
-// warm session is a cache hit and an append-observe request costs one
-// dirty-cone re-propagation (gcn/incremental.h) instead of a full reload
-// + forward the single-shot CLI pays. Logits are bit-identical to
+// A session keeps a netlist, its EditableDesign (gcn/editable_design.h)
+// and the last-forward caches resident between requests, so an infer
+// request on a warm session is a cache hit and an append-observe request
+// costs one dirty-cone re-propagation instead of a full reload + forward
+// the single-shot CLI pays. Logits are bit-identical to
 // `GcnModel::infer` on tensors freshly built from the same netlist —
 // serving changes where the bits are computed, never which bits
 // (pinned by tests/serve_server_test.cpp).
@@ -24,13 +24,10 @@
 #include <vector>
 
 #include "common/error.h"
-#include "gcn/engine.h"
-#include "gcn/graph_tensors.h"
-#include "gcn/incremental.h"
+#include "gcn/editable_design.h"
 #include "gcn/model.h"
 #include "gcn/workspace.h"
 #include "netlist/netlist.h"
-#include "scoap/scoap.h"
 
 namespace gcnt::serve {
 
@@ -87,15 +84,9 @@ class ServeSession {
   const Matrix& logits(const ModelRegistry::Snapshot& snapshot,
                        ForwardWorkspace& ws);
 
-  /// Inserts an observation point on `target` and applies the
-  /// incremental tensor update. Throws Error{kUsage} for an invalid
-  /// target. Returns the new OP node id.
-  NodeId append_observe(NodeId target);
-
-  /// Inserts a control point on `target`. The fanout rewiring makes the
-  /// delta non-append-only, so the next logits() diffs a rebuilt tensor
-  /// set against the cached one (same scheme as run_gcn_cpi).
-  Netlist::ControlPoint append_control(NodeId target, bool drive_to_one);
+  /// Observe/control edits go through the design (which checks targets
+  /// with Error{kUsage}); the next logits() re-propagates their cone.
+  EditableDesign& design() noexcept { return design_; }
 
   /// Brownout answer source: the last logits this session computed for
   /// the model generation in `snapshot`, or nullptr when none exist.
@@ -106,35 +97,23 @@ class ServeSession {
       const ModelRegistry::Snapshot& snapshot) const noexcept;
 
  private:
-  void ensure_model(const ModelRegistry::Snapshot& snapshot);
-
   std::string name_;
   std::mutex mutex_;
   Netlist netlist_;
-  bool standardize_ = false;
-  ScoapMeasures scoap_;
-  std::vector<std::uint32_t> levels_;
-  GraphTensors tensors_;
-  DirtyConeTracker tracker_;
-  bool structural_rebuild_ = false;  ///< control-point fanout rewiring
-  bool csr_stale_ = false;           ///< appended COO tuples not yet in CSR
+  /// Derived state and, once the session is edited, the cached-embedding
+  /// engine (constructed on the first edited forward, dropped on model
+  /// reload).
+  EditableDesign design_;
 
   std::shared_ptr<const GcnModel> model_;  ///< engine's model stays alive
   std::uint64_t model_generation_ = 0;
-  /// Pure-infer cache: sessions that were never edited skip the
-  /// per-layer embedding cache entirely — the full forward runs through
-  /// the calling worker's ForwardWorkspace and only the logits persist.
+  /// Pure-infer cache: sessions without an engine skip the per-layer
+  /// embedding cache entirely — the full forward runs through the calling
+  /// worker's ForwardWorkspace and only the logits persist. Fresh while
+  /// computed under the current generation: an edit attaches the engine,
+  /// and only a model reload detaches it again.
   Matrix plain_logits_;
-  bool have_plain_ = false;
-  /// Generation plain_logits_ was computed under. have_plain_ means
-  /// "fresh"; the matrix itself stays valid for brownout until the next
-  /// full forward or a model reload invalidates this generation tag.
   std::uint64_t plain_generation_ = 0;
-
-  /// Cached-embedding engine; constructed lazily on the first edited
-  /// forward, dropped on model reload.
-  std::unique_ptr<GcnEngine> engine_;
-  bool have_cache_ = false;
 };
 
 }  // namespace gcnt::serve

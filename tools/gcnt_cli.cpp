@@ -383,6 +383,8 @@ int cmd_opi(const Args& args) {
   }
   GcnOpiOptions options;
   options.max_iterations = args.get_size("iterations", 12);
+  // gcnt train always trains on standardized features.
+  options.standardize_features = true;
   // Journaling is opt-in (--journal [file] or --resume); the default path
   // sits next to the output artifact and is removed when the sweep
   // completes.
@@ -471,6 +473,7 @@ int cmd_flow(const Args& args) {
 
   GcnOpiOptions opi_options;
   opi_options.max_iterations = args.get_size("iterations", 2);
+  opi_options.standardize_features = true;  // as trained above
   if (resume || args.has("checkpoint")) {
     opi_options.journal_path = checkpoint_base + ".journal";
     opi_options.journal_design = design;
