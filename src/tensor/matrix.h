@@ -104,12 +104,18 @@ class Matrix {
 /// every output element accumulates its k products in float32, in fixed
 /// ascending-p order, through the runtime-dispatched SIMD microkernels
 /// (tensor/simd/simd.h). The row-update variants fold alpha into the
-/// streamed a-element; the inner-product variant (!transpose_a &&
-/// transpose_b) applies alpha to the completed dot product — at
-/// alpha == 1 all variants are bitwise identical on the scalar target.
-/// For a fixed dispatch target results are bitwise identical across
-/// thread counts; across targets (scalar vs avx2) they differ only by
-/// FMA contraction / dot-product lane blocking, within the tolerance
+/// streamed a-element and skip a product whose alpha * a is zero; the
+/// inner-product variant (!transpose_a && transpose_b) applies alpha to
+/// the completed dot product — at alpha == 1 all variants are bitwise
+/// identical on the scalar target. The variants differ only in schedule:
+/// no-transpose rows per block; transpose-a-only (the weight gradient)
+/// 16 x 64 output tiles per block, each swept by the register-blocked
+/// gemm_tn kernel in 256-deep p slabs; transpose-b-only (the input
+/// gradient) rows per block, several dot products per dot_rows call.
+/// None of them changes an element's operation sequence, so for a fixed
+/// dispatch target results are bitwise identical across thread counts;
+/// across targets (scalar vs avx2/avx512) they differ only by FMA
+/// contraction / dot-product lane blocking, within the tolerance
 /// documented in docs/API.md ("SIMD backend").
 void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
           bool transpose_b, float alpha = 1.0f, float beta = 0.0f);

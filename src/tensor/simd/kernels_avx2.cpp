@@ -4,13 +4,14 @@
 // the binary stays executable on baseline x86-64 (and other ISAs compile
 // the stub at the bottom).
 //
-// Lane discipline: the elementwise ops (axpy, bias epilogues, relu,
-// scale) map vector lanes one-to-one onto output elements — lane i only
-// ever reads/writes element i — so they are bitwise deterministic for
-// any thread count or tile width, and differ from the scalar target only
-// by FMA's single rounding. dot() is the one reassociating kernel: four
-// 8-lane accumulators reduced in a fixed tree, documented as
-// tolerance-only across targets.
+// Lane discipline: the elementwise ops (axpy, gemm_tn, bias epilogues,
+// relu, scale) map vector lanes one-to-one onto output elements — lane i
+// only ever reads/writes element i — so they are bitwise deterministic
+// for any thread count or tile width, and differ from the scalar target
+// only by FMA's single rounding. dot()/dot_rows() are the one
+// reassociating kernel: four 8-lane accumulators reduced in a fixed tree
+// (lane_dot.h, shared with avx512), documented as tolerance-only across
+// targets.
 
 #include "tensor/simd/simd.h"
 
@@ -18,8 +19,11 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+
+#include "tensor/simd/lane_dot.h"
 
 namespace gcnt {
 // Scalar tails use std::fmaf so an element gets the same single-rounded
@@ -43,39 +47,6 @@ void avx2_axpy(float* y, const float* x, float a, std::size_t n) {
     _mm256_storeu_ps(y + i, _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), y0));
   }
   for (; i < n; ++i) y[i] = std::fmaf(a, x[i], y[i]);
-}
-
-float avx2_dot(const float* a, const float* b, std::size_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  __m256 acc2 = _mm256_setzero_ps();
-  __m256 acc3 = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                           _mm256_loadu_ps(b + i + 8), acc1);
-    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 16),
-                           _mm256_loadu_ps(b + i + 16), acc2);
-    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 24),
-                           _mm256_loadu_ps(b + i + 24), acc3);
-  }
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-  }
-  // Fixed reduction tree: (0+1) + (2+3), then horizontal sum.
-  const __m256 acc = _mm256_add_ps(_mm256_add_ps(acc0, acc1),
-                                   _mm256_add_ps(acc2, acc3));
-  const __m128 low = _mm256_castps256_ps128(acc);
-  const __m128 high = _mm256_extractf128_ps(acc, 1);
-  __m128 sum = _mm_add_ps(low, high);
-  sum = _mm_add_ps(sum, _mm_movehl_ps(sum, sum));
-  sum = _mm_add_ss(sum, _mm_movehdup_ps(sum));
-  float result = _mm_cvtss_f32(sum);
-  for (; i < n; ++i) result = std::fmaf(a[i], b[i], result);
-  return result;
 }
 
 void avx2_bias_add(float* y, const float* bias, std::size_t n) {
@@ -117,6 +88,93 @@ void avx2_scale(float* y, float a, std::size_t n) {
     _mm256_storeu_ps(y + i, _mm256_mul_ps(_mm256_loadu_ps(y + i), va));
   }
   for (; i < n; ++i) y[i] *= a;
+}
+
+// ---- weight-gradient GEMM tile ---------------------------------------
+// Register tile: kTnRows output rows x V <= kTnVecs 8-lane column
+// vectors (up to 4 x 16), whose accumulators stay in ymm registers across
+// the whole k loop. The zero-skip is a blend: a lane whose row term
+// compares equal to zero keeps its old accumulator, exactly like axpy()'s
+// `continue`. The column tail uses maskload/maskstore, so a tail lane
+// runs the same fmadd as a body lane (axpy's scalar tail is std::fmaf —
+// the same single rounding). A short tile repeats its last row in the
+// unused row slots, which are computed but never stored.
+
+constexpr std::size_t kTnRows = 4;
+constexpr std::size_t kTnVecs = 2;
+
+template <std::size_t V>
+void avx2_tn_tile(float* c, std::size_t ldc, const float* a, std::size_t lda,
+                  const float* b, std::size_t ldb, std::size_t rows,
+                  std::size_t k, float alpha, int last_lanes) {
+  const __m256i full = _mm256_set1_epi32(-1);
+  const __m256i last =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(last_lanes),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256 valpha = _mm256_set1_ps(alpha);
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t row[kTnRows];
+  __m256 acc[kTnRows][V];
+#pragma GCC unroll 16
+  for (std::size_t r = 0; r < kTnRows; ++r) {
+    row[r] = std::min(r, rows - 1);
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < V; ++v) {
+      acc[r][v] = _mm256_maskload_ps(c + row[r] * ldc + 8 * v,
+                                     v + 1 == V ? last : full);
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* ap = a + p * lda;
+    const float* bp = b + p * ldb;
+    __m256 bv[V];
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < V; ++v) {
+      bv[v] = _mm256_maskload_ps(bp + 8 * v, v + 1 == V ? last : full);
+    }
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < kTnRows; ++r) {
+      const __m256 av = _mm256_mul_ps(valpha, _mm256_set1_ps(ap[row[r]]));
+      const __m256 live = _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ);
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_blendv_ps(
+            acc[r][v], _mm256_fmadd_ps(av, bv[v], acc[r][v]), live);
+      }
+    }
+  }
+  // Unused row slots store into a scratch row, keeping every index
+  // constant so the accumulators never leave registers.
+  float dead[8 * V];
+  float* out[kTnRows];
+#pragma GCC unroll 16
+  for (std::size_t r = 0; r < kTnRows; ++r) {
+    out[r] = r < rows ? c + r * ldc : dead;
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < V; ++v) {
+      _mm256_maskstore_ps(out[r] + 8 * v, v + 1 == V ? last : full,
+                          acc[r][v]);
+    }
+  }
+}
+
+void avx2_gemm_tn(float* c, std::size_t ldc, const float* a, std::size_t lda,
+                  const float* b, std::size_t ldb, std::size_t rows,
+                  std::size_t cols, std::size_t k, float alpha) {
+  for (std::size_t r0 = 0; r0 < rows; r0 += kTnRows) {
+    const std::size_t tile_rows = std::min(kTnRows, rows - r0);
+    for (std::size_t c0 = 0; c0 < cols; c0 += 8 * kTnVecs) {
+      const std::size_t tile_cols = std::min(8 * kTnVecs, cols - c0);
+      const int last_lanes = static_cast<int>((tile_cols - 1) % 8 + 1);
+      if (tile_cols > 8) {
+        avx2_tn_tile<2>(c + r0 * ldc + c0, ldc, a + r0, lda, b + c0, ldb,
+                        tile_rows, k, alpha, last_lanes);
+      } else {
+        avx2_tn_tile<1>(c + r0 * ldc + c0, ldc, a + r0, lda, b + c0, ldb,
+                        tile_rows, k, alpha, last_lanes);
+      }
+    }
+  }
 }
 
 // ---- int8 quantized tier -------------------------------------------
@@ -257,10 +315,11 @@ void avx2_dequantize_u8(float* y, const std::uint8_t* codes, float scale,
 namespace simd_detail {
 
 const SimdOps kAvx2Ops = {
-    "avx2",          avx2_axpy,     avx2_dot,
-    avx2_bias_add,   avx2_bias_relu, avx2_relu,
-    avx2_scale,      avx2_dot_u8s8, avx2_axpy_dq8,
-    avx2_quantize_u8, avx2_dequantize_u8,
+    "avx2",          avx2_axpy,     lane_dot,
+    lane_dot_rows,   avx2_bias_add, avx2_bias_relu,
+    avx2_relu,       avx2_scale,    avx2_gemm_tn,
+    avx2_dot_u8s8,   avx2_axpy_dq8, avx2_quantize_u8,
+    avx2_dequantize_u8,
 };
 
 }  // namespace simd_detail
@@ -270,8 +329,7 @@ const SimdOps kAvx2Ops = {
 
 namespace gcnt::simd_detail {
 
-const SimdOps kAvx2Ops = {nullptr, nullptr, nullptr, nullptr, nullptr, nullptr,
-                          nullptr, nullptr, nullptr, nullptr, nullptr};
+const SimdOps kAvx2Ops = {};
 
 }  // namespace gcnt::simd_detail
 

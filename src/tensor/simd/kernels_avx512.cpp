@@ -12,12 +12,13 @@
 // boundary falls, preserving the bitwise-across-threads/tiles guarantee.
 //
 // Cross-target behavior: this target is bitwise identical to AVX2 for
-// every fp32 kernel — the elementwise ops perform the same single
-// per-element fmadd/add/max/mul, and dot() deliberately reuses the AVX2
-// lane blocking (see its comment) — so auto-resolution upgrading a host
-// from avx2 to avx512 never changes results. Versus scalar, the same
-// FMA-contraction tolerance as AVX2 applies. The int8 ops are bitwise
-// identical to the scalar reference on every input, like all targets.
+// every fp32 kernel — the elementwise ops and gemm_tn perform the same
+// single per-element fmadd/add/max/mul, and dot()/dot_rows() are the
+// AVX2 lane-blocked kernels themselves (lane_dot.h) — so auto-resolution
+// upgrading a host from avx2 to avx512 never changes results. Versus
+// scalar, the same FMA-contraction tolerance as AVX2 applies. The int8
+// ops are bitwise identical to the scalar reference on every input, like
+// all targets.
 
 #include "tensor/simd/simd.h"
 
@@ -25,12 +26,15 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
+
+#include "tensor/simd/lane_dot.h"
 
 namespace gcnt {
 namespace {
 
-/// Lane mask selecting the first `rem` (< 16) elements.
+/// Lane mask selecting the first `rem` (<= 16) elements.
 inline __mmask16 tail_mask(std::size_t rem) {
   return static_cast<__mmask16>((1u << rem) - 1u);
 }
@@ -55,46 +59,6 @@ void avx512_axpy(float* y, const float* x, float a, std::size_t n) {
     const __m512 x0 = _mm512_maskz_loadu_ps(m, x + i);
     _mm512_mask_storeu_ps(y + i, m, _mm512_fmadd_ps(va, x0, y0));
   }
-}
-
-float avx512_dot(const float* a, const float* b, std::size_t n) {
-  // Deliberately the AVX2 kernel, verbatim: four 8-lane accumulators,
-  // the same reduction tree, 8-wide masked tail. dot() is the one
-  // reassociating fp32 kernel, and keeping its blocking identical makes
-  // the whole fp32 avx512 target bitwise identical to avx2 (every other
-  // fp32 kernel is per-element) — so auto-resolution picking avx512 over
-  // avx2 can never change a result, only speed. The avx512 win lives in
-  // the 16-lane elementwise ops (SpMM's axpy) and the int8 kernels;
-  // 256-bit dot costs little in the GEMM variants that use it.
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  __m256 acc2 = _mm256_setzero_ps();
-  __m256 acc3 = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                           _mm256_loadu_ps(b + i + 8), acc1);
-    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 16),
-                           _mm256_loadu_ps(b + i + 16), acc2);
-    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 24),
-                           _mm256_loadu_ps(b + i + 24), acc3);
-  }
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-  }
-  const __m256 acc = _mm256_add_ps(_mm256_add_ps(acc0, acc1),
-                                   _mm256_add_ps(acc2, acc3));
-  const __m128 low = _mm256_castps256_ps128(acc);
-  const __m128 high = _mm256_extractf128_ps(acc, 1);
-  __m128 sum = _mm_add_ps(low, high);
-  sum = _mm_add_ps(sum, _mm_movehl_ps(sum, sum));
-  sum = _mm_add_ss(sum, _mm_movehdup_ps(sum));
-  float result = _mm_cvtss_f32(sum);
-  for (; i < n; ++i) result = std::fmaf(a[i], b[i], result);
-  return result;
 }
 
 void avx512_bias_add(float* y, const float* bias, std::size_t n) {
@@ -150,6 +114,95 @@ void avx512_scale(float* y, float a, std::size_t n) {
     const __mmask16 m = tail_mask(n - i);
     _mm512_mask_storeu_ps(
         y + i, m, _mm512_mul_ps(_mm512_maskz_loadu_ps(m, y + i), va));
+  }
+}
+
+// ---- weight-gradient GEMM tile ---------------------------------------
+// Register tile: kTnRows output rows x V <= kTnVecs 16-lane column
+// vectors (up to 4 x 64), whose accumulators stay in zmm registers across
+// the whole k loop. Per p the tile loads its b vectors once and
+// broadcasts one alpha * a per row; the zero-skip is a mask — a lane
+// whose row term compares equal to zero keeps its accumulator
+// (mask3_fmadd), exactly like axpy()'s `continue`. The column tail uses
+// masked loads/stores, so a lane runs the same fmadd whether or not it
+// sits in the tail. A short tile repeats its last row in the unused row
+// slots, which are computed but never stored.
+
+constexpr std::size_t kTnRows = 4;
+constexpr std::size_t kTnVecs = 4;
+
+template <std::size_t V>
+void avx512_tn_tile(float* c, std::size_t ldc, const float* a,
+                    std::size_t lda, const float* b, std::size_t ldb,
+                    std::size_t rows, std::size_t k, float alpha,
+                    __mmask16 last) {
+  const __m512 valpha = _mm512_set1_ps(alpha);
+  const __m512 zero = _mm512_setzero_ps();
+  std::size_t row[kTnRows];
+  __m512 acc[kTnRows][V];
+#pragma GCC unroll 16
+  for (std::size_t r = 0; r < kTnRows; ++r) {
+    row[r] = std::min(r, rows - 1);
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < V; ++v) {
+      acc[r][v] = _mm512_maskz_loadu_ps(v + 1 == V ? last : 0xFFFF,
+                                        c + row[r] * ldc + 16 * v);
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* ap = a + p * lda;
+    const float* bp = b + p * ldb;
+    __m512 bv[V];
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < V; ++v) {
+      bv[v] = _mm512_maskz_loadu_ps(v + 1 == V ? last : 0xFFFF, bp + 16 * v);
+    }
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < kTnRows; ++r) {
+      const __m512 av = _mm512_mul_ps(valpha, _mm512_set1_ps(ap[row[r]]));
+      const __mmask16 live = _mm512_cmp_ps_mask(av, zero, _CMP_NEQ_UQ);
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_mask3_fmadd_ps(av, bv[v], acc[r][v], live);
+      }
+    }
+  }
+  // Unused row slots store into a scratch row, keeping every index
+  // constant so the accumulators never leave registers.
+  float dead[16 * V];
+  float* out[kTnRows];
+#pragma GCC unroll 16
+  for (std::size_t r = 0; r < kTnRows; ++r) {
+    out[r] = r < rows ? c + r * ldc : dead;
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < V; ++v) {
+      _mm512_mask_storeu_ps(out[r] + 16 * v, v + 1 == V ? last : 0xFFFF,
+                            acc[r][v]);
+    }
+  }
+}
+
+/// avx512_tn_tile<V> for V = 1..kTnVecs, indexed by V - 1.
+constexpr void (*kTnTiles[kTnVecs])(float*, std::size_t, const float*,
+                                    std::size_t, const float*, std::size_t,
+                                    std::size_t, std::size_t, float,
+                                    __mmask16) = {
+    avx512_tn_tile<1>, avx512_tn_tile<2>, avx512_tn_tile<3>,
+    avx512_tn_tile<4>};
+
+void avx512_gemm_tn(float* c, std::size_t ldc, const float* a,
+                    std::size_t lda, const float* b, std::size_t ldb,
+                    std::size_t rows, std::size_t cols, std::size_t k,
+                    float alpha) {
+  for (std::size_t r0 = 0; r0 < rows; r0 += kTnRows) {
+    const std::size_t tile_rows = std::min(kTnRows, rows - r0);
+    for (std::size_t c0 = 0; c0 < cols; c0 += 16 * kTnVecs) {
+      const std::size_t tile_cols = std::min(16 * kTnVecs, cols - c0);
+      const std::size_t vecs = (tile_cols + 15) / 16;
+      const __mmask16 last = tail_mask(tile_cols - 16 * (vecs - 1));
+      kTnTiles[vecs - 1](c + r0 * ldc + c0, ldc, a + r0, lda, b + c0, ldb,
+                         tile_rows, k, alpha, last);
+    }
   }
 }
 
@@ -287,10 +340,11 @@ void avx512_dequantize_u8(float* y, const std::uint8_t* codes, float scale,
 namespace simd_detail {
 
 const SimdOps kAvx512Ops = {
-    "avx512",           avx512_axpy,     avx512_dot,
-    avx512_bias_add,    avx512_bias_relu, avx512_relu,
-    avx512_scale,       avx512_dot_u8s8, avx512_axpy_dq8,
-    avx512_quantize_u8, avx512_dequantize_u8,
+    "avx512",          avx512_axpy,      lane_dot,
+    lane_dot_rows,     avx512_bias_add,  avx512_bias_relu,
+    avx512_relu,       avx512_scale,     avx512_gemm_tn,
+    avx512_dot_u8s8,   avx512_axpy_dq8,  avx512_quantize_u8,
+    avx512_dequantize_u8,
 };
 
 }  // namespace simd_detail
@@ -300,9 +354,7 @@ const SimdOps kAvx512Ops = {
 
 namespace gcnt::simd_detail {
 
-const SimdOps kAvx512Ops = {nullptr, nullptr, nullptr, nullptr,
-                            nullptr, nullptr, nullptr, nullptr,
-                            nullptr, nullptr, nullptr};
+const SimdOps kAvx512Ops = {};
 
 }  // namespace gcnt::simd_detail
 

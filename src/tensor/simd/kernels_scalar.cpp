@@ -37,6 +37,13 @@ float scalar_dot(const float* a, const float* b, std::size_t n) {
   return acc;
 }
 
+void scalar_dot_rows(float* out, const float* a, const float* b,
+                     std::size_t ldb, std::size_t n, std::size_t count) {
+  for (std::size_t j = 0; j < count; ++j) {
+    out[j] = scalar_dot(a, b + j * ldb, n);
+  }
+}
+
 void scalar_bias_add(float* y, const float* bias, std::size_t n) {
   std::size_t i = 0;
   for (; i + kBlock <= n; i += kBlock) {
@@ -62,6 +69,24 @@ void scalar_relu(float* y, std::size_t n) {
 
 void scalar_scale(float* y, float a, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] *= a;
+}
+
+// Weight-gradient block: axpy()'s `y += a * x` per element and the same
+// `continue` on a zero row term, one output row at a time so the row
+// stays cache-resident across the k loop.
+void scalar_gemm_tn(float* c, std::size_t ldc, const float* a,
+                    std::size_t lda, const float* b, std::size_t ldb,
+                    std::size_t rows, std::size_t cols, std::size_t k,
+                    float alpha) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* crow = c + r * ldc;
+    for (std::size_t p = 0; p < k; ++p) {
+      const float av = alpha * a[p * lda + r];
+      if (av == 0.0f) continue;
+      const float* brow = b + p * ldb;
+      for (std::size_t j = 0; j < cols; ++j) crow[j] += av * brow[j];
+    }
+  }
 }
 
 std::int32_t scalar_dot_u8s8(const std::uint8_t* a, const std::int8_t* b,
@@ -118,10 +143,11 @@ void scalar_dequantize_u8(float* y, const std::uint8_t* codes, float scale,
 namespace simd_detail {
 
 const SimdOps kScalarOps = {
-    "scalar",          scalar_axpy,     scalar_dot,
-    scalar_bias_add,   scalar_bias_relu, scalar_relu,
-    scalar_scale,      scalar_dot_u8s8, scalar_axpy_dq8,
-    scalar_quantize_u8, scalar_dequantize_u8,
+    "scalar",          scalar_axpy,      scalar_dot,
+    scalar_dot_rows,   scalar_bias_add,  scalar_bias_relu,
+    scalar_relu,       scalar_scale,     scalar_gemm_tn,
+    scalar_dot_u8s8,   scalar_axpy_dq8,  scalar_quantize_u8,
+    scalar_dequantize_u8,
 };
 
 }  // namespace simd_detail

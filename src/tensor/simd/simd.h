@@ -2,8 +2,10 @@
 // Vectorized microkernel backend for the dense/sparse hot loops.
 //
 // Every inner loop the compute kernels spend their time in (GEMM row
-// update, SpMM row accumulation, dot products, the bias/ReLU epilogues,
-// the vec_ops.h row helpers, and the int8 quantized tier) funnels
+// update, the register-blocked weight-gradient GEMM tile, SpMM row
+// accumulation, single and multi-row dot products, the bias/ReLU
+// epilogues, the vec_ops.h row helpers, and the int8 quantized tier)
+// funnels
 // through one table of function pointers — SimdOps — resolved once per
 // process by runtime CPU detection. Three implementations are built into
 // every binary:
@@ -33,7 +35,7 @@
 //   * For a FIXED target, every kernel built on these ops is bitwise
 //     deterministic across thread counts, SpMM tile widths, and runs —
 //     vector lanes map one-to-one onto output elements for the
-//     elementwise ops (axpy, bias/ReLU epilogues, scale), so no
+//     elementwise ops (axpy, gemm_tn, bias/ReLU epilogues, scale), so no
 //     floating-point reassociation happens there at all.
 //   * ACROSS targets the fp32 results differ within a small tolerance:
 //     the AVX2/AVX-512 ops contract multiply-add pairs to FMA (one
@@ -74,6 +76,11 @@ struct SimdOps {
   /// partials.
   float (*dot)(const float* a, const float* b, std::size_t n);
 
+  /// out[j] = dot(a, b + j * ldb, n) for j < count, each bitwise equal
+  /// to dot(): one a row against consecutive b rows, several per sweep.
+  void (*dot_rows)(float* out, const float* a, const float* b,
+                   std::size_t ldb, std::size_t n, std::size_t count);
+
   /// y[i] += bias[i] (row-broadcast bias epilogue).
   void (*bias_add)(float* y, const float* bias, std::size_t n);
 
@@ -85,6 +92,23 @@ struct SimdOps {
 
   /// y[i] *= a.
   void (*scale)(float* y, float a, std::size_t n);
+
+  // ---- fp32 GEMM microkernels (tensor/matrix.cpp) -------------------
+
+  /// Weight-gradient (transpose-a) block update, for r < rows, j < cols:
+  ///   c[r * ldc + j] += (alpha * a[p * lda + r]) * b[p * ldb + j]
+  /// for p ascending over [0, k). A product whose alpha * a term compares
+  /// equal to zero is skipped exactly (the accumulator is left untouched,
+  /// so Inf/NaN in that b row cannot leak in): a masked FMA on avx512, a
+  /// blend on avx2, the branch on scalar. Each element performs the
+  /// same operation sequence axpy() would, one p at a time — scalar a
+  /// separate multiply and add, avx2/avx512 one fmaf. The vector targets
+  /// walk the block in register tiles (avx2 4 x 16, avx512 4 x 64) whose
+  /// accumulators stay in registers across the k loop; scalar walks it
+  /// one output row at a time.
+  void (*gemm_tn)(float* c, std::size_t ldc, const float* a, std::size_t lda,
+                  const float* b, std::size_t ldb, std::size_t rows,
+                  std::size_t cols, std::size_t k, float alpha);
 
   // ---- int8 quantized tier (gcn/quant.h) ----------------------------
   // Activation codes are 7-bit unsigned (0..127) with an explicit zero

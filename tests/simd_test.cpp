@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -217,6 +218,129 @@ TEST_F(SimdTest, GemmBitwiseInvariantAcrossThreadsPerTarget) {
   }
 }
 
+/// Bitwise equality (NaN-safe, unlike Matrix::operator==).
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+/// The transpose-a loop gemm ran before the register-tiled gemm_tn
+/// kernel, kept verbatim (one block spanning every column) as the
+/// oracle for it: per p, one axpy row update per nonzero alpha * a term.
+void reference_gemm_tn(const Matrix& a, const Matrix& b, Matrix& out,
+                       float alpha, float beta) {
+  const SimdOps& ops = simd_ops();
+  const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
+  if (beta == 0.0f) {
+    out.resize(m, n, 0.0f);
+  } else {
+    out.scale(beta);
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* arow = a.row(p);
+    const float* brow = b.row(p);
+    for (std::size_t i = 0; i < m; ++i) {
+      const float av = alpha * arow[i];
+      if (av == 0.0f) continue;
+      ops.axpy(out.row(i), brow, av, n);
+    }
+  }
+}
+
+/// The transpose-b loop: one dot() per output element.
+void reference_gemm_nt(const Matrix& a, const Matrix& b, Matrix& out,
+                       float alpha, float beta) {
+  const SimdOps& ops = simd_ops();
+  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
+  if (beta == 0.0f) {
+    out.resize(m, n, 0.0f);
+  } else {
+    out.scale(beta);
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      out.at(i, j) += alpha * ops.dot(a.row(i), b.row(j), k);
+    }
+  }
+}
+
+// Bitwise oracle for the backward GEMM variants: on every target and
+// thread count, gemm TN / NT must reproduce the loops above bit for bit
+// over shapes straddling every register-tile, output-tile and p-slab
+// edge. The (alpha, beta) pairs rotate through all six combinations
+// across shapes. a is about half zeros (some -0.0), and every b row
+// whose a row is entirely zero carries Inf/NaN: only skipped products
+// read it, so any product the zero-skip fails to drop poisons the result.
+TEST_F(SimdTest, BackwardGemmMatchesReferenceLoopsBitwise) {
+  const std::size_t dims[] = {1, 2, 3, 4, 5, 15, 16, 17, 33, 64, 65, 130};
+  const std::size_t depths[] = {1, 7, 1000};
+  const float alphas[] = {1.0f, 0.75f};
+  const float betas[] = {0.0f, 0.5f, 1.0f};
+  const float poison[] = {std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()};
+  std::vector<SimdTarget> targets;
+  for (const SimdTarget target :
+       {SimdTarget::kScalar, SimdTarget::kAvx2, SimdTarget::kAvx512}) {
+    if (simd_target_available(target)) targets.push_back(target);
+  }
+
+  std::size_t case_id = 0;
+  for (const std::size_t k : depths) {
+    for (const std::size_t m : dims) {
+      for (const std::size_t n : dims) {
+        const float alpha = alphas[case_id % 2];
+        const float beta = betas[case_id / 2 % 3];
+        Rng rng(1000003 * k + 1009 * m + n);
+        Matrix a(k, m);  // TN: out (m x n) += alpha * a^T * b
+        Matrix b(k, n);
+        for (std::size_t p = 0; p < k; ++p) {
+          const bool zero_row = p % 4 == 3;
+          for (std::size_t i = 0; i < m; ++i) {
+            const double u = rng.uniform();
+            a.at(p, i) = zero_row || u < 0.45 ? 0.0f
+                         : u < 0.5           ? -0.0f
+                                             : static_cast<float>(rng.normal());
+          }
+          for (std::size_t j = 0; j < n; ++j) {
+            b.at(p, j) = static_cast<float>(rng.normal());
+          }
+        }
+        // NT operands: out (m x n) += alpha * a_nt * b_nt^T.
+        const Matrix a_nt = transpose(a);
+        const Matrix b_nt = transpose(b);
+        for (std::size_t p = 3; p < k; p += 4) {
+          for (std::size_t j = 0; j < n; ++j) b.at(p, j) = poison[j % 3];
+        }
+        const Matrix c = random_dense(m, n, case_id);
+
+        for (const SimdTarget target : targets) {
+          ASSERT_TRUE(set_simd_target(target));
+          Matrix tn_expected = c, nt_expected = c;
+          reference_gemm_tn(a, b, tn_expected, alpha, beta);
+          reference_gemm_nt(a_nt, b_nt, nt_expected, alpha, beta);
+          for (const int threads : {1, 3, 8}) {
+            set_kernel_threads(threads);
+            Matrix tn = c, nt = c;
+            gemm(a, b, tn, true, false, alpha, beta);
+            gemm(a_nt, b_nt, nt, false, true, alpha, beta);
+            ASSERT_TRUE(same_bits(tn_expected, tn))
+                << "TN " << simd_target_name() << " m=" << m << " n=" << n
+                << " k=" << k << " alpha=" << alpha << " beta=" << beta
+                << " threads=" << threads;
+            ASSERT_TRUE(same_bits(nt_expected, nt))
+                << "NT " << simd_target_name() << " m=" << m << " n=" << n
+                << " k=" << k << " alpha=" << alpha << " beta=" << beta
+                << " threads=" << threads;
+          }
+          set_kernel_threads(0);
+        }
+        ++case_id;
+      }
+    }
+  }
+}
+
 // SpMM and spmm_rows: bitwise identical per target across thread counts
 // AND tile widths; within tolerance across targets.
 TEST_F(SimdTest, SpmmBitwiseInvariantAcrossThreadsAndTilesPerTarget) {
@@ -404,6 +528,34 @@ TEST_F(SimdTest, Avx512Fp32MatchesAvx2BitwiseAtMaskedTailLengths) {
     EXPECT_EQ(r2, r5) << "relu n=" << n;
     EXPECT_EQ(s2, s5) << "scale n=" << n;
     EXPECT_EQ(d2, d5) << "dot n=" << n;
+  }
+}
+
+// dot_rows is dot() over several b rows per call: every result must be
+// bit for bit the single-row dot() at every length (32-blocks, the
+// 8-wide remainder, the fmaf tail) and every row count (full groups of
+// four plus leftovers), on every target.
+TEST_F(SimdTest, DotRowsMatchesDotBitwiseAtTailLengths) {
+  const std::size_t max_n = 128, max_rows = 9;
+  const Matrix a = random_dense(1, max_n, 277);
+  const Matrix b = random_dense(max_rows, max_n, 288);
+  for (const SimdTarget target :
+       {SimdTarget::kScalar, SimdTarget::kAvx2, SimdTarget::kAvx512}) {
+    if (!simd_target_available(target)) continue;
+    ASSERT_TRUE(set_simd_target(target));
+    const SimdOps& ops = simd_ops();
+    for (const std::size_t n : kTailLengths) {
+      for (std::size_t count = 1; count <= max_rows; ++count) {
+        std::vector<float> out(count);
+        ops.dot_rows(out.data(), a.data(), b.data(), max_n, n, count);
+        for (std::size_t j = 0; j < count; ++j) {
+          const float expected = ops.dot(a.data(), b.row(j), n);
+          EXPECT_EQ(0, std::memcmp(&expected, &out[j], sizeof(float)))
+              << simd_target_name() << " n=" << n << " count=" << count
+              << " row " << j;
+        }
+      }
+    }
   }
 }
 

@@ -109,6 +109,17 @@ struct Args {
   bool has(const std::string& key) const { return options.count(key) > 0; }
 };
 
+/// The netlist a command reads: its first positional argument, else
+/// `fallback` (infer's --netlist). Missing both is a usage error.
+std::string netlist_arg(const Args& args, const std::string& fallback = "") {
+  const std::string path =
+      args.positional.empty() ? fallback : args.positional.front();
+  if (path.empty()) {
+    throw Error(ErrorKind::kUsage, args.command + " needs a netlist argument");
+  }
+  return path;
+}
+
 // --simd <auto|scalar|avx2|avx512> mirrors GCNT_SIMD one notch higher in
 // precedence (flag > env > CPU detect; docs/API.md "SIMD backend"). An
 // unavailable target warns and keeps the best the host supports — the
@@ -183,7 +194,7 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_stats(const Args& args) {
-  const Netlist netlist = read_netlist_file(args.positional.at(0));
+  const Netlist netlist = read_netlist_file(netlist_arg(args));
   const auto problems = netlist.validate();
   Table table("Netlist statistics", {"Quantity", "Value"});
   table.add_row({"Name", netlist.name()});
@@ -207,7 +218,7 @@ int cmd_stats(const Args& args) {
 }
 
 int cmd_scoap(const Args& args) {
-  const Netlist netlist = read_netlist_file(args.positional.at(0));
+  const Netlist netlist = read_netlist_file(netlist_arg(args));
   const auto measures = compute_scoap(netlist);
   const std::size_t worst = args.get_size("worst", 10);
   std::vector<NodeId> nodes;
@@ -232,7 +243,7 @@ int cmd_scoap(const Args& args) {
 }
 
 int cmd_label(const Args& args) {
-  const Netlist netlist = read_netlist_file(args.positional.at(0));
+  const Netlist netlist = read_netlist_file(netlist_arg(args));
   LabelerOptions options;
   options.batches = args.get_size("batches", 16);
   options.min_observed_rate = args.get_double("rate", 0.01);
@@ -253,7 +264,7 @@ int cmd_label(const Args& args) {
 }
 
 int cmd_atpg(const Args& args) {
-  const Netlist netlist = read_netlist_file(args.positional.at(0));
+  const Netlist netlist = read_netlist_file(netlist_arg(args));
   AtpgOptions options;
   options.fault_sample = args.get_size("sample", 0);
   options.collect_patterns = args.has("patterns");
@@ -287,7 +298,7 @@ int cmd_atpg(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
-  Netlist netlist = read_netlist_file(args.positional.at(0));
+  Netlist netlist = read_netlist_file(netlist_arg(args));
   LabelerOptions labeler;
   labeler.batches = args.get_size("batches", 16);
   Dataset dataset = make_dataset(std::move(netlist), labeler);
@@ -330,13 +341,8 @@ int cmd_train(const Args& args) {
 // "Quantized inference").
 int cmd_infer(const Args& args) {
   apply_simd_flag(args);
-  const std::string path = args.positional.empty()
-                               ? args.get("netlist", "")
-                               : args.positional.at(0);
-  if (path.empty()) {
-    throw Error(ErrorKind::kUsage, "infer needs a netlist argument");
-  }
-  const Netlist netlist = read_netlist_file(path);
+  const Netlist netlist =
+      read_netlist_file(netlist_arg(args, args.get("netlist", "")));
   GcnModel model = load_model_file(args.get("model", "model.txt"));
   if (cli_precision(args) == Precision::kInt8 &&
       model.precision() != Precision::kInt8) {
@@ -371,7 +377,8 @@ int cmd_infer(const Args& args) {
 }
 
 int cmd_opi(const Args& args) {
-  Netlist netlist = read_netlist_file(args.positional.at(0));
+  const std::string design = netlist_arg(args);
+  Netlist netlist = read_netlist_file(design);
   GcnModel model = load_model_file(args.get("model", "model.txt"));
   // int8 requests quantize the model here; the incremental/sharded
   // engines inside run_gcn_opi still compute fp32 (there is no
@@ -393,7 +400,7 @@ int cmd_opi(const Args& args) {
     options.journal_path =
         journal == "1" ? args.get("out", "modified.bench") + ".journal"
                        : journal;
-    options.journal_design = args.positional.at(0);
+    options.journal_design = design;
     options.resume = args.has("resume");
   }
   options.shards = args.get_size("shards", 0);
