@@ -1,7 +1,7 @@
 // Kernel microbenchmarks (google-benchmark): the primitives whose speed
 // the paper's "high performance" claim rests on — SpMM aggregation, dense
 // encoding GEMM, whole-graph GCN inference, bit-parallel logic/fault
-// simulation, and SCOAP/COP analysis passes.
+// simulation, empirical labeling, and SCOAP/COP analysis passes.
 //
 // The parallel kernels (SpMM, GEMM, full inference, fault sim, COO->CSR)
 // sweep the kernel-pool thread count (the trailing `threads` argument) so
@@ -23,6 +23,7 @@
 #include "common/stats.h"
 #include "common/trace.h"
 #include "cop/cop.h"
+#include "data/labeler.h"
 #include "gcn/model.h"
 #include "gcn/quant.h"
 #include "gen/generator.h"
@@ -366,6 +367,23 @@ void BM_FaultSimBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(faults.size()));
 }
 BENCHMARK(BM_FaultSimBatch)->ArgsProduct({kThreadSweep})->ArgNames({"threads"});
+
+// The default labeling oracle end to end: one inversion probe per open node
+// per batch, each stopping once the node's label is decided.
+void BM_LabelEmpirical(benchmark::State& state) {
+  const Netlist& netlist = shared_netlist(6000);
+  LabelerOptions options;
+  options.batches = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(label_difficult_to_observe(netlist, options));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(netlist.size()));
+}
+BENCHMARK(BM_LabelEmpirical)
+    ->ArgsProduct({{4, 16}})
+    ->ArgNames({"batches"})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ScoapFull(benchmark::State& state) {
   const Netlist& netlist = shared_netlist(100000);

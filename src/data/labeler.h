@@ -7,12 +7,20 @@
 //
 //  * kEmpirical (default): for every node, inject an inversion and count
 //    under how many random patterns the change reaches any observed point
-//    (scan cell / PO). Nodes observed under fewer than
-//    `min_observed_rate` of the patterns are labeled difficult-to-observe.
-//    This is the behavioral definition commercial tools approximate.
+//    (scan cell / PO). A node is labeled difficult-to-observe iff
+//    observed / (64 * batches) < `min_observed_rate`. This is the
+//    behavioral definition commercial tools approximate.
+//    The count only grows, so once it reaches the smallest k with
+//    !(k / patterns < rate) the node's label is fixed at 0: its probe stops
+//    mid-propagation and later batches skip it. Labels are exactly those of
+//    the full count. The cost is one probe per open node per batch, and a
+//    probe runs to completion only for a node that has not yet settled by
+//    its end. On generated designs most nodes settle within the first
+//    batch: 16 batches over a 6.7k-node design take 74-94 ms, against
+//    8.6-9.1 s for full counts (`gcnt label`, one thread of a 4-vCPU
+//    AVX-512 Xeon).
 //  * kCopThreshold: label nodes whose analytic COP observability falls
-//    below `cop_threshold`. Orders of magnitude faster; used on very large
-//    designs.
+//    below `cop_threshold`. One linear pass, with no simulation.
 //
 // Sink pseudo-cells (PO / OP) and sources are labeled easy: there is
 // nothing to observe behind a pin, and scan cells are observed directly.

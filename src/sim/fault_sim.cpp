@@ -1,8 +1,9 @@
 #include "sim/fault_sim.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <limits>
-#include <queue>
 
 #include "common/parallel.h"
 #include "common/trace.h"
@@ -21,17 +22,17 @@ std::uint64_t FaultSimulator::detect_word(
     const Fault& fault, const std::vector<std::uint64_t>& good) {
   const std::uint64_t forced = fault.stuck_at_one ? ~0ULL : 0ULL;
   if ((good[fault.node] ^ forced) == 0) return 0;  // never excited
-  return propagate(fault.node, forced, good);
+  return propagate(fault.node, forced, good, 64);
 }
 
 std::uint64_t FaultSimulator::observe_word(
-    NodeId node, const std::vector<std::uint64_t>& good) {
-  return propagate(node, ~good[node], good);
+    NodeId node, const std::vector<std::uint64_t>& good, int bound) {
+  return propagate(node, ~good[node], good, bound);
 }
 
 std::uint64_t FaultSimulator::propagate(
     NodeId node, std::uint64_t forced,
-    const std::vector<std::uint64_t>& good) {
+    const std::vector<std::uint64_t>& good, int bound) {
   const Netlist& netlist = sim_->netlist();
   if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
     // Epoch wrap would alias stale stamps; reset the scratch arrays.
@@ -44,12 +45,15 @@ std::uint64_t FaultSimulator::propagate(
   faulty_[node] = forced;
   stamp_[node] = epoch_;
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+  // Events run in ascending rank, so every fanin of a gate is final when
+  // the gate is evaluated.
+  heap_.clear();
   const auto& rank = sim_->rank();
   const auto schedule = [&](NodeId v) {
     if (queued_[v] == epoch_) return;
     queued_[v] = epoch_;
-    queue.push(Event{rank[v], v});
+    heap_.push_back(Event{rank[v], v});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   };
 
   std::uint64_t detected = 0;
@@ -57,15 +61,18 @@ std::uint64_t FaultSimulator::propagate(
   // drives a sink; seed by scheduling its fanouts.
   for (NodeId g : netlist.fanouts(node)) schedule(g);
 
-  while (!queue.empty()) {
-    const NodeId v = queue.top().node;
-    queue.pop();
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const NodeId v = heap_.back().node;
+    heap_.pop_back();
     const CellType type = netlist.type(v);
     if (is_sink(type)) {
       // Capture: compare the D/pin value. (For a DFF the fault effect is
       // captured but does not propagate through the Q output this cycle.)
       const NodeId driver = netlist.fanins(v).front();
       detected |= faulty_or_good(driver, good) ^ good[driver];
+      // Only captures add bits, so the caller's bound is checked here.
+      if (std::popcount(detected) >= bound) break;
       continue;
     }
     const std::uint64_t value = evaluate_gate(

@@ -31,8 +31,15 @@ class FaultSimulator {
   /// popcount over many batches estimates P(change at node is observed) —
   /// the behavioral quantity commercial DFT tools threshold when flagging
   /// difficult-to-observe nodes.
+  ///
+  /// `bound` (1..64) lets a caller that only needs to know whether at
+  /// least `bound` patterns observe the change stop the probe early: the
+  /// result is then a subset of the full word with popcount >= bound. A
+  /// full word with fewer than `bound` bits set is returned exactly, so
+  /// the default of 64 always returns the full word.
   std::uint64_t observe_word(NodeId node,
-                             const std::vector<std::uint64_t>& good);
+                             const std::vector<std::uint64_t>& good,
+                             int bound = 64);
 
   /// Convenience: simulates `batch` and updates `detected` flags for all
   /// not-yet-detected faults (fault dropping). Returns how many faults
@@ -45,9 +52,9 @@ class FaultSimulator {
 
  private:
   /// Shared propagation engine: seeds `node` with `forced` and returns the
-  /// detection word.
+  /// detection word, stopping once `bound` patterns detect it.
   std::uint64_t propagate(NodeId node, std::uint64_t forced,
-                          const std::vector<std::uint64_t>& good);
+                          const std::vector<std::uint64_t>& good, int bound);
 
   struct Event {
     std::uint32_t rank;
@@ -67,6 +74,7 @@ class FaultSimulator {
   std::vector<std::uint32_t> stamp_;    // faulty_[v] valid this epoch
   std::vector<std::uint32_t> queued_;   // v already scheduled this epoch
   std::uint32_t epoch_ = 0;
+  std::vector<Event> heap_;  // rank-ordered event min-heap, reused per probe
   std::vector<std::uint64_t> scratch_values_;
 };
 

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
+#include "common/rng.h"
 #include "data/dataset.h"
 #include "gen/generator.h"
 #include "netlist/bench_io.h"
+#include "sim/fault_sim.h"
+#include "sim/logic_sim.h"
 
 namespace gcnt {
 namespace {
@@ -69,6 +73,87 @@ TEST(Labeler, DeterministicForSeed) {
   const auto a = label_difficult_to_observe(n, options);
   const auto b = label_difficult_to_observe(n, options);
   EXPECT_EQ(a, b);
+}
+
+/// The labeler's reference definition: every labelable node is probed in
+/// every batch with the full (unbounded) observe_word, and the count is
+/// kept in full. Returns the per-node observed counts.
+std::vector<std::uint32_t> full_observed_counts(const Netlist& netlist,
+                                                std::size_t batches,
+                                                std::uint64_t seed) {
+  LogicSimulator sim(netlist);
+  FaultSimulator probe(sim);
+  Rng rng(seed);
+  std::vector<std::uint32_t> observed(netlist.size(), 0);
+  std::vector<std::uint64_t> values;
+  for (std::size_t b = 0; b < batches; ++b) {
+    sim.simulate(sim.random_batch(rng), values);
+    for (NodeId v = 0; v < netlist.size(); ++v) {
+      const CellType t = netlist.type(v);
+      if (is_sink(t) || t == CellType::kInput) continue;
+      observed[v] += static_cast<std::uint32_t>(
+          std::popcount(probe.observe_word(v, values)));
+    }
+  }
+  return observed;
+}
+
+std::vector<std::int32_t> reference_labels(
+    const Netlist& netlist, const std::vector<std::uint32_t>& observed,
+    std::size_t batches, double min_observed_rate) {
+  const double patterns = static_cast<double>(batches) * 64.0;
+  std::vector<std::int32_t> labels(netlist.size(), 0);
+  for (NodeId v = 0; v < netlist.size(); ++v) {
+    const CellType t = netlist.type(v);
+    if (is_sink(t) || t == CellType::kInput) continue;
+    const double rate = static_cast<double>(observed[v]) / patterns;
+    labels[v] = rate < min_observed_rate ? 1 : 0;
+  }
+  return labels;
+}
+
+// The empirical labeler stops probing a node once its label is decided;
+// its labels must equal the full-count definition everywhere. With 4
+// batches, rate 3/256 makes rate x patterns an exact integer: a node
+// observed under exactly 3 patterns is easy (3/256 < 3/256 is false),
+// which pins the strict comparison at the settle count.
+TEST(Labeler, EarlyStopMatchesFullCountOracle) {
+  std::size_t positives = 0;
+  std::size_t negatives = 0;
+  bool at_boundary = false;
+  for (const std::uint64_t seed : {3u, 8u, 11u}) {
+    GeneratorConfig config;
+    config.seed = seed;
+    config.target_gates = 700;
+    config.primary_inputs = 24;
+    config.primary_outputs = 12;
+    config.flip_flops = 30;
+    const Netlist n = generate_circuit(config);
+    for (const std::size_t batches : {1u, 4u, 16u}) {
+      const std::vector<std::uint32_t> observed =
+          full_observed_counts(n, batches, LabelerOptions{}.seed);
+      if (batches == 4) {
+        at_boundary = at_boundary ||
+                      std::count(observed.begin(), observed.end(), 3u) > 0;
+      }
+      for (const double rate : {0.0, 0.005, 0.01, 3.0 / 256.0, 0.05, 1.0}) {
+        LabelerOptions options;
+        options.batches = batches;
+        options.min_observed_rate = rate;
+        const auto want = reference_labels(n, observed, batches, rate);
+        EXPECT_EQ(label_difficult_to_observe(n, options), want)
+            << "seed " << seed << " batches " << batches << " rate " << rate;
+        for (const std::int32_t label : want) {
+          (label == 1 ? positives : negatives) += 1;
+        }
+      }
+    }
+  }
+  // Both outcomes occur and the boundary case is present, so the
+  // comparison is not vacuous.
+  EXPECT_GT(positives, 0u);
+  EXPECT_GT(negatives, 0u);
+  EXPECT_TRUE(at_boundary) << "no node observed under exactly 3 of 256";
 }
 
 TEST(Dataset, BuildsConsistentRows) {

@@ -64,18 +64,19 @@ TEST(GraphTensors, AdjacencyMirrorsNetlist) {
   const auto tensors = build_graph_tensors(n);
   EXPECT_EQ(tensors.pred_coo.nnz(), n.edge_count());
   EXPECT_EQ(tensors.succ_coo.nnz(), n.edge_count());
-  // (P * ones)[v] = fanin count.
+  // (P * ones)[row_of(v)] = fanin count (the CSR forms are in compute
+  // order, which is node order unless the graph is reordered).
   Matrix ones(n.size(), 1, 1.0f);
   Matrix fanin_counts;
   tensors.pred.spmm(ones, fanin_counts);
   for (NodeId v = 0; v < n.size(); ++v) {
-    EXPECT_FLOAT_EQ(fanin_counts.at(v, 0),
+    EXPECT_FLOAT_EQ(fanin_counts.at(tensors.row_of(v), 0),
                     static_cast<float>(n.fanins(v).size()));
   }
   Matrix fanout_counts;
   tensors.succ.spmm(ones, fanout_counts);
   for (NodeId v = 0; v < n.size(); ++v) {
-    EXPECT_FLOAT_EQ(fanout_counts.at(v, 0),
+    EXPECT_FLOAT_EQ(fanout_counts.at(tensors.row_of(v), 0),
                     static_cast<float>(n.fanouts(v).size()));
   }
 }
@@ -93,20 +94,25 @@ TEST(GraphTensors, MergedAdjacencyMatchesDecomposedAggregation) {
   const Netlist n = tiny_circuit();
   const auto tensors = build_graph_tensors(n);
   const float wp = 0.3f, ws = 0.7f;
-  // Decomposed: E + wp*P*E + ws*S*E.
-  Matrix want = tensors.features;
+  // Decomposed: E + wp*P*E + ws*S*E, over the CSR forms in compute order.
+  Matrix features;
+  gather_compute_rows(tensors, tensors.features, features);
+  Matrix want = features;
   Matrix tmp;
-  tensors.pred.spmm(tensors.features, tmp);
+  tensors.pred.spmm(features, tmp);
   want.axpy(wp, tmp);
-  tensors.succ.spmm(tensors.features, tmp);
+  tensors.succ.spmm(features, tmp);
   want.axpy(ws, tmp);
-  // Merged (Eq. 2): A * E.
+  // Merged (Eq. 2): A * E, in node order.
   const CsrMatrix a = CsrMatrix::from_coo(build_merged_adjacency(tensors, wp, ws));
   Matrix got;
   a.spmm(tensors.features, got);
   ASSERT_EQ(got.rows(), want.rows());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got.data()[i], want.data()[i], 1e-4f);
+  ASSERT_EQ(got.cols(), want.cols());
+  for (NodeId v = 0; v < n.size(); ++v) {
+    for (std::size_t c = 0; c < got.cols(); ++c) {
+      EXPECT_NEAR(got.at(v, c), want.at(tensors.row_of(v), c), 1e-4f);
+    }
   }
 }
 

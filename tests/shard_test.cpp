@@ -270,7 +270,8 @@ TEST(GraphPartition, ExtendFollowsAppendedRowsExactly) {
     const auto& fanouts = netlist.fanouts(target);
     for (const NodeId w : fanouts) {
       if (netlist.type(w) == CellType::kObserve) {
-        EXPECT_EQ(partition.owner_of(w), partition.owner_of(target));
+        EXPECT_EQ(partition.owner_of(tensors.row_of(w)),
+                  partition.owner_of(tensors.row_of(target)));
       }
     }
   }
@@ -339,30 +340,35 @@ TEST(GraphPartition, ExtendAppendTouchingNoExistingHalo) {
   GraphPartition partition =
       GraphPartition::build(tensors.pred, tensors.succ, options);
 
-  // An OP target deep inside shard 0: everything within halo+1 hops is
-  // shard-0-owned, so the appended OP row (one hop from the target) can
-  // reach no shard-1 row within the halo depth.
-  NodeId target = kInvalidNode;
-  for (const NodeId v : op_targets(netlist, 400)) {
-    if (partition.owner_of(v) != 0) continue;
-    bool interior = true;
-    for (const std::uint32_t row :
-         neighborhood(tensors.pred, tensors.succ, v, options.halo + 1)) {
-      if (partition.owner_of(row) != 0) {
-        interior = false;
-        break;
+  // An OP target deep inside one shard: everything within halo+1 hops is
+  // owned by that shard, so the appended OP row (one hop from the target)
+  // can reach no row of the other shard within the halo depth. Shard 0 is
+  // tried first; under RCM its rows can all sit near the cut.
+  const auto interior_target = [&](std::size_t shard) {
+    for (const NodeId v : op_targets(netlist, netlist.size())) {
+      if (partition.owner_of(tensors.row_of(v)) != shard) continue;
+      bool interior = true;
+      for (const std::uint32_t row :
+           neighborhood(tensors.pred, tensors.succ, tensors.row_of(v),
+                        options.halo + 1)) {
+        if (partition.owner_of(row) != shard) {
+          interior = false;
+          break;
+        }
       }
+      if (interior) return v;
     }
-    if (interior) {
-      target = v;
-      break;
-    }
-  }
-  ASSERT_NE(target, kInvalidNode) << "no interior target found in shard 0";
+    return kInvalidNode;
+  };
+  std::size_t home = 0;
+  NodeId target = interior_target(home);
+  if (target == kInvalidNode) target = interior_target(++home);
+  ASSERT_NE(target, kInvalidNode) << "no interior target found in any shard";
+  const std::size_t other = 1 - home;
 
-  const std::vector<std::uint32_t> owners1_before =
-      partition.shard(1).owners;
-  const std::vector<std::uint32_t> halo1_before = partition.shard(1).halo;
+  const std::vector<std::uint32_t> owners_before =
+      partition.shard(other).owners;
+  const std::vector<std::uint32_t> halo_before = partition.shard(other).halo;
 
   DirtyConeTracker tracker;
   insert_ops(netlist, tensors, scoap, levels, {target}, tracker);
@@ -371,12 +377,12 @@ TEST(GraphPartition, ExtendAppendTouchingNoExistingHalo) {
   // Only the owning shard rebuilds; the untouched shard keeps its exact
   // owner and halo lists (the incremental-extend contract).
   ASSERT_EQ(affected.size(), 1u);
-  EXPECT_EQ(affected[0], 0u);
-  EXPECT_EQ(partition.shard(1).owners, owners1_before);
-  EXPECT_EQ(partition.shard(1).halo, halo1_before);
-  EXPECT_EQ(
-      partition.owner_of(static_cast<std::uint32_t>(netlist.size() - 1)),
-      0u);
+  EXPECT_EQ(affected[0], home);
+  EXPECT_EQ(partition.shard(other).owners, owners_before);
+  EXPECT_EQ(partition.shard(other).halo, halo_before);
+  EXPECT_EQ(partition.owner_of(tensors.row_of(
+                static_cast<NodeId>(netlist.size() - 1))),
+            home);
   partition.validate(tensors.pred, tensors.succ);
 }
 

@@ -166,11 +166,11 @@ TEST(FaultSim, ObserveWordAlwaysExcited) {
   EXPECT_EQ(fsim.observe_word(by_name(n, "g"), values) & 0xF, 0b1111u);
 }
 
-/// Brute force: full re-simulation with the fault value forced.
-std::uint64_t brute_force_detect(const LogicSimulator& sim,
-                                 const PatternBatch& batch,
-                                 const Fault& fault,
-                                 const std::vector<std::uint64_t>& good) {
+/// Brute force: full re-simulation with `node`'s value forced to `forced`.
+std::uint64_t brute_force_word(const LogicSimulator& sim,
+                               const PatternBatch& batch, NodeId node,
+                               std::uint64_t forced,
+                               const std::vector<std::uint64_t>& good) {
   const Netlist& n = sim.netlist();
   std::vector<std::uint64_t> faulty(n.size(), 0);
   for (std::size_t i = 0; i < sim.sources().size(); ++i) {
@@ -178,7 +178,7 @@ std::uint64_t brute_force_detect(const LogicSimulator& sim,
   }
   for (NodeId v : sim.order()) {
     if (!is_source(n.type(v))) faulty[v] = sim.evaluate(v, faulty);
-    if (v == fault.node) faulty[v] = fault.stuck_at_one ? ~0ULL : 0ULL;
+    if (v == node) faulty[v] = forced;
   }
   std::uint64_t detected = 0;
   for (NodeId s : sim.sinks()) {
@@ -186,6 +186,14 @@ std::uint64_t brute_force_detect(const LogicSimulator& sim,
     detected |= faulty[driver] ^ good[driver];
   }
   return detected;
+}
+
+std::uint64_t brute_force_detect(const LogicSimulator& sim,
+                                 const PatternBatch& batch,
+                                 const Fault& fault,
+                                 const std::vector<std::uint64_t>& good) {
+  return brute_force_word(sim, batch, fault.node,
+                          fault.stuck_at_one ? ~0ULL : 0ULL, good);
 }
 
 TEST(FaultSim, MatchesBruteForceOnGeneratedCircuit) {
@@ -215,6 +223,50 @@ TEST(FaultSim, MatchesBruteForceOnGeneratedCircuit) {
                              << faults[i].stuck_at_one;
     }
   }
+}
+
+// The bounded probe may stop early, but only once `bound` patterns observe
+// the change: the result is a subset of the full word, has at least
+// `bound` bits when the full word does, and is the full word otherwise.
+TEST(FaultSim, BoundedObserveWordContract) {
+  GeneratorConfig config;
+  config.seed = 57;
+  config.target_gates = 300;
+  config.primary_inputs = 12;
+  config.primary_outputs = 6;
+  config.flip_flops = 8;
+  const Netlist n = generate_circuit(config);
+  ASSERT_TRUE(n.validate().empty());
+
+  LogicSimulator sim(n);
+  FaultSimulator fsim(sim);
+  Rng rng(17);
+  std::size_t stopped_early = 0;
+  for (int trial = 0; trial < 2; ++trial) {
+    const PatternBatch batch = sim.random_batch(rng);
+    std::vector<std::uint64_t> good;
+    sim.simulate(batch, good);
+    for (NodeId v = 0; v < n.size(); ++v) {
+      const std::uint64_t full =
+          brute_force_word(sim, batch, v, ~good[v], good);  // inversion
+      // The default bound is today's full probe, bit for bit.
+      ASSERT_EQ(fsim.observe_word(v, good), full) << "node " << v;
+      ASSERT_EQ(fsim.observe_word(v, good, 64), full) << "node " << v;
+      for (const int bound : {1, 2, 3, 8, 31, 63}) {
+        const std::uint64_t word = fsim.observe_word(v, good, bound);
+        EXPECT_EQ(word & ~full, 0u) << "node " << v << " bound " << bound;
+        if (std::popcount(full) >= bound) {
+          EXPECT_GE(std::popcount(word), bound)
+              << "node " << v << " bound " << bound;
+          stopped_early += word != full ? 1 : 0;
+        } else {
+          EXPECT_EQ(word, full) << "node " << v << " bound " << bound;
+        }
+      }
+    }
+  }
+  // The early stop really happens on this design.
+  EXPECT_GT(stopped_early, 0u);
 }
 
 TEST(FaultSim, RunBatchDropsDetectedFaults) {
