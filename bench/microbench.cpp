@@ -1,7 +1,8 @@
 // Kernel microbenchmarks (google-benchmark): the primitives whose speed
 // the paper's "high performance" claim rests on — SpMM aggregation, dense
 // encoding GEMM, whole-graph GCN inference, bit-parallel logic/fault
-// simulation, empirical labeling, and SCOAP/COP analysis passes.
+// simulation, empirical labeling, SCOAP/COP analysis passes and OPI
+// impact ranking.
 //
 // The parallel kernels (SpMM, GEMM, full inference, fault sim, COO->CSR)
 // sweep the kernel-pool thread count (the trailing `threads` argument) so
@@ -24,6 +25,8 @@
 #include "common/trace.h"
 #include "cop/cop.h"
 #include "data/labeler.h"
+#include "dft/impact.h"
+#include "gcn/graph_tensors.h"
 #include "gcn/model.h"
 #include "gcn/quant.h"
 #include "gen/generator.h"
@@ -395,6 +398,9 @@ void BM_ScoapFull(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoapFull);
 
+/// CO repair after one OP. levels:0 relevels the whole design per call
+/// (the 3-argument form); levels:1 passes cached levels, as
+/// EditableDesign::observe does.
 void BM_ScoapIncrementalObserve(benchmark::State& state) {
   Netlist netlist = shared_netlist(50000);  // copy: we mutate it
   ScoapMeasures measures = compute_scoap(netlist);
@@ -406,12 +412,55 @@ void BM_ScoapIncrementalObserve(benchmark::State& state) {
     }
   }
   netlist.insert_observe_point(target);
+  const std::vector<std::uint32_t> levels = netlist.logic_levels();
   for (auto _ : state) {
-    update_observability_after_observe(netlist, target, measures);
+    if (state.range(0) != 0) {
+      update_observability_after_observe(netlist, target, measures, levels);
+    } else {
+      update_observability_after_observe(netlist, target, measures);
+    }
     benchmark::DoNotOptimize(measures.co.data());
   }
 }
-BENCHMARK(BM_ScoapIncrementalObserve);
+BENCHMARK(BM_ScoapIncrementalObserve)
+    ->ArgsProduct({{0, 1}})
+    ->ArgNames({"levels"});
+
+/// One OPI ranking step: the impact of every positive prediction of a
+/// 20k-gate design (untrained paper-sized model, standardized features,
+/// cone cap 96 as in GcnOpiOptions) across the kernel pool. Wall time,
+/// since the work runs on pool threads. Not gated.
+void BM_ImpactRank(benchmark::State& state) {
+  set_kernel_threads(static_cast<std::size_t>(state.range(0)));
+  const Netlist& netlist = shared_netlist(20000);
+  const ScoapMeasures scoap = compute_scoap(netlist);
+  const std::vector<std::uint32_t> levels = netlist.logic_levels();
+  GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
+  tensors.standardize_features();
+  GcnConfig config;
+  config.embed_dims = {32, 64, 128};
+  config.fc_dims = {64, 64, 128};
+  const GcnModel model(config);
+  const std::vector<float> probability =
+      model.predict_positive_probability(tensors);
+  std::vector<std::int32_t> predictions(probability.size(), 0);
+  std::vector<NodeId> candidates;
+  for (NodeId v = 0; v < netlist.size(); ++v) {
+    predictions[v] = probability[v] >= 0.5f ? 1 : 0;
+    if (predictions[v] == 1 && netlist.can_observe(v)) candidates.push_back(v);
+  }
+  const ImpactEvaluator evaluator({&model}, netlist, tensors, scoap, levels);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(evaluator.impacts(candidates, predictions, 96));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(candidates.size()));
+}
+BENCHMARK(BM_ImpactRank)
+    ->ArgsProduct({{1, 4}})
+    ->ArgNames({"threads"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CopFull(benchmark::State& state) {
   const Netlist& netlist = shared_netlist(100000);

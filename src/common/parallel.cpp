@@ -67,11 +67,15 @@ ThreadPool& kernel_pool() {
   return *pool;
 }
 
-BlockPlan plan_blocks(std::size_t n, std::size_t min_parallel) {
+BlockPlan plan_blocks(std::size_t n, std::size_t min_parallel,
+                      std::size_t blocks_per_thread) {
   BlockPlan plan;
   plan.n = n;
   std::size_t count = 1;
-  if (n >= min_parallel && !in_kernel_block) count = kernel_threads();
+  if (n >= min_parallel && !in_kernel_block) {
+    const std::size_t threads = kernel_threads();
+    if (threads > 1) count = threads * blocks_per_thread;
+  }
   count = std::clamp<std::size_t>(count, 1, std::max<std::size_t>(1, n));
   plan.per_block = count == 0 ? 0 : (n + count - 1) / count;
   // ceil(n / per_block) blocks actually carry work; drop empty tails so

@@ -51,10 +51,12 @@ struct BlockPlan {
   }
 };
 
-/// Plans one block per kernel thread; collapses to a single serial block
-/// when n < min_parallel, a single thread is configured, or the caller is
-/// already inside a kernel-pool task.
-BlockPlan plan_blocks(std::size_t n, std::size_t min_parallel);
+/// Plans `blocks_per_thread` blocks per kernel thread (more than one lets
+/// the pool balance blocks of uneven cost); collapses to a single serial
+/// block when n < min_parallel, a single thread is configured, or the
+/// caller is already inside a kernel-pool task.
+BlockPlan plan_blocks(std::size_t n, std::size_t min_parallel,
+                      std::size_t blocks_per_thread = 1);
 
 /// Executes fn(block, begin, end) for every block of `plan` across the
 /// kernel pool (inline when plan.count == 1). Rethrows the first exception.

@@ -95,11 +95,12 @@ OpiResult run_gcn_opi(Netlist& netlist,
     // Rank every positive prediction by impact (Fig. 6).
     ImpactEvaluator evaluator(stages, netlist, design.tensors(),
                               design.scoap(), design.levels());
+    const std::vector<int> impacts = evaluator.impacts(
+        candidates, predictions, options.impact_cone_limit);
     std::vector<std::pair<int, NodeId>> ranked;
     ranked.reserve(candidates.size());
-    for (NodeId v : candidates) {
-      ranked.emplace_back(
-          evaluator.impact_of(v, predictions, options.impact_cone_limit), v);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      ranked.emplace_back(impacts[i], candidates[i]);
     }
     std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
       return a.first > b.first;
@@ -129,7 +130,11 @@ OpiResult run_gcn_opi(Netlist& netlist,
       for (NodeId target : planned) record.entries.emplace_back(target, 0);
       journal.append(record);
     }
-    for (NodeId target : planned) design.observe(target);
+    {
+      TraceSpan insert_span("opi.insert");
+      insert_span.arg("ops", static_cast<double>(planned.size()));
+      for (NodeId target : planned) design.observe(target);
+    }
     result.inserted.insert(result.inserted.end(), planned.begin(),
                            planned.end());
     const std::size_t inserted = planned.size();

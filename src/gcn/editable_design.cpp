@@ -55,14 +55,18 @@ NodeId EditableDesign::observe(NodeId target) {
   tracker_.record_edge(target, op);
   // A pending rebuild recomputes and diffs everything anyway.
   if (rebuild_pending_) return op;
-  update_observability_after_observe(netlist_, target, scoap_);
+  // The OP is a sink one level past its target and changes no other
+  // node's level, so levels_ stays equal to logic_levels() without a
+  // full relevelization.
   levels_.resize(netlist_.size(), 0);
   levels_[op] = levels_[target] + 1;
+  const std::vector<NodeId> cone = netlist_.fanin_cone(target);
+  update_observability_after_observe(netlist_, target, scoap_, levels_, &cone);
   // Only refreshed rows whose stored value actually changed are seeded:
   // usually a small subset of the cone the SCOAP walk refreshed.
   std::vector<NodeId> changed_rows;
-  append_observe_point(tensors_, netlist_, target, op, scoap_,
-                       netlist_.fanin_cone(target), &changed_rows);
+  append_observe_point(tensors_, netlist_, target, op, scoap_, cone,
+                       &changed_rows);
   for (const NodeId v : changed_rows) tracker_.record_feature(v);
   csr_stale_ = true;
   return op;

@@ -6,6 +6,7 @@
 // (tensor/simd/simd.h) as the Matrix kernels, so per-node and
 // whole-graph engines always execute on the same target.
 
+#include <algorithm>
 #include <vector>
 
 #include "nn/layers.h"
@@ -13,18 +14,27 @@
 
 namespace gcnt {
 
-/// row-vector * W + b on plain float vectors.
-inline std::vector<float> apply_linear_row(const Linear& layer,
-                                           const std::vector<float>& in) {
+/// out = in * W + b for one row: the bias first, then one axpy per
+/// nonzero input. `out` holds layer.out_features() floats and must not
+/// alias `in`.
+inline void apply_linear_row(const Linear& layer, const float* in,
+                             float* out) {
   const Matrix& w = layer.weight.value;
   const Matrix& b = layer.bias.value;
   const SimdOps& ops = simd_ops();
-  std::vector<float> out(b.row(0), b.row(0) + w.cols());
+  std::copy(b.row(0), b.row(0) + w.cols(), out);
   for (std::size_t i = 0; i < w.rows(); ++i) {
     const float x = in[i];
     if (x == 0.0f) continue;
-    ops.axpy(out.data(), w.row(i), x, w.cols());
+    ops.axpy(out, w.row(i), x, w.cols());
   }
+}
+
+/// row-vector * W + b on plain float vectors.
+inline std::vector<float> apply_linear_row(const Linear& layer,
+                                           const std::vector<float>& in) {
+  std::vector<float> out(layer.out_features());
+  apply_linear_row(layer, in.data(), out.data());
   return out;
 }
 

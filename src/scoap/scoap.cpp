@@ -205,11 +205,19 @@ void resize_for(const Netlist& netlist, ScoapMeasures& measures) {
 
 void update_observability_after_observe(const Netlist& netlist, NodeId target,
                                         ScoapMeasures& measures) {
+  update_observability_after_observe(netlist, target, measures,
+                                     netlist.logic_levels());
+}
+
+void update_observability_after_observe(
+    const Netlist& netlist, NodeId target, ScoapMeasures& measures,
+    const std::vector<std::uint32_t>& levels,
+    const std::vector<NodeId>* fanin_cone) {
   resize_for(netlist, measures);
   // Only nodes in the fan-in cone of `target` (inclusive) can improve.
-  auto cone = netlist.fanin_cone(target);
+  std::vector<NodeId> cone =
+      fanin_cone != nullptr ? *fanin_cone : netlist.fanin_cone(target);
   cone.push_back(target);
-  const auto levels = netlist.logic_levels();
   std::sort(cone.begin(), cone.end(), [&](NodeId a, NodeId b) {
     return levels[a] > levels[b];
   });

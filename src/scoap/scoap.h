@@ -50,6 +50,18 @@ void update_observability_after_observe(const Netlist& netlist,
                                         NodeId target,
                                         ScoapMeasures& measures);
 
+/// The same repair with the caller's logic levels instead of a fresh
+/// netlist.logic_levels() pass over the whole design (the 3-argument form
+/// computes them and forwards here). `levels` must equal logic_levels()
+/// on every node of target's fan-in cone; an OP is a sink and never
+/// enters a fan-in cone, so levels extended per inserted OP qualify.
+/// `fanin_cone`, when non-null, is the caller's netlist.fanin_cone(target),
+/// used instead of walking it again. CO comes out identical.
+void update_observability_after_observe(
+    const Netlist& netlist, NodeId target, ScoapMeasures& measures,
+    const std::vector<std::uint32_t>& levels,
+    const std::vector<NodeId>* fanin_cone = nullptr);
+
 /// Extends the measure vectors for nodes appended since the last compute
 /// (new OBSERVE nodes); new entries get neutral values.
 void resize_for(const Netlist& netlist, ScoapMeasures& measures);

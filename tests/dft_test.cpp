@@ -3,16 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <unordered_map>
 
 #include "atpg/atpg.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "cop/cop.h"
 #include "data/dataset.h"
 #include "dft/baseline_opi.h"
 #include "dft/gcn_opi.h"
 #include "dft/impact.h"
+#include "gcn/graph_tensors.h"
 #include "gcn/trainer.h"
+#include "gcn/vec_ops.h"
 #include "gen/generator.h"
 
 namespace gcnt {
@@ -39,7 +44,7 @@ GcnConfig small_model_config() {
   return config;
 }
 
-/// Shared trained model + dataset (training once keeps the suite fast).
+/// Shared trained models + dataset (training once keeps the suite fast).
 class GcnOpiTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -56,20 +61,185 @@ class GcnOpiTest : public ::testing::Test {
     Trainer trainer(*model_, options);
     const TrainGraph data{&dataset_->tensors, {}};
     trainer.train({data}, nullptr);
+
+    // A deeper second cascade stage, trained on raw and standardized
+    // features so that it predicts positives under either.
+    GcnConfig config;
+    config.depth = 3;
+    config.embed_dims = {8, 8, 16};
+    config.fc_dims = {16};
+    config.seed = 77;
+    second_stage_ = new GcnModel(config);
+    GraphTensors standardized = dataset_->tensors;
+    standardized.standardize_features();
+    options.epochs = 60;
+    Trainer second_trainer(*second_stage_, options);
+    second_trainer.train(
+        {TrainGraph{&dataset_->tensors, {}}, TrainGraph{&standardized, {}}},
+        nullptr);
   }
   static void TearDownTestSuite() {
     delete dataset_;
     delete model_;
+    delete second_stage_;
     dataset_ = nullptr;
     model_ = nullptr;
+    second_stage_ = nullptr;
   }
 
   static Dataset* dataset_;
   static GcnModel* model_;
+  static GcnModel* second_stage_;
 };
 
 Dataset* GcnOpiTest::dataset_ = nullptr;
 GcnModel* GcnOpiTest::model_ = nullptr;
+GcnModel* GcnOpiTest::second_stage_ = nullptr;
+
+/// The map-based recursive impact evaluation that ImpactEvaluator's flat
+/// memo replaced, kept as the exactness reference: a hash-map memo of
+/// per-embedding vectors, rebuilt for every candidate.
+class ReferenceImpact {
+ public:
+  ReferenceImpact(std::vector<const GcnModel*> stages, const Netlist& netlist,
+                  const GraphTensors& tensors, const ScoapMeasures& scoap,
+                  const std::vector<std::uint32_t>& levels)
+      : stages_(std::move(stages)),
+        netlist_(netlist),
+        tensors_(tensors),
+        scoap_(scoap),
+        levels_(levels) {}
+
+  int impact_of(NodeId target, const std::vector<std::int32_t>& predictions,
+                std::size_t cone_limit) const {
+    std::vector<NodeId> cone = netlist_.fanin_cone(target, cone_limit);
+    cone.push_back(target);
+    int before = 0;
+    for (NodeId v : cone) before += predictions[v] == 1 ? 1 : 0;
+    if (before == 0) return 0;
+
+    Overlay overlay;
+    overlay.target = target;
+    std::sort(cone.begin(), cone.end(), [&](NodeId a, NodeId b) {
+      return levels_[a] > levels_[b];
+    });
+    std::unordered_map<NodeId, std::uint32_t> new_co;
+    const auto co_of = [&](NodeId g) {
+      const auto it = new_co.find(g);
+      return it != new_co.end() ? it->second : scoap_.co[g];
+    };
+    for (NodeId v : cone) {
+      if (v == target) {
+        new_co[v] = 0;
+        continue;
+      }
+      if (is_sink(netlist_.type(v))) continue;
+      std::uint32_t best = kScoapInfinity;
+      for (NodeId g : netlist_.fanouts(v)) {
+        const auto& gf = netlist_.fanins(g);
+        for (std::size_t slot = 0; slot < gf.size(); ++slot) {
+          if (gf[slot] != v) continue;
+          best = std::min(best, scoap_observe_through(netlist_, g, slot,
+                                                      scoap_, co_of(g)));
+        }
+      }
+      new_co[v] = best;
+    }
+    for (const auto& [v, co] : new_co) {
+      if (co != scoap_.co[v]) {
+        overlay.observability_feature[v] = tensors_.encode(3, co);
+      }
+    }
+    int after = 0;
+    for (NodeId v : cone) after += cascade_positive(v, overlay) ? 1 : 0;
+    return before - after;
+  }
+
+ private:
+  static constexpr NodeId kVirtualOp = kInvalidNode;
+
+  struct Overlay {
+    NodeId target = kInvalidNode;
+    std::unordered_map<NodeId, float> observability_feature;
+    std::unordered_map<std::uint64_t, std::vector<float>> memo;
+  };
+
+  std::vector<float> embed(std::size_t stage, NodeId v, int depth,
+                           Overlay& overlay) const {
+    const std::uint64_t key = static_cast<std::uint64_t>(v) |
+                              (static_cast<std::uint64_t>(depth) << 32) |
+                              (static_cast<std::uint64_t>(stage) << 40);
+    if (const auto it = overlay.memo.find(key); it != overlay.memo.end()) {
+      return it->second;
+    }
+    std::vector<float> result;
+    if (depth == 0) {
+      if (v == kVirtualOp) {
+        result = {tensors_.encode(0, 0.0), tensors_.encode(1, 1.0),
+                  tensors_.encode(2, 1.0), tensors_.encode(3, 0.0)};
+      } else {
+        const float* row = tensors_.features.row(v);
+        result.assign(row, row + kNodeFeatureDim);
+        const auto it = overlay.observability_feature.find(v);
+        if (it != overlay.observability_feature.end()) result[3] = it->second;
+      }
+    } else {
+      const GcnModel& model = *stages_[stage];
+      const float wp = model.w_pr();
+      const float ws = model.w_su();
+      std::vector<float> aggregated = embed(stage, v, depth - 1, overlay);
+      if (v == kVirtualOp) {
+        axpy_row(aggregated, wp,
+                 embed(stage, overlay.target, depth - 1, overlay));
+      } else {
+        for (NodeId u : netlist_.fanins(v)) {
+          axpy_row(aggregated, wp, embed(stage, u, depth - 1, overlay));
+        }
+        for (NodeId w : netlist_.fanouts(v)) {
+          axpy_row(aggregated, ws, embed(stage, w, depth - 1, overlay));
+        }
+        if (v == overlay.target) {
+          axpy_row(aggregated, ws,
+                   embed(stage, kVirtualOp, depth - 1, overlay));
+        }
+      }
+      result = apply_linear_row(
+          model.encoders()[static_cast<std::size_t>(depth - 1)], aggregated);
+      relu_row(result);
+    }
+    overlay.memo.emplace(key, result);
+    return result;
+  }
+
+  bool cascade_positive(NodeId v, Overlay& overlay) const {
+    for (std::size_t stage = 0; stage < stages_.size(); ++stage) {
+      const GcnModel& model = *stages_[stage];
+      const std::vector<float> h = fc_head_row(
+          model.fc_layers(), embed(stage, v, model.config().depth, overlay));
+      if (h[1] <= h[0]) return false;
+    }
+    return true;
+  }
+
+  std::vector<const GcnModel*> stages_;
+  const Netlist& netlist_;
+  const GraphTensors& tensors_;
+  const ScoapMeasures& scoap_;
+  const std::vector<std::uint32_t>& levels_;
+};
+
+/// Cascade prediction: 1 where every stage's positive probability >= 0.5.
+std::vector<std::int32_t> cascade_predictions(
+    const std::vector<const GcnModel*>& stages, const GraphTensors& tensors) {
+  std::vector<std::int32_t> positive(tensors.node_count(), 1);
+  for (const GcnModel* stage : stages) {
+    const auto probability = stage->predict_positive_probability(tensors);
+    for (std::size_t v = 0; v < positive.size(); ++v) {
+      if (probability[v] < 0.5f) positive[v] = 0;
+    }
+  }
+  return positive;
+}
 
 TEST(BaselineOpi, ClearsBelowThresholdNodes) {
   Netlist n = generate_circuit(test_design(301));
@@ -157,6 +327,89 @@ TEST_F(GcnOpiTest, ImpactEvaluatorRanksConeCoverage) {
     ++evaluated;
   }
   EXPECT_GT(evaluated, 0);
+}
+
+TEST_F(GcnOpiTest, FlatMemoImpactsMatchRecursiveReference) {
+  Dataset second = make_dataset(generate_circuit(test_design(502)));
+  const std::vector<std::vector<const GcnModel*>> cascades = {
+      {model_}, {model_, second_stage_}};
+  std::size_t evaluated = 0;
+  std::size_t improved = 0;
+  for (const Dataset* design : {dataset_, &second}) {
+    const Netlist& n = design->netlist;
+    std::vector<NodeId> observable;
+    for (NodeId v = 0; v < n.size(); ++v) {
+      if (n.can_observe(v)) observable.push_back(v);
+    }
+    for (const bool standardize : {false, true}) {
+      GraphTensors tensors = design->tensors;
+      if (standardize) tensors.standardize_features();
+      for (const auto& stages : cascades) {
+        const auto predictions = cascade_predictions(stages, tensors);
+        const ImpactEvaluator evaluator(stages, n, tensors, design->scoap,
+                                        design->levels);
+        const ReferenceImpact reference(stages, n, tensors, design->scoap,
+                                        design->levels);
+        for (const std::size_t limit : {1u, 16u, 128u}) {
+          for (const NodeId v : observable) {
+            const int expected = reference.impact_of(v, predictions, limit);
+            ASSERT_EQ(evaluator.impact_of(v, predictions, limit), expected)
+                << "node " << v << " limit " << limit << " stages "
+                << stages.size() << " standardized " << standardize;
+            evaluated += 1;
+            improved += expected > 0 ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  // The cases must exercise real re-predictions, not only empty cones.
+  EXPECT_GT(evaluated, 0u);
+  EXPECT_GT(improved, 100u);
+}
+
+TEST_F(GcnOpiTest, BatchImpactsMatchPerCandidateAtAnyThreadCount) {
+  const Netlist& n = dataset_->netlist;
+  const std::vector<const GcnModel*> stages = {model_, second_stage_};
+  const auto predictions = cascade_predictions(stages, dataset_->tensors);
+  const ImpactEvaluator evaluator(stages, n, dataset_->tensors,
+                                  dataset_->scoap, dataset_->levels);
+  std::vector<NodeId> candidates;
+  for (NodeId v = 0; v < n.size(); ++v) {
+    if (n.can_observe(v)) candidates.push_back(v);
+  }
+  std::vector<int> expected;
+  for (const NodeId v : candidates) {
+    expected.push_back(evaluator.impact_of(v, predictions, 64));
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    set_kernel_threads(threads);
+    EXPECT_EQ(evaluator.impacts(candidates, predictions, 64), expected)
+        << threads << " threads";
+  }
+  set_kernel_threads(0);
+}
+
+TEST_F(GcnOpiTest, FlowInsertsSameOpsAcrossThreadsReorderAndShards) {
+  GcnOpiOptions options;
+  options.max_iterations = 4;
+  const auto sweep = [&](std::size_t threads, GraphReorder reorder,
+                         std::size_t shards) {
+    set_kernel_threads(threads);
+    set_graph_reorder(reorder);
+    options.shards = shards;
+    Netlist working = dataset_->netlist;
+    const auto inserted = run_gcn_opi(working, {model_}, options).inserted;
+    set_kernel_threads(0);
+    reset_graph_reorder();
+    return inserted;
+  };
+  const std::vector<NodeId> reference = sweep(1, GraphReorder::kOff, 0);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(sweep(4, GraphReorder::kOff, 0), reference);
+  EXPECT_EQ(sweep(1, GraphReorder::kRcm, 0), reference);
+  EXPECT_EQ(sweep(4, GraphReorder::kRcm, 0), reference);
+  EXPECT_EQ(sweep(4, GraphReorder::kOff, 2), reference);
 }
 
 TEST_F(GcnOpiTest, IterativeFlowReducesPositivePredictions) {

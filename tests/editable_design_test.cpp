@@ -18,6 +18,7 @@
 #include "gcn/model.h"
 #include "gen/generator.h"
 #include "netlist/netlist.h"
+#include "scoap/scoap.h"
 
 namespace gcnt {
 namespace {
@@ -178,6 +179,42 @@ TEST(EditableDesign, InvalidTargetsAreUsageErrors) {
   design.observe(target);
   expect_usage([&] { design.observe(target); });
   EXPECT_EQ(netlist.size(), static_cast<std::size_t>(n) + 1);
+}
+
+TEST(EditableDesign, ObserveKeepsScoapAndLevelsExact) {
+  // observe() repairs CO with its own cached levels instead of a full
+  // relevelization; both must stay equal to a from-scratch recompute,
+  // across nested cones and across the rebuild a control point forces.
+  Netlist netlist = test_netlist(13);
+  EditableDesign design(netlist, false);
+  const auto expect_exact = [&](const char* when) {
+    EXPECT_EQ(design.scoap().co, compute_scoap(netlist).co) << when;
+    EXPECT_EQ(design.levels(), netlist.logic_levels()) << when;
+  };
+  const auto observe_some = [&](NodeId first, std::size_t count) {
+    std::size_t done = 0;
+    for (NodeId v = first; v < netlist.size() && done < count; v += 29) {
+      if (!netlist.can_observe(v)) continue;
+      design.observe(v);
+      // A second OP inside the cone the first one just improved.
+      for (const NodeId u : netlist.fanin_cone(v, 8)) {
+        if (netlist.can_observe(u)) {
+          design.observe(u);
+          break;
+        }
+      }
+      ++done;
+    }
+  };
+  observe_some(netlist.size() / 3, 20);
+  expect_exact("after observes");
+  NodeId control_target = netlist.size() / 2;
+  while (!netlist.can_control(control_target)) ++control_target;
+  design.control(control_target, true);
+  observe_some(netlist.size() / 4, 5);  // applied by the pending rebuild
+  expect_exact("after a control point");
+  observe_some(netlist.size() / 5, 20);
+  expect_exact("after observes on the rebuilt design");
 }
 
 TEST(EditableDesign, PredictNeedsModels) {
