@@ -76,28 +76,6 @@ BENCHMARK(BM_SpmmAggregation)
     ->ArgsProduct({{10000, 100000}, kThreadSweep})
     ->ArgNames({"gates", "threads"});
 
-/// Cache-blocked SpMM: the column-tile sweep (tile 0 = untiled default).
-/// A wide dense operand makes the tiling effect visible; the result is
-/// bitwise identical at every width (tensor_test pins this).
-void BM_SpmmTiled(benchmark::State& state) {
-  set_kernel_threads(static_cast<std::size_t>(state.range(1)));
-  set_spmm_tile_cols(static_cast<std::size_t>(state.range(0)));
-  const Netlist& netlist = shared_netlist(100000);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  Matrix embedding(tensors.node_count(), 128, 0.5f);
-  Matrix out;
-  for (auto _ : state) {
-    tensors.pred.spmm(embedding, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_spmm_tile_cols(0);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tensors.pred.nnz()));
-}
-BENCHMARK(BM_SpmmTiled)
-    ->ArgsProduct({{0, 16, 32, 64}, {1, 8}})
-    ->ArgNames({"tile", "threads"});
-
 void BM_EncoderGemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   set_kernel_threads(static_cast<std::size_t>(state.range(1)));

@@ -265,16 +265,8 @@ int ImpactEvaluator::impact_of(NodeId target,
       continue;
     }
     if (is_sink(netlist_->type(v))) continue;
-    std::uint32_t best = kScoapInfinity;
-    for (NodeId g : netlist_->fanouts(v)) {
-      const auto& gf = netlist_->fanins(g);
-      for (std::size_t slot = 0; slot < gf.size(); ++slot) {
-        if (gf[slot] != v) continue;
-        best = std::min(
-            best, scoap_observe_through(*netlist_, g, slot, *scoap_, co_of(g)));
-      }
-    }
-    scratch.co.insert(v, best);
+    scratch.co.insert(
+        v, observability_through_fanouts(*netlist_, v, *scoap_, co_of));
   }
 
   int after = 0;

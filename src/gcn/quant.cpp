@@ -242,20 +242,19 @@ void spmm_q8(const CsrMatrix& a, const QuantizedTensor& q, Matrix& out,
     throw std::invalid_argument("spmm_q8: dimension mismatch");
   }
   const std::size_t n = q.cols;
-  // Unlike CsrMatrix::spmm there is no whole-matrix prefill: every
-  // (row, tile) slice is zeroed immediately before its k-loop below, so
-  // the output is initialized while cache-hot instead of in a separate
-  // streaming pass (which the first accumulation would then re-read
-  // from last-level cache). Same values in the same order — zeros then
-  // ascending-k adds — so results are bit-identical to a prefilled walk.
+  // Unlike CsrMatrix::spmm there is no whole-matrix prefill: every row
+  // is zeroed immediately before its k-loop below, so the output is
+  // initialized while cache-hot instead of in a separate streaming pass
+  // (which the first accumulation would then re-read from last-level
+  // cache). Same values in the same order — zeros then ascending-k adds —
+  // so results are bit-identical to a prefilled walk.
   out.resize_for_overwrite(a.rows(), n);
-  // Mirrors CsrMatrix::spmm's row-block x column-tile walk with the
-  // dense operand streamed as u8 codes through the dequantizing axpy —
-  // same ascending-k per-element order, so the bitwise guarantees across
-  // thread counts and tile widths carry over. The per-nonzero zero-point
-  // shift folds into the axpy (each lane computes (code - zp) before the
-  // fma), so no row-sum correction pass is needed.
-  const std::size_t tile = std::min(spmm_tile_cols(), n);
+  // Mirrors CsrMatrix::spmm's row-block walk with the dense operand
+  // streamed as u8 codes through the dequantizing axpy — same ascending-k
+  // per-element order, so the bitwise guarantee across thread counts
+  // carries over. The per-nonzero zero-point shift folds into the axpy
+  // (each lane computes (code - zp) before the fma), so no row-sum
+  // correction pass is needed.
   const SimdOps& ops = simd_ops();
   const std::uint32_t* row_ptr = a.row_ptr().data();
   const std::uint32_t* col_index = a.col_index().data();
@@ -265,29 +264,23 @@ void spmm_q8(const CsrMatrix& a, const QuantizedTensor& q, Matrix& out,
   parallel_blocks(
       a.rows(), kMinParallelRows,
       [&](std::size_t row_begin, std::size_t row_end) {
-        for (std::size_t j0 = 0; j0 < n; j0 += tile) {
-          const std::size_t j1 = std::min(n, j0 + tile);
-          const std::uint32_t k_end = row_ptr[row_end];
-          for (std::size_t r = row_begin; r < row_end; ++r) {
-            float* orow = out.row(r);
-            std::memset(orow + j0, 0, (j1 - j0) * sizeof(float));
-            for (std::uint32_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-              const std::uint32_t col = col_index[k];
-              GCNT_DEBUG_ASSERT(col < a.cols(),
-                                "spmm_q8: column index out of range");
-              // Gathered code rows are a cache line or two and land on
-              // cold lines (neighbor ids are scattered), so start the
-              // next gather before draining this one.
-              if (k + 1 < k_end) {
-                __builtin_prefetch(q.row(col_index[k + 1]) + j0);
-              }
-              // The gathered row's scale folds into the axpy coefficient
-              // and its zero point shifts per lane, so per-row
-              // quantization costs two scalar loads per nonzero.
-              const float av = alpha * values[k] * scales[col];
-              ops.axpy_dq8(orow + j0, q.row(col) + j0, av, zps[col],
-                           j1 - j0);
-            }
+        const std::uint32_t k_end = row_ptr[row_end];
+        for (std::size_t r = row_begin; r < row_end; ++r) {
+          float* orow = out.row(r);
+          std::memset(orow, 0, n * sizeof(float));
+          for (std::uint32_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+            const std::uint32_t col = col_index[k];
+            GCNT_DEBUG_ASSERT(col < a.cols(),
+                              "spmm_q8: column index out of range");
+            // Gathered code rows are a cache line or two and land on
+            // cold lines (neighbor ids are scattered), so start the next
+            // gather before draining this one.
+            if (k + 1 < k_end) __builtin_prefetch(q.row(col_index[k + 1]));
+            // The gathered row's scale folds into the axpy coefficient
+            // and its zero point shifts per lane, so per-row quantization
+            // costs two scalar loads per nonzero.
+            const float av = alpha * values[k] * scales[col];
+            ops.axpy_dq8(orow, q.row(col), av, zps[col], n);
           }
         }
       });

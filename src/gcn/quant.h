@@ -29,8 +29,7 @@
 // is per-element or integer-associative — the Eq. 1 aggregation combine
 // goes through axpy_exact (one std::fmaf per element on every path)
 // rather than the target-dependent fp32 axpy — so int8 results are
-// bitwise deterministic across thread counts, SpMM tile widths, AND
-// dispatch targets.
+// bitwise deterministic across thread counts AND dispatch targets.
 //
 // Accuracy is gated, not assumed: bench/quant_agreement.cpp pins
 // classification agreement vs fp32 at >= 99% on the Table 2 suite, and
@@ -142,9 +141,9 @@ void quantized_linear_forward(const QuantizedTensor& x,
 /// Int8 SpMM with fp32 accumulation: out = alpha * a * dequant(q). The
 /// dense operand streams as u8 codes (4x less gather traffic than fp32 —
 /// this is where the int8 SpMM speedup comes from; SpMM is bandwidth
-/// bound on the gathered rows). Same row-block / column-tile walk and
-/// ascending-k per-element order as CsrMatrix::spmm, so the bitwise
-/// guarantees across threads and tile widths carry over.
+/// bound on the gathered rows). Same row-block walk and ascending-k
+/// per-element order as CsrMatrix::spmm, so the bitwise guarantee across
+/// thread counts carries over.
 void spmm_q8(const CsrMatrix& a, const QuantizedTensor& q, Matrix& out,
              float alpha = 1.0f);
 

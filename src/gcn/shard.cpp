@@ -169,17 +169,6 @@ void ShardedGcnEngine::rebuild_all(const GraphTensors& tensors) {
   PartitionOptions popts;
   popts.shards = options_.shards;
   popts.halo = options_.halo;
-  popts.strategy = options_.strategy;
-  // kByKey orders compute rows by the (transformed) logic-level feature,
-  // so each shard holds a band of topological depth.
-  std::vector<float> key;
-  if (options_.strategy == PartitionStrategy::kByKey) {
-    key.resize(tensors.node_count());
-    for (std::uint32_t row = 0; row < key.size(); ++row) {
-      key[row] = tensors.features.at(tensors.node_of(row), 0);
-    }
-    popts.order_key = &key;
-  }
   partition_ = GraphPartition::build(tensors.pred, tensors.succ, popts);
   has_partition_ = true;
   locals_.resize(partition_.shard_count());

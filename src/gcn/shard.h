@@ -103,7 +103,6 @@ struct ShardedGcnOptions {
   /// round. Deeper halos trade larger shard working sets for fewer halo
   /// exchanges. Independent of the model depth (rounds repeat).
   int halo = 1;
-  PartitionStrategy strategy = PartitionStrategy::kContiguous;
   /// Non-empty: spill off-shard blocks to artifact files under this
   /// directory instead of keeping them in memory (true out-of-core mode).
   std::string spill_dir;

@@ -17,10 +17,12 @@
 // j-1, so the round needs exactly one gather of the halo embeddings —
 // the "halo exchange" — per m layers.
 //
-// Partitioning is purely structural (CsrMatrix forms only), so the
-// library sits below gcn/: callers operating on GraphTensors pass the
-// pred/succ compute forms and, for the key-ordered strategy, a per-row
-// ordering key (e.g. logic level, which groups topological cones).
+// Owners are contiguous compute-row ranges of balanced size: shard k of
+// K owns rows [n*k/K, n*(k+1)/K). Under GCNT_REORDER=rcm the compute
+// order is already bandwidth-minimized, so contiguous ranges are locality
+// (cone) clusters with thin halos. Partitioning is purely structural
+// (CsrMatrix forms only), so the library sits below gcn/: callers
+// operating on GraphTensors pass the pred/succ compute forms.
 
 #include <cstddef>
 #include <cstdint>
@@ -30,24 +32,10 @@
 
 namespace gcnt {
 
-enum class PartitionStrategy : int {
-  /// Owners are contiguous compute-row ranges of balanced size. Under
-  /// GCNT_REORDER=rcm the compute order is already bandwidth-minimized,
-  /// so contiguous ranges are locality (cone) clusters with thin halos.
-  kContiguous = 0,
-  /// Rows are ordered by an external key (ascending, ties by row id) and
-  /// the *sorted* order is chunked — e.g. keyed by logic level, so each
-  /// shard holds a band of topological depth.
-  kByKey = 1,
-};
-
 struct PartitionOptions {
   std::size_t shards = 1;
   /// Halo depth D >= 1: hop radius of the boundary closure.
   int halo = 1;
-  PartitionStrategy strategy = PartitionStrategy::kContiguous;
-  /// Row-indexed ordering key for kByKey (must outlive build()).
-  const std::vector<float>* order_key = nullptr;
 };
 
 /// Halo rows a shard receives from one producer shard: `rows` is the
@@ -89,7 +77,6 @@ class GraphPartition {
   std::size_t shard_count() const noexcept { return shards_.size(); }
   std::size_t row_count() const noexcept { return owner_of_.size(); }
   int halo_depth() const noexcept { return halo_; }
-  PartitionStrategy strategy() const noexcept { return strategy_; }
 
   const Shard& shard(std::size_t k) const { return shards_.at(k); }
   std::uint32_t owner_of(std::uint32_t row) const { return owner_of_.at(row); }
@@ -124,7 +111,6 @@ class GraphPartition {
   std::vector<Shard> shards_;
   std::vector<std::uint32_t> owner_of_;
   int halo_ = 1;
-  PartitionStrategy strategy_ = PartitionStrategy::kContiguous;
 };
 
 }  // namespace gcnt

@@ -168,22 +168,15 @@ void compute_controllability(const Netlist& netlist, ScoapMeasures& measures) {
 void compute_observability(const Netlist& netlist, ScoapMeasures& measures) {
   const auto order = netlist.topological_order();
   measures.co.assign(netlist.size(), kScoapInfinity);
+  const auto co_of = [&](NodeId g) { return measures.co[g]; };
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId v = *it;
     if (is_sink(netlist.type(v))) {
       measures.co[v] = 0;  // value lands in a scan cell / on a pin
       continue;
     }
-    std::uint32_t best = kScoapInfinity;
-    for (NodeId g : netlist.fanouts(v)) {
-      const auto& gf = netlist.fanins(g);
-      for (std::size_t slot = 0; slot < gf.size(); ++slot) {
-        if (gf[slot] != v) continue;
-        best = std::min(best, scoap_observe_through(netlist, g, slot,
-                                                    measures, measures.co[g]));
-      }
-    }
-    measures.co[v] = best;
+    measures.co[v] = observability_through_fanouts(netlist, v, measures,
+                                                   co_of);
   }
 }
 
@@ -221,18 +214,11 @@ void update_observability_after_observe(
   std::sort(cone.begin(), cone.end(), [&](NodeId a, NodeId b) {
     return levels[a] > levels[b];
   });
+  const auto co_of = [&](NodeId g) { return measures.co[g]; };
   for (NodeId v : cone) {
     if (is_sink(netlist.type(v))) continue;
-    std::uint32_t best = kScoapInfinity;
-    for (NodeId g : netlist.fanouts(v)) {
-      const auto& gf = netlist.fanins(g);
-      for (std::size_t slot = 0; slot < gf.size(); ++slot) {
-        if (gf[slot] != v) continue;
-        best = std::min(best, scoap_observe_through(netlist, g, slot,
-                                                    measures, measures.co[g]));
-      }
-    }
-    measures.co[v] = best;
+    measures.co[v] = observability_through_fanouts(netlist, v, measures,
+                                                   co_of);
   }
 }
 

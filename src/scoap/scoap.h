@@ -9,6 +9,8 @@
 //
 // Values use saturating arithmetic so deep circuits cannot overflow.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -74,5 +76,27 @@ std::uint32_t scoap_observe_through(const Netlist& netlist, NodeId g,
                                     std::size_t slot,
                                     const ScoapMeasures& measures,
                                     std::uint32_t gate_co);
+
+/// The SCOAP observability rule for a non-sink node v: the minimum, over
+/// every (fanout g, fanin slot of g that v drives), of
+/// scoap_observe_through with g's output CO read through `co_of(g)`.
+/// Full computation, incremental repair and tentative overlays differ
+/// only in where a fanout's CO comes from; sinks (CO 0) are left to the
+/// caller.
+template <typename CoOf>
+std::uint32_t observability_through_fanouts(const Netlist& netlist, NodeId v,
+                                            const ScoapMeasures& measures,
+                                            const CoOf& co_of) {
+  std::uint32_t best = kScoapInfinity;
+  for (NodeId g : netlist.fanouts(v)) {
+    const auto& gf = netlist.fanins(g);
+    for (std::size_t slot = 0; slot < gf.size(); ++slot) {
+      if (gf[slot] != v) continue;
+      best = std::min(
+          best, scoap_observe_through(netlist, g, slot, measures, co_of(g)));
+    }
+  }
+  return best;
+}
 
 }  // namespace gcnt

@@ -61,6 +61,9 @@ float Matrix::dot(const Matrix& other) const {
 void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
           bool transpose_b, float alpha, float beta) {
   GCNT_KERNEL_SCOPE("gemm");
+  if (transpose_a && transpose_b) {
+    throw std::invalid_argument("gemm: double transpose is not supported");
+  }
   const std::size_t m = transpose_a ? a.cols() : a.rows();
   const std::size_t k = transpose_a ? a.rows() : a.cols();
   const std::size_t kb = transpose_b ? b.cols() : b.rows();
@@ -78,12 +81,12 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
 
   // Loop orders chosen so the innermost loop is always contiguous in the
   // matrix being streamed. The no-transpose-a variants partition output
-  // rows across the kernel pool, the transpose-a-only variant output
-  // tiles, the double transpose output columns; either way each output
-  // element is accumulated by one block in fixed ascending-p order (the
-  // uniform fp32 policy documented in matrix.h), so results are bitwise
-  // identical for any thread count (see common/parallel.h). The
-  // contiguous inner loops run on the dispatched SIMD microkernels.
+  // rows across the kernel pool, the transpose-a variant output tiles;
+  // either way each output element is accumulated by one block in fixed
+  // ascending-p order (the uniform fp32 policy documented in matrix.h), so
+  // results are bitwise identical for any thread count (see
+  // common/parallel.h). The contiguous inner loops run on the dispatched
+  // SIMD microkernels.
   const SimdOps& ops = simd_ops();
   if (!transpose_a && !transpose_b) {
     parallel_blocks(m, kMinParallelDim, [&](std::size_t i0, std::size_t i1) {
@@ -120,7 +123,7 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
         }
       }
     });
-  } else if (!transpose_a && transpose_b) {
+  } else {
     // Input gradient (b is n x k): each output element is one dot() of
     // an a row and a b row; dot_rows computes a chunk of them per call.
     parallel_blocks(m, kMinParallelDim, [&](std::size_t i0, std::size_t i1) {
@@ -133,22 +136,6 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
           ops.dot_rows(dots, arow, b.row(j0), k, k, cols);
           for (std::size_t j = 0; j < cols; ++j) {
             orow[j0 + j] += alpha * dots[j];
-          }
-        }
-      }
-    });
-  } else {
-    // Double-transpose streams b with stride k — no contiguous run for a
-    // microkernel, so this stays a scalar loop (same ascending-p policy).
-    parallel_blocks(n, kMinParallelDim, [&](std::size_t j0, std::size_t j1) {
-      for (std::size_t p = 0; p < k; ++p) {
-        const float* arow = a.row(p);  // a is k x m
-        for (std::size_t i = 0; i < m; ++i) {
-          const float av = alpha * arow[i];
-          if (av == 0.0f) continue;
-          float* orow = out.row(i);
-          for (std::size_t j = j0; j < j1; ++j) {
-            orow[j] += av * b.at(j, p);  // b is n x k
           }
         }
       }
@@ -188,12 +175,6 @@ void gemm_bias_act(const Matrix& a, const Matrix& b, const Matrix& bias,
       }
     }
   });
-}
-
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  gemm(a, b, out, false, false);
-  return out;
 }
 
 }  // namespace gcnt

@@ -97,10 +97,12 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// out = alpha * op(a) * op(b) + beta * out, with op = optional transpose.
-/// `out` is resized to the result shape when beta == 0.
+/// out = alpha * op(a) * op(b) + beta * out, with op = optional transpose
+/// of at most one operand (a double transpose throws
+/// std::invalid_argument, like the shape errors). `out` is resized to the
+/// result shape when beta == 0.
 ///
-/// Accumulation policy (uniform across all four transpose variants):
+/// Accumulation policy (uniform across all three transpose variants):
 /// every output element accumulates its k products in float32, in fixed
 /// ascending-p order, through the runtime-dispatched SIMD microkernels
 /// (tensor/simd/simd.h). The row-update variants fold alpha into the
@@ -129,8 +131,5 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
 /// to gemm + bias add + Relu::forward.
 void gemm_bias_act(const Matrix& a, const Matrix& b, const Matrix& bias,
                    Matrix& out, bool relu);
-
-/// Convenience: a * b.
-Matrix matmul(const Matrix& a, const Matrix& b);
 
 }  // namespace gcnt

@@ -7,7 +7,7 @@
 // Lane discipline: the elementwise ops (axpy, gemm_tn, bias epilogues,
 // relu, scale) map vector lanes one-to-one onto output elements — lane i
 // only ever reads/writes element i — so they are bitwise deterministic
-// for any thread count or tile width, and differ from the scalar target
+// for any thread count, and differ from the scalar target
 // only by FMA's single rounding. dot()/dot_rows() are the one
 // reassociating kernel: four 8-lane accumulators reduced in a fixed tree
 // (lane_dot.h, shared with avx512), documented as tolerance-only across
@@ -27,9 +27,8 @@
 
 namespace gcnt {
 // Scalar tails use std::fmaf so an element gets the same single-rounded
-// contraction whether a tile/loop boundary lands it in a vector lane or
-// in the tail — this is what keeps SpMM bitwise identical across column
-// tile widths on this target.
+// contraction whether a loop boundary lands it in a vector lane or in
+// the tail.
 namespace {
 
 void avx2_axpy(float* y, const float* x, float a, std::size_t n) {

@@ -9,7 +9,7 @@
 // per-element operation as the vector body — no scalar tail loop at all.
 // Because a masked lane performs the identical fmadd/add/max/mul the
 // body lane would, results are independent of where a loop or tile
-// boundary falls, preserving the bitwise-across-threads/tiles guarantee.
+// boundary falls, preserving the bitwise-across-threads guarantee.
 //
 // Cross-target behavior: this target is bitwise identical to AVX2 for
 // every fp32 kernel — the elementwise ops and gemm_tn perform the same

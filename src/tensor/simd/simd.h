@@ -33,7 +33,7 @@
 //
 // Determinism contract (see docs/API.md "SIMD backend"):
 //   * For a FIXED target, every kernel built on these ops is bitwise
-//     deterministic across thread counts, SpMM tile widths, and runs —
+//     deterministic across thread counts and runs —
 //     vector lanes map one-to-one onto output elements for the
 //     elementwise ops (axpy, gemm_tn, bias/ReLU epilogues, scale), so no
 //     floating-point reassociation happens there at all.

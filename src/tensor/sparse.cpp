@@ -1,9 +1,5 @@
 #include "tensor/sparse.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -21,20 +17,6 @@ namespace {
 // the work runs inline on the calling thread.
 constexpr std::size_t kMinParallelRows = 128;
 constexpr std::size_t kMinParallelNnz = 1 << 15;
-
-// 0 = no programmatic override (fall back to GCNT_SPMM_TILE / untiled).
-std::atomic<std::size_t> tile_override{0};
-
-std::size_t env_tile_cols() {
-  static const std::size_t cached = [] {
-    const char* env = std::getenv("GCNT_SPMM_TILE");
-    if (env == nullptr) return std::numeric_limits<std::size_t>::max();
-    const long parsed = std::strtol(env, nullptr, 10);
-    return parsed > 0 ? static_cast<std::size_t>(parsed)
-                      : std::numeric_limits<std::size_t>::max();
-  }();
-  return cached;
-}
 
 /// Parallel occurrence count: counts[i + 1] = #occurrences of i in `index`.
 /// Per-block histograms reduced in fixed block order keep the result (and
@@ -86,15 +68,6 @@ std::uint32_t checked_index32(std::size_t value, const char* what) {
 }
 
 }  // namespace
-
-std::size_t spmm_tile_cols() {
-  const std::size_t configured = tile_override.load(std::memory_order_relaxed);
-  return configured != 0 ? configured : env_tile_cols();
-}
-
-void set_spmm_tile_cols(std::size_t n) {
-  tile_override.store(n, std::memory_order_relaxed);
-}
 
 void CooMatrix::add_checked(std::uint32_t r, std::uint32_t c, float value) {
   if (r >= rows || c >= cols) {
@@ -190,31 +163,16 @@ void CsrMatrix::spmm(const Matrix& dense, Matrix& out, float alpha,
     }
     out.scale(beta);
   }
-  // Row-blocked across the kernel pool, column-tiled within each block:
-  // each output row is produced by exactly one block, and each output
-  // element accumulates its nonzeros in fixed ascending-k order, so the
-  // result is bitwise identical for any thread count *and* any tile
-  // width. A tile bounds the slice of every gathered dense row touched
-  // per pass, keeping the high-reuse rows resident in cache when the
-  // dense operand is wide.
-  const std::size_t tile = std::min(spmm_tile_cols(), n);
+  // Row-blocked across the kernel pool: each output row is produced by
+  // exactly one block, so the result is bitwise identical for any thread
+  // count.
   const SimdOps& ops = simd_ops();
-  parallel_blocks(
-      rows_, kMinParallelRows,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        for (std::size_t j0 = 0; j0 < n; j0 += tile) {
-          const std::size_t j1 = std::min(n, j0 + tile);
-          for (std::size_t r = row_begin; r < row_end; ++r) {
-            float* orow = out.row(r);
-            for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-              GCNT_DEBUG_ASSERT(col_index_[k] < cols_,
-                                "spmm: column index out of range");
-              const float av = alpha * values_[k];
-              ops.axpy(orow + j0, dense.row(col_index_[k]) + j0, av, j1 - j0);
-            }
-          }
-        }
-      });
+  parallel_blocks(rows_, kMinParallelRows,
+                  [&](std::size_t begin, std::size_t end) {
+                    for (std::size_t r = begin; r < end; ++r) {
+                      accumulate_row(r, dense, alpha, ops, out.row(r));
+                    }
+                  });
 }
 
 void CsrMatrix::spmm_rows(const std::vector<std::uint32_t>& row_ids,
@@ -229,26 +187,27 @@ void CsrMatrix::spmm_rows(const std::vector<std::uint32_t>& row_ids,
       throw std::out_of_range("spmm_rows: row id out of range");
     }
   }
-  const std::size_t n = dense.cols();
-  out.resize(row_ids.size(), n, 0.0f);
-  // Same ascending-k per-element order as spmm(), so compact row i is
-  // bit-identical to full-output row row_ids[i] for any thread count.
+  out.resize(row_ids.size(), dense.cols(), 0.0f);
+  // The same row kernel as spmm(), so compact row i is bit-identical to
+  // full-output row row_ids[i] for any thread count.
   const SimdOps& ops = simd_ops();
   parallel_blocks(row_ids.size(), kMinParallelRows,
                   [&](std::size_t begin, std::size_t end) {
                     for (std::size_t i = begin; i < end; ++i) {
-                      const std::uint32_t r = row_ids[i];
-                      float* orow = out.row(i);
-                      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1];
-                           ++k) {
-                        GCNT_DEBUG_ASSERT(col_index_[k] < cols_,
-                                          "spmm_rows: column index out of "
-                                          "range");
-                        const float av = alpha * values_[k];
-                        ops.axpy(orow, dense.row(col_index_[k]), av, n);
-                      }
+                      accumulate_row(row_ids[i], dense, alpha, ops,
+                                     out.row(i));
                     }
                   });
+}
+
+void CsrMatrix::accumulate_row(std::size_t r, const Matrix& dense,
+                               float alpha, const SimdOps& ops,
+                               float* orow) const {
+  const std::size_t n = dense.cols();
+  for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+    GCNT_DEBUG_ASSERT(col_index_[k] < cols_, "spmm: column index out of range");
+    ops.axpy(orow, dense.row(col_index_[k]), alpha * values_[k], n);
+  }
 }
 
 CsrMatrix CsrMatrix::from_parts(std::size_t rows, std::size_t cols,

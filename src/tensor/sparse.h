@@ -15,6 +15,8 @@
 
 namespace gcnt {
 
+struct SimdOps;
+
 /// Coordinate-format sparse matrix; supports O(1) appends.
 struct CooMatrix {
   std::size_t rows = 0;
@@ -90,14 +92,9 @@ class CsrMatrix {
   const std::vector<float>& values() const noexcept { return values_; }
 
   /// out = this * dense (+ beta * out). dense.rows() must equal cols().
-  ///
-  /// Cache blocking: the dense operand is processed in column tiles of
-  /// spmm_tile_cols() (row blocks come from the kernel-pool BlockPlan), so
-  /// each sparse row's gathered dense rows touch at most one tile-width
-  /// slice at a time. Every output element still accumulates its nonzeros
-  /// in ascending-k order, so the result is bitwise identical for any tile
-  /// width and any thread count — one tile reproduces the untiled kernel
-  /// exactly.
+  /// Rows are split into kernel-pool blocks; every output element
+  /// accumulates its nonzeros in ascending-k order, so the result is
+  /// bitwise identical for any thread count.
   void spmm(const Matrix& dense, Matrix& out, float alpha = 1.0f,
             float beta = 0.0f) const;
 
@@ -114,20 +111,16 @@ class CsrMatrix {
   CsrMatrix transpose() const;
 
  private:
+  /// orow += alpha * this.row(r) * dense, nonzeros in ascending-k order:
+  /// the one row kernel behind spmm() and spmm_rows().
+  void accumulate_row(std::size_t r, const Matrix& dense, float alpha,
+                      const SimdOps& ops, float* orow) const;
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::uint32_t> row_ptr_;
   std::vector<std::uint32_t> col_index_;
   std::vector<float> values_;
 };
-
-/// Resolved dense-column tile width for CsrMatrix::spmm (always >= 1).
-/// Resolution order: set_spmm_tile_cols override > GCNT_SPMM_TILE
-/// environment (read once) > untiled default (SIZE_MAX, i.e. one tile).
-std::size_t spmm_tile_cols();
-
-/// Overrides the SpMM column tile width (0 reverts to GCNT_SPMM_TILE /
-/// the untiled default). Tiling never changes results — only locality.
-void set_spmm_tile_cols(std::size_t n);
 
 }  // namespace gcnt

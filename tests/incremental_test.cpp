@@ -1,14 +1,13 @@
 // Incremental dirty-cone inference (gcn/incremental.h): the equivalence
 // suite pinning the bit-identity claim — incremental logits must equal a
 // full GcnModel::infer after 1, 8, and 64 OP insertions, across thread
-// counts and SpMM tile widths — plus DirtyConeTracker unit tests and the
+// counts — plus DirtyConeTracker unit tests and the
 // OPI/CPI end-to-end incremental-vs-full comparison.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/parallel.h"
@@ -156,43 +155,36 @@ TEST(Incremental, RefreshMatchesInferBitwise) {
             model.predict_positive_probability(tensors));
 }
 
-/// The core equivalence matrix from the issue: incremental logits ==
-/// full-infer logits after 1, 8, and 64 OP insertions, for GCNT_THREADS in
-/// {1, 8} and SpMM tile widths {one tile, many tiles}.
-TEST(Incremental, UpdateMatchesFullInferAcrossThreadsAndTiles) {
+/// The core equivalence matrix: incremental logits == full-infer logits
+/// after 1, 8, and 64 OP insertions, for GCNT_THREADS in {1, 8}.
+TEST(Incremental, UpdateMatchesFullInferAcrossThreads) {
   for (const std::size_t insertions : {1u, 8u, 64u}) {
     for (const int threads : {1, 8}) {
-      for (const std::size_t tile :
-           {std::numeric_limits<std::size_t>::max(), std::size_t{3}}) {
-        set_kernel_threads(threads);
-        set_spmm_tile_cols(tile);
+      set_kernel_threads(threads);
 
-        Netlist netlist = test_netlist(31);
-        ScoapMeasures scoap = compute_scoap(netlist);
-        std::vector<std::uint32_t> levels = netlist.logic_levels();
-        GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
-        const GcnModel model(small_config());
-        // Fallback disabled: force the incremental path even at 64
-        // insertions so the subset kernels themselves are what is tested.
-        IncrementalGcnEngine engine(model, IncrementalGcnOptions{2.0});
-        engine.refresh(tensors);
+      Netlist netlist = test_netlist(31);
+      ScoapMeasures scoap = compute_scoap(netlist);
+      std::vector<std::uint32_t> levels = netlist.logic_levels();
+      GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
+      const GcnModel model(small_config());
+      // Fallback disabled: force the incremental path even at 64
+      // insertions so the subset kernels themselves are what is tested.
+      IncrementalGcnEngine engine(model, IncrementalGcnOptions{2.0});
+      engine.refresh(tensors);
 
-        DirtyConeTracker tracker;
-        const auto targets = op_targets(netlist, insertions);
-        ASSERT_EQ(targets.size(), insertions);
-        insert_ops(netlist, tensors, scoap, levels, targets, tracker);
+      DirtyConeTracker tracker;
+      const auto targets = op_targets(netlist, insertions);
+      ASSERT_EQ(targets.size(), insertions);
+      insert_ops(netlist, tensors, scoap, levels, targets, tracker);
 
-        const auto dirty = tracker.affected(tensors, model.config().depth);
-        engine.update(tensors, dirty);
-        EXPECT_FALSE(engine.last_was_full());
-        EXPECT_EQ(engine.last_dirty_rows(), dirty.size());
-        EXPECT_EQ(engine.logits(), model.infer(tensors))
-            << "insertions=" << insertions << " threads=" << threads
-            << " tile=" << tile;
+      const auto dirty = tracker.affected(tensors, model.config().depth);
+      engine.update(tensors, dirty);
+      EXPECT_FALSE(engine.last_was_full());
+      EXPECT_EQ(engine.last_dirty_rows(), dirty.size());
+      EXPECT_EQ(engine.logits(), model.infer(tensors))
+          << "insertions=" << insertions << " threads=" << threads;
 
-        set_kernel_threads(0);
-        set_spmm_tile_cols(0);
-      }
+      set_kernel_threads(0);
     }
   }
 }

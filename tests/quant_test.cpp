@@ -1,7 +1,7 @@
 // Int8 quantized inference tier (gcn/quant.h): calibration and round-trip
 // bounds, the integer GEMM/SpMM kernels against naive references, the
-// model-level bitwise determinism contract across threads / tiles /
-// dispatch targets, artifact v2 round-trips, the fp32 fallback rules of
+// model-level bitwise determinism contract across threads and dispatch
+// targets, artifact v2 round-trips, the fp32 fallback rules of
 // the incremental and sharded engines, and the ForwardWorkspace reuse
 // regression across graph-dimension changes.
 
@@ -36,7 +36,6 @@ class QuantTest : public ::testing::Test {
   void TearDown() override {
     reset_simd_target();
     set_kernel_threads(0);
-    set_spmm_tile_cols(0);
   }
 };
 
@@ -196,20 +195,17 @@ TEST_F(QuantTest, SpmmQ8MatchesDequantizedSpmmAndIsInvariant) {
                 1e-4f * (1.0f + std::fabs(reference.data()[i])));
   }
 
-  // Bitwise invariance across thread counts and tile widths.
-  for (const std::size_t tile : {std::size_t{8}, std::size_t{64}}) {
-    for (const int threads : {1, 8}) {
-      set_spmm_tile_cols(tile);
-      set_kernel_threads(threads);
-      Matrix rerun;
-      spmm_q8(tensors.pred, q, rerun);
-      EXPECT_EQ(out, rerun) << "tile " << tile << " threads " << threads;
-    }
+  // Bitwise invariance across thread counts.
+  for (const int threads : {1, 8}) {
+    set_kernel_threads(threads);
+    Matrix rerun;
+    spmm_q8(tensors.pred, q, rerun);
+    EXPECT_EQ(out, rerun) << "threads " << threads;
   }
 }
 
 // The tier's headline contract: int8 logits are bitwise identical across
-// thread counts, SpMM tile widths, AND dispatch targets (fp32 is only
+// thread counts AND dispatch targets (fp32 is only
 // per-target deterministic — FMA contraction differs across targets).
 TEST_F(QuantTest, ModelInt8BitwiseAcrossThreadsTilesAndTargets) {
   const GraphTensors tensors = generated_tensors(800, 0xB2);
@@ -224,14 +220,10 @@ TEST_F(QuantTest, ModelInt8BitwiseAcrossThreadsTilesAndTargets) {
     if (!simd_target_available(target)) continue;
     ASSERT_TRUE(set_simd_target(target));
     for (const int threads : {1, 8}) {
-      for (const std::size_t tile : {std::size_t{0}, std::size_t{16}}) {
-        set_kernel_threads(threads);
-        set_spmm_tile_cols(tile);
-        const Matrix logits = model.infer(tensors);
-        EXPECT_EQ(reference, logits)
-            << simd_target_name() << " threads " << threads << " tile "
-            << tile;
-      }
+      set_kernel_threads(threads);
+      const Matrix logits = model.infer(tensors);
+      EXPECT_EQ(reference, logits)
+          << simd_target_name() << " threads " << threads;
     }
   }
 }

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -101,42 +102,69 @@ ErrorKind kind_of(const std::function<void()>& fn) {
 // GraphPartition invariants
 
 TEST(GraphPartition, DisjointCoverWithExactHalo) {
-  const Netlist netlist = test_netlist(21, 600);
-  const GraphTensors tensors = build_graph_tensors(netlist);
   for (const int halo : {1, 2}) {
+    Netlist netlist = test_netlist(21, 600);
+    GraphTensors tensors = build_graph_tensors(netlist);
+    ScoapMeasures scoap = compute_scoap(netlist);
+    std::vector<std::uint32_t> levels = netlist.logic_levels();
+    const std::size_t built_rows = tensors.node_count();
     PartitionOptions options;
     options.shards = 4;
     options.halo = halo;
-    const GraphPartition partition =
+    GraphPartition partition =
         GraphPartition::build(tensors.pred, tensors.succ, options);
     ASSERT_EQ(partition.shard_count(), 4u);
-    ASSERT_EQ(partition.row_count(), tensors.node_count());
-    // validate() checks the disjoint exhaustive cover, the exact D-hop
-    // BFS closure (list and distances), and the recv regrouping.
-    partition.validate(tensors.pred, tensors.succ);
 
-    std::size_t owned = 0;
-    for (std::size_t k = 0; k < partition.shard_count(); ++k) {
-      const Shard& shard = partition.shard(k);
-      owned += shard.owners.size();
-      // Every fanin/fanout of an owner that is not owned here must be in
-      // the halo (the D >= 1 closure property the compute rounds rely on).
-      for (const std::uint32_t row : shard.owners) {
-        const auto check_neighbors = [&](const CsrMatrix& adjacency) {
-          const auto& ptr = adjacency.row_ptr();
-          const auto& cols = adjacency.col_index();
-          for (std::uint32_t e = ptr[row]; e < ptr[row + 1]; ++e) {
-            if (partition.owner_of(cols[e]) != k) {
-              EXPECT_TRUE(std::binary_search(shard.halo.begin(),
-                                             shard.halo.end(), cols[e]));
+    const auto check = [&] {
+      ASSERT_EQ(partition.row_count(), tensors.node_count());
+      // validate() checks the disjoint exhaustive cover, the exact D-hop
+      // BFS closure (list and distances), and the recv regrouping.
+      partition.validate(tensors.pred, tensors.succ);
+
+      const std::size_t shards = partition.shard_count();
+      std::size_t owned = 0;
+      for (std::size_t k = 0; k < shards; ++k) {
+        const Shard& shard = partition.shard(k);
+        owned += shard.owners.size();
+        // Shard k owns exactly the contiguous build-time range
+        // [n*k/K, n*(k+1)/K); extend() only appends rows past n.
+        std::vector<std::uint32_t> built_owners;
+        for (const std::uint32_t row : shard.owners) {
+          if (row < built_rows) built_owners.push_back(row);
+        }
+        std::vector<std::uint32_t> range(built_rows * (k + 1) / shards -
+                                         built_rows * k / shards);
+        std::iota(range.begin(), range.end(),
+                  static_cast<std::uint32_t>(built_rows * k / shards));
+        EXPECT_EQ(built_owners, range) << "shard " << k;
+        // Every fanin/fanout of an owner that is not owned here must be
+        // in the halo (the D >= 1 closure property the compute rounds
+        // rely on).
+        for (const std::uint32_t row : shard.owners) {
+          const auto check_neighbors = [&](const CsrMatrix& adjacency) {
+            const auto& ptr = adjacency.row_ptr();
+            const auto& cols = adjacency.col_index();
+            for (std::uint32_t e = ptr[row]; e < ptr[row + 1]; ++e) {
+              if (partition.owner_of(cols[e]) != k) {
+                EXPECT_TRUE(std::binary_search(shard.halo.begin(),
+                                               shard.halo.end(), cols[e]));
+              }
             }
-          }
-        };
-        check_neighbors(tensors.pred);
-        check_neighbors(tensors.succ);
+          };
+          check_neighbors(tensors.pred);
+          check_neighbors(tensors.succ);
+        }
       }
-    }
-    EXPECT_EQ(owned, tensors.node_count());
+      EXPECT_EQ(owned, tensors.node_count());
+    };
+    check();
+
+    DirtyConeTracker tracker;
+    insert_ops(netlist, tensors, scoap, levels, op_targets(netlist, 12),
+               tracker);
+    partition.extend(tensors.pred, tensors.succ);
+    ASSERT_GT(tensors.node_count(), built_rows);
+    check();
   }
 }
 
@@ -187,36 +215,6 @@ TEST(GraphPartition, SingleShardHasEmptyHalo) {
   EXPECT_EQ(partition.total_halo_rows(), 0u);
 }
 
-TEST(GraphPartition, ByKeyChunksTheSortedOrder) {
-  const Netlist netlist = test_netlist(24, 500);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  // Key rows by logic level (feature column 0): each shard should hold a
-  // band of topological depth.
-  std::vector<float> key(tensors.node_count());
-  for (std::uint32_t row = 0; row < key.size(); ++row) {
-    key[row] = tensors.features.at(tensors.node_of(row), 0);
-  }
-  PartitionOptions options;
-  options.shards = 4;
-  options.halo = 1;
-  options.strategy = PartitionStrategy::kByKey;
-  options.order_key = &key;
-  const GraphPartition partition =
-      GraphPartition::build(tensors.pred, tensors.succ, options);
-  partition.validate(tensors.pred, tensors.succ);
-  float previous_max = -1e30f;
-  for (std::size_t k = 0; k < partition.shard_count(); ++k) {
-    float lo = 1e30f;
-    float hi = -1e30f;
-    for (const std::uint32_t row : partition.shard(k).owners) {
-      lo = std::min(lo, key[row]);
-      hi = std::max(hi, key[row]);
-    }
-    EXPECT_GE(lo, previous_max - 1e-6f) << "shard " << k;
-    previous_max = hi;
-  }
-}
-
 TEST(GraphPartition, RejectsBadOptions) {
   const Netlist netlist = test_netlist(25, 100);
   const GraphTensors tensors = build_graph_tensors(netlist);
@@ -228,12 +226,6 @@ TEST(GraphPartition, RejectsBadOptions) {
             ErrorKind::kUsage);
   options.shards = 2;
   options.halo = 0;
-  EXPECT_EQ(kind_of([&] {
-              GraphPartition::build(tensors.pred, tensors.succ, options);
-            }),
-            ErrorKind::kUsage);
-  options.halo = 1;
-  options.strategy = PartitionStrategy::kByKey;  // no key provided
   EXPECT_EQ(kind_of([&] {
               GraphPartition::build(tensors.pred, tensors.succ, options);
             }),
@@ -428,20 +420,6 @@ TEST(ShardedForward, BitIdenticalUnderRcmReorder) {
     }
   }
   reset_graph_reorder();
-}
-
-TEST(ShardedForward, ByKeyStrategyIsIdenticalToo) {
-  const Netlist netlist = test_netlist(33, 1000);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  GcnModel model(small_config());
-  const Matrix reference = model.infer(tensors);
-  ShardedGcnOptions options;
-  options.shards = 3;
-  options.halo = 2;
-  options.strategy = PartitionStrategy::kByKey;
-  ShardedGcnEngine engine(model, options);
-  engine.refresh(tensors);
-  EXPECT_EQ(engine.logits(), reference);
 }
 
 TEST(ShardedForward, SpillToDiskIsIdenticalAndEnveloped) {

@@ -1,6 +1,6 @@
 // SIMD backend contract: runtime dispatch overrides, the unified GEMM
 // accumulation policy, per-target bitwise determinism across thread
-// counts and SpMM tile widths, cross-target tolerance, and the fused
+// counts, cross-target tolerance, and the fused
 // bias/ReLU epilogues (see src/tensor/simd/simd.h and docs/API.md).
 
 #include <gtest/gtest.h>
@@ -29,7 +29,6 @@ class SimdTest : public ::testing::Test {
   void TearDown() override {
     reset_simd_target();
     set_kernel_threads(0);
-    set_spmm_tile_cols(0);
   }
 };
 
@@ -152,20 +151,18 @@ TEST_F(SimdTest, GemmTransposeVariantsAgreeBitwiseOnScalar) {
   const Matrix at = transpose(a);
   const Matrix bt = transpose(b);
 
-  Matrix nn, tn, nt, tt;
+  Matrix nn, tn, nt;
   gemm(a, b, nn, false, false);
   gemm(at, b, tn, true, false);
   gemm(a, bt, nt, false, true);
-  gemm(at, bt, tt, true, true);
 
   EXPECT_EQ(nn, tn);
   EXPECT_EQ(nn, nt);
-  EXPECT_EQ(nn, tt);
 }
 
 // On AVX2 the row-update variants (nn / tn) still run the identical
-// per-element fmaf sequence; nt (lane-blocked dot) and tt (plain scalar
-// multiply-add, two roundings) agree within tolerance.
+// per-element fmaf sequence; nt (lane-blocked dot) agrees within
+// tolerance.
 TEST_F(SimdTest, GemmTransposeVariantsAgreeAcrossTargets) {
   const std::size_t m = 70, k = 50, n = 90;
   const Matrix a = random_positive(m, k, 33);
@@ -175,14 +172,12 @@ TEST_F(SimdTest, GemmTransposeVariantsAgreeAcrossTargets) {
 
   if (simd_target_available(SimdTarget::kAvx2)) {
     ASSERT_TRUE(set_simd_target(SimdTarget::kAvx2));
-    Matrix nn, tn, nt, tt;
+    Matrix nn, tn, nt;
     gemm(a, b, nn, false, false);
     gemm(at, b, tn, true, false);
     gemm(a, bt, nt, false, true);
-    gemm(at, bt, tt, true, true);
     EXPECT_EQ(nn, tn) << "both are axpy row updates with one fmaf per term";
     expect_close(nn, nt, 1e-5f);
-    expect_close(nn, tt, 1e-5f);
   }
 
   // Scalar vs AVX2: FMA contraction only, stays within tight tolerance.
@@ -341,9 +336,9 @@ TEST_F(SimdTest, BackwardGemmMatchesReferenceLoopsBitwise) {
   }
 }
 
-// SpMM and spmm_rows: bitwise identical per target across thread counts
-// AND tile widths; within tolerance across targets.
-TEST_F(SimdTest, SpmmBitwiseInvariantAcrossThreadsAndTilesPerTarget) {
+// SpMM and spmm_rows: bitwise identical per target across thread counts;
+// within tolerance across targets.
+TEST_F(SimdTest, SpmmBitwiseInvariantAcrossThreadsPerTarget) {
   const CsrMatrix csr = random_csr(400, 300, 4000, 77);
   const Matrix dense = random_dense(300, 96, 88);
   std::vector<std::uint32_t> row_ids;
@@ -357,29 +352,22 @@ TEST_F(SimdTest, SpmmBitwiseInvariantAcrossThreadsAndTilesPerTarget) {
     ASSERT_TRUE(set_simd_target(target));
 
     Matrix reference;
-    set_spmm_tile_cols(0);
     set_kernel_threads(1);
     csr.spmm(dense, reference);
     Matrix rows_reference;
     csr.spmm_rows(row_ids, dense, rows_reference);
 
-    for (const std::size_t tile : {std::size_t{8}, std::size_t{16},
-                                   std::size_t{64}}) {
-      for (const int threads : {1, 8}) {
-        set_spmm_tile_cols(tile);
-        set_kernel_threads(threads);
-        Matrix out;
-        csr.spmm(dense, out);
-        EXPECT_EQ(reference, out) << simd_target_name() << " tile " << tile
-                                  << " threads " << threads;
-        Matrix rows_out;
-        csr.spmm_rows(row_ids, dense, rows_out);
-        EXPECT_EQ(rows_reference, rows_out)
-            << simd_target_name() << " tile " << tile << " threads "
-            << threads;
-      }
+    for (const int threads : {1, 3, 8}) {
+      set_kernel_threads(threads);
+      Matrix out;
+      csr.spmm(dense, out);
+      EXPECT_EQ(reference, out)
+          << simd_target_name() << " threads " << threads;
+      Matrix rows_out;
+      csr.spmm_rows(row_ids, dense, rows_out);
+      EXPECT_EQ(rows_reference, rows_out)
+          << simd_target_name() << " threads " << threads;
     }
-    set_spmm_tile_cols(0);
     set_kernel_threads(0);
 
     // Each compact spmm_rows row reproduces the full spmm row bit-for-bit.
