@@ -1,8 +1,8 @@
 // Kernel microbenchmarks (google-benchmark): the primitives whose speed
 // the paper's "high performance" claim rests on — SpMM aggregation, dense
 // encoding GEMM, whole-graph GCN inference, bit-parallel logic/fault
-// simulation, empirical labeling, SCOAP/COP analysis passes and OPI
-// impact ranking.
+// simulation, empirical labeling, SCOAP/COP analysis passes, OPI impact
+// ranking and .bench ingest.
 //
 // The parallel kernels (SpMM, GEMM, full inference, fault sim, COO->CSR)
 // sweep the kernel-pool thread count (the trailing `threads` argument) so
@@ -30,6 +30,7 @@
 #include "gcn/model.h"
 #include "gcn/quant.h"
 #include "gen/generator.h"
+#include "netlist/bench_io.h"
 #include "nn/layers.h"
 #include "scoap/scoap.h"
 #include "sim/fault_sim.h"
@@ -43,17 +44,21 @@ using namespace gcnt;
 
 const std::vector<std::int64_t> kThreadSweep{1, 2, 4, 8};
 
+Netlist bench_design(std::size_t gates) {
+  GeneratorConfig config;
+  config.seed = 0xBE;
+  config.target_gates = gates;
+  config.primary_inputs = 64;
+  config.primary_outputs = 32;
+  config.flip_flops = gates / 24;
+  return generate_circuit(config);
+}
+
 const Netlist& shared_netlist(std::size_t gates) {
   static std::map<std::size_t, Netlist> cache;
   auto it = cache.find(gates);
   if (it == cache.end()) {
-    GeneratorConfig config;
-    config.seed = 0xBE;
-    config.target_gates = gates;
-    config.primary_inputs = 64;
-    config.primary_outputs = 32;
-    config.flip_flops = gates / 24;
-    it = cache.emplace(gates, generate_circuit(config)).first;
+    it = cache.emplace(gates, bench_design(gates)).first;
   }
   return it->second;
 }
@@ -375,6 +380,18 @@ void BM_ScoapFull(benchmark::State& state) {
                           static_cast<std::int64_t>(netlist.size()));
 }
 BENCHMARK(BM_ScoapFull);
+
+/// .bench ingest at the Fig. 10 scale: read_bench_string on the text of a
+/// ~200k-gate design (about 6.7 MB), as `gcnt infer` pays it per call.
+void BM_ReadBench(benchmark::State& state) {
+  static const std::string text = write_bench_string(bench_design(200000));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(read_bench_string(text, "bench"));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadBench)->Unit(benchmark::kMillisecond);
 
 /// CO repair after one OP. levels:0 relevels the whole design per call
 /// (the 3-argument form); levels:1 passes cached levels, as

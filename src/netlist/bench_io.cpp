@@ -1,154 +1,237 @@
 #include "netlist/bench_io.h"
 
-#include <cctype>
+#include <algorithm>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
+#include "netlist/text_scan.h"
 
 namespace gcnt {
 
 namespace {
-
-struct PendingGate {
-  std::string lhs;
-  CellType type = CellType::kBuf;
-  std::vector<std::string> operands;
-  int line = 0;
-};
 
 [[noreturn]] void fail(int line, const std::string& message) {
   throw Error(ErrorKind::kCorrupt, "bench parse error at line " +
                                        std::to_string(line) + ": " + message);
 }
 
-std::string strip(const std::string& text) {
+std::string_view trim(std::string_view text) {
   std::size_t begin = 0, end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin])))
-    ++begin;
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1])))
-    --end;
+  while (begin < end && is_space(text[begin])) ++begin;
+  while (end > begin && is_space(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 
-/// Splits "FUNC(a, b, c)" into FUNC and {a,b,c}; returns false on mismatch.
-bool split_call(const std::string& text, std::string& func,
-                std::vector<std::string>& args) {
+char upper(char c) { return c >= 'a' && c <= 'z' ? c - 'a' + 'A' : c; }
+
+/// True when `word` equals the upper-case `directive` ignoring ASCII case.
+bool is_directive(std::string_view word, std::string_view directive) {
+  if (word.size() != directive.size()) return false;
+  for (std::size_t i = 0; i < word.size(); ++i) {
+    if (upper(word[i]) != directive[i]) return false;
+  }
+  return true;
+}
+
+/// Parses "FUNC(a, b, c)": FUNC is the trimmed text before the first '(',
+/// the operands are the trimmed non-empty comma-separated pieces between it
+/// and the last ')', appended to `operands`. Returns FUNC, or an empty view
+/// when either parenthesis is missing or FUNC is empty.
+std::string_view parse_call(std::string_view text,
+                            std::vector<std::string_view>& operands) {
   const std::size_t open = text.find('(');
   const std::size_t close = text.rfind(')');
-  if (open == std::string::npos || close == std::string::npos || close < open)
-    return false;
-  func = strip(text.substr(0, open));
-  args.clear();
-  std::string inner = text.substr(open + 1, close - open - 1);
-  std::size_t start = 0;
-  while (start <= inner.size()) {
-    const std::size_t comma = inner.find(',', start);
-    const std::string piece =
-        strip(comma == std::string::npos ? inner.substr(start)
-                                         : inner.substr(start, comma - start));
-    if (!piece.empty()) args.push_back(piece);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+  if (open == std::string_view::npos || close == std::string_view::npos ||
+      close < open) {
+    return {};
   }
-  return !func.empty();
+  std::string_view inner = text.substr(open + 1, close - open - 1);
+  for (;;) {
+    const std::size_t comma = inner.find(',');
+    const std::string_view piece = trim(inner.substr(0, comma));
+    if (!piece.empty()) operands.push_back(piece);
+    if (comma == std::string_view::npos) break;
+    inner.remove_prefix(comma + 1);
+  }
+  return trim(text.substr(0, open));
+}
+
+/// A gate line: its node, its line number, and the end of its operands in
+/// the operand pool (they start where the previous gate's end).
+struct GateLine {
+  NodeId node;
+  int line;
+  std::uint32_t operands_end;
+};
+
+/// An OUTPUT(x) or OBSERVE(x) line.
+struct SignalRef {
+  std::string_view name;
+  int line;
+};
+
+/// What the line scan collects; every name is a view into the text.
+struct Lines {
+  std::vector<std::string_view> names;  // per defined node, in id order
+  std::vector<CellType> types;
+  std::vector<int> name_lines;
+  std::vector<GateLine> gates;
+  std::vector<std::string_view> operands;
+  std::vector<SignalRef> outputs, observes;
+};
+
+/// One pass over `text`; throws at the first malformed line. Names are
+/// not resolved here, so redefinitions are left to the caller.
+void scan_lines(std::string_view text, Lines& out) {
+  const auto define = [&](std::string_view name, CellType type, int line) {
+    out.names.push_back(name);
+    out.types.push_back(type);
+    out.name_lines.push_back(line);
+    return static_cast<NodeId>(out.names.size() - 1);
+  };
+  int line_number = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) eol = text.size();
+    std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
+    ++line_number;
+    line = trim(line.substr(0, line.find('#')));
+    if (line.empty()) continue;
+
+    const std::size_t eq = line.find('=');
+    if (eq == std::string_view::npos) {
+      const std::size_t first = out.operands.size();
+      const std::string_view func = parse_call(line, out.operands);
+      if (func.empty() || out.operands.size() != first + 1) {
+        fail(line_number, "expected INPUT(x) / OUTPUT(x) / OBSERVE(x)");
+      }
+      const std::string_view arg = out.operands.back();
+      out.operands.pop_back();
+      if (is_directive(func, "INPUT")) {
+        define(arg, CellType::kInput, line_number);
+      } else if (is_directive(func, "OUTPUT")) {
+        out.outputs.push_back({arg, line_number});
+      } else if (is_directive(func, "OBSERVE")) {
+        out.observes.push_back({arg, line_number});
+      } else {
+        std::string name(func);
+        for (char& c : name) c = upper(c);
+        fail(line_number, "unknown directive " + name);
+      }
+      continue;
+    }
+
+    const std::string_view lhs = trim(line.substr(0, eq));
+    const std::string_view func =
+        parse_call(trim(line.substr(eq + 1)), out.operands);
+    if (func.empty()) fail(line_number, "expected <name> = GATE(args)");
+    CellType type = CellType::kBuf;
+    if (!parse_cell_type(func, type)) {
+      fail(line_number, "unknown gate type " + std::string(func));
+    }
+    if (!is_logic(type) && type != CellType::kDff) {
+      fail(line_number,
+           "gate type " + std::string(func) + " not allowed on assignment");
+    }
+    if (lhs.empty()) fail(line_number, "missing signal name");
+    out.gates.push_back({define(lhs, type, line_number), line_number,
+                         static_cast<std::uint32_t>(out.operands.size())});
+  }
+}
+
+Netlist parse_bench(std::string_view text, std::string design_name) {
+  Lines lines;
+  std::optional<Error> malformed;
+  try {
+    scan_lines(text, lines);
+  } catch (const Error& e) {
+    malformed = e;
+  }
+  // Every name defined above the malformed line (if any) goes in first: a
+  // redefinition there is the earlier error.
+  NameTable signals;
+  const std::size_t twice = signals.insert_all(lines.names, 0);
+  if (twice < lines.names.size()) {
+    fail(lines.name_lines[twice],
+         "redefinition of " + std::string(lines.names[twice]));
+  }
+  if (malformed) throw *malformed;
+
+  // Resolve every driver: gate operands in line order, then OUTPUT
+  // signals, then OBSERVE signals, the order the edges are connected in.
+  std::vector<std::string_view>& sources = lines.operands;
+  for (const SignalRef& ref : lines.outputs) sources.push_back(ref.name);
+  for (const SignalRef& ref : lines.observes) sources.push_back(ref.name);
+  std::vector<NodeId> drivers;
+  signals.find_all(sources, drivers);
+
+  // Check them in that order too, so the first error is the one an
+  // edge-by-edge reader would hit, and count fanins and fanouts.
+  const std::size_t defined = lines.names.size();
+  const std::size_t total = defined + lines.outputs.size() + lines.observes.size();
+  std::vector<std::uint32_t> fanins(total, 0), fanouts(total, 0);
+  std::size_t at = 0;
+  const auto check = [&](int line) {
+    if (drivers[at] == kInvalidNode) {
+      fail(line, "undefined signal " + std::string(sources[at]));
+    }
+    ++fanouts[drivers[at++]];
+  };
+  for (const GateLine& gate : lines.gates) {
+    const CellType type = lines.types[gate.node];
+    const int arity = static_cast<int>(gate.operands_end - at);
+    if (arity < min_fanin(type) || arity > max_fanin(type)) {
+      fail(gate.line, "illegal operand count for " +
+                          std::string(cell_type_name(type)));
+    }
+    fanins[gate.node] = static_cast<std::uint32_t>(arity);
+    while (at < gate.operands_end) check(gate.line);
+  }
+  for (const SignalRef& ref : lines.outputs) check(ref.line);
+  for (const SignalRef& ref : lines.observes) check(ref.line);
+  std::fill(fanins.begin() + defined, fanins.end(), 1);  // the sinks
+
+  // Size the netlist once, then connect.
+  Netlist netlist(std::move(design_name));
+  netlist.reserve(total);
+  for (NodeId v = 0; v < defined; ++v) {
+    netlist.add_node(lines.types[v], std::string(lines.names[v]));
+  }
+  for (const SignalRef& ref : lines.outputs) {
+    netlist.add_node(CellType::kOutput, "out_" + std::string(ref.name));
+  }
+  for (const SignalRef& ref : lines.observes) {
+    netlist.add_node(CellType::kObserve, "op_" + std::string(ref.name));
+  }
+  for (NodeId v = 0; v < total; ++v) {
+    netlist.reserve_edges(v, fanins[v], fanouts[v]);
+  }
+  at = 0;
+  for (const GateLine& gate : lines.gates) {
+    for (; at < gate.operands_end; ++at) {
+      netlist.connect(drivers[at], gate.node);
+    }
+  }
+  for (NodeId sink = static_cast<NodeId>(defined); at < drivers.size(); ++at) {
+    netlist.connect(drivers[at], sink++);
+  }
+  return netlist;
 }
 
 }  // namespace
 
 Netlist read_bench(std::istream& in, std::string design_name) {
-  Netlist netlist(std::move(design_name));
-  std::unordered_map<std::string, NodeId> signals;
-  std::vector<PendingGate> gates;
-  std::vector<std::pair<std::string, int>> outputs;   // signal, line
-  std::vector<std::pair<std::string, int>> observes;  // signal, line
-
-  std::string raw;
-  int line_number = 0;
-  while (std::getline(in, raw)) {
-    ++line_number;
-    const std::size_t hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    const std::string line = strip(raw);
-    if (line.empty()) continue;
-
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      std::string func;
-      std::vector<std::string> args;
-      if (!split_call(line, func, args) || args.size() != 1) {
-        fail(line_number, "expected INPUT(x) / OUTPUT(x) / OBSERVE(x)");
-      }
-      for (char& c : func) c = static_cast<char>(std::toupper(c));
-      if (func == "INPUT") {
-        if (signals.count(args[0])) fail(line_number, "redefinition of " + args[0]);
-        signals.emplace(args[0],
-                        netlist.add_node(CellType::kInput, args[0]));
-      } else if (func == "OUTPUT") {
-        outputs.emplace_back(args[0], line_number);
-      } else if (func == "OBSERVE") {
-        observes.emplace_back(args[0], line_number);
-      } else {
-        fail(line_number, "unknown directive " + func);
-      }
-      continue;
-    }
-
-    PendingGate gate;
-    gate.lhs = strip(line.substr(0, eq));
-    gate.line = line_number;
-    std::string func;
-    if (!split_call(strip(line.substr(eq + 1)), func, gate.operands)) {
-      fail(line_number, "expected <name> = GATE(args)");
-    }
-    if (!parse_cell_type(func, gate.type)) {
-      fail(line_number, "unknown gate type " + func);
-    }
-    if (!is_logic(gate.type) && gate.type != CellType::kDff) {
-      fail(line_number, "gate type " + func + " not allowed on assignment");
-    }
-    if (gate.lhs.empty()) fail(line_number, "missing signal name");
-    if (signals.count(gate.lhs)) fail(line_number, "redefinition of " + gate.lhs);
-    signals.emplace(gate.lhs, netlist.add_node(gate.type, gate.lhs));
-    gates.push_back(std::move(gate));
-  }
-
-  const auto resolve = [&](const std::string& name, int line) -> NodeId {
-    const auto it = signals.find(name);
-    if (it == signals.end()) fail(line, "undefined signal " + name);
-    return it->second;
-  };
-
-  for (const auto& gate : gates) {
-    const NodeId lhs = signals.at(gate.lhs);
-    const int arity = static_cast<int>(gate.operands.size());
-    if (arity < min_fanin(gate.type) || arity > max_fanin(gate.type)) {
-      fail(gate.line, "illegal operand count for " +
-                          std::string(cell_type_name(gate.type)));
-    }
-    for (const auto& operand : gate.operands) {
-      netlist.connect(resolve(operand, gate.line), lhs);
-    }
-  }
-  for (const auto& [signal, line] : outputs) {
-    const NodeId po = netlist.add_node(CellType::kOutput, "out_" + signal);
-    netlist.connect(resolve(signal, line), po);
-  }
-  for (const auto& [signal, line] : observes) {
-    const NodeId op = netlist.add_node(CellType::kObserve, "op_" + signal);
-    netlist.connect(resolve(signal, line), op);
-  }
-  return netlist;
+  return parse_bench(read_stream(in), std::move(design_name));
 }
 
 Netlist read_bench_string(const std::string& text, std::string design_name) {
-  std::istringstream in(text);
-  return read_bench(in, std::move(design_name));
+  return parse_bench(text, std::move(design_name));
 }
 
 void write_bench(const Netlist& netlist, std::ostream& out) {

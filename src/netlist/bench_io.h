@@ -19,12 +19,13 @@
 
 namespace gcnt {
 
-/// Parses a .bench document. Throws gcnt::Error{kCorrupt} (a
+/// Parses a .bench document (lexical rules in docs/FORMATS.md), reading
+/// `in` to its end first. Throws gcnt::Error{kCorrupt} (a
 /// std::runtime_error) with a line number on malformed input (unknown
 /// gate, undefined signal, redefinition).
 Netlist read_bench(std::istream& in, std::string design_name = "bench");
 
-/// Convenience overload over a string payload.
+/// The same parse over `text` in place, without copying it.
 Netlist read_bench_string(const std::string& text,
                           std::string design_name = "bench");
 

@@ -35,6 +35,18 @@ NodeId Netlist::add_node(CellType type, std::string name) {
   return id;
 }
 
+void Netlist::reserve(std::size_t nodes) {
+  types_.reserve(nodes);
+  names_.reserve(nodes);
+  fanins_.reserve(nodes);
+  fanouts_.reserve(nodes);
+}
+
+void Netlist::reserve_edges(NodeId v, std::size_t fanins, std::size_t fanouts) {
+  fanins_[v].reserve(fanins);
+  fanouts_[v].reserve(fanouts);
+}
+
 void Netlist::connect(NodeId from, NodeId to) {
   fanouts_[from].push_back(to);
   fanins_[to].push_back(from);

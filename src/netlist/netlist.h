@@ -38,6 +38,14 @@ class Netlist {
   /// netlist will be written out; an empty name is auto-generated.
   NodeId add_node(CellType type, std::string name = {});
 
+  /// Reserves room for `nodes` nodes in total, so adding up to that many
+  /// does not reallocate the per-node arrays.
+  void reserve(std::size_t nodes);
+
+  /// Reserves room for `fanins` fanin and `fanouts` fanout edges at `v`,
+  /// so connecting that many does not reallocate v's adjacency lists.
+  void reserve_edges(NodeId v, std::size_t fanins, std::size_t fanouts);
+
   /// Adds the directed edge `from -> to` (output of `from` drives an input
   /// of `to`). Duplicate edges are allowed (multi-input from same driver).
   void connect(NodeId from, NodeId to);

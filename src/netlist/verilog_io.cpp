@@ -4,19 +4,19 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
+#include "netlist/text_scan.h"
 
 namespace gcnt {
 
 namespace {
 
+/// A token is a view into the parsed buffer.
 struct Token {
-  std::string text;
+  std::string_view text;
   int line = 0;
 };
 
@@ -26,27 +26,33 @@ struct Token {
                   message);
 }
 
+bool is_punctuation(char c) {
+  return c == '(' || c == ')' || c == ',' || c == ';' || c == '=';
+}
+
 /// Lexer: identifiers/keywords and single-char punctuation; comments and
-/// whitespace removed.
-std::vector<Token> tokenize(std::istream& in) {
+/// whitespace removed. An identifier is a maximal run of other characters,
+/// so every token is a contiguous view of `text`.
+std::vector<Token> tokenize(std::string_view text) {
   std::vector<Token> tokens;
-  std::string text;
   int line = 1;
   bool in_line_comment = false;
   bool in_block_comment = false;
-  char c = 0, prev = 0;
+  char prev = 0;
+  std::size_t start = std::string_view::npos;  // of the identifier being read
 
-  const auto flush = [&] {
-    if (!text.empty()) {
-      tokens.push_back(Token{text, line});
-      text.clear();
+  const auto flush = [&](std::size_t end) {
+    if (start != std::string_view::npos) {
+      tokens.push_back(Token{text.substr(start, end - start), line});
+      start = std::string_view::npos;
     }
   };
 
-  while (in.get(c)) {
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
     if (c == '\n') {
       in_line_comment = false;
-      flush();
+      flush(i);
       ++line;
       prev = c;
       continue;
@@ -60,33 +66,35 @@ std::vector<Token> tokenize(std::istream& in) {
       prev = c;
       continue;
     }
-    if (c == '/' && in.peek() == '/') {
-      flush();
+    const char ahead = i + 1 < text.size() ? text[i + 1] : '\0';
+    if (c == '/' && ahead == '/') {
+      flush(i);
       in_line_comment = true;
       prev = c;
       continue;
     }
-    if (c == '/' && in.peek() == '*') {
-      flush();
+    if (c == '/' && ahead == '*') {
+      flush(i);
       in_block_comment = true;
-      in.get(prev);  // consume '*' so "/*/" doesn't close immediately
+      prev = '*';  // the '*' is consumed, so "/*/" closes at once
+      ++i;
       continue;
     }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      flush();
-    } else if (c == '(' || c == ')' || c == ',' || c == ';' || c == '=') {
-      flush();
-      tokens.push_back(Token{std::string(1, c), line});
-    } else {
-      text += c;
+    if (is_space(c)) {
+      flush(i);
+    } else if (is_punctuation(c)) {
+      flush(i);
+      tokens.push_back(Token{text.substr(i, 1), line});
+    } else if (start == std::string_view::npos) {
+      start = i;
     }
     prev = c;
   }
-  flush();
+  flush(text.size());
   return tokens;
 }
 
-bool primitive_type(const std::string& word, CellType& out) {
+bool primitive_type(std::string_view word, CellType& out) {
   if (word == "and") out = CellType::kAnd;
   else if (word == "or") out = CellType::kOr;
   else if (word == "nand") out = CellType::kNand;
@@ -100,16 +108,16 @@ bool primitive_type(const std::string& word, CellType& out) {
   return true;
 }
 
+/// A primitive instance; its ports (output first) are ports[first, end) of
+/// the shared port pool.
 struct Instance {
-  CellType type;
-  std::vector<std::string> ports;  // output first
-  int line;
+  CellType type = CellType::kBuf;
+  int line = 0;
+  std::size_t first = 0, end = 0;
 };
 
-}  // namespace
-
-Netlist read_verilog(std::istream& in, std::string fallback_name) {
-  const auto tokens = tokenize(in);
+Netlist parse_verilog(std::string_view text, std::string fallback_name) {
+  const auto tokens = tokenize(text);
   std::size_t at = 0;
 
   const auto peek = [&]() -> const Token& {
@@ -121,10 +129,11 @@ Netlist read_verilog(std::istream& in, std::string fallback_name) {
                                   "unexpected end of file");
     return tokens[at++];
   };
-  const auto expect = [&](const std::string& want) {
+  const auto expect = [&](std::string_view want) {
     const Token& token = next();
     if (token.text != want) {
-      fail(token.line, "expected '" + want + "', got '" + token.text + "'");
+      fail(token.line, "expected '" + std::string(want) + "', got '" +
+                           std::string(token.text) + "'");
     }
   };
   const auto identifier_list = [&](std::vector<Token>& out) {
@@ -140,7 +149,7 @@ Netlist read_verilog(std::istream& in, std::string fallback_name) {
 
   // --- module header.
   expect("module");
-  std::string module_name = next().text;
+  std::string module_name(next().text);
   if (module_name.empty()) module_name = std::move(fallback_name);
   if (peek().text == "(") {
     ++at;
@@ -153,7 +162,7 @@ Netlist read_verilog(std::istream& in, std::string fallback_name) {
   expect(";");
 
   // --- body.
-  std::vector<Token> inputs, outputs, wires;
+  std::vector<Token> inputs, outputs, wires, ports;
   std::vector<Instance> instances;
   std::vector<std::pair<Token, Token>> assigns;  // lhs = rhs
 
@@ -176,89 +185,92 @@ Netlist read_verilog(std::istream& in, std::string fallback_name) {
       expect(";");
       assigns.emplace_back(lhs, rhs);
     } else {
-      CellType type;
-      if (!primitive_type(token.text, type)) {
-        fail(token.line, "unknown statement or primitive '" + token.text + "'");
-      }
       Instance instance;
-      instance.type = type;
+      if (!primitive_type(token.text, instance.type)) {
+        fail(token.line, "unknown statement or primitive '" +
+                             std::string(token.text) + "'");
+      }
       instance.line = token.line;
-      Token maybe_name = next();
-      if (maybe_name.text != "(") {
+      if (next().text != "(") {
         expect("(");  // consumed the instance name
       }
-      std::vector<Token> ports;
+      instance.first = ports.size();
       identifier_list(ports);
+      instance.end = ports.size();
       expect(")");
       expect(";");
-      for (const Token& port : ports) instance.ports.push_back(port.text);
-      if (instance.ports.size() < 2) {
+      if (instance.end - instance.first < 2) {
         fail(instance.line, "primitive needs an output and at least one input");
       }
-      instances.push_back(std::move(instance));
+      instances.push_back(instance);
     }
   }
 
   // --- build the graph. Inputs become kInput nodes; every instance output
   // becomes a node of the primitive's type; outputs get PO sink nodes.
   Netlist netlist(module_name);
-  std::unordered_map<std::string, NodeId> signal;
-  std::unordered_set<std::string> declared;
-  for (const Token& t : wires) declared.insert(t.text);
-  for (const Token& t : outputs) declared.insert(t.text);
+  NameTable signal(inputs.size() + instances.size() + assigns.size());
+  NameTable declared(wires.size() + outputs.size());  // a set: ids unused
+  for (const Token& t : wires) declared.insert(t.text, 0);
+  for (const Token& t : outputs) declared.insert(t.text, 0);
 
+  const auto next_id = [&] { return static_cast<NodeId>(netlist.size()); };
+  const auto drive = [&](const Token& net, int line, CellType type) {
+    if (!declared.contains(net.text) && !signal.contains(net.text)) {
+      fail(line, "undeclared net " + std::string(net.text));
+    }
+    if (!signal.insert(net.text, next_id())) {
+      fail(line, "multiple drivers for " + std::string(net.text));
+    }
+    netlist.add_node(type, std::string(net.text));
+  };
   for (const Token& t : inputs) {
-    if (signal.count(t.text)) fail(t.line, "redefinition of " + t.text);
-    signal.emplace(t.text, netlist.add_node(CellType::kInput, t.text));
+    if (!signal.insert(t.text, next_id())) {
+      fail(t.line, "redefinition of " + std::string(t.text));
+    }
+    netlist.add_node(CellType::kInput, std::string(t.text));
   }
   for (const Instance& instance : instances) {
-    const std::string& out_signal = instance.ports.front();
-    if (!declared.count(out_signal) && !signal.count(out_signal)) {
-      fail(instance.line, "undeclared net " + out_signal);
-    }
-    if (signal.count(out_signal)) {
-      fail(instance.line, "multiple drivers for " + out_signal);
-    }
-    signal.emplace(out_signal, netlist.add_node(instance.type, out_signal));
+    drive(ports[instance.first], instance.line, instance.type);
   }
-  for (const auto& [lhs, rhs] : assigns) {
-    if (!declared.count(lhs.text) && !signal.count(lhs.text)) {
-      fail(lhs.line, "undeclared net " + lhs.text);
-    }
-    if (signal.count(lhs.text)) fail(lhs.line, "multiple drivers for " + lhs.text);
-    signal.emplace(lhs.text, netlist.add_node(CellType::kBuf, lhs.text));
-  }
+  for (const auto& [lhs, rhs] : assigns) drive(lhs, lhs.line, CellType::kBuf);
 
-  const auto resolve = [&](const std::string& name, int line) -> NodeId {
-    const auto it = signal.find(name);
-    if (it == signal.end()) fail(line, "undriven net " + name);
-    return it->second;
+  const auto resolve = [&](std::string_view name, int line) -> NodeId {
+    const NodeId id = signal.find(name);
+    if (id == kInvalidNode) fail(line, "undriven net " + std::string(name));
+    return id;
   };
 
   for (const Instance& instance : instances) {
-    const NodeId gate = signal.at(instance.ports.front());
-    const int arity = static_cast<int>(instance.ports.size()) - 1;
+    const NodeId gate = signal.find(ports[instance.first].text);
+    const int arity = static_cast<int>(instance.end - instance.first) - 1;
     if (arity < min_fanin(instance.type) || arity > max_fanin(instance.type)) {
       fail(instance.line, "illegal port count for primitive");
     }
-    for (std::size_t p = 1; p < instance.ports.size(); ++p) {
-      netlist.connect(resolve(instance.ports[p], instance.line), gate);
+    for (std::size_t p = instance.first + 1; p < instance.end; ++p) {
+      netlist.connect(resolve(ports[p].text, instance.line), gate);
     }
   }
   for (const auto& [lhs, rhs] : assigns) {
-    netlist.connect(resolve(rhs.text, rhs.line), signal.at(lhs.text));
+    netlist.connect(resolve(rhs.text, rhs.line), signal.find(lhs.text));
   }
   for (const Token& t : outputs) {
-    const NodeId po = netlist.add_node(CellType::kOutput, "out_" + t.text);
+    const NodeId po =
+        netlist.add_node(CellType::kOutput, "out_" + std::string(t.text));
     netlist.connect(resolve(t.text, t.line), po);
   }
   return netlist;
 }
 
+}  // namespace
+
+Netlist read_verilog(std::istream& in, std::string fallback_name) {
+  return parse_verilog(read_stream(in), std::move(fallback_name));
+}
+
 Netlist read_verilog_string(const std::string& text,
                             std::string fallback_name) {
-  std::istringstream in(text);
-  return read_verilog(in, std::move(fallback_name));
+  return parse_verilog(text, std::move(fallback_name));
 }
 
 void write_verilog(const Netlist& netlist, std::ostream& out) {

@@ -155,8 +155,9 @@ std::uint32_t scoap_observe_through(const Netlist& netlist, NodeId g,
   return kScoapInfinity;
 }
 
-void compute_controllability(const Netlist& netlist, ScoapMeasures& measures) {
-  const auto order = netlist.topological_order();
+void compute_controllability(const Netlist& netlist,
+                             const std::vector<NodeId>& order,
+                             ScoapMeasures& measures) {
   measures.cc0.assign(netlist.size(), kScoapInfinity);
   measures.cc1.assign(netlist.size(), kScoapInfinity);
   for (NodeId v : order) {
@@ -165,8 +166,9 @@ void compute_controllability(const Netlist& netlist, ScoapMeasures& measures) {
   }
 }
 
-void compute_observability(const Netlist& netlist, ScoapMeasures& measures) {
-  const auto order = netlist.topological_order();
+void compute_observability(const Netlist& netlist,
+                           const std::vector<NodeId>& order,
+                           ScoapMeasures& measures) {
   measures.co.assign(netlist.size(), kScoapInfinity);
   const auto co_of = [&](NodeId g) { return measures.co[g]; };
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
@@ -183,8 +185,9 @@ void compute_observability(const Netlist& netlist, ScoapMeasures& measures) {
 ScoapMeasures compute_scoap(const Netlist& netlist) {
   GCNT_KERNEL_SCOPE("scoap.full");
   ScoapMeasures measures;
-  compute_controllability(netlist, measures);
-  compute_observability(netlist, measures);
+  const std::vector<NodeId> order = netlist.topological_order();
+  compute_controllability(netlist, order, measures);
+  compute_observability(netlist, order, measures);
   return measures;
 }
 

@@ -37,12 +37,17 @@ constexpr std::uint32_t scoap_add(std::uint32_t a, std::uint32_t b) noexcept {
 /// Computes all three measures for every node.
 ScoapMeasures compute_scoap(const Netlist& netlist);
 
-/// Recomputes only controllability (topological pass).
-void compute_controllability(const Netlist& netlist, ScoapMeasures& measures);
+/// Recomputes only controllability, in `order` (netlist.topological_order()).
+void compute_controllability(const Netlist& netlist,
+                             const std::vector<NodeId>& order,
+                             ScoapMeasures& measures);
 
-/// Recomputes only observability (reverse topological pass); requires
-/// controllability to be up to date.
-void compute_observability(const Netlist& netlist, ScoapMeasures& measures);
+/// Recomputes only observability, in reverse `order`
+/// (netlist.topological_order()); requires controllability to be up to
+/// date.
+void compute_observability(const Netlist& netlist,
+                           const std::vector<NodeId>& order,
+                           ScoapMeasures& measures);
 
 /// Incrementally repairs observability after insert_observe_point(target):
 /// controllability is unaffected, and CO can only change inside the fan-in

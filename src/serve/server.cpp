@@ -89,8 +89,7 @@ Netlist read_netlist_source(std::uint8_t source, const std::string& data) {
                                  : read_bench(in, data);
   }
   if (source == 1) {  // inline .bench text
-    std::istringstream in(data);
-    return read_bench(in, "<inline>");
+    return read_bench_string(data, "<inline>");
   }
   throw Error(ErrorKind::kUsage,
               "unknown netlist source kind " + std::to_string(source));

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "netlist/netlist.h"
+#include "netlist/text_scan.h"
 
 namespace gcnt {
 namespace {
@@ -190,6 +194,68 @@ TEST(CellTypes, RoleHelpers) {
   EXPECT_TRUE(is_sink(CellType::kObserve));
   EXPECT_TRUE(is_logic(CellType::kXnor));
   EXPECT_FALSE(is_logic(CellType::kDff));
+}
+
+TEST(Netlist, ReserveKeepsStructure) {
+  const auto build = [](bool reserve) {
+    Netlist n;
+    if (reserve) n.reserve(3);
+    const NodeId a = n.add_node(CellType::kInput, "a");
+    const NodeId g = n.add_node(CellType::kAnd, "g");
+    const NodeId y = n.add_node(CellType::kOutput, "y");
+    if (reserve) {
+      n.reserve_edges(a, 0, 2);
+      n.reserve_edges(g, 2, 1);
+      n.reserve_edges(y, 1, 0);
+    }
+    n.connect(a, g);
+    n.connect(a, g);
+    n.connect(g, y);
+    return n;
+  };
+  const Netlist reserved = build(true);
+  const Netlist plain = build(false);
+  ASSERT_EQ(reserved.size(), plain.size());
+  EXPECT_EQ(reserved.edge_count(), plain.edge_count());
+  for (NodeId v = 0; v < plain.size(); ++v) {
+    EXPECT_EQ(reserved.fanins(v), plain.fanins(v));
+    EXPECT_EQ(reserved.fanouts(v), plain.fanouts(v));
+  }
+}
+
+TEST(NameTable, FindsWhatItInsertedAcrossGrowth) {
+  std::vector<std::string> names;
+  for (int i = 0; i < 5000; ++i) {
+    // Short names live in their slot; long ones share a 16-byte prefix.
+    names.push_back(i % 2 ? "n" + std::to_string(i)
+                          : "a_long_common_prefix_" + std::to_string(i));
+  }
+  NameTable table;  // starts small and grows
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    ASSERT_TRUE(table.insert(names[i], static_cast<NodeId>(i)));
+  }
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(table.find(names[i]), static_cast<NodeId>(i));
+    EXPECT_FALSE(table.insert(names[i], 0));
+  }
+  EXPECT_EQ(table.find("n1x"), kInvalidNode);
+  EXPECT_EQ(table.find("a_long_common_prefix_"), kInvalidNode);
+  EXPECT_EQ(table.find(""), kInvalidNode);
+}
+
+TEST(NameTable, BatchFormsMatchSingleForms) {
+  const std::vector<std::string> storage = {
+      "a", "b", "exactly_16_bytes", "exactly_17_bytes_", "c", "b", "d"};
+  const std::vector<std::string_view> names(storage.begin(), storage.end());
+  NameTable table;
+  // "b" repeats at index 5: everything before it goes in, then it stops.
+  EXPECT_EQ(table.insert_all(names, 10), 5u);
+  std::vector<NodeId> ids;
+  table.find_all(names, ids);
+  EXPECT_EQ(ids, (std::vector<NodeId>{10, 11, 12, 13, 14, 11, kInvalidNode}));
+  const std::vector<std::string_view> fresh = {"d", "e"};
+  EXPECT_EQ(table.insert_all(fresh, 20), fresh.size());
+  EXPECT_EQ(table.find("e"), 21u);
 }
 
 }  // namespace

@@ -1,16 +1,17 @@
 // Parser robustness: randomly mutated netlist text must never crash or
-// corrupt — every malformed input surfaces as std::runtime_error, and
+// corrupt — every malformed input surfaces as gcnt::Error{kCorrupt}, and
 // anything accepted must be structurally valid.
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <string>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "gen/generator.h"
 #include "netlist/bench_io.h"
 #include "netlist/verilog_io.h"
+#include "netlist_diff.h"
 
 namespace gcnt {
 namespace {
@@ -35,35 +36,6 @@ std::string base_verilog() {
   return write_verilog_string(generate_circuit(config));
 }
 
-/// Applies one random text mutation (delete / duplicate / corrupt a span).
-std::string mutate(const std::string& text, Rng& rng) {
-  if (text.empty()) return text;
-  std::string out = text;
-  const std::size_t pos = rng.below(out.size());
-  const std::size_t span = 1 + rng.below(24);
-  switch (rng.below(4)) {
-    case 0:  // delete span
-      out.erase(pos, span);
-      break;
-    case 1:  // duplicate span
-      out.insert(pos, out.substr(pos, span));
-      break;
-    case 2: {  // overwrite with noise
-      static const char noise[] = "(),=# \nXYZ09";
-      for (std::size_t i = pos; i < std::min(out.size(), pos + span); ++i) {
-        out[i] = noise[rng.below(sizeof(noise) - 1)];
-      }
-      break;
-    }
-    default:  // swap two characters
-      if (out.size() > 1) {
-        std::swap(out[pos], out[rng.below(out.size())]);
-      }
-      break;
-  }
-  return out;
-}
-
 class ParserFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ParserFuzz, BenchNeverCrashes) {
@@ -79,8 +51,9 @@ TEST_P(ParserFuzz, BenchNeverCrashes) {
         for (NodeId u : parsed.fanins(v)) ASSERT_LT(u, parsed.size());
       }
       (void)parsed.validate();
-    } catch (const std::runtime_error&) {
-      // Expected for malformed text.
+    } catch (const Error& e) {
+      // Expected for malformed text, and only as this kind.
+      EXPECT_EQ(e.kind(), ErrorKind::kCorrupt) << e.what();
     }
   }
 }
@@ -96,7 +69,8 @@ TEST_P(ParserFuzz, VerilogNeverCrashes) {
         for (NodeId u : parsed.fanins(v)) ASSERT_LT(u, parsed.size());
       }
       (void)parsed.validate();
-    } catch (const std::runtime_error&) {
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kCorrupt) << e.what();
     }
   }
 }

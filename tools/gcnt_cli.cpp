@@ -80,6 +80,7 @@
 #include "gen/generator.h"
 #include "nn/loss.h"
 #include "netlist/bench_io.h"
+#include "netlist/text_scan.h"
 #include "netlist/verilog_io.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -164,7 +165,13 @@ bool is_verilog_path(const std::string& path) {
 Netlist read_netlist_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw Error(ErrorKind::kIo, "cannot open " + path);
-  return is_verilog_path(path) ? read_verilog(in, path) : read_bench(in, path);
+  TraceSpan span("netlist.parse");
+  const std::string text = read_stream(in);
+  Netlist netlist = is_verilog_path(path) ? read_verilog_string(text, path)
+                                          : read_bench_string(text, path);
+  span.arg("bytes", static_cast<double>(text.size()));
+  span.arg("nodes", static_cast<double>(netlist.size()));
+  return netlist;
 }
 
 void write_netlist_file(const Netlist& netlist, const std::string& path) {
