@@ -13,10 +13,10 @@
 // re-propagation pointless.
 //
 // The incremental path is bit-identical to GcnModel::infer on the updated
-// tensors: both run GcnModel::layer_step, whose row-subset form (spmm_rows,
-// gathered identity term, gemm, ReLU) preserves the per-row accumulation
-// order of the whole-graph form, so recomputing a subset of rows yields
-// exactly the bits a full pass would (pinned by tests/incremental_test.cpp).
+// tensors: both run GcnModel::layer_step, whose row-list form runs the
+// same per-row aggregation and encoding as the whole-graph form, so
+// recomputing a subset of rows yields exactly the bits a full pass would
+// (pinned by tests/incremental_test.cpp).
 
 #include <cstddef>
 #include <cstdint>

@@ -1,13 +1,22 @@
 #include "gcn/model.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "common/stats.h"
 #include "common/trace.h"
+#include "tensor/simd/simd.h"
 
 namespace gcnt {
+
+namespace {
+// Below this many rows a layer step or FC head runs on the calling
+// thread: the pool dispatch would cost more than the rows.
+constexpr std::size_t kMinParallelRows = 64;
+}  // namespace
 
 GcnModel::GcnModel(const GcnConfig& config)
     : config_(config), w_pr_(1, 1), w_su_(1, 1) {
@@ -84,65 +93,153 @@ void GcnModel::layer_step(std::size_t d, const CsrMatrix& pred,
                           const CsrMatrix& succ, const Matrix& in,
                           const std::vector<std::uint32_t>* rows,
                           Precision precision, ForwardWorkspace& ws,
-                          Matrix& out) const {
-  // The int8 tier quantizes the activation once for both SpMMs; the
-  // identity term reuses the exact fp32 rows, so only the neighbor sums
-  // flow through codes (one activation round-trip per layer).
-  const bool int8 = rows == nullptr && precision == Precision::kInt8;
-  if (int8) {
-    quantize_tensor(in, ws.qact);
-    spmm_q8(pred, ws.qact, ws.pred_sum);
-    spmm_q8(succ, ws.qact, ws.succ_sum);
-  } else if (rows == nullptr) {
-    pred.spmm(in, ws.pred_sum);
-    succ.spmm(in, ws.succ_sum);
-  } else {
-    pred.spmm_rows(*rows, in, ws.pred_sum);
-    succ.spmm_rows(*rows, in, ws.succ_sum);
+                          Matrix& out, LayerSums* keep) const {
+  TraceSpan span("gcn.layer");
+  if (&out == &in) throw std::invalid_argument("layer_step: out aliases in");
+  if (in.rows() != pred.cols() || in.rows() != succ.cols() ||
+      pred.rows() != succ.rows()) {
+    throw std::invalid_argument("layer_step: dimension mismatch");
   }
-  if (rows == nullptr) {
-    ws.aggregated.copy_from(in);
-  } else {
-    gather_rows(in, *rows, ws.aggregated);
+  const std::size_t n = rows ? rows->size() : pred.rows();
+  std::size_t nnz = pred.nnz() + succ.nnz();
+  if (rows) {
+    nnz = 0;
+    for (const std::uint32_t r : *rows) {
+      if (r >= pred.rows()) {
+        throw std::out_of_range("layer_step: row id out of range");
+      }
+      nnz += pred.row_ptr()[r + 1] - pred.row_ptr()[r] +
+             succ.row_ptr()[r + 1] - succ.row_ptr()[r];
+    }
   }
+  span.arg("rows", static_cast<double>(n));
+  span.arg("nnz", static_cast<double>(nnz));
 
-  if (int8) {
+  if (rows == nullptr && precision == Precision::kInt8) {
+    // The int8 tier quantizes the activation once for both SpMMs; the
+    // identity term reuses the exact fp32 rows, so only the neighbor sums
+    // flow through codes (one activation round-trip per layer).
     // axpy_exact, not Matrix::axpy: the SimdOps axpy contracts to FMA
     // only on the vector targets, which would break the int8 tier's
     // cross-target bit-identity (quant.h file comment).
+    quantize_tensor(in, ws.qact);
+    spmm_q8(pred, ws.qact, ws.pred_sum);
+    spmm_q8(succ, ws.qact, ws.succ_sum);
+    ws.aggregated.copy_from(in);
     axpy_exact(ws.aggregated, w_pr(), ws.pred_sum);
     axpy_exact(ws.aggregated, w_su(), ws.succ_sum);
     quantize_tensor(ws.aggregated, ws.qagg);
     quantized_linear_forward(ws.qagg, qencoders_[d], encoders_[d].bias.value,
                              out, /*relu=*/true);
-  } else {
-    ws.aggregated.axpy(w_pr(), ws.pred_sum);
-    ws.aggregated.axpy(w_su(), ws.succ_sum);
-    // Encoding: E = ReLU(G * W + b), fused into one output pass.
-    encoders_[d].forward_relu(ws.aggregated, out);
+    return;
   }
+
+  const Linear& encoder = encoders_[d];
+  const std::size_t k = in.cols();
+  if (k != encoder.in_features()) {
+    throw std::invalid_argument("layer_step: input width mismatch");
+  }
+  out.resize_for_overwrite(n, encoder.out_features());
+  if (keep) {
+    keep->pred_sum.resize_for_overwrite(n, k);
+    keep->succ_sum.resize_for_overwrite(n, k);
+    keep->aggregated.resize_for_overwrite(n, k);
+  }
+  const BlockPlan plan = plan_blocks(n, kMinParallelRows);
+  // Per block: kGemmRowBlock rows of G, then one row each of P*E and S*E.
+  ws.blocks.resize_for_overwrite(plan.count, (kGemmRowBlock + 2) * k);
+  const SimdOps& ops = simd_ops();
+  const float wp = w_pr();
+  const float wsu = w_su();
+  run_blocks(plan, [&](std::size_t block, std::size_t b0, std::size_t b1) {
+    float* scratch = ws.blocks.row(block);
+    for (std::size_t i0 = b0; i0 < b1; i0 += kGemmRowBlock) {
+      const std::size_t count = std::min(kGemmRowBlock, b1 - i0);
+      float* g = keep ? keep->aggregated.row(i0) : scratch;
+      for (std::size_t i = i0; i < i0 + count; ++i) {
+        // The unfused sequence, one row at a time: P*E and S*E from
+        // zero, then G = E, G += w_pr * P*E, G += w_su * S*E.
+        const std::size_t r = rows ? (*rows)[i] : i;
+        float* ps = keep ? keep->pred_sum.row(i)
+                         : scratch + kGemmRowBlock * k;
+        float* ss = keep ? keep->succ_sum.row(i) : ps + k;
+        float* gi = g + (i - i0) * k;
+        std::fill(ps, ps + k, 0.0f);
+        pred.accumulate_row(r, in, 1.0f, ops, ps);
+        std::fill(ss, ss + k, 0.0f);
+        succ.accumulate_row(r, in, 1.0f, ops, ss);
+        std::copy(in.row(r), in.row(r) + k, gi);
+        ops.axpy(gi, ps, wp, k);
+        ops.axpy(gi, ss, wsu, k);
+      }
+      // Encoding: E = ReLU(G * W + b) for the whole block.
+      gemm_bias_act_rows(g, k, count, encoder.weight.value,
+                         encoder.bias.value, /*relu=*/true, out.row(i0),
+                         out.cols());
+    }
+  });
 }
 
 void GcnModel::fc_head(const Matrix& in, Precision precision,
                        ForwardWorkspace& ws, Matrix& out,
                        std::vector<Matrix>* inputs) const {
+  TraceSpan span("gcn.fc_head");
+  span.arg("rows", static_cast<double>(in.rows()));
+  if (&out == &in) throw std::invalid_argument("fc_head: out aliases in");
   if (inputs) inputs->resize(fc_.size());
-  const Matrix* x = &in;
-  for (std::size_t i = 0; i < fc_.size(); ++i) {
-    const bool hidden = i + 1 < fc_.size();
-    Matrix& y = hidden ? (i % 2 == 0 ? ws.pred_sum : ws.succ_sum) : out;
-    if (inputs) (*inputs)[i].copy_from(*x);
-    if (precision == Precision::kInt8) {
+  if (precision == Precision::kInt8) {
+    const Matrix* x = &in;
+    for (std::size_t i = 0; i < fc_.size(); ++i) {
+      const bool hidden = i + 1 < fc_.size();
+      Matrix& y = hidden ? (i % 2 == 0 ? ws.pred_sum : ws.succ_sum) : out;
+      if (inputs) (*inputs)[i].copy_from(*x);
       quantize_tensor(*x, ws.qact);
       quantized_linear_forward(ws.qact, qfc_[i], fc_[i].bias.value, y,
                                /*relu=*/hidden);
-    } else if (hidden) {
-      fc_[i].forward_relu(*x, y);
-    } else {
-      fc_[i].forward(*x, y);
+      x = &y;
     }
-    x = &y;
+    return;
   }
+
+  if (in.cols() != fc_.front().in_features()) {
+    throw std::invalid_argument("fc_head: input width mismatch");
+  }
+  const std::size_t m = in.rows();
+  std::size_t widest = 0;
+  for (std::size_t i = 0; i + 1 < fc_.size(); ++i) {
+    widest = std::max(widest, fc_[i].out_features());
+  }
+  out.resize_for_overwrite(m, fc_.back().out_features());
+  if (inputs) {
+    (*inputs)[0].copy_from(in);
+    for (std::size_t i = 1; i < fc_.size(); ++i) {
+      (*inputs)[i].resize_for_overwrite(m, fc_[i].in_features());
+    }
+  }
+  const BlockPlan plan = plan_blocks(m, kMinParallelRows);
+  // Per block: two hidden activation blocks, ping-ponged layer to layer
+  // (or, when caching, the rows of the callers' FC inputs instead).
+  const std::size_t hidden_block = kGemmRowBlock * widest;
+  ws.blocks.resize_for_overwrite(plan.count, 2 * hidden_block);
+  run_blocks(plan, [&](std::size_t block, std::size_t b0, std::size_t b1) {
+    float* scratch = ws.blocks.row(block);
+    for (std::size_t i0 = b0; i0 < b1; i0 += kGemmRowBlock) {
+      const std::size_t count = std::min(kGemmRowBlock, b1 - i0);
+      const float* x = in.row(i0);
+      std::size_t ldx = in.cols();
+      for (std::size_t i = 0; i < fc_.size(); ++i) {
+        const bool hidden = i + 1 < fc_.size();
+        const std::size_t width = fc_[i].out_features();
+        float* y = !hidden ? out.row(i0)
+                   : inputs ? (*inputs)[i + 1].row(i0)
+                            : scratch + (i % 2) * hidden_block;
+        gemm_bias_act_rows(x, ldx, count, fc_[i].weight.value,
+                           fc_[i].bias.value, /*relu=*/hidden, y, width);
+        x = y;
+        ldx = width;
+      }
+    }
+  });
 }
 
 void GcnModel::run_forward(const GraphTensors& graph, Cache* cache,
@@ -163,37 +260,29 @@ void GcnModel::run_forward(const GraphTensors& graph, Cache* cache,
                 "GcnModel: quantized snapshots not calibrated");
   }
 
-  // Ping-pong the activations through the workspace: after one warm-up
-  // pass per graph, the whole forward allocates nothing. All internal
-  // activations live in compute (possibly reordered) row order; only the
-  // gather here and the scatter of the logits touch the permutation.
-  Matrix* emb = &ws.ping;
-  Matrix* alt = &ws.pong;
+  // Ping-pong the activations through the workspace — or, for a caching
+  // forward, write them straight into the caller's E_0..E_D: after one
+  // warm-up pass per graph, the whole forward allocates nothing. All
+  // internal activations live in compute (possibly reordered) row order;
+  // only the gather here and the scatter of the logits touch the
+  // permutation.
+  if (embeddings) embeddings->resize(encoders_.size() + 1);
+  if (cache) cache->layers.resize(encoders_.size());
+  Matrix* emb = embeddings ? &embeddings->front() : &ws.ping;
+  Matrix* spare = &ws.pong;
   gather_compute_rows(graph, graph.features, *emb);
-  if (embeddings) {
-    embeddings->resize(encoders_.size() + 1);
-    (*embeddings)[0].copy_from(*emb);
-  }
-  if (cache) {
-    cache->aggregated.resize(encoders_.size());
-    cache->pred_sums.resize(encoders_.size());
-    cache->succ_sums.resize(encoders_.size());
-  }
   for (std::size_t d = 0; d < encoders_.size(); ++d) {
-    layer_step(d, graph.pred, graph.succ, *emb, nullptr, precision, ws, *alt);
-    if (embeddings) (*embeddings)[d + 1].copy_from(*alt);
-    if (cache) {
-      cache->pred_sums[d].copy_from(ws.pred_sum);
-      cache->succ_sums[d].copy_from(ws.succ_sum);
-      cache->aggregated[d].copy_from(ws.aggregated);
-    }
-    std::swap(emb, alt);
+    Matrix* next = embeddings ? &(*embeddings)[d + 1] : spare;
+    layer_step(d, graph.pred, graph.succ, *emb, nullptr, precision, ws, *next,
+               cache ? &cache->layers[d] : nullptr);
+    if (!embeddings) spare = emb;
+    emb = next;
   }
 
   std::vector<Matrix>* fc_inputs = cache ? &cache->fc_inputs : nullptr;
   if (graph.reordered()) {
-    fc_head(*emb, precision, ws, *alt, fc_inputs);
-    scatter_compute_rows(graph, *alt, out);
+    fc_head(*emb, precision, ws, *spare, fc_inputs);
+    scatter_compute_rows(graph, *spare, out);
   } else {
     fc_head(*emb, precision, ws, out, fc_inputs);
   }
@@ -247,15 +336,16 @@ void GcnModel::backward(const GraphTensors& graph, const Matrix& dlogits) {
     Matrix dz;
     Relu::backward(cache_.embeddings[d + 1], grad, dz);
     Matrix dg;
-    encoders_[d].backward(cache_.aggregated[d], dz, dg);
+    const LayerSums& sums = cache_.layers[d];
+    encoders_[d].backward(sums.aggregated, dz, dg);
 
     // dw_pr += sum((P*E_{d-1}) .* dG); same for w_su. With tied weights
     // both contributions flow into the single shared scalar.
-    w_pr_.grad.at(0, 0) += cache_.pred_sums[d].dot(dg);
+    w_pr_.grad.at(0, 0) += sums.pred_sum.dot(dg);
     if (config_.tied_aggregation) {
-      w_pr_.grad.at(0, 0) += cache_.succ_sums[d].dot(dg);
+      w_pr_.grad.at(0, 0) += sums.succ_sum.dot(dg);
     } else {
-      w_su_.grad.at(0, 0) += cache_.succ_sums[d].dot(dg);
+      w_su_.grad.at(0, 0) += sums.succ_sum.dot(dg);
     }
 
     // dE_{d-1} = dG + w_pr * P^T * dG + w_su * S^T * dG.

@@ -42,6 +42,13 @@ struct GcnConfig {
   float initial_w_su = 0.5f;
 };
 
+/// P*E, S*E and G of one layer step, kept for backward (training only).
+struct LayerSums {
+  Matrix pred_sum;    ///< P * E_{d-1}
+  Matrix succ_sum;    ///< S * E_{d-1}
+  Matrix aggregated;  ///< G_d
+};
+
 class GcnModel {
  public:
   explicit GcnModel(const GcnConfig& config);
@@ -70,23 +77,32 @@ class GcnModel {
 
   /// The Eq. 1 layer step of encoder d, the one place a GCN layer is
   /// computed:  G = E + w_pr*(P*E) + w_su*(S*E);  out = ReLU(G*W_d + b_d).
-  /// `rows` null: every row — `in` is E for the whole graph, the SpMMs are
-  /// the row-blocked CsrMatrix::spmm, and kInt8 selects the int8 kernels.
-  /// `rows` non-null: only those rows of pred/succ (ids into `in`) are
-  /// computed, into a compact rows->size()-row `out`, always in fp32 (no
-  /// row-subset int8 kernel exists). Each fp32 output row is bit-identical
-  /// to the same row of the whole-graph step. P*E, S*E and G are left in
-  /// ws.pred_sum / ws.succ_sum / ws.aggregated; `out` must be none of
-  /// those and not `in`.
+  /// `rows` null: every row of pred/succ; `rows` non-null: only those rows
+  /// (ids into `in`), into a compact rows->size()-row `out`.
+  /// fp32 (always, with a row list): one pass over kGemmRowBlock-row
+  /// blocks across the kernel pool. Per row, P*E and S*E accumulate with
+  /// CsrMatrix::accumulate_row and G forms in block scratch
+  /// (ws.blocks); each block is then encoded by gemm_bias_act_rows
+  /// straight into `out`. Every output row is bitwise the row of the
+  /// unfused spmm / copy / axpy / gemm_bias_act sequence, for any thread
+  /// count and row list. A non-null `keep` (fp32 only) also receives the
+  /// graph-sized P*E, S*E and G for backward.
+  /// kInt8 (all rows only): quantize_tensor / spmm_q8 / axpy_exact /
+  /// quantized_linear_forward through ws.pred_sum / succ_sum / aggregated.
+  /// `out` must not be `in` (std::invalid_argument); a row id past
+  /// pred/succ throws std::out_of_range.
   void layer_step(std::size_t d, const CsrMatrix& pred, const CsrMatrix& succ,
                   const Matrix& in, const std::vector<std::uint32_t>* rows,
-                  Precision precision, ForwardWorkspace& ws,
-                  Matrix& out) const;
+                  Precision precision, ForwardWorkspace& ws, Matrix& out,
+                  LayerSums* keep = nullptr) const;
 
-  /// FC head over every row of `in`: hidden layers with fused ReLU
-  /// ping-pong through ws.pred_sum / ws.succ_sum, and the last layer writes
-  /// the raw logits into `out` (which must be neither). A non-null
-  /// `inputs` receives each FC layer's input (the training cache).
+  /// FC head over every row of `in`, writing the raw logits into `out`
+  /// (which must not be `in`). fp32: all FC layers run per
+  /// kGemmRowBlock-row block with the hidden activations in ws.blocks,
+  /// so only the logits reach memory; a non-null `inputs` receives each
+  /// FC layer's input (the training cache), its hidden layers written
+  /// there directly. kInt8: layer by layer, ping-ponging through
+  /// ws.pred_sum / ws.succ_sum.
   void fc_head(const Matrix& in, Precision precision, ForwardWorkspace& ws,
                Matrix& out, std::vector<Matrix>* inputs = nullptr) const;
 
@@ -157,9 +173,7 @@ class GcnModel {
 
   struct Cache {
     std::vector<Matrix> embeddings;  ///< E_0 .. E_D (post-activation)
-    std::vector<Matrix> aggregated;  ///< G_1 .. G_D
-    std::vector<Matrix> pred_sums;   ///< P * E_{d-1}
-    std::vector<Matrix> succ_sums;   ///< S * E_{d-1}
+    std::vector<LayerSums> layers;   ///< P*E, S*E and G of layers 1 .. D
     std::vector<Matrix> fc_inputs;   ///< input to each FC layer
   };
   Cache cache_;

@@ -1,8 +1,13 @@
 #pragma once
 // ForwardWorkspace: the preallocated scratch buffers a whole-graph (or
-// compact dirty-row) GCN forward pass needs — the two aggregation sums,
-// the aggregated matrix, a ping-pong pair of activation buffers, and
-// (int8 tier only) a pair of quantized activation code buffers.
+// compact dirty-row) GCN forward pass needs — a ping-pong pair of
+// activation buffers, the row-block scratch of the fused fp32 layer step
+// and FC head, and (int8 tier only) the two aggregation sums, the
+// aggregated matrix and a pair of quantized activation code buffers.
+//
+// The fp32 forward never materializes graph-sized P*E, S*E, G or hidden
+// FC activations: each kernel-pool block aggregates, encodes and
+// classifies kGemmRowBlock rows at a time in its own row of `blocks`.
 //
 // Matrix::resize() and Matrix::copy_from() reuse the underlying
 // allocation whenever the new element count fits in capacity(), so after
@@ -29,25 +34,29 @@ namespace gcnt {
 
 class ForwardWorkspace {
  public:
-  /// P * E_{d-1} (or its row-subset slice); FC-head scratch afterwards.
+  /// Row-block scratch of the fp32 layer step and FC head, one row per
+  /// kernel-pool block (indexed by run_blocks' block index): the block's
+  /// G rows and one P*E / S*E row pair, or two hidden FC activation blocks.
+  Matrix blocks;
+  Matrix ping;  ///< activation ping-pong buffer A
+  Matrix pong;  ///< activation ping-pong buffer B
+  /// int8 tier: P * E_{d-1}; FC-head scratch afterwards.
   Matrix pred_sum;
-  /// S * E_{d-1} (or its row-subset slice); FC-head scratch afterwards.
+  /// int8 tier: S * E_{d-1}; FC-head scratch afterwards.
   Matrix succ_sum;
-  Matrix aggregated;  ///< G_d = E + w_pr*pred_sum + w_su*succ_sum
-  Matrix ping;        ///< activation ping-pong buffer A
-  Matrix pong;        ///< activation ping-pong buffer B
+  Matrix aggregated;     ///< int8 tier: G_d = E + w_pr*P*E + w_su*S*E
   QuantizedTensor qact;  ///< int8 tier: quantized activation codes
   QuantizedTensor qagg;  ///< int8 tier: quantized aggregated codes
 
   /// Number of buffer reallocation (capacity-growth) events across all
-  /// seven buffers since the previous poll. Call once after warm-up to
+  /// eight buffers since the previous poll. Call once after warm-up to
   /// drain the initial growth; a zero return after further passes proves
   /// those passes allocated nothing.
   std::size_t poll_allocations() noexcept {
     const std::size_t current[kBuffers] = {
+        blocks.capacity(),   ping.capacity(),     pong.capacity(),
         pred_sum.capacity(), succ_sum.capacity(), aggregated.capacity(),
-        ping.capacity(),     pong.capacity(),     qact.capacity(),
-        qagg.capacity()};
+        qact.capacity(),     qagg.capacity()};
     std::size_t events = 0;
     for (std::size_t i = 0; i < kBuffers; ++i) {
       if (current[i] > capacities_[i]) {
@@ -59,7 +68,7 @@ class ForwardWorkspace {
   }
 
  private:
-  static constexpr std::size_t kBuffers = 7;
+  static constexpr std::size_t kBuffers = 8;
   std::size_t capacities_[kBuffers] = {};
 };
 

@@ -26,6 +26,32 @@ constexpr std::size_t kMinParallelMacs = std::size_t{1} << 18;
 
 // Transpose-b schedule: output elements per dot_rows call.
 constexpr std::size_t kNtChunk = 64;
+
+// No-transpose schedule: p-slab depth of one packed a block
+// (kGemmRowBlock x kNnDepth floats, 16 KB, stays in L1).
+constexpr std::size_t kNnDepth = 128;
+
+/// c[r * ldc + j] += alpha * sum_p a[r * lda + p] * b[p][j] for
+/// r < rows <= kGemmRowBlock: the one no-transpose kernel. Each kNnDepth
+/// slab of the block is packed transposed and swept by gemm_tn, whose
+/// per-element sequence (alpha * a, the exact zero-skip, one multiply-add
+/// per p) is the row axpy's; slabs ascend, so every element still
+/// accumulates in ascending-p order.
+void gemm_nn_block(const float* a, std::size_t lda, std::size_t rows,
+                   const Matrix& b, float alpha, const SimdOps& ops, float* c,
+                   std::size_t ldc) {
+  float packed[kGemmRowBlock * kNnDepth];
+  const std::size_t k = b.rows();
+  const std::size_t n = b.cols();
+  for (std::size_t p0 = 0; p0 < k; p0 += kNnDepth) {
+    const std::size_t depth = std::min(kNnDepth, k - p0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* arow = a + r * lda + p0;
+      for (std::size_t p = 0; p < depth; ++p) packed[p * rows + r] = arow[p];
+    }
+    ops.gemm_tn(c, ldc, packed, rows, b.row(p0), n, rows, n, depth, alpha);
+  }
+}
 }  // namespace
 
 void Matrix::xavier_init(Rng& rng) {
@@ -69,14 +95,11 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
   const std::size_t kb = transpose_b ? b.cols() : b.rows();
   const std::size_t n = transpose_b ? b.rows() : b.cols();
   if (k != kb) throw std::invalid_argument("gemm: inner dimension mismatch");
-
-  if (beta == 0.0f) {
-    out.resize(m, n, 0.0f);
-  } else {
-    if (out.rows() != m || out.cols() != n) {
-      throw std::invalid_argument("gemm: output shape mismatch");
-    }
-    out.scale(beta);
+  if (&out == &a || &out == &b) {
+    throw std::invalid_argument("gemm: output aliases an input");
+  }
+  if (beta != 0.0f && (out.rows() != m || out.cols() != n)) {
+    throw std::invalid_argument("gemm: output shape mismatch");
   }
 
   // Loop orders chosen so the innermost loop is always contiguous in the
@@ -89,18 +112,30 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
   // SIMD microkernels.
   const SimdOps& ops = simd_ops();
   if (!transpose_a && !transpose_b) {
+    // Each row block is zeroed (or scaled by beta) just before the
+    // kernel accumulates into it, while it is cache-hot.
+    if (beta == 0.0f) out.resize_for_overwrite(m, n);
     parallel_blocks(m, kMinParallelDim, [&](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const float* arow = a.row(i);
-        float* orow = out.row(i);
-        for (std::size_t p = 0; p < k; ++p) {
-          const float av = alpha * arow[p];
-          if (av == 0.0f) continue;
-          ops.axpy(orow, b.row(p), av, n);
+      for (std::size_t i = i0; i < i1; i += kGemmRowBlock) {
+        const std::size_t rows = std::min(kGemmRowBlock, i1 - i);
+        float* c = out.row(i);
+        if (beta == 0.0f) {
+          std::fill(c, c + rows * n, 0.0f);
+        } else {
+          ops.scale(c, beta, rows * n);
         }
+        gemm_nn_block(a.row(i), k, rows, b, alpha, ops, c, n);
       }
     });
-  } else if (transpose_a && !transpose_b) {
+    return;
+  }
+  if (beta == 0.0f) {
+    out.resize(m, n, 0.0f);
+  } else {
+    out.scale(beta);
+  }
+
+  if (transpose_a) {
     // Weight gradient (a is k x m, b is k x n): output tiles of
     // kTnTileRows x kTnTileCols, a contiguous run of tiles per block, each
     // tile swept by the gemm_tn microkernel one kTnDepth slab of p at a
@@ -155,26 +190,37 @@ void gemm_bias_act(const Matrix& a, const Matrix& b, const Matrix& bias,
   if (bias.rows() != 1 || bias.cols() != n) {
     throw std::invalid_argument("gemm_bias_act: bias shape mismatch");
   }
-  out.resize(m, n, 0.0f);
-  const SimdOps& ops = simd_ops();
-  const float* bias_row = bias.row(0);
+  if (&out == &a || &out == &b || &out == &bias) {
+    throw std::invalid_argument("gemm_bias_act: output aliases an input");
+  }
+  out.resize_for_overwrite(m, n);
   parallel_blocks(m, kMinParallelDim, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float* arow = a.row(i);
-      float* orow = out.row(i);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        ops.axpy(orow, b.row(p), av, n);
-      }
-      // Epilogue as soon as the row completes, while it is still hot.
+    gemm_bias_act_rows(a.row(i0), k, i1 - i0, b, bias, relu, out.row(i0), n);
+  });
+}
+
+void gemm_bias_act_rows(const float* a, std::size_t lda, std::size_t rows,
+                        const Matrix& b, const Matrix& bias, bool relu,
+                        float* out, std::size_t ldo) {
+  const SimdOps& ops = simd_ops();
+  const std::size_t n = b.cols();
+  const float* bias_row = bias.row(0);
+  for (std::size_t r0 = 0; r0 < rows; r0 += kGemmRowBlock) {
+    const std::size_t block = std::min(kGemmRowBlock, rows - r0);
+    float* c = out + r0 * ldo;
+    for (std::size_t r = 0; r < block; ++r) {
+      std::fill(c + r * ldo, c + r * ldo + n, 0.0f);
+    }
+    gemm_nn_block(a + r0 * lda, lda, block, b, 1.0f, ops, c, ldo);
+    // Epilogue while the block is still hot.
+    for (std::size_t r = 0; r < block; ++r) {
       if (relu) {
-        ops.bias_relu(orow, bias_row, n);
+        ops.bias_relu(c + r * ldo, bias_row, n);
       } else {
-        ops.bias_add(orow, bias_row, n);
+        ops.bias_add(c + r * ldo, bias_row, n);
       }
     }
-  });
+  }
 }
 
 }  // namespace gcnt

@@ -4,12 +4,33 @@
 // owning value type with explicit, allocation-free compute kernels.
 
 #include <cstddef>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/debug_assert.h"
 #include "common/rng.h"
 
 namespace gcnt {
+
+namespace matrix_detail {
+/// std::allocator whose value-initializing construct() — the one
+/// vector::resize(n) calls — leaves the element uninitialized, so
+/// Matrix::resize_for_overwrite never writes the elements it adds: the
+/// kernels that overwrite them first-touch the pages on the kernel pool
+/// instead of one thread zero-filling them up front.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+}  // namespace matrix_detail
 
 class Matrix {
  public:
@@ -53,15 +74,17 @@ class Matrix {
     data_.assign(rows * cols, fill);
   }
 
-  /// Reshapes without touching existing contents: when the new element
-  /// count fits the current size, no element is written at all (unlike
-  /// resize(), which refills everything). Callers must overwrite every
-  /// element before reading it — spmm_q8 uses this to skip the full
-  /// prefill pass and instead zero each output slice right before
-  /// accumulating into it, while it is cache-hot.
+  /// Reshapes without writing any element (unlike resize(), which
+  /// refills everything): contents afterwards are unspecified, and a
+  /// growth past capacity() neither copies the old elements nor zeroes
+  /// the new ones. Callers must overwrite every element before reading
+  /// it — spmm_q8, the no-transpose GEMM and the fused GCN layer step use
+  /// this to initialize each output block right before accumulating into
+  /// it, while it is cache-hot, on the thread that owns the block.
   void resize_for_overwrite(std::size_t rows, std::size_t cols) {
     rows_ = rows;
     cols_ = cols;
+    if (rows * cols > data_.capacity()) data_.clear();
     data_.resize(rows * cols);
   }
 
@@ -94,13 +117,14 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<float> data_;
+  std::vector<float, matrix_detail::DefaultInitAllocator<float>> data_;
 };
 
 /// out = alpha * op(a) * op(b) + beta * out, with op = optional transpose
 /// of at most one operand (a double transpose throws
 /// std::invalid_argument, like the shape errors). `out` is resized to the
-/// result shape when beta == 0.
+/// result shape when beta == 0. `out` must be neither `a` nor `b`
+/// (std::invalid_argument): it is written before the operands are read.
 ///
 /// Accumulation policy (uniform across all three transpose variants):
 /// every output element accumulates its k products in float32, in fixed
@@ -110,10 +134,11 @@ class Matrix {
 /// inner-product variant (!transpose_a && transpose_b) applies alpha to
 /// the completed dot product — at alpha == 1 all variants are bitwise
 /// identical on the scalar target. The variants differ only in schedule:
-/// no-transpose rows per block; transpose-a-only (the weight gradient)
-/// 16 x 64 output tiles per block, each swept by the register-blocked
-/// gemm_tn kernel in 256-deep p slabs; transpose-b-only (the input
-/// gradient) rows per block, several dot products per dot_rows call.
+/// no-transpose kGemmRowBlock-row blocks, each packed transposed and swept
+/// by the register-blocked gemm_tn kernel; transpose-a-only (the weight
+/// gradient) 16 x 64 output tiles per block, each swept by gemm_tn in
+/// 256-deep p slabs; transpose-b-only (the input gradient) rows per
+/// block, several dot products per dot_rows call.
 /// None of them changes an element's operation sequence, so for a fixed
 /// dispatch target results are bitwise identical across thread counts;
 /// across targets (scalar vs avx2/avx512) they differ only by FMA
@@ -124,12 +149,29 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
 
 /// Fused dense layer: out = act(a * b + bias), with bias a 1 x n row
 /// broadcast over output rows and act = ReLU when `relu` (identity
-/// otherwise). The epilogue runs on each output row right after its
-/// k-loop completes — one pass over the output instead of three
-/// (gemm write, bias pass, ReLU pass) — and applies the exact same
-/// per-element operation sequence, so the result is bitwise identical
-/// to gemm + bias add + Relu::forward.
+/// otherwise). Runs the no-transpose gemm kernel one row block at a time
+/// and applies the epilogue to each block while it is cache-hot — one
+/// pass over the output instead of three (gemm write, bias pass, ReLU
+/// pass) — with the exact same per-element operation sequence, so the
+/// result is bitwise identical to gemm + bias add + Relu::forward.
+/// `out` must be none of the inputs (std::invalid_argument).
 void gemm_bias_act(const Matrix& a, const Matrix& b, const Matrix& bias,
                    Matrix& out, bool relu);
+
+/// Rows per block of the no-transpose GEMM kernel: the block of a is
+/// packed transposed into an L1-sized scratch before gemm_tn sweeps it.
+inline constexpr std::size_t kGemmRowBlock = 32;
+
+/// gemm_bias_act on raw rows: for r < rows,
+///   out[r * ldo + j] = act(sum_p a[r * lda + p] * b[p][j] + bias[j]),
+/// with a's row length b.rows() and out's row length b.cols(). Each row
+/// is bitwise identical to the row gemm_bias_act produces for the same
+/// input, on every target. Serial, kGemmRowBlock rows at a time:
+/// gemm_bias_act runs it once per kernel-pool block, the fused GCN layer
+/// step and FC head on row blocks they hold in scratch. `out` must not
+/// overlap `a`.
+void gemm_bias_act_rows(const float* a, std::size_t lda, std::size_t rows,
+                        const Matrix& b, const Matrix& bias, bool relu,
+                        float* out, std::size_t ldo);
 
 }  // namespace gcnt

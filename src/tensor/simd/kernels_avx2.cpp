@@ -89,11 +89,14 @@ void avx2_scale(float* y, float a, std::size_t n) {
   for (; i < n; ++i) y[i] *= a;
 }
 
-// ---- weight-gradient GEMM tile ---------------------------------------
+// ---- GEMM tile (weight gradient and packed no-transpose) -------------
 // Register tile: kTnRows output rows x V <= kTnVecs 8-lane column
 // vectors (up to 4 x 16), whose accumulators stay in ymm registers across
-// the whole k loop. The zero-skip is a blend: a lane whose row term
-// compares equal to zero keeps its old accumulator, exactly like axpy()'s
+// the whole k loop. Per p the four row terms alpha * a are formed and
+// compared with zero in one xmm: a p whose four terms all compare equal
+// to zero is skipped outright, a p whose four terms are all live runs
+// plain fmadds, and a mixed p blends — a lane whose row term compares
+// equal to zero keeps its old accumulator, exactly like axpy()'s
 // `continue`. The column tail uses maskload/maskstore, so a tail lane
 // runs the same fmadd as a body lane (axpy's scalar tail is std::fmaf —
 // the same single rounding). A short tile repeats its last row in the
@@ -102,16 +105,15 @@ void avx2_scale(float* y, float a, std::size_t n) {
 constexpr std::size_t kTnRows = 4;
 constexpr std::size_t kTnVecs = 2;
 
-template <std::size_t V>
+/// Full: rows == kTnRows, so a p's four a values are one 16-byte load.
+template <std::size_t V, bool Full>
 void avx2_tn_tile(float* c, std::size_t ldc, const float* a, std::size_t lda,
                   const float* b, std::size_t ldb, std::size_t rows,
                   std::size_t k, float alpha, int last_lanes) {
-  const __m256i full = _mm256_set1_epi32(-1);
   const __m256i last =
       _mm256_cmpgt_epi32(_mm256_set1_epi32(last_lanes),
                          _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  const __m256 valpha = _mm256_set1_ps(alpha);
-  const __m256 zero = _mm256_setzero_ps();
+  const __m128 valpha = _mm_set1_ps(alpha);
   std::size_t row[kTnRows];
   __m256 acc[kTnRows][V];
 #pragma GCC unroll 16
@@ -119,26 +121,52 @@ void avx2_tn_tile(float* c, std::size_t ldc, const float* a, std::size_t lda,
     row[r] = std::min(r, rows - 1);
 #pragma GCC unroll 16
     for (std::size_t v = 0; v < V; ++v) {
-      acc[r][v] = _mm256_maskload_ps(c + row[r] * ldc + 8 * v,
-                                     v + 1 == V ? last : full);
+      const float* src = c + row[r] * ldc + 8 * v;
+      acc[r][v] = v + 1 == V ? _mm256_maskload_ps(src, last)
+                             : _mm256_loadu_ps(src);
     }
   }
   for (std::size_t p = 0; p < k; ++p) {
     const float* ap = a + p * lda;
+    const __m128 terms = _mm_mul_ps(
+        valpha, Full ? _mm_loadu_ps(ap)
+                     : _mm_setr_ps(ap[row[0]], ap[row[1]], ap[row[2]],
+                                   ap[row[3]]));
+    const __m128 live = _mm_cmp_ps(terms, _mm_setzero_ps(), _CMP_NEQ_UQ);
+    const int live_rows = _mm_movemask_ps(live);
+    if (live_rows == 0) continue;
     const float* bp = b + p * ldb;
     __m256 bv[V];
 #pragma GCC unroll 16
     for (std::size_t v = 0; v < V; ++v) {
-      bv[v] = _mm256_maskload_ps(bp + 8 * v, v + 1 == V ? last : full);
+      bv[v] = v + 1 == V ? _mm256_maskload_ps(bp + 8 * v, last)
+                         : _mm256_loadu_ps(bp + 8 * v);
     }
+    // Row terms and masks are broadcast from the stack one row at a time
+    // (load-port broadcasts), which keeps every accumulator in a register.
+    alignas(16) float term[kTnRows];
+    _mm_store_ps(term, terms);
+    if (live_rows == 0xF) {
 #pragma GCC unroll 16
-    for (std::size_t r = 0; r < kTnRows; ++r) {
-      const __m256 av = _mm256_mul_ps(valpha, _mm256_set1_ps(ap[row[r]]));
-      const __m256 live = _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ);
+      for (std::size_t r = 0; r < kTnRows; ++r) {
+        const __m256 av = _mm256_broadcast_ss(term + r);
 #pragma GCC unroll 16
-      for (std::size_t v = 0; v < V; ++v) {
-        acc[r][v] = _mm256_blendv_ps(
-            acc[r][v], _mm256_fmadd_ps(av, bv[v], acc[r][v]), live);
+        for (std::size_t v = 0; v < V; ++v) {
+          acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+        }
+      }
+    } else {
+      alignas(16) float keep[kTnRows];
+      _mm_store_ps(keep, live);
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < kTnRows; ++r) {
+        const __m256 av = _mm256_broadcast_ss(term + r);
+        const __m256 mask = _mm256_broadcast_ss(keep + r);
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < V; ++v) {
+          acc[r][v] = _mm256_blendv_ps(
+              acc[r][v], _mm256_fmadd_ps(av, bv[v], acc[r][v]), mask);
+        }
       }
     }
   }
@@ -151,11 +179,22 @@ void avx2_tn_tile(float* c, std::size_t ldc, const float* a, std::size_t lda,
     out[r] = r < rows ? c + r * ldc : dead;
 #pragma GCC unroll 16
     for (std::size_t v = 0; v < V; ++v) {
-      _mm256_maskstore_ps(out[r] + 8 * v, v + 1 == V ? last : full,
-                          acc[r][v]);
+      if (v + 1 == V) {
+        _mm256_maskstore_ps(out[r] + 8 * v, last, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(out[r] + 8 * v, acc[r][v]);
+      }
     }
   }
 }
+
+/// avx2_tn_tile<V, Full>, indexed by [V - 1][Full].
+constexpr void (*kTnTiles[kTnVecs][2])(float*, std::size_t, const float*,
+                                       std::size_t, const float*, std::size_t,
+                                       std::size_t, std::size_t, float,
+                                       int) = {
+    {avx2_tn_tile<1, false>, avx2_tn_tile<1, true>},
+    {avx2_tn_tile<2, false>, avx2_tn_tile<2, true>}};
 
 void avx2_gemm_tn(float* c, std::size_t ldc, const float* a, std::size_t lda,
                   const float* b, std::size_t ldb, std::size_t rows,
@@ -164,14 +203,11 @@ void avx2_gemm_tn(float* c, std::size_t ldc, const float* a, std::size_t lda,
     const std::size_t tile_rows = std::min(kTnRows, rows - r0);
     for (std::size_t c0 = 0; c0 < cols; c0 += 8 * kTnVecs) {
       const std::size_t tile_cols = std::min(8 * kTnVecs, cols - c0);
+      const std::size_t vecs = (tile_cols + 7) / 8;
       const int last_lanes = static_cast<int>((tile_cols - 1) % 8 + 1);
-      if (tile_cols > 8) {
-        avx2_tn_tile<2>(c + r0 * ldc + c0, ldc, a + r0, lda, b + c0, ldb,
-                        tile_rows, k, alpha, last_lanes);
-      } else {
-        avx2_tn_tile<1>(c + r0 * ldc + c0, ldc, a + r0, lda, b + c0, ldb,
-                        tile_rows, k, alpha, last_lanes);
-      }
+      kTnTiles[vecs - 1][tile_rows == kTnRows](c + r0 * ldc + c0, ldc, a + r0,
+                                               lda, b + c0, ldb, tile_rows, k,
+                                               alpha, last_lanes);
     }
   }
 }

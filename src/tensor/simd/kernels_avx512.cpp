@@ -117,7 +117,7 @@ void avx512_scale(float* y, float a, std::size_t n) {
   }
 }
 
-// ---- weight-gradient GEMM tile ---------------------------------------
+// ---- GEMM tile (weight gradient and packed no-transpose) -------------
 // Register tile: kTnRows output rows x V <= kTnVecs 16-lane column
 // vectors (up to 4 x 64), whose accumulators stay in zmm registers across
 // the whole k loop. Per p the tile loads its b vectors once and

@@ -1,14 +1,12 @@
 #pragma once
 // Vectorized microkernel backend for the dense/sparse hot loops.
 //
-// Every inner loop the compute kernels spend their time in (GEMM row
-// update, the register-blocked weight-gradient GEMM tile, SpMM row
-// accumulation, single and multi-row dot products, the bias/ReLU
-// epilogues, the vec_ops.h row helpers, and the int8 quantized tier)
-// funnels
-// through one table of function pointers — SimdOps — resolved once per
-// process by runtime CPU detection. Three implementations are built into
-// every binary:
+// Every inner loop the compute kernels spend their time in (the
+// register-blocked GEMM tile, SpMM row accumulation, single and
+// multi-row dot products, the bias/ReLU epilogues, the vec_ops.h row
+// helpers, and the int8 quantized tier) funnels through one table of
+// function pointers — SimdOps — resolved once per process by runtime CPU
+// detection. Three implementations are built into every binary:
 //
 //   * scalar — portable fixed-width-blocked loops, no ISA requirements.
 //     The per-element accumulation order of the fp32 ops is exactly the
@@ -95,17 +93,22 @@ struct SimdOps {
 
   // ---- fp32 GEMM microkernels (tensor/matrix.cpp) -------------------
 
-  /// Weight-gradient (transpose-a) block update, for r < rows, j < cols:
+  /// Transpose-a block update — the weight gradient, and (through a
+  /// packed a^T row block, see gemm_nn_block in matrix.cpp) every
+  /// no-transpose product: gemm, gemm_bias_act and the fused GCN forward.
+  /// For r < rows, j < cols:
   ///   c[r * ldc + j] += (alpha * a[p * lda + r]) * b[p * ldb + j]
   /// for p ascending over [0, k). A product whose alpha * a term compares
   /// equal to zero is skipped exactly (the accumulator is left untouched,
-  /// so Inf/NaN in that b row cannot leak in): a masked FMA on avx512, a
-  /// blend on avx2, the branch on scalar. Each element performs the
-  /// same operation sequence axpy() would, one p at a time — scalar a
-  /// separate multiply and add, avx2/avx512 one fmaf. The vector targets
-  /// walk the block in register tiles (avx2 4 x 16, avx512 4 x 64) whose
-  /// accumulators stay in registers across the k loop; scalar walks it
-  /// one output row at a time.
+  /// so Inf/NaN in that b row cannot leak in): a masked FMA on avx512;
+  /// on avx2 a tile's four row terms are tested together — a p whose
+  /// terms are all zero is skipped outright, one whose terms are all live
+  /// runs plain FMAs, and a mixed p blends; the branch on scalar. Each
+  /// element performs the same operation sequence axpy() would, one p at
+  /// a time — scalar a separate multiply and add, avx2/avx512 one fmaf.
+  /// The vector targets walk the block in register tiles (avx2 4 x 16,
+  /// avx512 4 x 64) whose accumulators stay in registers across the k
+  /// loop; scalar walks it one output row at a time.
   void (*gemm_tn)(float* c, std::size_t ldc, const float* a, std::size_t lda,
                   const float* b, std::size_t ldb, std::size_t rows,
                   std::size_t cols, std::size_t k, float alpha);

@@ -175,31 +175,6 @@ void CsrMatrix::spmm(const Matrix& dense, Matrix& out, float alpha,
                   });
 }
 
-void CsrMatrix::spmm_rows(const std::vector<std::uint32_t>& row_ids,
-                          const Matrix& dense, Matrix& out,
-                          float alpha) const {
-  GCNT_KERNEL_SCOPE("spmm_rows");
-  if (dense.rows() != cols_) {
-    throw std::invalid_argument("spmm_rows: dimension mismatch");
-  }
-  for (const std::uint32_t r : row_ids) {
-    if (r >= rows_) {
-      throw std::out_of_range("spmm_rows: row id out of range");
-    }
-  }
-  out.resize(row_ids.size(), dense.cols(), 0.0f);
-  // The same row kernel as spmm(), so compact row i is bit-identical to
-  // full-output row row_ids[i] for any thread count.
-  const SimdOps& ops = simd_ops();
-  parallel_blocks(row_ids.size(), kMinParallelRows,
-                  [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      accumulate_row(row_ids[i], dense, alpha, ops,
-                                     out.row(i));
-                    }
-                  });
-}
-
 void CsrMatrix::accumulate_row(std::size_t r, const Matrix& dense,
                                float alpha, const SimdOps& ops,
                                float* orow) const {

@@ -98,24 +98,18 @@ class CsrMatrix {
   void spmm(const Matrix& dense, Matrix& out, float alpha = 1.0f,
             float beta = 0.0f) const;
 
-  /// Row-subset SpMM: out.row(i) = alpha * this.row(row_ids[i]) * dense,
-  /// with `out` resized to row_ids.size() x dense.cols(). Each compact
-  /// output row reproduces the corresponding spmm() row bit-for-bit (same
-  /// ascending-k accumulation), which is what lets the incremental
-  /// inference engine re-propagate only dirty rows. Throws on out-of-range
-  /// row ids or a dimension mismatch.
-  void spmm_rows(const std::vector<std::uint32_t>& row_ids,
-                 const Matrix& dense, Matrix& out, float alpha = 1.0f) const;
-
   /// Structural transpose (values preserved).
   CsrMatrix transpose() const;
 
- private:
   /// orow += alpha * this.row(r) * dense, nonzeros in ascending-k order:
-  /// the one row kernel behind spmm() and spmm_rows().
+  /// the one row kernel behind spmm() and the fused GCN layer step
+  /// (GcnModel::layer_step, whole graph or a row list), so a row it
+  /// produces into zeroed memory is bitwise the spmm() row. Unchecked:
+  /// r < rows() and dense.rows() == cols() are the caller's to ensure.
   void accumulate_row(std::size_t r, const Matrix& dense, float alpha,
                       const SimdOps& ops, float* orow) const;
 
+ private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::uint32_t> row_ptr_;

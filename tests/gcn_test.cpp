@@ -8,6 +8,7 @@
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "data/dataset.h"
+#include "gcn/engine.h"
 #include "gcn/model.h"
 #include "gcn/multistage.h"
 #include "gcn/graphsage_inference.h"
@@ -700,23 +701,267 @@ TEST(ForwardWorkspace, SteadyStateInferAllocatesNothing) {
   config.primary_outputs = 8;
   const Netlist n = generate_circuit(config);
   const auto tensors = build_graph_tensors(n);
+  const std::size_t rows = tensors.node_count();
+  ASSERT_NE(rows % kGemmRowBlock, 0u) << "want a partial last row block";
   const GcnModel model(tiny_config(2));
 
-  // First pass per graph grows the workspace buffers; every pass after
-  // that must reuse their capacity — zero heap allocations.
-  ForwardWorkspace ws;
-  Matrix out;
-  model.infer(tensors, ws, out);
-  const Matrix reference = out;
-  EXPECT_EQ(reference, model.infer(tensors)) << "overloads must agree";
-  (void)ws.poll_allocations();  // drain the warm-up growth events
-  const std::size_t logits_capacity = out.capacity();
-  for (int pass = 0; pass < 3; ++pass) {
-    model.infer(tensors, ws, out);
-    EXPECT_EQ(ws.poll_allocations(), 0u) << "pass " << pass;
-    EXPECT_EQ(out.capacity(), logits_capacity) << "pass " << pass;
-    EXPECT_EQ(out, reference) << "pass " << pass;
+  // Row lists around the row-block size, in descending (unsorted) order.
+  std::vector<std::vector<std::uint32_t>> lists;
+  for (const std::size_t size : {1u, 31u, 32u, 33u}) {
+    std::vector<std::uint32_t> list;
+    for (std::size_t i = 0; i < size; ++i) {
+      list.push_back(static_cast<std::uint32_t>(rows - 1 - 7 * i));
+    }
+    lists.push_back(std::move(list));
   }
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    set_kernel_threads(threads);
+    ForwardWorkspace ws;
+    // The block scratch is one of the polled buffers: an FC head on a
+    // fresh workspace grows it and nothing else.
+    {
+      Matrix e(rows, model.fc_layers().front().in_features(), 0.5f);
+      Matrix logits;
+      model.fc_head(e, Precision::kFp32, ws, logits);
+      EXPECT_GT(ws.blocks.capacity(), 0u);
+      EXPECT_EQ(ws.poll_allocations(), 1u);
+    }
+
+    // Every pass runs plain inference, the caching forward, the row-list
+    // layer step at each list size, and the FC head on whole-graph and
+    // compact rows, all through `ws`.
+    Matrix out;
+    Matrix cached_out;
+    std::vector<Matrix> embeddings;
+    Matrix step_out;
+    Matrix head_out;
+    Matrix compact_head_out;
+    Matrix reference;
+    const auto run_pass = [&] {
+      model.infer(tensors, ws, out);
+      model.infer(tensors, ws, cached_out, &embeddings);
+      ASSERT_EQ(embeddings.size(), 3u);
+      model.fc_head(embeddings[2], Precision::kFp32, ws, head_out);
+      for (std::size_t p = 0; p < rows; ++p) {
+        for (std::size_t c = 0; c < out.cols(); ++c) {
+          ASSERT_EQ(head_out.at(p, c), out.at(tensors.node_of(p), c));
+        }
+      }
+      for (const auto& list : lists) {
+        model.layer_step(1, tensors.pred, tensors.succ, embeddings[1], &list,
+                         Precision::kFp32, ws, step_out);
+        ASSERT_EQ(step_out.rows(), list.size());
+        for (std::size_t i = 0; i < list.size(); ++i) {
+          for (std::size_t c = 0; c < step_out.cols(); ++c) {
+            ASSERT_EQ(step_out.at(i, c), embeddings[2].at(list[i], c))
+                << "list of " << list.size() << ", row " << i;
+          }
+        }
+        model.fc_head(step_out, Precision::kFp32, ws, compact_head_out);
+        for (std::size_t i = 0; i < list.size(); ++i) {
+          for (std::size_t c = 0; c < out.cols(); ++c) {
+            ASSERT_EQ(compact_head_out.at(i, c), head_out.at(list[i], c));
+          }
+        }
+      }
+    };
+
+    // First pass per graph grows the workspace buffers; every pass after
+    // that must reuse their capacity — zero heap allocations.
+    run_pass();
+    reference = out;
+    EXPECT_EQ(reference, model.infer(tensors)) << "overloads must agree";
+    EXPECT_EQ(cached_out, reference) << "caching forward must agree";
+    (void)ws.poll_allocations();  // drain the warm-up growth events
+    const std::size_t logits_capacity = out.capacity();
+    std::vector<std::size_t> embedding_capacity;
+    for (const Matrix& e : embeddings) {
+      embedding_capacity.push_back(e.capacity());
+    }
+    const std::size_t step_capacity = step_out.capacity();
+    for (int pass = 0; pass < 3; ++pass) {
+      run_pass();
+      EXPECT_EQ(ws.poll_allocations(), 0u) << "pass " << pass;
+      EXPECT_EQ(out.capacity(), logits_capacity) << "pass " << pass;
+      EXPECT_EQ(step_out.capacity(), step_capacity) << "pass " << pass;
+      for (std::size_t d = 0; d < embeddings.size(); ++d) {
+        EXPECT_EQ(embeddings[d].capacity(), embedding_capacity[d]);
+      }
+      EXPECT_EQ(out, reference) << "pass " << pass;
+      EXPECT_EQ(cached_out, reference) << "pass " << pass;
+    }
+  }
+  set_kernel_threads(0);
+}
+
+// The fused row-block layer step and FC head against the unfused kernel
+// sequence they replace, rebuilt here from public calls: spmm x2, copy,
+// axpy x2 and gemm_bias_act per layer, then one Linear per FC layer.
+// Bitwise, for the whole graph (a row count that is no multiple of the
+// row block), for row lists (with a repeated row), and for the training
+// cache; at 1 and 4 threads. Non-dyadic aggregation weights make any
+// reordering of the Eq. 1 sum show up in the last bit. Aliased outputs,
+// row ids past the graph and a mis-sized input are refused.
+TEST(GcnModel, LayerStepMatchesUnfusedKernelsBitwise) {
+  GeneratorConfig generator;
+  generator.seed = 23;
+  generator.target_gates = 900;
+  generator.primary_inputs = 16;
+  generator.primary_outputs = 8;
+  const auto tensors = build_graph_tensors(generate_circuit(generator));
+  ASSERT_NE(tensors.node_count() % kGemmRowBlock, 0u);
+  GcnConfig config = tiny_config(3);
+  config.initial_w_pr = 0.3f;
+  config.initial_w_su = 0.7f;
+  const GcnModel model(config);
+  std::vector<std::uint32_t> rows = {7};
+  for (std::uint32_t r = 5; r < tensors.node_count(); r += 11) {
+    rows.push_back(r);
+  }
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    set_kernel_threads(threads);
+    ForwardWorkspace ws;
+    Matrix e;
+    gather_compute_rows(tensors, tensors.features, e);
+    for (std::size_t d = 0; d < model.encoders().size(); ++d) {
+      Matrix pred_sum, succ_sum, aggregated, expected;
+      tensors.pred.spmm(e, pred_sum);
+      tensors.succ.spmm(e, succ_sum);
+      aggregated.copy_from(e);
+      aggregated.axpy(model.w_pr(), pred_sum);
+      aggregated.axpy(model.w_su(), succ_sum);
+      model.encoders()[d].forward_relu(aggregated, expected);
+
+      Matrix out;
+      LayerSums sums;
+      model.layer_step(d, tensors.pred, tensors.succ, e, nullptr,
+                       Precision::kFp32, ws, out, &sums);
+      EXPECT_EQ(out, expected) << "layer " << d;
+      EXPECT_EQ(sums.pred_sum, pred_sum) << "layer " << d;
+      EXPECT_EQ(sums.succ_sum, succ_sum) << "layer " << d;
+      EXPECT_EQ(sums.aggregated, aggregated) << "layer " << d;
+      model.layer_step(d, tensors.pred, tensors.succ, e, nullptr,
+                       Precision::kFp32, ws, out);
+      EXPECT_EQ(out, expected) << "layer " << d << " without sums";
+
+      Matrix compact;
+      model.layer_step(d, tensors.pred, tensors.succ, e, &rows,
+                       Precision::kFp32, ws, compact);
+      Matrix expected_rows;
+      gather_rows(expected, rows, expected_rows);
+      EXPECT_EQ(compact, expected_rows) << "layer " << d;
+      e = std::move(expected);
+    }
+
+    Matrix x = e;
+    Matrix expected;
+    std::vector<Matrix> expected_inputs;
+    const auto& fc = model.fc_layers();
+    for (std::size_t i = 0; i < fc.size(); ++i) {
+      expected_inputs.push_back(x);
+      if (i + 1 < fc.size()) {
+        fc[i].forward_relu(x, expected);
+      } else {
+        fc[i].forward(x, expected);
+      }
+      x = expected;
+    }
+    Matrix logits;
+    std::vector<Matrix> inputs;
+    model.fc_head(e, Precision::kFp32, ws, logits, &inputs);
+    EXPECT_EQ(logits, expected);
+    EXPECT_EQ(inputs, expected_inputs);
+    model.fc_head(e, Precision::kFp32, ws, logits);
+    EXPECT_EQ(logits, expected) << "without inputs";
+
+    Matrix aliased;
+    gather_compute_rows(tensors, tensors.features, aliased);
+    EXPECT_THROW(model.layer_step(0, tensors.pred, tensors.succ, aliased,
+                                  nullptr, Precision::kFp32, ws, aliased),
+                 std::invalid_argument);
+    const std::vector<std::uint32_t> past_end = {
+        0, static_cast<std::uint32_t>(tensors.node_count())};
+    Matrix unused;
+    EXPECT_THROW(model.layer_step(0, tensors.pred, tensors.succ, aliased,
+                                  &past_end, Precision::kFp32, ws, unused),
+                 std::out_of_range);
+    const Matrix short_in(tensors.node_count() - 1, kNodeFeatureDim);
+    EXPECT_THROW(model.layer_step(0, tensors.pred, tensors.succ, short_in,
+                                  nullptr, Precision::kFp32, ws, unused),
+                 std::invalid_argument);
+    aliased = e;
+    EXPECT_THROW(model.fc_head(aliased, Precision::kFp32, ws, aliased),
+                 std::invalid_argument);
+  }
+  set_kernel_threads(0);
+}
+
+// Eq. 1 by hand on a 3-node chain 0 -> 1 -> 2 (one encoder, one hidden FC
+// layer). Every weight and feature is a small dyadic rational, so each
+// product and partial sum is exact in fp32 and the logits are the same on
+// every SIMD target, thread count and engine.
+TEST(GcnModel, TinyEq1GraphMatchesHandComputedLogits) {
+  GraphTensors tiny;
+  tiny.features = Matrix(3, kNodeFeatureDim);
+  const float features[3][kNodeFeatureDim] = {
+      {1, 0, 2, 0}, {0, 1, 1, 0}, {2, 1, 0, 1}};
+  for (std::size_t v = 0; v < 3; ++v) {
+    for (std::size_t c = 0; c < kNodeFeatureDim; ++c) {
+      tiny.features.at(v, c) = features[v][c];
+    }
+  }
+  tiny.pred_coo = CooMatrix(3, 3);
+  tiny.pred_coo.add(1, 0, 1.0f);  // P: row v sums the fanins of v
+  tiny.pred_coo.add(2, 1, 1.0f);
+  tiny.succ_coo = CooMatrix(3, 3);
+  tiny.succ_coo.add(0, 1, 1.0f);  // S: row v sums the fanouts of v
+  tiny.succ_coo.add(1, 2, 1.0f);
+  tiny.rebuild_csr();
+
+  GcnConfig config;
+  config.depth = 1;
+  config.embed_dims = {2};
+  config.fc_dims = {2};
+  config.num_classes = 2;
+  config.initial_w_pr = 0.5f;
+  config.initial_w_su = 0.25f;
+  GcnModel model(config);
+  const auto set = [](Param* param, std::initializer_list<float> values) {
+    ASSERT_EQ(param->value.size(), values.size());
+    std::copy(values.begin(), values.end(), param->value.data());
+  };
+  const std::vector<Param*> params = model.params();
+  ASSERT_EQ(params.size(), 8u);  // w_pr, w_su, then (W, b) x 3
+  set(params[2], {1, -1, 2, 0, 0, 1, -1, 0.5f});  // encoder W, 4 x 2
+  set(params[3], {0.5f, -1});
+  set(params[4], {1, 0.5f, -2, 1});  // hidden FC W, 2 x 2
+  set(params[5], {0, 0.25f});
+  set(params[6], {1, -1, -1, 0.5f});  // output W, 2 x 2
+  set(params[7], {0.5f, 0});
+
+  // G = E + 0.5 P E + 0.25 S E   = [1 .25 2.25 0; 1 1.25 2 .25; 2 1.5 .5 1]
+  // E1 = ReLU(G W + b)           = [2 .25; 3.75 .125; 4.5 0]
+  // H = ReLU(E1 Wf + bf)         = [1.5 1.5; 3.5 2.25; 4.5 2.5]
+  // logits = H Wo + bo
+  Matrix expected(3, 2);
+  const float logits[3][2] = {{0.5f, -0.75f}, {1.75f, -2.375f}, {2.5f, -3.25f}};
+  for (std::size_t v = 0; v < 3; ++v) {
+    expected.at(v, 0) = logits[v][0];
+    expected.at(v, 1) = logits[v][1];
+  }
+
+  EXPECT_EQ(model.infer(tiny), expected);
+  const std::unique_ptr<GcnEngine> incremental = make_gcn_engine(model);
+  incremental->refresh(tiny);
+  EXPECT_EQ(incremental->logits(), expected);
+  const std::unique_ptr<GcnEngine> sharded =
+      make_gcn_engine(model, /*shards=*/2, /*halo=*/1);
+  sharded->refresh(tiny);
+  EXPECT_EQ(sharded->logits(), expected);
 }
 
 TEST(GraphReorder, RcmInferenceBitwiseMatchesUnordered) {

@@ -336,16 +336,13 @@ TEST_F(SimdTest, BackwardGemmMatchesReferenceLoopsBitwise) {
   }
 }
 
-// SpMM and spmm_rows: bitwise identical per target across thread counts;
-// within tolerance across targets.
+// SpMM: bitwise identical per target across thread counts; within
+// tolerance across targets.
 TEST_F(SimdTest, SpmmBitwiseInvariantAcrossThreadsPerTarget) {
   const CsrMatrix csr = random_csr(400, 300, 4000, 77);
   const Matrix dense = random_dense(300, 96, 88);
-  std::vector<std::uint32_t> row_ids;
-  for (std::uint32_t r = 3; r < 400; r += 7) row_ids.push_back(r);
 
-  std::vector<Matrix> per_target_full;
-  std::vector<Matrix> per_target_rows;
+  std::vector<Matrix> per_target;
   for (const SimdTarget target :
        {SimdTarget::kScalar, SimdTarget::kAvx2, SimdTarget::kAvx512}) {
     if (!simd_target_available(target)) continue;
@@ -354,67 +351,115 @@ TEST_F(SimdTest, SpmmBitwiseInvariantAcrossThreadsPerTarget) {
     Matrix reference;
     set_kernel_threads(1);
     csr.spmm(dense, reference);
-    Matrix rows_reference;
-    csr.spmm_rows(row_ids, dense, rows_reference);
-
     for (const int threads : {1, 3, 8}) {
       set_kernel_threads(threads);
       Matrix out;
       csr.spmm(dense, out);
       EXPECT_EQ(reference, out)
           << simd_target_name() << " threads " << threads;
-      Matrix rows_out;
-      csr.spmm_rows(row_ids, dense, rows_out);
-      EXPECT_EQ(rows_reference, rows_out)
-          << simd_target_name() << " threads " << threads;
     }
     set_kernel_threads(0);
-
-    // Each compact spmm_rows row reproduces the full spmm row bit-for-bit.
-    for (std::size_t i = 0; i < row_ids.size(); ++i) {
-      for (std::size_t c = 0; c < reference.cols(); ++c) {
-        ASSERT_EQ(reference.at(row_ids[i], c), rows_reference.at(i, c));
-      }
-    }
-    per_target_full.push_back(std::move(reference));
-    per_target_rows.push_back(std::move(rows_reference));
+    per_target.push_back(std::move(reference));
   }
-  for (std::size_t i = 1; i < per_target_full.size(); ++i) {
-    expect_close(per_target_full[0], per_target_full[i], 1e-5f);
-    expect_close(per_target_rows[0], per_target_rows[i], 1e-5f);
+  for (std::size_t i = 1; i < per_target.size(); ++i) {
+    expect_close(per_target[0], per_target[i], 1e-5f);
   }
 }
 
-// gemm_bias_act must be bitwise identical to the unfused pipeline
-// (gemm, then bias broadcast, then optional ReLU) on every target.
-TEST_F(SimdTest, GemmBiasActMatchesUnfusedBitwise) {
-  const Matrix a = random_dense(150, 64, 99);
-  const Matrix b = random_dense(64, 80, 111);
-  const Matrix bias = random_dense(1, 80, 122);
+/// Naive no-transpose oracle, independent of gemm(): out = beta * c0 +
+/// alpha * a * b (c0 == nullptr: from zero), then optionally + bias and
+/// ReLU. Every element runs p in ascending order with alpha folded into
+/// the a term and an exact zero skip; the multiply-add is a separate
+/// multiply and add on scalar and one std::fmaf on avx2/avx512.
+Matrix naive_nn(const Matrix& a, const Matrix& b, float alpha,
+                const Matrix* c0, float beta, const Matrix* bias, bool relu,
+                bool fused) {
+  Matrix out(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      float acc = c0 ? c0->at(i, j) * beta : 0.0f;
+      for (std::size_t p = 0; p < a.cols(); ++p) {
+        const float av = alpha * a.at(i, p);
+        if (av == 0.0f) continue;
+        if (fused) {
+          acc = std::fmaf(av, b.at(p, j), acc);
+        } else {
+          const float product = av * b.at(p, j);
+          acc = acc + product;
+        }
+      }
+      if (bias) {
+        acc = acc + bias->at(0, j);
+        if (relu) acc = acc > 0.0f ? acc : 0.0f;
+      }
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
 
+// gemm's no-transpose branch and gemm_bias_act share one packed-block
+// kernel; both must equal the naive per-target oracle bit for bit, at
+// every width, depth and row count (full and partial row blocks), with
+// alpha/beta, at 1 and 4 threads. Columns 1 and k - 1 of a are exact
+// +0.0 / -0.0 while the matching b rows hold Inf and NaN: the zero skip
+// must keep them out of every output. Column k / 2 is zero only in every
+// third row (so register tiles see a mix of live and skipped rows) and
+// its b row is +Inf in every other column: the live rows turn Inf there,
+// the skipped rows must stay finite.
+TEST_F(SimdTest, GemmBiasActMatchesUnfusedBitwise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
   for (const SimdTarget target :
        {SimdTarget::kScalar, SimdTarget::kAvx2, SimdTarget::kAvx512}) {
     if (!simd_target_available(target)) continue;
     ASSERT_TRUE(set_simd_target(target));
+    const bool fused = target != SimdTarget::kScalar;
+    for (const std::size_t threads : {1u, 4u}) {
+      set_kernel_threads(threads);
+      for (const std::size_t n : {2u, 32u, 64u, 80u, 128u}) {
+        for (const std::size_t k : {4u, 32u, 64u, 128u}) {
+          for (const std::size_t m : {1u, 33u, 150u}) {
+            SCOPED_TRACE(std::string(simd_target_name()) + " threads " +
+                         std::to_string(threads) + " m " + std::to_string(m) +
+                         " n " + std::to_string(n) + " k " +
+                         std::to_string(k));
+            Matrix a = random_dense(m, k, 99 + m + k);
+            Matrix b = random_dense(k, n, 111 + n + k);
+            const Matrix bias = random_dense(1, n, 122 + n);
+            for (const std::size_t p : {std::size_t{1}, k - 1}) {
+              for (std::size_t i = 0; i < m; ++i) {
+                a.at(i, p) = i % 2 == 0 ? 0.0f : -0.0f;
+              }
+              for (std::size_t j = 0; j < n; ++j) {
+                b.at(p, j) = j % 3 == 0 ? nan : (j % 3 == 1 ? inf : -inf);
+              }
+            }
+            for (std::size_t i = 0; i < m; i += 3) a.at(i, k / 2) = 0.0f;
+            for (std::size_t j = 0; j < n; j += 2) b.at(k / 2, j) = inf;
 
-    Matrix reference;
-    gemm(a, b, reference, false, false);
-    for (std::size_t r = 0; r < reference.rows(); ++r) {
-      for (std::size_t c = 0; c < reference.cols(); ++c) {
-        reference.at(r, c) += bias.at(0, c);
+            Matrix linear;
+            gemm_bias_act(a, b, bias, linear, /*relu=*/false);
+            EXPECT_EQ(linear, naive_nn(a, b, 1.0f, nullptr, 0.0f, &bias,
+                                       false, fused));
+            Matrix relu;
+            gemm_bias_act(a, b, bias, relu, /*relu=*/true);
+            EXPECT_EQ(relu, naive_nn(a, b, 1.0f, nullptr, 0.0f, &bias, true,
+                                     fused));
+
+            Matrix plain;
+            gemm(a, b, plain, false, false);
+            EXPECT_EQ(plain, naive_nn(a, b, 1.0f, nullptr, 0.0f, nullptr,
+                                      false, fused));
+            const Matrix c0 = random_dense(m, n, 133 + m + n);
+            Matrix scaled = c0;
+            gemm(a, b, scaled, false, false, 0.75f, -0.5f);
+            EXPECT_EQ(scaled, naive_nn(a, b, 0.75f, &c0, -0.5f, nullptr,
+                                       false, fused));
+          }
+        }
       }
     }
-    Matrix fused_linear;
-    gemm_bias_act(a, b, bias, fused_linear, /*relu=*/false);
-    EXPECT_EQ(reference, fused_linear) << simd_target_name();
-
-    for (std::size_t i = 0; i < reference.rows() * reference.cols(); ++i) {
-      float& v = reference.data()[i];
-      v = v > 0.0f ? v : 0.0f;
-    }
-    Matrix fused_relu;
-    gemm_bias_act(a, b, bias, fused_relu, /*relu=*/true);
-    EXPECT_EQ(reference, fused_relu) << simd_target_name();
   }
 }
 

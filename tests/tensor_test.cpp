@@ -136,6 +136,32 @@ TEST(Gemm, DoubleTransposeThrows) {
   EXPECT_THROW(gemm(a, b, out, true, true), std::invalid_argument);
 }
 
+// The output is written (resized, zeroed or scaled by beta) before the
+// operands are read, so an output that aliases an input is refused
+// instead of silently computing garbage.
+TEST(Gemm, AliasedOutputThrows) {
+  Rng rng(45);
+  Matrix a = random_matrix(6, 6, rng);
+  Matrix b = random_matrix(6, 6, rng);
+  Matrix bias = random_matrix(1, 6, rng);
+  const Matrix a_before = a;
+  const Matrix b_before = b;
+  for (const bool ta : {false, true}) {
+    EXPECT_THROW(gemm(a, b, a, ta, false), std::invalid_argument);
+    EXPECT_THROW(gemm(a, b, b, ta, false), std::invalid_argument);
+    EXPECT_THROW(gemm(a, b, a, false, ta, 1.0f, 0.5f), std::invalid_argument);
+  }
+  EXPECT_THROW(gemm_bias_act(a, b, bias, a, true), std::invalid_argument);
+  EXPECT_THROW(gemm_bias_act(a, b, bias, b, false), std::invalid_argument);
+  EXPECT_EQ(a, a_before);
+  EXPECT_EQ(b, b_before);
+
+  // A distinct output of the same shape is fine.
+  Matrix out = a;
+  gemm(a, b, out, false, false, 1.0f, 1.0f);
+  gemm_bias_act(a, b, bias, out, true);
+}
+
 TEST(Gemm, BetaAccumulates) {
   Rng rng(7);
   const Matrix a = random_matrix(4, 4, rng);
@@ -384,36 +410,6 @@ TEST(Csr, SpmmBitwiseIdenticalAcrossTileWidths) {
     }
   }
   set_kernel_threads(0);
-}
-
-TEST(Csr, SpmmRowsMatchesFullSpmmRows) {
-  Rng rng(43);
-  const CsrMatrix csr = random_csr(500, 200, 4000, rng);
-  const Matrix x = random_matrix(200, 9, rng);
-  Matrix full;
-  csr.spmm(x, full);
-  const std::vector<std::uint32_t> subset = {0, 7, 7, 123, 250, 499};
-  Matrix compact;
-  csr.spmm_rows(subset, x, compact);
-  ASSERT_EQ(compact.rows(), subset.size());
-  ASSERT_EQ(compact.cols(), full.cols());
-  for (std::size_t i = 0; i < subset.size(); ++i) {
-    for (std::size_t j = 0; j < full.cols(); ++j) {
-      // Bitwise: the compact row must reproduce the whole-graph row.
-      EXPECT_EQ(compact.at(i, j), full.at(subset[i], j))
-          << "i=" << i << " j=" << j;
-    }
-  }
-}
-
-TEST(Csr, SpmmRowsValidatesInputs) {
-  Rng rng(47);
-  const CsrMatrix csr = random_csr(10, 6, 20, rng);
-  const Matrix x = random_matrix(6, 3, rng);
-  Matrix out;
-  EXPECT_THROW(csr.spmm_rows({10}, x, out), std::out_of_range);
-  const Matrix wrong = random_matrix(5, 3, rng);
-  EXPECT_THROW(csr.spmm_rows({0}, wrong, out), std::invalid_argument);
 }
 
 TEST(Csr, SpmmBitwiseIdenticalAcrossThreadCounts) {
