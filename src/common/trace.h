@@ -97,18 +97,30 @@ class TraceSuppressScope {
 };
 
 /// RAII span: records [construction, destruction) on the calling thread.
+/// Given `stats` (as GCNT_KERNEL_SCOPE passes), the same clock pair also
+/// feeds the stats registry (kernel.<name>.calls / kernel.<name>.ns). A
+/// pass that wants span args and kernel stats uses one such span:
+///   static KernelStats& stats = kernel_stats("gcn.incremental.update");
+///   TraceSpan span("gcn.incremental.update", &stats);
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name) noexcept {
-    if (trace_enabled() && !trace_detail::thread_suppressed()) {
-      name_ = name;
+  explicit TraceSpan(const char* name, KernelStats* stats = nullptr) noexcept
+      : stats_(stats != nullptr && stats_enabled() ? stats : nullptr) {
+    if (trace_enabled() && !trace_detail::thread_suppressed()) name_ = name;
+    if (name_ != nullptr || stats_ != nullptr) {
       begin_ = trace_detail::now_ns();
     }
   }
   ~TraceSpan() {
+    if (name_ == nullptr && stats_ == nullptr) return;
+    const std::uint64_t end = trace_detail::now_ns();
+    if (stats_ != nullptr) {
+      stats_->calls.add();
+      stats_->latency_ns.record(end - begin_);
+    }
     if (name_ != nullptr && trace_enabled()) {
-      trace_detail::record(name_, begin_, trace_detail::now_ns(), keys_[0],
-                           values_[0], keys_[1], values_[1]);
+      trace_detail::record(name_, begin_, end, keys_[0], values_[0], keys_[1],
+                           values_[1]);
     }
   }
   TraceSpan(const TraceSpan&) = delete;
@@ -128,40 +140,10 @@ class TraceSpan {
 
  private:
   const char* name_ = nullptr;
+  KernelStats* stats_;
   std::uint64_t begin_ = 0;
   const char* keys_[2] = {nullptr, nullptr};
   double values_[2] = {0.0, 0.0};
-};
-
-/// One clock pair feeding both the trace (a span) and the stats registry
-/// (kernel.<name>.calls / kernel.<name>.ns); active only when either
-/// subsystem is enabled.
-class InstrumentScope {
- public:
-  InstrumentScope(const char* name, KernelStats& stats) noexcept
-      : name_(name), stats_(&stats) {
-    active_ = trace_enabled() || stats_enabled();
-    if (active_) begin_ = trace_detail::now_ns();
-  }
-  ~InstrumentScope() {
-    if (!active_) return;
-    const std::uint64_t end = trace_detail::now_ns();
-    if (stats_enabled()) {
-      stats_->calls.add();
-      stats_->latency_ns.record(end - begin_);
-    }
-    if (trace_enabled() && !trace_detail::thread_suppressed()) {
-      trace_detail::record(name_, begin_, end, nullptr, 0.0, nullptr, 0.0);
-    }
-  }
-  InstrumentScope(const InstrumentScope&) = delete;
-  InstrumentScope& operator=(const InstrumentScope&) = delete;
-
- private:
-  const char* name_;
-  KernelStats* stats_;
-  std::uint64_t begin_ = 0;
-  bool active_ = false;
 };
 
 /// Standard per-kernel instrumentation: one span + calls/latency stats.
@@ -169,8 +151,7 @@ class InstrumentScope {
 #define GCNT_KERNEL_SCOPE(name)                                      \
   static ::gcnt::KernelStats& gcnt_kernel_stats_here_ =              \
       ::gcnt::kernel_stats(name);                                    \
-  ::gcnt::InstrumentScope gcnt_kernel_scope_here_(name,              \
-                                                  gcnt_kernel_stats_here_)
+  ::gcnt::TraceSpan gcnt_kernel_scope_here_(name, &gcnt_kernel_stats_here_)
 
 /// Structural validation of a Chrome trace-event JSON file, shared by
 /// tools/trace_check and the unit tests.

@@ -50,9 +50,9 @@ class EditableDesign {
                   const std::string& spill_dir = {});
 
   /// Inserts an observation point on `target`: SCOAP CO repaired in its
-  /// fan-in cone, COO tuples and the OP feature row appended, the changed
-  /// rows seeded. Returns the OP node. Throws Error{kUsage} when `target`
-  /// is out of range or fails Netlist::can_observe.
+  /// fan-in cone, the OP edge queued and its feature row appended, the
+  /// changed rows seeded. Returns the OP node. Throws Error{kUsage} when
+  /// `target` is out of range or fails Netlist::can_observe.
   NodeId observe(NodeId target);
 
   /// Inserts a control point on `target`. Throws Error{kUsage} when
@@ -88,7 +88,7 @@ class EditableDesign {
   std::vector<std::uint32_t> levels_;
   GraphTensors tensors_;
   DirtyConeTracker tracker_;
-  bool csr_stale_ = false;       ///< appended COO tuples not yet in CSR
+  bool csr_stale_ = false;       ///< OP edges queued, not yet in the CSRs
   bool rebuild_pending_ = true;  ///< no tensors yet, or a CP rewired fanouts
 
   std::vector<std::unique_ptr<GcnEngine>> engines_;

@@ -1,6 +1,5 @@
 #include "gcn/engine.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/stats.h"
@@ -70,13 +69,6 @@ std::unique_ptr<GcnEngine> make_gcn_engine(const GcnModel& model,
   options.halo = halo;
   options.spill_dir = std::move(spill_dir);
   return std::make_unique<ShardedGcnEngine>(model, std::move(options));
-}
-
-void grow_rows(Matrix& m, std::size_t new_rows) {
-  if (m.rows() == new_rows) return;
-  Matrix grown(new_rows, m.cols());
-  std::copy(m.data(), m.data() + m.size(), grown.data());
-  m = std::move(grown);
 }
 
 }  // namespace gcnt

@@ -82,7 +82,4 @@ std::unique_ptr<GcnEngine> make_gcn_engine(const GcnModel& model,
                                            int halo = 1,
                                            std::string spill_dir = {});
 
-/// Grows `m` to new_rows rows, preserving existing rows (new rows zero).
-void grow_rows(Matrix& m, std::size_t new_rows);
-
 }  // namespace gcnt

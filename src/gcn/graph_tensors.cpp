@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <utility>
 
 #include "common/log.h"
 #include "common/stats.h"
@@ -31,25 +33,21 @@ GraphReorder env_reorder() {
   return cached;
 }
 
-/// Reverse Cuthill-McKee over the symmetrized pred+succ adjacency.
-/// Fully deterministic: BFS components start at the unvisited node of
-/// minimum (degree, id) and neighbors are visited in ascending
+/// Reverse Cuthill-McKee over the netlist's undirected fanin+fanout
+/// adjacency. Fully deterministic: BFS components start at the unvisited
+/// node of minimum (degree, id) and neighbors are visited in ascending
 /// (degree, id) order. Returns the compute order (position -> node).
-std::vector<std::uint32_t> rcm_order(std::size_t n, const CooMatrix& pred_coo,
-                                     const CooMatrix& succ_coo) {
+std::vector<std::uint32_t> rcm_order(const Netlist& netlist) {
+  const std::size_t n = netlist.size();
   std::vector<std::vector<std::uint32_t>> adjacency(n);
-  const auto add_edges = [&](const CooMatrix& coo) {
-    for (std::size_t k = 0; k < coo.nnz(); ++k) {
-      const std::uint32_t r = coo.row_index[k];
-      const std::uint32_t c = coo.col_index[k];
-      if (r == c) continue;
-      adjacency[r].push_back(c);
-      adjacency[c].push_back(r);
+  for (NodeId v = 0; v < n; ++v) {
+    auto& neighbors = adjacency[v];
+    for (const NodeId u : netlist.fanins(v)) {
+      if (u != v) neighbors.push_back(u);
     }
-  };
-  add_edges(pred_coo);
-  add_edges(succ_coo);
-  for (auto& neighbors : adjacency) {
+    for (const NodeId w : netlist.fanouts(v)) {
+      if (w != v) neighbors.push_back(w);
+    }
     std::sort(neighbors.begin(), neighbors.end());
     neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
                     neighbors.end());
@@ -90,20 +88,49 @@ std::vector<std::uint32_t> rcm_order(std::size_t n, const CooMatrix& pred_coo,
   return order;
 }
 
-/// Maps COO coordinates through row_of, preserving tuple order — so the
-/// CSR built from the result accumulates each row's entries in exactly
-/// the order the unpermuted CSR would (bitwise-identical SpMM rows).
-CooMatrix permute_coo(const CooMatrix& coo,
-                      const std::vector<std::uint32_t>& row_of) {
-  CooMatrix out(coo.rows, coo.cols);
-  out.row_index.reserve(coo.nnz());
-  out.col_index.reserve(coo.nnz());
-  out.values = coo.values;
-  for (std::size_t k = 0; k < coo.nnz(); ++k) {
-    out.row_index.push_back(row_of[coo.row_index[k]]);
-    out.col_index.push_back(row_of[coo.col_index[k]]);
+/// Appended nodes keep their id as their compute row (a no-op when the
+/// graph is not reordered).
+void extend_identity_tail(GraphTensors& tensors, std::size_t n) {
+  if (tensors.compute_row.empty()) return;
+  for (auto v = static_cast<std::uint32_t>(tensors.compute_row.size()); v < n;
+       ++v) {
+    tensors.compute_row.push_back(v);
+    tensors.compute_node.push_back(v);
   }
-  return out;
+}
+
+/// An n x n CSR filled row by row: fill_row(p, add) calls add(c, value)
+/// for row p's entries in order. A column repeated within a row keeps its
+/// first slot and sums the values (the bits CsrMatrix::from_coo gives for
+/// repeated tuples), so a netlist build and an OP append lay rows out
+/// alike.
+template <class FillRow>
+CsrMatrix csr_by_rows(std::size_t n, std::size_t nnz, FillRow fill_row) {
+  std::vector<std::uint32_t> row_ptr(n + 1, 0);
+  std::vector<std::uint32_t> col_index;
+  std::vector<float> values;
+  col_index.reserve(nnz);
+  values.reserve(nnz);
+  // slot_of[c]: where column c was last placed; a slot of the row being
+  // filled only if it lies past row_begin and still holds c.
+  std::vector<std::uint32_t> slot_of(n, 0);
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t row_begin = col_index.size();
+    fill_row(p, [&](std::uint32_t c, float value) {
+      const std::size_t slot = slot_of[c];
+      if (slot >= row_begin && slot < col_index.size() &&
+          col_index[slot] == c) {
+        values[slot] += value;
+        return;
+      }
+      slot_of[c] = static_cast<std::uint32_t>(col_index.size());
+      col_index.push_back(c);
+      values.push_back(value);
+    });
+    row_ptr[p + 1] = static_cast<std::uint32_t>(col_index.size());
+  }
+  return CsrMatrix::from_parts(n, n, std::move(row_ptr), std::move(col_index),
+                               std::move(values));
 }
 
 }  // namespace
@@ -187,38 +214,36 @@ void GraphTensors::standardize_features() {
 
 void GraphTensors::rebuild_csr() {
   GCNT_KERNEL_SCOPE("graph.rebuild_csr");
-  // Keep shapes square and in sync with the feature rows even when a node
-  // has no fanin/fanout entries yet.
-  const auto n = static_cast<std::uint32_t>(features.rows());
-  if (pred_coo.rows < n) pred_coo.rows = n;
-  if (pred_coo.cols < n) pred_coo.cols = n;
-  if (succ_coo.rows < n) succ_coo.rows = n;
-  if (succ_coo.cols < n) succ_coo.cols = n;
-
-  // Locality permutation: computed once per graph on the first rebuild
-  // (when enabled), then only extended with an identity tail as nodes are
-  // appended — never recomputed, so cached incremental state stays valid.
-  if (!compute_row.empty()) {
-    for (auto v = static_cast<std::uint32_t>(compute_row.size()); v < n; ++v) {
-      compute_row.push_back(v);
-      compute_node.push_back(v);
+  const std::size_t n = features.rows();
+  extend_identity_tail(*this, n);
+  // Each row keeps its nonzeros and then gains its pending edges in queue
+  // order: (row op, column target) in pred, (row target, column op) in succ.
+  const auto append = [&](const CsrMatrix& m, bool row_is_target) {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    for (const ObserveEdge& edge : pending_edges) {
+      const std::uint32_t target = row_of(edge.target);
+      const std::uint32_t op = row_of(edge.op);
+      edges.emplace_back(row_is_target ? target : op,
+                         row_is_target ? op : target);
     }
-  } else if (graph_reorder() == GraphReorder::kRcm && n > 0) {
-    compute_node = rcm_order(n, pred_coo, succ_coo);
-    compute_row.assign(n, 0);
-    for (std::uint32_t p = 0; p < n; ++p) compute_row[compute_node[p]] = p;
-  }
-  StatsRegistry::instance().gauge("graph.reorder").set(reordered() ? 1 : 0);
-
-  if (reordered()) {
-    pred = CsrMatrix::from_coo(permute_coo(pred_coo, compute_row));
-    succ = CsrMatrix::from_coo(permute_coo(succ_coo, compute_row));
-  } else {
-    pred = CsrMatrix::from_coo(pred_coo);
-    succ = CsrMatrix::from_coo(succ_coo);
-  }
-  pred_t = pred.transpose();
-  succ_t = succ.transpose();
+    std::stable_sort(
+        edges.begin(), edges.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::size_t e = 0;
+    return csr_by_rows(n, m.nnz() + edges.size(), [&](std::size_t p, auto add) {
+      if (p < m.rows()) {
+        for (std::size_t k = m.row_ptr()[p]; k < m.row_ptr()[p + 1]; ++k) {
+          add(m.col_index()[k], m.values()[k]);
+        }
+      }
+      for (; e < edges.size() && edges[e].first == p; ++e) {
+        add(edges[e].second, 1.0f);
+      }
+    });
+  };
+  pred = append(pred, false);
+  succ = append(succ, true);
+  pending_edges.clear();
 }
 
 GraphTensors build_graph_tensors(const Netlist& netlist,
@@ -247,21 +272,34 @@ GraphTensors build_graph_tensors(const Netlist& netlist,
     row[2] = transform_feature(scoap.cc1[v]);
     row[3] = transform_feature(scoap.co[v]);
   }
-  tensors.pred_coo = CooMatrix(n, n);
-  tensors.succ_coo = CooMatrix(n, n);
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId u : netlist.fanins(v)) {
-      tensors.pred_coo.add(v, u, 1.0f);
-    }
-    for (NodeId w : netlist.fanouts(v)) {
-      tensors.succ_coo.add(v, w, 1.0f);
-    }
-  }
-  if (keep_order != nullptr) {
+
+  // Locality permutation: computed once per graph, then only extended
+  // with an identity tail, so engines caching rows of `keep_order` stay
+  // valid.
+  if (keep_order != nullptr && keep_order->reordered()) {
     tensors.compute_row = keep_order->compute_row;
     tensors.compute_node = keep_order->compute_node;
+    extend_identity_tail(tensors, n);
+  } else if (graph_reorder() == GraphReorder::kRcm && n > 0) {
+    tensors.compute_node = rcm_order(netlist);
+    tensors.compute_row.assign(n, 0);
+    for (std::uint32_t p = 0; p < n; ++p) {
+      tensors.compute_row[tensors.compute_node[p]] = p;
+    }
   }
-  tensors.rebuild_csr();
+  StatsRegistry::instance().gauge("graph.reorder").set(
+      tensors.reordered() ? 1 : 0);
+
+  using NeighborList = const std::vector<NodeId>& (Netlist::*)(NodeId) const;
+  const auto adjacency = [&](NeighborList neighbors) {
+    return csr_by_rows(n, netlist.edge_count(), [&](std::size_t p, auto add) {
+      for (const NodeId u : (netlist.*neighbors)(tensors.node_of(p))) {
+        add(tensors.row_of(u), 1.0f);
+      }
+    });
+  };
+  tensors.pred = adjacency(&Netlist::fanins);
+  tensors.succ = adjacency(&Netlist::fanouts);
   return tensors;
 }
 
@@ -275,30 +313,20 @@ void append_observe_point(GraphTensors& tensors, const Netlist& netlist,
                           const ScoapMeasures& scoap,
                           const std::vector<NodeId>& refreshed,
                           std::vector<NodeId>* changed_rows) {
-  // Appended tuples, mirroring the paper's incremental COO update. The
-  // shapes are grown explicitly to the post-insertion node count first so
-  // a miscomputed coordinate throws instead of silently stretching the
-  // adjacency (the incremental engine depends on exact shapes).
-  const std::size_t n_after = netlist.size();
-  tensors.pred_coo.reshape(n_after, n_after);
-  tensors.succ_coo.reshape(n_after, n_after);
-  tensors.pred_coo.add_checked(op, target, 1.0f);
-  tensors.succ_coo.add_checked(target, op, 1.0f);
+  if (target >= op || op != tensors.node_count() || op >= netlist.size()) {
+    throw std::out_of_range(
+        "append_observe_point: op must be the next row and follow target");
+  }
+  tensors.pending_edges.push_back({target, op});
 
   // New feature row: the paper assigns the new node [0, 1, 1, 0].
-  Matrix grown(netlist.size(), kNodeFeatureDim);
-  for (std::size_t r = 0; r < tensors.features.rows(); ++r) {
-    for (std::size_t c = 0; c < kNodeFeatureDim; ++c) {
-      grown.at(r, c) = tensors.features.at(r, c);
-    }
-  }
-  float* row = grown.row(op);
+  grow_rows(tensors.features, op + 1);
+  float* row = tensors.features.row(op);
   row[0] = tensors.encode(0, 0.0);
   row[1] = tensors.encode(1, 1.0);
   row[2] = tensors.encode(2, 1.0);
   row[3] = tensors.encode(3, 0.0);
-  tensors.features = std::move(grown);
-  if (!tensors.labels.empty()) tensors.labels.resize(netlist.size(), 0);
+  if (!tensors.labels.empty()) tensors.labels.resize(op + 1, 0);
 
   // Observability changed only in the fan-in cone of the target — and the
   // SCOAP improvement usually dies out well before the cone does, so track
@@ -319,14 +347,16 @@ CooMatrix build_merged_adjacency(const GraphTensors& tensors, float w_pr,
   const std::size_t n = tensors.node_count();
   CooMatrix merged(n, n);
   for (std::uint32_t v = 0; v < n; ++v) merged.add(v, v, 1.0f);
-  for (std::size_t k = 0; k < tensors.pred_coo.nnz(); ++k) {
-    merged.add(tensors.pred_coo.row_index[k], tensors.pred_coo.col_index[k],
-               w_pr * tensors.pred_coo.values[k]);
-  }
-  for (std::size_t k = 0; k < tensors.succ_coo.nnz(); ++k) {
-    merged.add(tensors.succ_coo.row_index[k], tensors.succ_coo.col_index[k],
-               w_su * tensors.succ_coo.values[k]);
-  }
+  const auto add_scaled = [&](const CsrMatrix& m, float w) {
+    for (std::uint32_t p = 0; p < m.rows(); ++p) {
+      for (std::size_t k = m.row_ptr()[p]; k < m.row_ptr()[p + 1]; ++k) {
+        merged.add(tensors.node_of(p), tensors.node_of(m.col_index()[k]),
+                   w * m.values()[k]);
+      }
+    }
+  };
+  add_scaled(tensors.pred, w_pr);
+  add_scaled(tensors.succ, w_su);
   return merged;
 }
 

@@ -11,8 +11,9 @@
 // paper's merged matrix A = I + w_pr*P + w_su*S can still be materialized
 // for the pure-inference engine (Eq. 2).
 //
-// COO forms are retained because the OPI flow appends tuples incrementally
-// when the netlist gains observation points (Section 4).
+// P and S are one CSR each, filled straight from the netlist's fanin and
+// fanout lists. An observation point (Section 4) only queues its edge;
+// rebuild_csr() appends the queued edges to both CSRs in one linear pass.
 
 #include <array>
 #include <cstdint>
@@ -31,8 +32,8 @@ constexpr std::size_t kNodeFeatureDim = 4;
 /// log1p compression applied to each raw attribute.
 float transform_feature(double raw) noexcept;
 
-/// Locality reordering policy for the CSR compute forms. With kRcm, the
-/// first rebuild_csr() computes a reverse-Cuthill-McKee permutation of
+/// Locality reordering policy for the CSR compute forms. With kRcm,
+/// build_graph_tensors computes a reverse-Cuthill-McKee permutation of
 /// the node ids and builds the CSR matrices in that order, shrinking the
 /// column-index bandwidth so SpMM's gathered dense rows stay cache-hot.
 /// Reordering is invisible at every API boundary: features, labels and
@@ -46,8 +47,8 @@ enum class GraphReorder : int {
 };
 
 /// Resolved policy: set_graph_reorder override > GCNT_REORDER environment
-/// ("off" | "rcm", read once per process) > off. Affects tensors built /
-/// rebuilt after the change, never existing ones. The active policy is
+/// ("off" | "rcm", read once per process) > off. Affects tensors built
+/// after the change, never existing ones. The active policy is
 /// published as the "graph.reorder" stats gauge and recorded in bench
 /// JSON as "schema.reorder".
 GraphReorder graph_reorder();
@@ -58,13 +59,16 @@ void reset_graph_reorder();
 
 struct GraphTensors {
   Matrix features;  ///< N x 4, transformed (optionally standardized) attributes
-  CooMatrix pred_coo;
-  CooMatrix succ_coo;
-  CsrMatrix pred;    ///< row v sums fanins of v
-  CsrMatrix succ;    ///< row v sums fanouts of v
-  CsrMatrix pred_t;  ///< transpose of pred (for backprop)
-  CsrMatrix succ_t;  ///< transpose of succ
+  /// Row v sums the fanins of v in slot order (a driver in several slots:
+  /// one nonzero at its first slot, valued at the slot count).
+  CsrMatrix pred;
+  CsrMatrix succ;  ///< row v sums the fanouts of v, same layout
   std::vector<std::int32_t> labels;  ///< optional; empty if unlabeled
+
+  /// OP edges target -> op queued by append_observe_point, not yet in
+  /// pred/succ.
+  struct ObserveEdge { NodeId target; NodeId op; };
+  std::vector<ObserveEdge> pending_edges;
 
   /// Affine feature post-transform: stored feature = (log1p(raw) - mean) *
   /// scale. Identity until standardize_features() is called; kept so that
@@ -88,12 +92,12 @@ struct GraphTensors {
   std::size_t node_count() const noexcept { return features.rows(); }
 
   /// Locality permutation over the CSR forms (empty = identity, i.e.
-  /// reordering off for this graph). Computed by the first rebuild_csr()
+  /// reordering off for this graph). Computed by build_graph_tensors
   /// under GraphReorder::kRcm and extended with an identity tail when
   /// nodes are appended, so cached incremental state stays valid.
   /// compute_row maps a node id to its CSR row; compute_node inverts it.
-  /// Everything COO stays in node order — only the CSR forms (and the
-  /// GCN's internal activations) live in compute order.
+  /// Features, labels and pending_edges stay in node order — only the CSR
+  /// forms (and the GCN's internal activations) live in compute order.
   std::vector<std::uint32_t> compute_row;
   std::vector<std::uint32_t> compute_node;
 
@@ -107,7 +111,9 @@ struct GraphTensors {
     return compute_node.empty() ? row : compute_node[row];
   }
 
-  /// Rebuilds the CSR forms from the COO forms (after incremental edits).
+  /// Grows the CSR forms to node_count() rows (identity tail in the
+  /// permutation) and appends each pending edge to the end of row op in
+  /// pred and of row target in succ, in one linear pass.
   void rebuild_csr();
 };
 
@@ -140,10 +146,12 @@ GraphTensors build_graph_tensors(const Netlist& netlist,
 GraphTensors build_graph_tensors(const Netlist& netlist);
 
 /// Incremental update after netlist.insert_observe_point(target) created
-/// node `op`: appends the COO tuples and the new feature row ([0,1,1,0]
-/// per the paper), and refreshes the observability feature of the nodes in
-/// `refreshed` (the fan-in cone whose SCOAP CO changed). Does NOT rebuild
-/// the CSR forms; call rebuild_csr() once per insertion round.
+/// node `op`: queues the edge target -> op, appends the new feature row
+/// ([0,1,1,0] per the paper), and refreshes the observability feature of
+/// the nodes in `refreshed` (the fan-in cone whose SCOAP CO changed). Does
+/// NOT touch the CSR forms; call rebuild_csr() once per insertion round.
+/// Throws std::out_of_range, changing nothing, unless target < op and `op`
+/// is the next row (so a miscomputed id cannot stretch the graph).
 ///
 /// When `changed_rows` is non-null, every refreshed node whose stored
 /// feature value actually changed bits (the SCOAP walk refreshes the whole
@@ -158,7 +166,8 @@ void append_observe_point(GraphTensors& tensors, const Netlist& netlist,
                           std::vector<NodeId>* changed_rows = nullptr);
 
 /// Materializes the paper's merged adjacency A = I + w_pr*P + w_su*S in
-/// COO form (Eq. 2) for the standalone sparse inference engine.
+/// COO form and node order (Eq. 2) for the standalone sparse inference
+/// engine. Reads the CSR forms, so pending edges need rebuild_csr() first.
 CooMatrix build_merged_adjacency(const GraphTensors& tensors, float w_pr,
                                  float w_su);
 

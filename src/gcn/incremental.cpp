@@ -90,8 +90,8 @@ IncrementalGcnEngine::IncrementalGcnEngine(const GcnModel& model,
     : GcnEngine(model, options.full_fallback_fraction) {}
 
 void IncrementalGcnEngine::full_pass(const GraphTensors& tensors) {
-  GCNT_KERNEL_SCOPE("gcn.incremental.refresh");
-  TraceSpan span("gcn.incremental.refresh");
+  static KernelStats& stats = kernel_stats("gcn.incremental.refresh");
+  TraceSpan span("gcn.incremental.refresh", &stats);
   span.arg("nodes", static_cast<double>(tensors.node_count()));
   model_->infer(tensors, ws_, logits_, &embeddings_);
 }
@@ -99,8 +99,8 @@ void IncrementalGcnEngine::full_pass(const GraphTensors& tensors) {
 void IncrementalGcnEngine::dirty_pass(const GraphTensors& tensors,
                                       const std::vector<NodeId>& dirty) {
   const std::size_t n = tensors.node_count();
-  GCNT_KERNEL_SCOPE("gcn.incremental.update");
-  TraceSpan span("gcn.incremental.update");
+  static KernelStats& stats = kernel_stats("gcn.incremental.update");
+  TraceSpan span("gcn.incremental.update", &stats);
   span.arg("nodes", static_cast<double>(n));
   span.arg("dirty", static_cast<double>(dirty.size()));
 

@@ -331,6 +331,8 @@ void GcnModel::backward(const GraphTensors& graph, const Matrix& dlogits) {
   // Aggregation/encoder stack, in reverse. `grad` is now dE_D.
   const float wp = w_pr();
   const float ws = w_su();
+  const CsrMatrix pred_t = graph.pred.transpose();
+  const CsrMatrix succ_t = graph.succ.transpose();
   for (std::size_t d = encoders_.size(); d-- > 0;) {
     // E_d = ReLU(Z), Z = G_d * W_d + b.
     Matrix dz;
@@ -350,8 +352,8 @@ void GcnModel::backward(const GraphTensors& graph, const Matrix& dlogits) {
 
     // dE_{d-1} = dG + w_pr * P^T * dG + w_su * S^T * dG.
     Matrix dprev = dg;
-    graph.pred_t.spmm(dg, dprev, wp, 1.0f);
-    graph.succ_t.spmm(dg, dprev, ws, 1.0f);
+    pred_t.spmm(dg, dprev, wp, 1.0f);
+    succ_t.spmm(dg, dprev, ws, 1.0f);
     grad = std::move(dprev);
   }
 }

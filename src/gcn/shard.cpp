@@ -356,8 +356,8 @@ void ShardedGcnEngine::run_fc(const GraphTensors& tensors, const Matrix& input,
 
 void ShardedGcnEngine::full_pass(const GraphTensors& tensors) {
   const std::size_t n = tensors.node_count();
-  GCNT_KERNEL_SCOPE("gcn.shard.forward");
-  TraceSpan span("gcn.shard.forward");
+  static KernelStats& stats = kernel_stats("gcn.shard.forward");
+  TraceSpan span("gcn.shard.forward", &stats);
   span.arg("nodes", static_cast<double>(n));
   span.arg("shards", static_cast<double>(options_.shards));
   static Counter& forwards =
@@ -424,8 +424,8 @@ void ShardedGcnEngine::full_pass(const GraphTensors& tensors) {
 void ShardedGcnEngine::dirty_pass(const GraphTensors& tensors,
                                   const std::vector<NodeId>& dirty) {
   const std::size_t n = tensors.node_count();
-  GCNT_KERNEL_SCOPE("gcn.shard.update");
-  TraceSpan span("gcn.shard.update");
+  static KernelStats& stats = kernel_stats("gcn.shard.update");
+  TraceSpan span("gcn.shard.update", &stats);
   span.arg("nodes", static_cast<double>(n));
   span.arg("dirty", static_cast<double>(dirty.size()));
   static Counter& updates = StatsRegistry::instance().counter("shard.updates");

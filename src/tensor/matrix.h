@@ -120,6 +120,11 @@ class Matrix {
   std::vector<float, matrix_detail::DefaultInitAllocator<float>> data_;
 };
 
+/// Grows `m` to new_rows rows, preserving existing rows (new rows zero).
+/// Allocates exactly new_rows x cols: slack capacity on the engines'
+/// cached graph-sized matrices would show in peak RSS.
+void grow_rows(Matrix& m, std::size_t new_rows);
+
 /// out = alpha * op(a) * op(b) + beta * out, with op = optional transpose
 /// of at most one operand (a double transpose throws
 /// std::invalid_argument, like the shape errors). `out` is resized to the

@@ -69,23 +69,6 @@ std::uint32_t checked_index32(std::size_t value, const char* what) {
 
 }  // namespace
 
-void CooMatrix::add_checked(std::uint32_t r, std::uint32_t c, float value) {
-  if (r >= rows || c >= cols) {
-    throw std::out_of_range("CooMatrix::add_checked: coordinate out of range");
-  }
-  row_index.push_back(r);
-  col_index.push_back(c);
-  values.push_back(value);
-}
-
-void CooMatrix::reshape(std::size_t r, std::size_t c) {
-  if (r < rows || c < cols) {
-    throw std::invalid_argument("CooMatrix::reshape: shrinking not allowed");
-  }
-  rows = r;
-  cols = c;
-}
-
 CsrMatrix CsrMatrix::from_coo(const CooMatrix& coo) {
   GCNT_KERNEL_SCOPE("csr_build");
   // Checked narrowing before any allocation: past ~2^32 nonzeros the

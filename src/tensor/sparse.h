@@ -4,8 +4,8 @@
 //
 // This is the core of the paper's "high performance" claim (Section 3.4):
 // the whole-graph aggregation G_d = A * E_{d-1} becomes one sparse-dense
-// multiplication, and inserting an observation point is three appended COO
-// tuples instead of a matrix rebuild.
+// multiplication, and inserting an observation point is a few appended
+// nonzeros instead of a matrix rebuild.
 
 #include <cstddef>
 #include <cstdint>
@@ -39,16 +39,6 @@ struct CooMatrix {
     values.push_back(value);
   }
 
-  /// Appends one tuple but refuses to grow the shape: the incremental OPI
-  /// path must have resized the matrix for any appended nodes already, so
-  /// an out-of-range coordinate there is a bug, not a resize request.
-  /// Throws std::out_of_range.
-  void add_checked(std::uint32_t r, std::uint32_t c, float value);
-
-  /// Grows the shape to exactly r x c. Throws std::invalid_argument when
-  /// shrinking below the current shape (entries could become dangling).
-  void reshape(std::size_t r, std::size_t c);
-
   /// Fraction of zero entries (the paper reports > 99.95% for its designs).
   double sparsity() const noexcept {
     const double total = static_cast<double>(rows) * static_cast<double>(cols);
@@ -69,10 +59,10 @@ class CsrMatrix {
 
   /// Builds directly from validated CSR arrays (moved in): row_ptr must
   /// be monotone with row_ptr[0] == 0 and rows+1 entries, col_index and
-  /// values equally long with every column < cols. Used by the sharded
-  /// engine to carve per-shard sub-matrices out of a global CSR while
-  /// preserving each row's nonzero order exactly (from_coo would merge
-  /// and therefore also require re-deriving the insertion order).
+  /// values equally long with every column < cols. Used where the rows
+  /// are already known in order — the GCN adjacency filled straight from
+  /// the netlist, and the sharded engine's per-shard sub-matrices carved
+  /// out of a global CSR — so each row's nonzero order is kept exactly.
   /// Throws Error{kInternal} on any inconsistency.
   static CsrMatrix from_parts(std::size_t rows, std::size_t cols,
                               std::vector<std::uint32_t> row_ptr,

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "data/dataset.h"
+#include "gcn/editable_design.h"
 #include "gcn/engine.h"
 #include "gcn/model.h"
 #include "gcn/multistage.h"
@@ -63,8 +67,15 @@ TEST(GraphTensors, FeatureContents) {
 TEST(GraphTensors, AdjacencyMirrorsNetlist) {
   const Netlist n = tiny_circuit();
   const auto tensors = build_graph_tensors(n);
-  EXPECT_EQ(tensors.pred_coo.nnz(), n.edge_count());
-  EXPECT_EQ(tensors.succ_coo.nnz(), n.edge_count());
+  // Each edge counts once in each direction (a repeated driver merges
+  // into one nonzero whose value counts its slots).
+  const auto value_sum = [](const CsrMatrix& m) {
+    double sum = 0.0;
+    for (const float v : m.values()) sum += v;
+    return sum;
+  };
+  EXPECT_EQ(value_sum(tensors.pred), static_cast<double>(n.edge_count()));
+  EXPECT_EQ(value_sum(tensors.succ), static_cast<double>(n.edge_count()));
   // (P * ones)[row_of(v)] = fanin count (the CSR forms are in compute
   // order, which is node order unless the graph is reordered).
   Matrix ones(n.size(), 1, 1.0f);
@@ -117,38 +128,167 @@ TEST(GraphTensors, MergedAdjacencyMatchesDecomposedAggregation) {
   }
 }
 
-TEST(GraphTensors, IncrementalObservePointMatchesRebuild) {
+/// A generated design plus a gate fed twice by one driver, AND(a, a), so
+/// both CSRs hold a merged nonzero of value 2.
+Netlist design_with_repeated_fanin(std::uint64_t seed) {
   GeneratorConfig config;
-  config.seed = 5;
+  config.seed = seed;
   config.target_gates = 400;
   config.primary_inputs = 12;
   config.primary_outputs = 8;
   Netlist n = generate_circuit(config);
-  auto scoap = compute_scoap(n);
-  auto levels = n.logic_levels();
-  auto tensors = build_graph_tensors(n, scoap, levels);
-
-  // Insert three OPs through the incremental path.
-  std::size_t inserted = 0;
-  for (NodeId v = 40; v < n.size() && inserted < 3; v += 111) {
-    if (!is_logic(n.type(v))) continue;
-    const NodeId op = n.insert_observe_point(v);
-    update_observability_after_observe(n, v, scoap);
-    append_observe_point(tensors, n, v, op, scoap, n.fanin_cone(v));
-    ++inserted;
+  NodeId a = kInvalidNode;
+  for (NodeId v = 30; v < n.size() && a == kInvalidNode; ++v) {
+    if (is_logic(n.type(v))) a = v;
   }
-  ASSERT_EQ(inserted, 3u);
-  tensors.rebuild_csr();
+  const NodeId twice = n.add_node(CellType::kAnd, "and_aa");
+  n.connect(a, twice);
+  n.connect(a, twice);
+  n.connect(twice, n.add_node(CellType::kOutput, "and_aa_out"));
+  return n;
+}
 
-  // Rebuild everything from scratch and compare.
-  const auto fresh = build_graph_tensors(n);
-  ASSERT_EQ(fresh.features.rows(), tensors.features.rows());
-  for (std::size_t i = 0; i < fresh.features.size(); ++i) {
-    EXPECT_NEAR(fresh.features.data()[i], tensors.features.data()[i], 1e-5f)
-        << "feature index " << i;
+void expect_same_csr(const CsrMatrix& want, const CsrMatrix& got) {
+  EXPECT_EQ(want.rows(), got.rows());
+  EXPECT_EQ(want.cols(), got.cols());
+  EXPECT_EQ(want.row_ptr(), got.row_ptr());
+  EXPECT_EQ(want.col_index(), got.col_index());
+  EXPECT_EQ(want.values(), got.values());
+}
+
+TEST(GraphTensors, IncrementalObservePointMatchesRebuild) {
+  for (const GraphReorder reorder : {GraphReorder::kOff, GraphReorder::kRcm}) {
+    SCOPED_TRACE(reorder == GraphReorder::kRcm ? "rcm" : "off");
+    set_graph_reorder(reorder);
+    Netlist n = design_with_repeated_fanin(5);
+    auto scoap = compute_scoap(n);
+    auto levels = n.logic_levels();
+    auto tensors = build_graph_tensors(n, scoap, levels);
+    ASSERT_EQ(tensors.reordered(), reorder == GraphReorder::kRcm);
+    bool merged = false;
+    for (const float v : tensors.pred.values()) merged |= v == 2.0f;
+    EXPECT_TRUE(merged) << "AND(a, a) holds one nonzero of value 2";
+
+    // Insert three OPs through the incremental path, one of them on the
+    // driver of AND(a, a).
+    std::vector<NodeId> targets = {n.fanins(n.size() - 2).front()};
+    for (NodeId v = 40; v < n.size() && targets.size() < 3; v += 111) {
+      if (is_logic(n.type(v))) targets.push_back(v);
+    }
+    ASSERT_EQ(targets.size(), 3u);
+    for (const NodeId v : targets) {
+      const NodeId op = n.insert_observe_point(v);
+      update_observability_after_observe(n, v, scoap);
+      append_observe_point(tensors, n, v, op, scoap, n.fanin_cone(v));
+    }
+    tensors.rebuild_csr();
+    EXPECT_TRUE(tensors.pending_edges.empty());
+
+    // Rebuild everything from scratch (in the same locality order) and
+    // compare: the appended edges land exactly where the builder puts them.
+    const auto fresh = build_graph_tensors(n, compute_scoap(n),
+                                           n.logic_levels(), &tensors);
+    ASSERT_EQ(fresh.features.rows(), tensors.features.rows());
+    for (std::size_t i = 0; i < fresh.features.size(); ++i) {
+      EXPECT_NEAR(fresh.features.data()[i], tensors.features.data()[i], 1e-5f)
+          << "feature index " << i;
+    }
+    expect_same_csr(fresh.pred, tensors.pred);
+    expect_same_csr(fresh.succ, tensors.succ);
   }
-  EXPECT_EQ(fresh.pred.nnz(), tensors.pred.nnz());
-  EXPECT_EQ(fresh.succ.nnz(), tensors.succ.nnz());
+  reset_graph_reorder();
+}
+
+TEST(GraphTensors, AppendObservePointRejectsBadIdsWithoutChange) {
+  Netlist n = tiny_circuit();
+  const auto scoap = compute_scoap(n);
+  auto tensors = build_graph_tensors(n);
+  const NodeId target = 3;  // g1
+  const NodeId op = n.insert_observe_point(target);
+  const Matrix before = tensors.features;
+  // The OP must be the next row, driven by an earlier node.
+  EXPECT_THROW(append_observe_point(tensors, n, target, op + 1, scoap, {}),
+               std::out_of_range);
+  EXPECT_THROW(append_observe_point(tensors, n, target, op - 1, scoap, {}),
+               std::out_of_range);
+  EXPECT_THROW(append_observe_point(tensors, n, op, op, scoap, {}),
+               std::out_of_range);
+  EXPECT_EQ(tensors.features, before);
+  EXPECT_TRUE(tensors.pending_edges.empty());
+  append_observe_point(tensors, n, target, op, scoap, {});
+  ASSERT_EQ(tensors.pending_edges.size(), 1u);
+  EXPECT_EQ(tensors.pending_edges[0].target, target);
+  EXPECT_EQ(tensors.pending_edges[0].op, op);
+  // A second append of the same OP is no longer the next row.
+  EXPECT_THROW(append_observe_point(tensors, n, target, op, scoap, {}),
+               std::out_of_range);
+}
+
+/// The adjacency builder that preceded the direct netlist fill, kept as
+/// the reference: COO tuples in node order (pred row v gets each fanin,
+/// succ row v each fanout, in slot order), mapped through the compute
+/// permutation, then CsrMatrix::from_coo, which merges repeated
+/// coordinates by summing into the first.
+std::pair<CsrMatrix, CsrMatrix> coo_oracle_csr(const Netlist& netlist,
+                                               const GraphTensors& order) {
+  const std::size_t n = netlist.size();
+  CooMatrix pred(n, n);
+  CooMatrix succ(n, n);
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId u : netlist.fanins(v)) {
+      pred.add(order.row_of(v), order.row_of(u), 1.0f);
+    }
+    for (const NodeId w : netlist.fanouts(v)) {
+      succ.add(order.row_of(v), order.row_of(w), 1.0f);
+    }
+  }
+  return {CsrMatrix::from_coo(pred), CsrMatrix::from_coo(succ)};
+}
+
+TEST(GraphTensorsDiff, CsrMatchesCooOracleThroughEdits) {
+  for (const GraphReorder reorder : {GraphReorder::kOff, GraphReorder::kRcm}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(reorder == GraphReorder::kRcm ? "rcm" : "off") +
+                   " seed " + std::to_string(seed));
+      set_graph_reorder(reorder);
+      Netlist netlist = design_with_repeated_fanin(seed);
+      EditableDesign design(netlist, /*standardize_features=*/true);
+      const auto check = [&](const char* stage) {
+        SCOPED_TRACE(stage);
+        const GraphTensors& tensors = design.tensors();
+        ASSERT_EQ(tensors.node_count(), netlist.size());
+        const auto [pred, succ] = coo_oracle_csr(netlist, tensors);
+        expect_same_csr(pred, tensors.pred);
+        expect_same_csr(succ, tensors.succ);
+      };
+      check("built");
+
+      // OPs append to the CSRs; a CP rebuilds them from the netlist in
+      // the kept order; more OPs append again.
+      std::size_t observed = 0;
+      NodeId v = 20;
+      const auto observe_some = [&](std::size_t count) {
+        for (std::size_t k = 0; k < count; ++v) {
+          ASSERT_LT(v, netlist.size());
+          if (netlist.can_observe(v)) {
+            design.observe(v);
+            ++k;
+            ++observed;
+          }
+        }
+      };
+      observe_some(4);
+      check("ops appended");
+      NodeId cp_target = v + 7;
+      while (!netlist.can_control(cp_target)) ++cp_target;
+      design.control(cp_target, seed % 2 == 0);
+      check("cp rebuilt");
+      observe_some(3);
+      check("ops after cp");
+      EXPECT_EQ(observed, 7u);
+    }
+  }
+  reset_graph_reorder();
 }
 
 TEST(GcnModel, ForwardShapeAndDeterminism) {
@@ -905,8 +1045,13 @@ TEST(GcnModel, LayerStepMatchesUnfusedKernelsBitwise) {
 // product and partial sum is exact in fp32 and the logits are the same on
 // every SIMD target, thread count and engine.
 TEST(GcnModel, TinyEq1GraphMatchesHandComputedLogits) {
-  GraphTensors tiny;
-  tiny.features = Matrix(3, kNodeFeatureDim);
+  Netlist chain;
+  chain.add_node(CellType::kInput, "n0");
+  chain.add_node(CellType::kBuf, "n1");
+  chain.add_node(CellType::kBuf, "n2");
+  chain.connect(0, 1);
+  chain.connect(1, 2);
+  GraphTensors tiny = build_graph_tensors(chain);
   const float features[3][kNodeFeatureDim] = {
       {1, 0, 2, 0}, {0, 1, 1, 0}, {2, 1, 0, 1}};
   for (std::size_t v = 0; v < 3; ++v) {
@@ -914,13 +1059,6 @@ TEST(GcnModel, TinyEq1GraphMatchesHandComputedLogits) {
       tiny.features.at(v, c) = features[v][c];
     }
   }
-  tiny.pred_coo = CooMatrix(3, 3);
-  tiny.pred_coo.add(1, 0, 1.0f);  // P: row v sums the fanins of v
-  tiny.pred_coo.add(2, 1, 1.0f);
-  tiny.succ_coo = CooMatrix(3, 3);
-  tiny.succ_coo.add(0, 1, 1.0f);  // S: row v sums the fanouts of v
-  tiny.succ_coo.add(1, 2, 1.0f);
-  tiny.rebuild_csr();
 
   GcnConfig config;
   config.depth = 1;

@@ -8,9 +8,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/parallel.h"
+#include "common/stats.h"
+#include "common/trace.h"
 #include "cop/cop.h"
 #include "data/labeler.h"
 #include "dft/gcn_cpi.h"
@@ -381,14 +388,57 @@ TEST(Incremental, RcmReorderingKeepsIncrementalBitIdentical) {
   EXPECT_EQ(engine.logits(), model.infer(tensors));
 
   // Same graph rebuilt without any reordering: logits agree bitwise.
-  GraphTensors plain = tensors;
-  plain.compute_row.clear();
-  plain.compute_node.clear();
   set_graph_reorder(GraphReorder::kOff);
-  plain.rebuild_csr();
+  const GraphTensors plain = build_graph_tensors(netlist, scoap, levels);
   reset_graph_reorder();
   ASSERT_FALSE(plain.reordered());
+  EXPECT_EQ(plain.features, tensors.features);
   EXPECT_EQ(engine.logits(), model.infer(plain));
+}
+
+TEST(Incremental, TracedUpdatesRecordOneSpanEach) {
+  const Netlist netlist = test_netlist(13, 600);
+  const GraphTensors tensors = build_graph_tensors(netlist);
+  const GcnModel model(small_config(2));
+  IncrementalGcnEngine engine(model, IncrementalGcnOptions{2.0});
+  engine.refresh(tensors);
+
+  const bool stats_were_on = stats_enabled();
+  set_stats_enabled(true);
+  KernelStats& stats = kernel_stats("gcn.incremental.update");
+  const std::uint64_t calls_before = stats.calls.value();
+  const std::string path = "incremental_update_trace.json";
+  constexpr std::size_t kUpdates = 5;
+  trace_reset();
+  trace_start();
+  for (std::size_t i = 0; i < kUpdates; ++i) {
+    engine.update(tensors, {static_cast<NodeId>(i)});
+    ASSERT_FALSE(engine.last_was_full());
+  }
+  ASSERT_TRUE(trace_stop(path));
+  EXPECT_EQ(stats.calls.value() - calls_before, kUpdates);
+  set_stats_enabled(stats_were_on);
+
+  const TraceValidation validation = validate_trace_file(path);
+  EXPECT_TRUE(validation.ok) << validation.error;
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  json::Value root;
+  std::string error;
+  ASSERT_TRUE(json::parse(text.str(), root, error)) << error;
+  std::size_t spans = 0;
+  for (const json::Value& event : root.find("traceEvents")->array) {
+    const json::Value* name = event.find("name");
+    if (name == nullptr || name->text != "gcn.incremental.update") continue;
+    ++spans;
+    const json::Value* args = event.find("args");
+    ASSERT_NE(args, nullptr);
+    EXPECT_NE(args->find("nodes"), nullptr);
+    EXPECT_NE(args->find("dirty"), nullptr);
+  }
+  EXPECT_EQ(spans, kUpdates);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -348,32 +348,6 @@ CsrMatrix random_csr(std::size_t rows, std::size_t cols, std::size_t nnz,
   return CsrMatrix::from_coo(coo);
 }
 
-TEST(Coo, AddCheckedRejectsOutOfRangeWithoutGrowing) {
-  CooMatrix coo(3, 3);
-  coo.add_checked(2, 2, 1.0f);  // in range: appended normally
-  EXPECT_EQ(coo.nnz(), 1u);
-  EXPECT_THROW(coo.add_checked(3, 0, 1.0f), std::out_of_range);
-  EXPECT_THROW(coo.add_checked(0, 3, 1.0f), std::out_of_range);
-  // The failed appends must not have grown the shape or the storage
-  // (plain add() would have silently stretched the matrix to 4 rows).
-  EXPECT_EQ(coo.rows, 3u);
-  EXPECT_EQ(coo.cols, 3u);
-  EXPECT_EQ(coo.nnz(), 1u);
-}
-
-TEST(Coo, ReshapeGrowsButNeverShrinks) {
-  CooMatrix coo(2, 3);
-  coo.add(1, 2, 1.0f);
-  coo.reshape(5, 4);
-  EXPECT_EQ(coo.rows, 5u);
-  EXPECT_EQ(coo.cols, 4u);
-  coo.add_checked(4, 3, 1.0f);  // now in range
-  EXPECT_THROW(coo.reshape(3, 4), std::invalid_argument);
-  EXPECT_THROW(coo.reshape(5, 2), std::invalid_argument);
-  coo.reshape(5, 4);  // same shape is a no-op, not a shrink
-  EXPECT_EQ(coo.nnz(), 2u);
-}
-
 TEST(Csr, SpmmBitwiseIdenticalAcrossTileWidths) {
   // SpMM over any column tile of the dense operand reproduces those
   // columns of the full product bitwise: each output element accumulates
