@@ -32,6 +32,7 @@
 #include "gen/generator.h"
 #include "netlist/bench_io.h"
 #include "nn/layers.h"
+#include "nn/loss.h"
 #include "scoap/scoap.h"
 #include "sim/fault_sim.h"
 #include "sim/logic_sim.h"
@@ -120,8 +121,8 @@ void BM_GemmWeightGrad(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmWeightGrad)->ArgsProduct({{1, 4}})->ArgNames({"threads"});
 
-/// Input-gradient GEMM (dx = dy * W^T, the transpose-b variant
-/// Linear::backward runs) for the same 128 -> 64 layer. Not gated.
+/// Input-gradient GEMM (dx = dy * W^T, the transpose-b variant) for the
+/// same 128 -> 64 layer. Not gated.
 void BM_GemmInputGrad(benchmark::State& state) {
   set_kernel_threads(static_cast<std::size_t>(state.range(0)));
   Rng rng(5);
@@ -136,6 +137,22 @@ void BM_GemmInputGrad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GemmInputGrad)->ArgsProduct({{1, 4}})->ArgNames({"threads"});
+
+/// The same input gradient as the training backward runs it
+/// (Linear::input_grad: gemm_nt into a reused buffer). Not gated.
+void BM_LinearInputGrad(benchmark::State& state) {
+  set_kernel_threads(static_cast<std::size_t>(state.range(0)));
+  Rng rng(5);
+  Matrix dy(6500, 64);
+  dy.xavier_init(rng);
+  const Linear layer(128, 64, rng);
+  Matrix dx;
+  for (auto _ : state) {
+    layer.input_grad(dy, dx);
+    benchmark::DoNotOptimize(dx.data());
+  }
+}
+BENCHMARK(BM_LinearInputGrad)->ArgsProduct({{1, 4}})->ArgNames({"threads"});
 
 /// Single-thread GEMM per SIMD dispatch target (simd 0 = scalar,
 /// 1 = avx2). The scalar/avx2 pair feeds the "SimdSpeedup.gemm" ratio
@@ -319,6 +336,32 @@ void BM_GcnFullInference(benchmark::State& state) {
 BENCHMARK(BM_GcnFullInference)
     ->ArgsProduct({{10000, 100000}, {1, 8}})
     ->ArgNames({"gates", "threads"});
+
+/// One training step's compute — forward, loss gradient and backward — on
+/// a 6000-gate design (about 6.5k nodes), the model_build workload's
+/// graph. Not gated.
+void BM_GcnTrainStep(benchmark::State& state) {
+  set_kernel_threads(static_cast<std::size_t>(state.range(0)));
+  const Netlist& netlist = shared_netlist(6000);
+  GraphTensors tensors = build_graph_tensors(netlist);
+  tensors.standardize_features();
+  std::vector<std::int32_t> labels(tensors.node_count(), 0);
+  for (std::size_t v = 0; v < labels.size(); v += 7) labels[v] = 1;
+  GcnModel model(GcnConfig{});
+  Matrix dlogits;
+  for (auto _ : state) {
+    const Matrix logits = model.forward(tensors);
+    softmax_cross_entropy(logits, labels, {1.0f, 8.0f}, nullptr, dlogits);
+    model.backward(tensors, dlogits);
+    benchmark::DoNotOptimize(model.params().back()->grad.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(netlist.size()));
+}
+BENCHMARK(BM_GcnTrainStep)
+    ->ArgsProduct({{1, 4}})
+    ->ArgNames({"threads"})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LogicSimBatch(benchmark::State& state) {
   const Netlist& netlist = shared_netlist(50000);

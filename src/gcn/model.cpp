@@ -182,17 +182,17 @@ void GcnModel::layer_step(std::size_t d, const CsrMatrix& pred,
 
 void GcnModel::fc_head(const Matrix& in, Precision precision,
                        ForwardWorkspace& ws, Matrix& out,
-                       std::vector<Matrix>* inputs) const {
+                       std::vector<Matrix>* hidden_out) const {
   TraceSpan span("gcn.fc_head");
   span.arg("rows", static_cast<double>(in.rows()));
   if (&out == &in) throw std::invalid_argument("fc_head: out aliases in");
-  if (inputs) inputs->resize(fc_.size());
+  if (hidden_out) hidden_out->resize(fc_.size() - 1);
   if (precision == Precision::kInt8) {
     const Matrix* x = &in;
     for (std::size_t i = 0; i < fc_.size(); ++i) {
       const bool hidden = i + 1 < fc_.size();
       Matrix& y = hidden ? (i % 2 == 0 ? ws.pred_sum : ws.succ_sum) : out;
-      if (inputs) (*inputs)[i].copy_from(*x);
+      if (hidden_out && i > 0) (*hidden_out)[i - 1].copy_from(*x);
       quantize_tensor(*x, ws.qact);
       quantized_linear_forward(ws.qact, qfc_[i], fc_[i].bias.value, y,
                                /*relu=*/hidden);
@@ -210,15 +210,14 @@ void GcnModel::fc_head(const Matrix& in, Precision precision,
     widest = std::max(widest, fc_[i].out_features());
   }
   out.resize_for_overwrite(m, fc_.back().out_features());
-  if (inputs) {
-    (*inputs)[0].copy_from(in);
+  if (hidden_out) {
     for (std::size_t i = 1; i < fc_.size(); ++i) {
-      (*inputs)[i].resize_for_overwrite(m, fc_[i].in_features());
+      (*hidden_out)[i - 1].resize_for_overwrite(m, fc_[i].in_features());
     }
   }
   const BlockPlan plan = plan_blocks(m, kMinParallelRows);
   // Per block: two hidden activation blocks, ping-ponged layer to layer
-  // (or, when caching, the rows of the callers' FC inputs instead).
+  // (or, when caching, the rows of the caller's hidden outputs instead).
   const std::size_t hidden_block = kGemmRowBlock * widest;
   ws.blocks.resize_for_overwrite(plan.count, 2 * hidden_block);
   run_blocks(plan, [&](std::size_t block, std::size_t b0, std::size_t b1) {
@@ -230,9 +229,9 @@ void GcnModel::fc_head(const Matrix& in, Precision precision,
       for (std::size_t i = 0; i < fc_.size(); ++i) {
         const bool hidden = i + 1 < fc_.size();
         const std::size_t width = fc_[i].out_features();
-        float* y = !hidden ? out.row(i0)
-                   : inputs ? (*inputs)[i + 1].row(i0)
-                            : scratch + (i % 2) * hidden_block;
+        float* y = !hidden      ? out.row(i0)
+                   : hidden_out ? (*hidden_out)[i].row(i0)
+                                : scratch + (i % 2) * hidden_block;
         gemm_bias_act_rows(x, ldx, count, fc_[i].weight.value,
                            fc_[i].bias.value, /*relu=*/hidden, y, width);
         x = y;
@@ -242,17 +241,17 @@ void GcnModel::fc_head(const Matrix& in, Precision precision,
   });
 }
 
-void GcnModel::run_forward(const GraphTensors& graph, Cache* cache,
+void GcnModel::run_forward(const GraphTensors& graph, TrainWorkspace* train,
                            std::vector<Matrix>* embeddings,
                            ForwardWorkspace& ws, Matrix& out) const {
   // Caching forwards feed fp32-only consumers (backward(), the
   // incremental engine's dirty-row steps), so only plain inference takes
   // the int8 tier.
-  if (cache) embeddings = &cache->embeddings;
+  if (train) embeddings = &train->embeddings;
   const Precision precision = embeddings ? Precision::kFp32 : precision_;
   const char* infer_span =
       precision == Precision::kInt8 ? "gcn.infer_int8" : "gcn.infer";
-  TraceSpan span(cache ? "gcn.forward" : infer_span);
+  TraceSpan span(train ? "gcn.forward" : infer_span);
   span.arg("nodes", static_cast<double>(graph.node_count()));
   if (precision == Precision::kInt8 &&
       (qencoders_.size() != encoders_.size() || qfc_.size() != fc_.size())) {
@@ -267,30 +266,30 @@ void GcnModel::run_forward(const GraphTensors& graph, Cache* cache,
   // only the gather here and the scatter of the logits touch the
   // permutation.
   if (embeddings) embeddings->resize(encoders_.size() + 1);
-  if (cache) cache->layers.resize(encoders_.size());
+  if (train) train->layers.resize(encoders_.size());
   Matrix* emb = embeddings ? &embeddings->front() : &ws.ping;
   Matrix* spare = &ws.pong;
   gather_compute_rows(graph, graph.features, *emb);
   for (std::size_t d = 0; d < encoders_.size(); ++d) {
     Matrix* next = embeddings ? &(*embeddings)[d + 1] : spare;
     layer_step(d, graph.pred, graph.succ, *emb, nullptr, precision, ws, *next,
-               cache ? &cache->layers[d] : nullptr);
+               train ? &train->layers[d] : nullptr);
     if (!embeddings) spare = emb;
     emb = next;
   }
 
-  std::vector<Matrix>* fc_inputs = cache ? &cache->fc_inputs : nullptr;
+  std::vector<Matrix>* fc_hidden = train ? &train->fc_hidden : nullptr;
   if (graph.reordered()) {
-    fc_head(*emb, precision, ws, *spare, fc_inputs);
+    fc_head(*emb, precision, ws, *spare, fc_hidden);
     scatter_compute_rows(graph, *spare, out);
   } else {
-    fc_head(*emb, precision, ws, out, fc_inputs);
+    fc_head(*emb, precision, ws, out, fc_hidden);
   }
 }
 
 Matrix GcnModel::forward(const GraphTensors& graph) {
   Matrix out;
-  run_forward(graph, &cache_, nullptr, ws_, out);
+  run_forward(graph, &train_, nullptr, ws_, out);
   return out;
 }
 
@@ -307,54 +306,130 @@ void GcnModel::infer(const GraphTensors& graph, ForwardWorkspace& ws,
 
 void GcnModel::backward(const GraphTensors& graph, const Matrix& dlogits) {
   TraceSpan span("gcn.backward");
-  if (cache_.fc_inputs.size() != fc_.size()) {
+  TrainWorkspace& tw = train_;
+  if (tw.embeddings.size() != encoders_.size() + 1 ||
+      tw.fc_hidden.size() + 1 != fc_.size()) {
     throw std::logic_error("GcnModel::backward without matching forward");
   }
+  const std::size_t n = tw.embeddings.back().rows();
+  if (dlogits.rows() != n || dlogits.cols() != fc_.back().out_features()) {
+    throw std::invalid_argument("GcnModel::backward: dlogits shape mismatch");
+  }
+  // The row passes below index the cache through the graph's adjacency.
+  const auto square_n = [n](const CsrMatrix& m) {
+    return m.rows() == n && m.cols() == n;
+  };
+  if (graph.node_count() != n || !square_n(graph.pred) ||
+      !square_n(graph.succ)) {
+    throw std::invalid_argument(
+        "GcnModel::backward: graph does not match the forward's");
+  }
+  span.arg("nodes", static_cast<double>(n));
+  // Each step writes its input gradient into the ping-pong buffer the
+  // step's own dy does not occupy.
+  const auto other = [&tw](const Matrix* m) -> Matrix& {
+    return m == &tw.ping ? tw.pong : tw.ping;
+  };
+
   // FC head, in reverse. Cached activations are in compute row order, so
   // the incoming node-order logit gradients gather through the
-  // permutation first (identity copy when not reordered).
-  Matrix grad;
-  gather_compute_rows(graph, dlogits, grad);
-  for (std::size_t i = fc_.size(); i-- > 0;) {
-    Matrix dinput;
-    fc_[i].backward(cache_.fc_inputs[i], grad, dinput);
-    if (i > 0) {
-      // Undo the ReLU of hidden layer i-1, whose output is fc_inputs[i].
-      Matrix masked;
-      Relu::backward(cache_.fc_inputs[i], dinput, masked);
-      grad = std::move(masked);
-    } else {
-      grad = std::move(dinput);
+  // permutation first.
+  const Matrix* dy = &dlogits;
+  if (graph.reordered()) {
+    gather_compute_rows(graph, dlogits, tw.ping);
+    dy = &tw.ping;
+  }
+  {
+    TraceSpan head("gcn.backward.fc_head");
+    head.arg("rows", static_cast<double>(n));
+    for (std::size_t i = fc_.size(); i-- > 0;) {
+      // Layer i's input is the ReLU output of hidden layer i-1, or for
+      // i == 0 of the top encoder (E_D). Masking dx with it makes dy the
+      // gradient of that layer's pre-activation.
+      const Matrix& x = i > 0 ? tw.fc_hidden[i - 1] : tw.embeddings.back();
+      Matrix& dx = other(dy);
+      fc_[i].accumulate_grads(x, *dy);
+      fc_[i].input_grad(*dy, dx, &x);
+      dy = &dx;
     }
   }
 
-  // Aggregation/encoder stack, in reverse. `grad` is now dE_D.
+  // Aggregation/encoder stack, in reverse. *dy is dZ_D (E_D = ReLU(Z_D),
+  // Z_d = G_d * W_d + b).
   const float wp = w_pr();
   const float ws = w_su();
-  const CsrMatrix pred_t = graph.pred.transpose();
-  const CsrMatrix succ_t = graph.succ.transpose();
+  if (encoders_.size() > 1) {
+    graph.pred.transpose_into(tw.pred_t);
+    graph.succ.transpose_into(tw.succ_t);
+  }
+  const SimdOps& ops = simd_ops();
   for (std::size_t d = encoders_.size(); d-- > 0;) {
-    // E_d = ReLU(Z), Z = G_d * W_d + b.
-    Matrix dz;
-    Relu::backward(cache_.embeddings[d + 1], grad, dz);
-    Matrix dg;
-    const LayerSums& sums = cache_.layers[d];
-    encoders_[d].backward(sums.aggregated, dz, dg);
+    TraceSpan layer("gcn.backward.layer");
+    layer.arg("rows", static_cast<double>(n));
+    layer.arg("nnz", d > 0 ? static_cast<double>(tw.pred_t.nnz() +
+                                                 tw.succ_t.nnz())
+                           : 0.0);
+    const LayerSums& sums = tw.layers[d];
+    Matrix& dg = other(dy);
+    encoders_[d].accumulate_grads(sums.aggregated, *dy);
+    encoders_[d].input_grad(*dy, dg);
 
-    // dw_pr += sum((P*E_{d-1}) .* dG); same for w_su. With tied weights
-    // both contributions flow into the single shared scalar.
-    w_pr_.grad.at(0, 0) += sums.pred_sum.dot(dg);
-    if (config_.tied_aggregation) {
-      w_pr_.grad.at(0, 0) += sums.succ_sum.dot(dg);
-    } else {
-      w_su_.grad.at(0, 0) += sums.succ_sum.dot(dg);
+    // dw_pr += sum((P*E_{d-1}) .* dG); same for w_su: both dots in one
+    // serial sweep, each in Matrix::dot's ascending double accumulation.
+    // With tied weights both contributions flow into the single shared
+    // scalar.
+    const auto weight_dots = [&] {
+      double pred_dot = 0.0;
+      double succ_dot = 0.0;
+      const float* pe = sums.pred_sum.data();
+      const float* se = sums.succ_sum.data();
+      const float* g = dg.data();
+      for (std::size_t i = 0; i < dg.size(); ++i) {
+        pred_dot += static_cast<double>(pe[i]) * g[i];
+        succ_dot += static_cast<double>(se[i]) * g[i];
+      }
+      w_pr_.grad.at(0, 0) += static_cast<float>(pred_dot);
+      Param& succ_weight = config_.tied_aggregation ? w_pr_ : w_su_;
+      succ_weight.grad.at(0, 0) += static_cast<float>(succ_dot);
+    };
+    if (d == 0) {  // dE_0 would reach only the fixed features
+      weight_dots();
+      break;
     }
 
-    // dE_{d-1} = dG + w_pr * P^T * dG + w_su * S^T * dG.
-    Matrix dprev = dg;
-    pred_t.spmm(dg, dprev, wp, 1.0f);
-    succ_t.spmm(dg, dprev, ws, 1.0f);
-    grad = std::move(dprev);
+    // dZ_{d-1} = ReLU'(E_d) .* (dG + w_pr * P^T * dG + w_su * S^T * dG),
+    // per row: the copy, then the P^T row, then the S^T row — the
+    // spmm(beta = 1) sequence — then the mask of E_d.
+    Matrix& dz = other(&dg);
+    const std::size_t k = dg.cols();
+    const Matrix& act = tw.embeddings[d];
+    dz.resize_for_overwrite(n, k);
+    const auto form_rows = [&](std::size_t r0, std::size_t r1) {
+      for (std::size_t r = r0; r < r1; ++r) {
+        float* row = dz.row(r);
+        std::copy(dg.row(r), dg.row(r) + k, row);
+        tw.pred_t.accumulate_row(r, dg, wp, ops, row);
+        tw.succ_t.accumulate_row(r, dg, ws, ops, row);
+        relu_mask(act.row(r), row, k);
+      }
+    };
+    // Both only read dG, so the serial dot sweep runs as one more
+    // kernel-pool block beside the row blocks.
+    const BlockPlan plan = plan_blocks(n, kMinParallelRows);
+    if (plan.count == 1) {
+      weight_dots();
+      form_rows(0, n);
+    } else {
+      const BlockPlan tasks{plan.count + 1, plan.count + 1, 1};
+      run_blocks(tasks, [&](std::size_t task, std::size_t, std::size_t) {
+        if (task == plan.count) {
+          weight_dots();
+        } else {
+          form_rows(plan.begin(task), plan.end(task));
+        }
+      });
+    }
+    dy = &dz;
   }
 }
 

@@ -42,13 +42,6 @@ struct GcnConfig {
   float initial_w_su = 0.5f;
 };
 
-/// P*E, S*E and G of one layer step, kept for backward (training only).
-struct LayerSums {
-  Matrix pred_sum;    ///< P * E_{d-1}
-  Matrix succ_sum;    ///< S * E_{d-1}
-  Matrix aggregated;  ///< G_d
-};
-
 class GcnModel {
  public:
   explicit GcnModel(const GcnConfig& config);
@@ -60,8 +53,15 @@ class GcnModel {
   Matrix forward(const GraphTensors& graph);
 
   /// Accumulates parameter gradients from d(loss)/d(logits). Must follow a
-  /// forward() on the same graph.
+  /// forward() on the same graph. Row-block passes on the kernel pool in
+  /// the train workspace (gcn/workspace.h). Every gradient equals, bit for
+  /// bit, whole-matrix Linear::backward and Relu::backward passes, P^T and
+  /// S^T SpMMs and Matrix::dot composed layer by layer, for any thread
+  /// count (tests/gcn_backward_test.cpp).
   void backward(const GraphTensors& graph, const Matrix& dlogits);
+
+  /// The forward cache and backward buffers of forward()/backward().
+  TrainWorkspace& train_workspace() noexcept { return train_; }
 
   /// Inference-only forward (no caching); cheaper on big graphs.
   Matrix infer(const GraphTensors& graph) const;
@@ -99,12 +99,13 @@ class GcnModel {
   /// FC head over every row of `in`, writing the raw logits into `out`
   /// (which must not be `in`). fp32: all FC layers run per
   /// kGemmRowBlock-row block with the hidden activations in ws.blocks,
-  /// so only the logits reach memory; a non-null `inputs` receives each
-  /// FC layer's input (the training cache), its hidden layers written
-  /// there directly. kInt8: layer by layer, ping-ponging through
-  /// ws.pred_sum / ws.succ_sum.
+  /// so only the logits reach memory; a non-null `hidden_out` receives
+  /// each hidden FC layer's output — the input of FC layers 1.., the
+  /// training cache (layer 0's input is `in`) — written there directly.
+  /// kInt8: layer by layer, ping-ponging through ws.pred_sum /
+  /// ws.succ_sum.
   void fc_head(const Matrix& in, Precision precision, ForwardWorkspace& ws,
-               Matrix& out, std::vector<Matrix>* inputs = nullptr) const;
+               Matrix& out, std::vector<Matrix>* hidden_out = nullptr) const;
 
   /// Positive-class probability per node.
   std::vector<float> predict_positive_probability(const GraphTensors& graph) const;
@@ -155,10 +156,9 @@ class GcnModel {
                          std::vector<QuantizedLinear> fc);
 
  private:
-  /// Shared whole-graph forward; fills `cache` (training) or `embeddings`
+  /// Shared whole-graph forward; fills `train` (training) or `embeddings`
   /// when non-null. Scratch lives in `ws`, node-order logits land in `out`.
-  struct Cache;
-  void run_forward(const GraphTensors& graph, Cache* cache,
+  void run_forward(const GraphTensors& graph, TrainWorkspace* train,
                    std::vector<Matrix>* embeddings, ForwardWorkspace& ws,
                    Matrix& out) const;
 
@@ -171,12 +171,7 @@ class GcnModel {
   std::vector<QuantizedLinear> qencoders_;  ///< int8 snapshots of encoders_
   std::vector<QuantizedLinear> qfc_;        ///< int8 snapshots of fc_
 
-  struct Cache {
-    std::vector<Matrix> embeddings;  ///< E_0 .. E_D (post-activation)
-    std::vector<LayerSums> layers;   ///< P*E, S*E and G of layers 1 .. D
-    std::vector<Matrix> fc_inputs;   ///< input to each FC layer
-  };
-  Cache cache_;
+  TrainWorkspace train_;
   /// Scratch for forward()/infer(graph); mutable so const inference can
   /// reuse it. Makes those entry points non-thread-safe per model — use
   /// the explicit-workspace infer overload for concurrent callers.

@@ -1,5 +1,6 @@
 #include "gcn/serialize.h"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
@@ -297,6 +298,26 @@ GcnModel load_model_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw Error(ErrorKind::kIo, "cannot open for read: " + path);
   return load_model(in);
+}
+
+std::string format_predictions(const Netlist& netlist,
+                               const Matrix& probabilities) {
+  std::string text = "# node p(positive) predicted\n";
+  text.reserve(text.size() + netlist.size() * 24);
+  char number[32];
+  for (NodeId v = 0; v < netlist.size(); ++v) {
+    const float p = probabilities.at(v, 1);
+    // to_chars with a precision formats like printf's %g, which is what
+    // ostream's default float output is.
+    const auto end = std::to_chars(number, number + sizeof number, p,
+                                   std::chars_format::general, 6)
+                         .ptr;
+    text += netlist.node_name(v);
+    text += ' ';
+    text.append(number, end);
+    text += p >= 0.5f ? " 1\n" : " 0\n";
+  }
+  return text;
 }
 
 }  // namespace gcnt

@@ -53,4 +53,11 @@ GcnModel load_model(std::istream& in);
 void save_model_file(const GcnModel& model, const std::string& path);
 GcnModel load_model_file(const std::string& path);
 
+/// The per-node prediction file of `gcnt infer --out`: a header line,
+/// then "name p predicted" per node, p = probabilities(v, 1) printed as
+/// `std::ostream << p` prints it (%g, 6 significant digits) and predicted
+/// = p >= 0.5. Formatted with std::to_chars into one string.
+std::string format_predictions(const Netlist& netlist,
+                               const Matrix& probabilities);
+
 }  // namespace gcnt

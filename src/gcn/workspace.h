@@ -26,9 +26,11 @@
 // values, only where they live).
 
 #include <cstddef>
+#include <vector>
 
 #include "gcn/quant.h"
 #include "tensor/matrix.h"
+#include "tensor/sparse.h"
 
 namespace gcnt {
 
@@ -70,6 +72,64 @@ class ForwardWorkspace {
  private:
   static constexpr std::size_t kBuffers = 8;
   std::size_t capacities_[kBuffers] = {};
+};
+
+/// P*E, S*E and G of one layer step, kept for backward (training only).
+struct LayerSums {
+  Matrix pred_sum;    ///< P * E_{d-1}
+  Matrix succ_sum;    ///< S * E_{d-1}
+  Matrix aggregated;  ///< G_d
+};
+
+/// TrainWorkspace: what GcnModel::forward() caches for backward() and
+/// the buffers backward() works in, kept alive across training steps.
+///
+/// backward() runs as row-block passes on the kernel pool: each layer's
+/// input gradient lands in one of two ping-pong buffers with the ReLU
+/// mask applied per block, and dE_{d-1} = dG + w_pr*P^T*dG + w_su*S^T*dG
+/// forms per row from the transposed adjacency in pred_t / succ_t. Like
+/// ForwardWorkspace, every buffer is reshaped within its capacity, so
+/// after one warm-up step on a graph further forward/backward steps on it
+/// perform no heap allocation here; poll_allocations() asserts that.
+class TrainWorkspace {
+ public:
+  std::vector<Matrix> embeddings;  ///< E_0 .. E_D (post-activation)
+  std::vector<LayerSums> layers;   ///< P*E, S*E and G of layers 1 .. D
+  std::vector<Matrix> fc_hidden;   ///< output of each hidden FC layer
+  Matrix ping;  ///< gradient ping-pong buffer A
+  Matrix pong;  ///< gradient ping-pong buffer B
+  CsrMatrix pred_t;  ///< P^T of the graph last run through backward()
+  CsrMatrix succ_t;  ///< S^T of the same graph
+
+  /// Capacity-growth events across every buffer since the previous poll
+  /// (the first poll counts each buffer that holds anything).
+  std::size_t poll_allocations() {
+    std::size_t events = 0;
+    std::size_t slot = 0;
+    const auto track = [&](std::size_t capacity) {
+      if (slot == capacities_.size()) capacities_.push_back(0);
+      if (capacity > capacities_[slot]) {
+        capacities_[slot] = capacity;
+        ++events;
+      }
+      ++slot;
+    };
+    for (const Matrix& m : embeddings) track(m.capacity());
+    for (const LayerSums& sums : layers) {
+      track(sums.pred_sum.capacity());
+      track(sums.succ_sum.capacity());
+      track(sums.aggregated.capacity());
+    }
+    for (const Matrix& m : fc_hidden) track(m.capacity());
+    track(ping.capacity());
+    track(pong.capacity());
+    track(pred_t.capacity());
+    track(succ_t.capacity());
+    return events;
+  }
+
+ private:
+  std::vector<std::size_t> capacities_;
 };
 
 }  // namespace gcnt

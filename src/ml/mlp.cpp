@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.h"
 #include "nn/loss.h"
@@ -107,14 +108,13 @@ void MlpClassifier::fit(const Matrix& x, const std::vector<std::int32_t>& y) {
       softmax_cross_entropy(logits, batch_labels, class_weights, nullptr,
                             dlogits);
       Matrix grad = std::move(dlogits);
+      Matrix masked;
       for (std::size_t i = layers_.size(); i-- > 0;) {
-        Matrix dinput;
-        layers_[i].backward(inputs[i], grad, dinput);
-        if (i > 0) {
-          Matrix masked;
-          Relu::backward(activations[i - 1], dinput, masked);
-          grad = std::move(masked);
-        }
+        layers_[i].accumulate_grads(inputs[i], grad);
+        // The first layer's input gradient would reach only the data.
+        if (i == 0) break;
+        layers_[i].input_grad(grad, masked, &activations[i - 1]);
+        std::swap(grad, masked);
       }
       optimizer.step(params);
     }

@@ -19,17 +19,24 @@ void Linear::forward_relu(const Matrix& x, Matrix& y) const {
 }
 
 void Linear::backward(const Matrix& x, const Matrix& dy, Matrix& dx) {
+  accumulate_grads(x, dy);
+  input_grad(dy, dx);
+}
+
+void Linear::accumulate_grads(const Matrix& x, const Matrix& dy) {
   if (x.rows() != dy.rows()) {
     throw std::invalid_argument("Linear::backward: batch mismatch");
   }
-  // dW += x^T * dy ; db += column sums of dy ; dx = dy * W^T.
   gemm(x, dy, weight.grad, true, false, 1.0f, 1.0f);
-  for (std::size_t r = 0; r < dy.rows(); ++r) {
-    const float* drow = dy.row(r);
-    float* brow = bias.grad.row(0);
-    for (std::size_t c = 0; c < dy.cols(); ++c) brow[c] += drow[c];
+  accumulate_column_sums(dy, bias.grad);
+}
+
+void Linear::input_grad(const Matrix& dy, Matrix& dx,
+                        const Matrix* relu_out) const {
+  if (dy.cols() != out_features()) {
+    throw std::invalid_argument("Linear::input_grad: width mismatch");
   }
-  gemm(dy, weight.value, dx, false, true);
+  gemm_nt(dy, weight.value, dx, relu_out);
 }
 
 void Relu::forward(const Matrix& x, Matrix& y) {
@@ -42,13 +49,14 @@ void Relu::forward(const Matrix& x, Matrix& y) {
 }
 
 void Relu::backward(const Matrix& y, const Matrix& dy, Matrix& dx) {
-  dx.resize(y.rows(), y.cols());
-  const float* act = y.data();
-  const float* grad = dy.data();
-  float* out = dx.data();
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    out[i] = act[i] > 0.0f ? grad[i] : 0.0f;
+  if (dy.rows() != y.rows() || dy.cols() != y.cols()) {
+    throw std::invalid_argument("Relu::backward: shape mismatch");
   }
+  if (&dx == &y) {
+    throw std::invalid_argument("Relu::backward: dx aliases y");
+  }
+  dx = dy;
+  relu_mask(y.data(), dx.data(), dx.size());
 }
 
 }  // namespace gcnt

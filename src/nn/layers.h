@@ -6,6 +6,12 @@
 // every module against finite differences. Parameters pair a value with an
 // accumulated gradient so multiple graphs can contribute before a step
 // (the paper's multi-device gradient averaging).
+//
+// Linear's backward comes in two halves so the models can schedule them:
+// accumulate_grads (dW, db; each a reduction over all rows) and
+// input_grad (dx in row blocks on the kernel pool, with the ReLU mask of
+// the layer below fused in). Both keep the bits of the whole-matrix
+// gemm / column-sum / Relu::backward sequence at any thread count.
 
 #include <vector>
 
@@ -40,8 +46,23 @@ class Linear {
   /// with Relu::backward, which masks on the forward *output*.
   void forward_relu(const Matrix& x, Matrix& y) const;
 
-  /// Accumulates dW/db from (x, dy) and writes dx. `dx` may alias nothing.
+  /// Accumulates dW/db from (x, dy) and writes dx: accumulate_grads then
+  /// input_grad. `dx` may alias nothing.
   void backward(const Matrix& x, const Matrix& dy, Matrix& dx);
+
+  /// dW += x^T * dy (gemm's transpose-a tiles on the kernel pool) and
+  /// db += the column sums of dy (accumulate_column_sums). Each element
+  /// accumulates over the rows in ascending order, so the gradients are
+  /// bitwise identical for any thread count.
+  void accumulate_grads(const Matrix& x, const Matrix& dy);
+
+  /// dx = dy * W^T through gemm_nt, bitwise gemm(dy, W, dx, false, true).
+  /// A non-null `relu_out` also applies Relu::backward's mask to each
+  /// kernel-pool row chunk right after it is written:
+  /// dx = relu_out > 0 ? dy * W^T : 0. `dx` may alias neither input; it
+  /// is resized without a fill, so a reused buffer allocates nothing.
+  void input_grad(const Matrix& dy, Matrix& dx,
+                  const Matrix* relu_out = nullptr) const;
 
   /// Parameters in a stable order (weight, bias).
   std::vector<Param*> params() { return {&weight, &bias}; }
@@ -53,7 +74,8 @@ class Linear {
 /// Rectified linear unit, elementwise.
 struct Relu {
   static void forward(const Matrix& x, Matrix& y);
-  /// dx = dy where y > 0 (uses the forward output as the mask).
+  /// dx = dy where y > 0 (uses the forward output as the mask): a copy
+  /// of dy, then relu_mask. `dx` may be `dy` but not `y`.
   static void backward(const Matrix& y, const Matrix& dy, Matrix& dx);
 };
 

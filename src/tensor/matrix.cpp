@@ -24,8 +24,10 @@ constexpr std::size_t kTnTileCols = 64;
 constexpr std::size_t kTnDepth = 256;
 constexpr std::size_t kMinParallelMacs = std::size_t{1} << 18;
 
-// Transpose-b schedule: output elements per dot_rows call.
-constexpr std::size_t kNtChunk = 64;
+// Transpose-b schedule: a rows per dot_rows call — long enough to
+// amortize dot_rows' pack of b, short enough that the ReLU mask finds
+// them still in cache.
+constexpr std::size_t kNtRowChunk = 512;
 
 // No-transpose schedule: p-slab depth of one packed a block
 // (kGemmRowBlock x kNnDepth floats, 16 KB, stays in L1).
@@ -166,22 +168,69 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
       }
     });
   } else {
-    // Input gradient (b is n x k): each output element is one dot() of
-    // an a row and a b row; dot_rows computes a chunk of them per call.
-    parallel_blocks(m, kMinParallelDim, [&](std::size_t i0, std::size_t i1) {
-      float dots[kNtChunk] = {};
-      for (std::size_t i = i0; i < i1; ++i) {
-        const float* arow = a.row(i);
-        float* orow = out.row(i);
-        for (std::size_t j0 = 0; j0 < n; j0 += kNtChunk) {
-          const std::size_t cols = std::min(kNtChunk, n - j0);
-          ops.dot_rows(dots, arow, b.row(j0), k, k, cols);
-          for (std::size_t j = 0; j < cols; ++j) {
-            orow[j0 + j] += alpha * dots[j];
-          }
+    // Input gradient (b is n x k): gemm_nt's dot products, added in.
+    Matrix dots;
+    gemm_nt(a, b, dots);
+    float* o = out.data();
+    const float* d = dots.data();
+    for (std::size_t i = 0; i < out.size(); ++i) o[i] += alpha * d[i];
+  }
+}
+
+void gemm_nt(const Matrix& a, const Matrix& b, Matrix& out,
+             const Matrix* relu_out) {
+  GCNT_KERNEL_SCOPE("gemm_nt");
+  const std::size_t m = a.rows();
+  const std::size_t k = a.cols();
+  const std::size_t n = b.rows();
+  if (b.cols() != k) {
+    throw std::invalid_argument("gemm_nt: inner dimension mismatch");
+  }
+  if (relu_out && (relu_out->rows() != m || relu_out->cols() != n)) {
+    throw std::invalid_argument("gemm_nt: mask shape mismatch");
+  }
+  if (&out == &a || &out == &b || &out == relu_out) {
+    throw std::invalid_argument("gemm_nt: output aliases an input");
+  }
+  out.resize_for_overwrite(m, n);
+  const SimdOps& ops = simd_ops();
+  parallel_blocks(m, kMinParallelDim, [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t i0 = b0; i0 < b1; i0 += kNtRowChunk) {
+      const std::size_t i1 = std::min(b1, i0 + kNtRowChunk);
+      ops.dot_rows(out.row(i0), n, a.row(i0), k, i1 - i0, b.data(), k, k, n);
+      if (relu_out) {
+        for (std::size_t r = i0; r < i1; ++r) {
+          relu_mask(relu_out->row(r), out.row(r), n);
         }
       }
-    });
+    }
+  });
+}
+
+void relu_mask(const float* __restrict y, float* __restrict g,
+               std::size_t n) noexcept {
+  // Fixed blocks of 8 give the vectorizer a unit it takes at -O2 (a
+  // compare and an and per vector) instead of a branch per element.
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (std::size_t j = i; j < i + 8; ++j) g[j] = y[j] > 0.0f ? g[j] : 0.0f;
+  }
+  for (; i < n; ++i) g[i] = y[i] > 0.0f ? g[i] : 0.0f;
+}
+
+void accumulate_column_sums(const Matrix& m, Matrix& sums) {
+  if (sums.rows() != 1 || sums.cols() != m.cols()) {
+    throw std::invalid_argument("accumulate_column_sums: shape mismatch");
+  }
+  // gemm_tn against a one-row a of stride 0: every p adds 1 * m[p][j],
+  // exact and never zero-skipped, so each element is the plain
+  // ascending-row sum. kTnDepth-row slabs keep every column tile's rows
+  // in cache.
+  const float one = 1.0f;
+  const SimdOps& ops = simd_ops();
+  for (std::size_t p0 = 0; p0 < m.rows(); p0 += kTnDepth) {
+    ops.gemm_tn(sums.data(), m.cols(), &one, 0, m.row(p0), m.cols(), 1,
+                m.cols(), std::min(kTnDepth, m.rows() - p0), 1.0f);
   }
 }
 

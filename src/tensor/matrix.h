@@ -142,8 +142,8 @@ void grow_rows(Matrix& m, std::size_t new_rows);
 /// no-transpose kGemmRowBlock-row blocks, each packed transposed and swept
 /// by the register-blocked gemm_tn kernel; transpose-a-only (the weight
 /// gradient) 16 x 64 output tiles per block, each swept by gemm_tn in
-/// 256-deep p slabs; transpose-b-only (the input gradient) rows per
-/// block, several dot products per dot_rows call.
+/// 256-deep p slabs; transpose-b-only (the input gradient) gemm_nt's
+/// dot products, scaled by alpha and added in.
 /// None of them changes an element's operation sequence, so for a fixed
 /// dispatch target results are bitwise identical across thread counts;
 /// across targets (scalar vs avx2/avx512) they differ only by FMA
@@ -151,6 +151,28 @@ void grow_rows(Matrix& m, std::size_t new_rows);
 /// documented in docs/API.md ("SIMD backend").
 void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
           bool transpose_b, float alpha = 1.0f, float beta = 0.0f);
+
+/// out = a * b^T (a is m x k, b is n x k: the input gradient dy * W^T),
+/// each element one dot() of an a row and a b row — bitwise gemm(a, b,
+/// out, false, true). Kernel-pool row blocks, up to 512 a rows per
+/// dot_rows call. A non-null `relu_out` (m x n) masks each call's rows
+/// right after they are written: out = relu_out > 0 ? a * b^T : 0 (the
+/// ReLU backward of the layer below). `out` is resized without a fill,
+/// so a reused buffer allocates nothing; it must be none of the inputs
+/// (std::invalid_argument).
+void gemm_nt(const Matrix& a, const Matrix& b, Matrix& out,
+             const Matrix* relu_out = nullptr);
+
+/// The ReLU backward mask in place on raw rows: g[i] = y[i] > 0 ? g[i] : 0
+/// with y the forward output. `y` and `g` must not overlap; that lets the
+/// select vectorize instead of branching on every sign.
+void relu_mask(const float* __restrict y, float* __restrict g,
+               std::size_t n) noexcept;
+
+/// sums[0][j] += m[0][j] + m[1][j] + ... in ascending row order, one
+/// float add per row (the bias gradient of a dense layer). Serial
+/// gemm_tn sweeps down 256-row slabs, accumulators in registers.
+void accumulate_column_sums(const Matrix& m, Matrix& sums);
 
 /// Fused dense layer: out = act(a * b + bias), with bias a 1 x n row
 /// broadcast over output rows and act = ReLU when `relu` (identity

@@ -89,6 +89,28 @@ void avx2_scale(float* y, float a, std::size_t n) {
   for (; i < n; ++i) y[i] *= a;
 }
 
+/// lane_dot.h's register traits: 8 outputs per ymm.
+struct Ymm {
+  using Reg = __m256;
+  static constexpr std::size_t kLanes = 8;
+  static Reg zero() { return _mm256_setzero_ps(); }
+  static Reg load(const float* p) { return _mm256_loadu_ps(p); }
+  static Reg broadcast(float v) { return _mm256_set1_ps(v); }
+  static Reg fma(Reg a, Reg b, Reg c) { return _mm256_fmadd_ps(a, b, c); }
+  static Reg add(Reg a, Reg b) { return _mm256_add_ps(a, b); }
+  /// Stores the first `count` (1..8) lanes.
+  static void store(float* p, Reg v, std::size_t count) {
+    if (count == kLanes) {
+      _mm256_storeu_ps(p, v);
+      return;
+    }
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(count)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    _mm256_maskstore_ps(p, mask, v);
+  }
+};
+
 // ---- GEMM tile (weight gradient and packed no-transpose) -------------
 // Register tile: kTnRows output rows x V <= kTnVecs 8-lane column
 // vectors (up to 4 x 16), whose accumulators stay in ymm registers across
@@ -350,10 +372,18 @@ void avx2_dequantize_u8(float* y, const std::uint8_t* codes, float scale,
 namespace simd_detail {
 
 const SimdOps kAvx2Ops = {
-    "avx2",          avx2_axpy,     lane_dot,
-    lane_dot_rows,   avx2_bias_add, avx2_bias_relu,
-    avx2_relu,       avx2_scale,    avx2_gemm_tn,
-    avx2_dot_u8s8,   avx2_axpy_dq8, avx2_quantize_u8,
+    "avx2",
+    avx2_axpy,
+    lane_dot,
+    lane_dot_rows<Ymm, 1, 2>,
+    avx2_bias_add,
+    avx2_bias_relu,
+    avx2_relu,
+    avx2_scale,
+    avx2_gemm_tn,
+    avx2_dot_u8s8,
+    avx2_axpy_dq8,
+    avx2_quantize_u8,
     avx2_dequantize_u8,
 };
 

@@ -13,9 +13,10 @@
 //
 // Cross-target behavior: this target is bitwise identical to AVX2 for
 // every fp32 kernel — the elementwise ops and gemm_tn perform the same
-// single per-element fmadd/add/max/mul, and dot()/dot_rows() are the
-// AVX2 lane-blocked kernels themselves (lane_dot.h) — so auto-resolution
-// upgrading a host from avx2 to avx512 never changes results. Versus
+// single per-element fmadd/add/max/mul, dot() is the AVX2 lane-blocked
+// kernel itself and dot_rows() runs its exact order on zmm (lane_dot.h)
+// — so auto-resolution upgrading a host from avx2 to avx512 never
+// changes results. Versus
 // scalar, the same FMA-contraction tolerance as AVX2 applies. The int8
 // ops are bitwise identical to the scalar reference on every input, like
 // all targets.
@@ -116,6 +117,21 @@ void avx512_scale(float* y, float a, std::size_t n) {
         y + i, m, _mm512_mul_ps(_mm512_maskz_loadu_ps(m, y + i), va));
   }
 }
+
+/// lane_dot.h's register traits: 16 outputs per zmm.
+struct Zmm {
+  using Reg = __m512;
+  static constexpr std::size_t kLanes = 16;
+  static Reg zero() { return _mm512_setzero_ps(); }
+  static Reg load(const float* p) { return _mm512_loadu_ps(p); }
+  static Reg broadcast(float v) { return _mm512_set1_ps(v); }
+  static Reg fma(Reg a, Reg b, Reg c) { return _mm512_fmadd_ps(a, b, c); }
+  static Reg add(Reg a, Reg b) { return _mm512_add_ps(a, b); }
+  /// Stores the first `count` (1..16) lanes.
+  static void store(float* p, Reg v, std::size_t count) {
+    _mm512_mask_storeu_ps(p, tail_mask(count), v);
+  }
+};
 
 // ---- GEMM tile (weight gradient and packed no-transpose) -------------
 // Register tile: kTnRows output rows x V <= kTnVecs 16-lane column
@@ -340,10 +356,18 @@ void avx512_dequantize_u8(float* y, const std::uint8_t* codes, float scale,
 namespace simd_detail {
 
 const SimdOps kAvx512Ops = {
-    "avx512",          avx512_axpy,      lane_dot,
-    lane_dot_rows,     avx512_bias_add,  avx512_bias_relu,
-    avx512_relu,       avx512_scale,     avx512_gemm_tn,
-    avx512_dot_u8s8,   avx512_axpy_dq8,  avx512_quantize_u8,
+    "avx512",
+    avx512_axpy,
+    lane_dot,
+    lane_dot_rows<Zmm, 2, 2>,
+    avx512_bias_add,
+    avx512_bias_relu,
+    avx512_relu,
+    avx512_scale,
+    avx512_gemm_tn,
+    avx512_dot_u8s8,
+    avx512_axpy_dq8,
+    avx512_quantize_u8,
     avx512_dequantize_u8,
 };
 

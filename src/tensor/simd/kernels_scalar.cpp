@@ -37,10 +37,13 @@ float scalar_dot(const float* a, const float* b, std::size_t n) {
   return acc;
 }
 
-void scalar_dot_rows(float* out, const float* a, const float* b,
+void scalar_dot_rows(float* out, std::size_t ldo, const float* a,
+                     std::size_t lda, std::size_t rows, const float* b,
                      std::size_t ldb, std::size_t n, std::size_t count) {
-  for (std::size_t j = 0; j < count; ++j) {
-    out[j] = scalar_dot(a, b + j * ldb, n);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < count; ++j) {
+      out[r * ldo + j] = scalar_dot(a + r * lda, b + j * ldb, n);
+    }
   }
 }
 

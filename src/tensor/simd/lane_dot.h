@@ -59,73 +59,151 @@ inline float lane_dot(const float* a, const float* b, std::size_t n) {
   return fma_tail(a, b, n, _mm_cvtss_f32(sum));
 }
 
-/// out[g] = lane_dot(a, b + g * ldb, n) for g < 4, bit for bit. The
-/// accumulator pairs (acc0, acc1) and (acc2, acc3) of the four rows run
-/// in two sweeps so both fit in 16 registers, and the four 8-lane folds
-/// run transposed — two rows per register — through the same pairings.
-[[gnu::always_inline]] inline void lane_dot4(float* out, const float* a,
-                                             const float* b, std::size_t ldb,
-                                             std::size_t n) {
-  const float* rows[4] = {b, b + ldb, b + 2 * ldb, b + 3 * ldb};
-  __m256 u[4];
-  {
-    __m256 acc0[4] = {}, acc1[4] = {};
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
+// ---- dot_rows: lane_dot's order, outputs across the lanes ------------
+// lane_dot's result is a fixed function of 32 chains — chain (q, l) runs
+// over the elements 32 t + 8 q + l (plus, for q = 0, the 8-element
+// remainder chunks) — folded by the tree above, then the fmaf tail. All
+// of it is elementwise per output, so dot_rows computes each chain and
+// fold step for V::kLanes outputs per register instead: b's rows are
+// packed transposed (column c of the pack holds output c's b row), each
+// a element is broadcast, and no horizontal reduction is left. Every
+// output is bit for bit lane_dot's, on every tile shape. V is the
+// includer's register traits (Reg, kLanes, zero, load, broadcast, fma,
+// add, and a store of the first `count` lanes).
+
+/// Longest dot the packed kernel takes (its pack lives on the stack);
+/// longer ones fall back to lane_dot per output.
+constexpr std::size_t kMaxPackedDot = 512;
+
+/// R a rows x G vectors of outputs over `packed` (n x kLanes * G floats,
+/// row i = element i of each output's b row); `cols` of the G * kLanes
+/// outputs are stored.
+template <class V, std::size_t R, std::size_t G>
+[[gnu::always_inline]] inline void lane_dot_rows_tile(
+    float* out, std::size_t ldo, const float* a, std::size_t lda,
+    const float* packed, std::size_t n, std::size_t cols) {
+  using Reg = typename V::Reg;
+  constexpr std::size_t kWidth = V::kLanes * G;
+  const std::size_t blocks = n / 32;
+  const std::size_t chunks = n % 32 / 8;
+  // Below 8 elements every chain is empty and the fold is +0.
+  Reg sum[R][G];
 #pragma GCC unroll 4
-      for (int g = 0; g < 4; ++g) {
-        acc0[g] = fma8(a + i, rows[g] + i, acc0[g]);
-        acc1[g] = fma8(a + i + 8, rows[g] + i + 8, acc1[g]);
-      }
-    }
-    for (; i + 8 <= n; i += 8) {
+  for (std::size_t r = 0; r < R; ++r) {
 #pragma GCC unroll 4
-      for (int g = 0; g < 4; ++g) {
-        acc0[g] = fma8(a + i, rows[g] + i, acc0[g]);
-      }
-    }
-#pragma GCC unroll 4
-    for (int g = 0; g < 4; ++g) u[g] = _mm256_add_ps(acc0[g], acc1[g]);
+    for (std::size_t g = 0; g < G; ++g) sum[r][g] = V::zero();
   }
-  {
-    __m256 acc2[4] = {}, acc3[4] = {};
-    for (std::size_t i = 0; i + 32 <= n; i += 32) {
+  if (n >= 8) {
+    // u[l] = (acc0 + acc1) + (acc2 + acc3) of lane position l.
+    Reg u[8][R][G];
+    for (std::size_t l = 0; l < 8; ++l) {
+      Reg acc[4][R][G];
 #pragma GCC unroll 4
-      for (int g = 0; g < 4; ++g) {
-        acc2[g] = fma8(a + i + 16, rows[g] + i + 16, acc2[g]);
-        acc3[g] = fma8(a + i + 24, rows[g] + i + 24, acc3[g]);
+      for (std::size_t q = 0; q < 4; ++q) {
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+          for (std::size_t g = 0; g < G; ++g) acc[q][r][g] = V::zero();
+        }
+      }
+      const auto step = [&](std::size_t q, std::size_t i) {
+        Reg bv[G];
+#pragma GCC unroll 4
+        for (std::size_t g = 0; g < G; ++g) {
+          bv[g] = V::load(packed + i * kWidth + g * V::kLanes);
+        }
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < R; ++r) {
+          const Reg av = V::broadcast(a[r * lda + i]);
+#pragma GCC unroll 4
+          for (std::size_t g = 0; g < G; ++g) {
+            acc[q][r][g] = V::fma(av, bv[g], acc[q][r][g]);
+          }
+        }
+      };
+      for (std::size_t t = 0; t < blocks; ++t) {
+#pragma GCC unroll 4
+        for (std::size_t q = 0; q < 4; ++q) step(q, 32 * t + 8 * q + l);
+      }
+      for (std::size_t c = 0; c < chunks; ++c) {
+        step(0, 32 * blocks + 8 * c + l);
+      }
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+        for (std::size_t g = 0; g < G; ++g) {
+          u[l][r][g] = V::add(V::add(acc[0][r][g], acc[1][r][g]),
+                              V::add(acc[2][r][g], acc[3][r][g]));
+        }
       }
     }
+    // ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)).
 #pragma GCC unroll 4
-    for (int g = 0; g < 4; ++g) {
-      u[g] = _mm256_add_ps(u[g], _mm256_add_ps(acc2[g], acc3[g]));
+    for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+      for (std::size_t g = 0; g < G; ++g) {
+        sum[r][g] = V::add(V::add(V::add(u[0][r][g], u[4][r][g]),
+                                  V::add(u[2][r][g], u[6][r][g])),
+                           V::add(V::add(u[1][r][g], u[5][r][g]),
+                                  V::add(u[3][r][g], u[7][r][g])));
+      }
     }
   }
-  // low + high: w01 = [w0 | w1], w23 = [w2 | w3].
-  const __m256 w01 = _mm256_add_ps(_mm256_permute2f128_ps(u[0], u[1], 0x20),
-                                   _mm256_permute2f128_ps(u[0], u[1], 0x31));
-  const __m256 w23 = _mm256_add_ps(_mm256_permute2f128_ps(u[2], u[3], 0x20),
-                                   _mm256_permute2f128_ps(u[2], u[3], 0x31));
-  // sum + movehl(sum): x = [x0[0], x0[1], x2[0], x2[1] | x1[..], x3[..]].
-  const __m256 x = _mm256_add_ps(_mm256_shuffle_ps(w01, w23, 0x44),
-                                 _mm256_shuffle_ps(w01, w23, 0xEE));
-  // x[0] + x[1]: r = [r0, r2, r0, r2 | r1, r3, r1, r3].
-  const __m256 r = _mm256_add_ps(_mm256_shuffle_ps(x, x, 0x88),
-                                 _mm256_shuffle_ps(x, x, 0xDD));
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, r);
-  const float folded[4] = {lanes[0], lanes[4], lanes[1], lanes[5]};
 #pragma GCC unroll 4
-  for (int g = 0; g < 4; ++g) out[g] = fma_tail(a, rows[g], n, folded[g]);
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < G; ++g) {
+      Reg& total = sum[r][g];
+      for (std::size_t i = n - n % 8; i < n; ++i) {
+        total = V::fma(V::broadcast(a[r * lda + i]),
+                       V::load(packed + i * kWidth + g * V::kLanes), total);
+      }
+      const std::size_t first = g * V::kLanes;
+      if (first < cols) {
+        V::store(out + r * ldo + first, total,
+                 cols - first < V::kLanes ? cols - first : V::kLanes);
+      }
+    }
+  }
 }
 
-/// The dot_rows table entry: lane_dot4 over groups of four rows, then
-/// lane_dot for the rest.
-inline void lane_dot_rows(float* out, const float* a, const float* b,
-                          std::size_t ldb, std::size_t n, std::size_t count) {
-  std::size_t j = 0;
-  for (; j + 4 <= count; j += 4) lane_dot4(out + j, a, b + j * ldb, ldb, n);
-  for (; j < count; ++j) out[j] = lane_dot(a, b + j * ldb, n);
+/// The dot_rows table entry: per group of G * V::kLanes outputs, pack
+/// their b rows transposed, then sweep the a rows R at a time. Callers
+/// pass many a rows per call so the pack amortizes.
+template <class V, std::size_t R, std::size_t G>
+void lane_dot_rows(float* out, std::size_t ldo, const float* a,
+                   std::size_t lda, std::size_t rows, const float* b,
+                   std::size_t ldb, std::size_t n, std::size_t count) {
+  constexpr std::size_t kWidth = V::kLanes * G;
+  if (n > kMaxPackedDot) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t j = 0; j < count; ++j) {
+        out[r * ldo + j] = lane_dot(a + r * lda, b + j * ldb, n);
+      }
+    }
+    return;
+  }
+  alignas(64) float packed[kMaxPackedDot * kWidth];
+  for (std::size_t j0 = 0; j0 < count; j0 += kWidth) {
+    const std::size_t cols = count - j0 < kWidth ? count - j0 : kWidth;
+    for (std::size_t c = 0; c < kWidth; ++c) {
+      if (c < cols) {
+        const float* brow = b + (j0 + c) * ldb;
+        for (std::size_t i = 0; i < n; ++i) packed[i * kWidth + c] = brow[i];
+      } else {
+        for (std::size_t i = 0; i < n; ++i) packed[i * kWidth + c] = 0.0f;
+      }
+    }
+    std::size_t r = 0;
+    for (; r + R <= rows; r += R) {
+      lane_dot_rows_tile<V, R, G>(out + r * ldo + j0, ldo, a + r * lda, lda,
+                                  packed, n, cols);
+    }
+    for (; r < rows; ++r) {
+      lane_dot_rows_tile<V, 1, G>(out + r * ldo + j0, ldo, a + r * lda, lda,
+                                  packed, n, cols);
+    }
+  }
 }
 
 }  // namespace

@@ -74,9 +74,13 @@ struct SimdOps {
   /// partials.
   float (*dot)(const float* a, const float* b, std::size_t n);
 
-  /// out[j] = dot(a, b + j * ldb, n) for j < count, each bitwise equal
-  /// to dot(): one a row against consecutive b rows, several per sweep.
-  void (*dot_rows)(float* out, const float* a, const float* b,
+  /// out[r * ldo + j] = dot(a + r * lda, b + j * ldb, n) for r < rows
+  /// and j < count, each bitwise equal to dot(): a tile of a rows against
+  /// consecutive b rows — the input gradient dy * W^T (gemm_nt). The
+  /// vector targets run dot()'s lane order with the outputs across the
+  /// vector lanes (lane_dot.h).
+  void (*dot_rows)(float* out, std::size_t ldo, const float* a,
+                   std::size_t lda, std::size_t rows, const float* b,
                    std::size_t ldb, std::size_t n, std::size_t count);
 
   /// y[i] += bias[i] (row-broadcast bias epilogue).

@@ -198,28 +198,34 @@ CsrMatrix CsrMatrix::from_parts(std::size_t rows, std::size_t cols,
   return csr;
 }
 
-CsrMatrix CsrMatrix::transpose() const {
+void CsrMatrix::transpose_into(CsrMatrix& t) const {
   GCNT_KERNEL_SCOPE("csr_transpose");
+  if (&t == this) {
+    throw std::invalid_argument("transpose_into: output aliases input");
+  }
   checked_index32(rows_, "CsrMatrix::transpose: row count");
   checked_index32(cols_, "CsrMatrix::transpose: column count");
   checked_index32(nnz(), "CsrMatrix::transpose: nonzero count");
-  CsrMatrix t;
   t.rows_ = cols_;
   t.cols_ = rows_;
-  t.row_ptr_.assign(cols_ + 1, 0);
-  count_occurrences(col_index_, t.row_ptr_);
-  for (std::size_t r = 0; r < cols_; ++r) t.row_ptr_[r + 1] += t.row_ptr_[r];
-  std::vector<std::uint32_t> cursor(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
-  t.col_index_.assign(nnz(), 0);
-  t.values_.assign(nnz(), 0.0f);
+  // Counting sort by column. row_ptr doubles as the scatter cursor: after
+  // the scatter, entry c holds the end of row c, and one shift restores
+  // the starts — no cursor array to allocate.
+  std::vector<std::uint32_t>& ptr = t.row_ptr_;
+  ptr.assign(cols_ + 1, 0);
+  for (const std::uint32_t c : col_index_) ++ptr[c + 1];
+  for (std::size_t c = 0; c < cols_; ++c) ptr[c + 1] += ptr[c];
+  t.col_index_.resize(nnz());
+  t.values_.resize(nnz());
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::uint32_t slot = cursor[col_index_[k]]++;
+      const std::uint32_t slot = ptr[col_index_[k]]++;
       t.col_index_[slot] = static_cast<std::uint32_t>(r);
       t.values_[slot] = values_[k];
     }
   }
-  return t;
+  for (std::size_t c = cols_; c > 0; --c) ptr[c] = ptr[c - 1];
+  ptr[0] = 0;
 }
 
 }  // namespace gcnt

@@ -88,8 +88,17 @@ class CsrMatrix {
   void spmm(const Matrix& dense, Matrix& out, float alpha = 1.0f,
             float beta = 0.0f) const;
 
-  /// Structural transpose (values preserved).
-  CsrMatrix transpose() const;
+  /// Structural transpose (values preserved) into `out`; each row of the
+  /// result lists its nonzeros in ascending column order. Reuses `out`'s
+  /// arrays: no heap allocation once it has held a transpose at least
+  /// this large. `out` must not be this matrix.
+  void transpose_into(CsrMatrix& out) const;
+
+  /// Allocated elements across the three index/value arrays (grows only
+  /// when one of them reallocates).
+  std::size_t capacity() const noexcept {
+    return row_ptr_.capacity() + col_index_.capacity() + values_.capacity();
+  }
 
   /// orow += alpha * this.row(r) * dense, nonzeros in ascending-k order:
   /// the one row kernel behind spmm() and the fused GCN layer step

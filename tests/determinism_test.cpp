@@ -86,7 +86,8 @@ TEST(Determinism, CsrBuildAndTransposeThreadCountInvariant) {
   }
   expect_thread_invariant([&] {
     const CsrMatrix csr = CsrMatrix::from_coo(pred);
-    const CsrMatrix t = csr.transpose();
+    CsrMatrix t;
+    csr.transpose_into(t);
     return std::make_tuple(csr.row_ptr(), csr.col_index(), csr.values(),
                            t.row_ptr(), t.col_index(), t.values());
   });

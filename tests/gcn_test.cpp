@@ -999,10 +999,10 @@ TEST(GcnModel, LayerStepMatchesUnfusedKernelsBitwise) {
 
     Matrix x = e;
     Matrix expected;
-    std::vector<Matrix> expected_inputs;
+    std::vector<Matrix> expected_hidden;
     const auto& fc = model.fc_layers();
     for (std::size_t i = 0; i < fc.size(); ++i) {
-      expected_inputs.push_back(x);
+      if (i > 0) expected_hidden.push_back(x);
       if (i + 1 < fc.size()) {
         fc[i].forward_relu(x, expected);
       } else {
@@ -1011,12 +1011,12 @@ TEST(GcnModel, LayerStepMatchesUnfusedKernelsBitwise) {
       x = expected;
     }
     Matrix logits;
-    std::vector<Matrix> inputs;
-    model.fc_head(e, Precision::kFp32, ws, logits, &inputs);
+    std::vector<Matrix> hidden;
+    model.fc_head(e, Precision::kFp32, ws, logits, &hidden);
     EXPECT_EQ(logits, expected);
-    EXPECT_EQ(inputs, expected_inputs);
+    EXPECT_EQ(hidden, expected_hidden);
     model.fc_head(e, Precision::kFp32, ws, logits);
-    EXPECT_EQ(logits, expected) << "without inputs";
+    EXPECT_EQ(logits, expected) << "without hidden outputs";
 
     Matrix aliased;
     gather_compute_rows(tensors, tensors.features, aliased);

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
 #include "gcn/serialize.h"
 #include "gen/generator.h"
+#include "nn/loss.h"
 
 namespace gcnt {
 namespace {
@@ -214,6 +219,91 @@ TEST(Serialize, TamperedFileRejectedAsCorrupt) {
     EXPECT_EQ(e.kind(), ErrorKind::kCorrupt);
   }
   std::remove(path.c_str());
+}
+
+// The prediction file as gcnt infer --out wrote it through ostream.
+std::string ostream_predictions(const Netlist& netlist,
+                                const Matrix& probabilities) {
+  std::ostringstream os;
+  os << "# node p(positive) predicted\n";
+  for (NodeId v = 0; v < netlist.size(); ++v) {
+    const float p = probabilities.at(v, 1);
+    os << netlist.node_name(v) << " " << p << " " << (p >= 0.5f ? 1 : 0)
+       << "\n";
+  }
+  return os.str();
+}
+
+// The same design as `gcnt generate --gates 2000 --seed 9` (the CLI
+// tests' cli_opi.bench).
+Netlist cli_opi_design() {
+  GeneratorConfig config;
+  config.target_gates = 2000;
+  config.seed = 9;
+  config.primary_inputs = 64;
+  config.primary_outputs = 32;
+  config.flip_flops = config.target_gates / 24;
+  config.trap_fraction = 0.02;
+  return generate_circuit(config);
+}
+
+TEST(FormatPredictions, MatchesOstreamOnEdgeValues) {
+  const Netlist netlist = cli_opi_design();
+  const float edges[] = {0.0f,
+                         -0.0f,
+                         1.0f,
+                         0.5f,
+                         0.25f,
+                         0.1f,
+                         2.0f / 3.0f,
+                         1e-7f,
+                         1e-5f,
+                         1e-4f,
+                         1.234567e-4f,
+                         0.999999f,
+                         0.9999995f,
+                         0.99999994f,
+                         123456.0f,
+                         1234567.0f,
+                         1e10f,
+                         1e-40f,
+                         std::numeric_limits<float>::denorm_min(),
+                         std::numeric_limits<float>::min(),
+                         std::numeric_limits<float>::max(),
+                         std::numeric_limits<float>::infinity(),
+                         -std::numeric_limits<float>::infinity(),
+                         std::numeric_limits<float>::quiet_NaN()};
+  Matrix probabilities(netlist.size(), 2);
+  Rng rng(17);
+  for (std::size_t v = 0; v < netlist.size(); ++v) {
+    float p = 0.0f;
+    if (v < std::size(edges)) {
+      p = edges[v];
+    } else if (v % 2 == 0) {
+      p = static_cast<float>(rng.uniform(0.0, 1.0));
+    } else {
+      // Arbitrary finite bit patterns: every exponent, both signs.
+      const auto bits = static_cast<std::uint32_t>(rng());
+      std::memcpy(&p, &bits, sizeof p);
+      if (!std::isfinite(p)) p = 0.75f;
+    }
+    probabilities.at(v, 1) = p;
+  }
+  EXPECT_EQ(format_predictions(netlist, probabilities),
+            ostream_predictions(netlist, probabilities));
+}
+
+TEST(FormatPredictions, CliOpiFileIsByteIdenticalToOstreamWriter) {
+  const Netlist netlist = cli_opi_design();
+  GraphTensors tensors = build_graph_tensors(netlist);
+  tensors.standardize_features();
+  const GcnModel model(GcnConfig{});
+  const Matrix probabilities = softmax(model.infer(tensors));
+  const std::string text = format_predictions(netlist, probabilities);
+  EXPECT_EQ(text, ostream_predictions(netlist, probabilities));
+  EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(),
+                                                '\n')),
+            netlist.size() + 1);
 }
 
 }  // namespace

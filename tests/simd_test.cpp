@@ -564,28 +564,42 @@ TEST_F(SimdTest, Avx512Fp32MatchesAvx2BitwiseAtMaskedTailLengths) {
   }
 }
 
-// dot_rows is dot() over several b rows per call: every result must be
-// bit for bit the single-row dot() at every length (32-blocks, the
-// 8-wide remainder, the fmaf tail) and every row count (full groups of
-// four plus leftovers), on every target.
+// dot_rows is dot() over a tile of a rows and b rows per call: every
+// result must be bit for bit the single-row dot() at every length
+// (32-blocks, 8-wide remainder chunks, the fmaf tail, below 8 elements,
+// and past the packed kernel's 512 limit) and every tile shape (full
+// and partial groups of a rows and of output columns), on every target.
 TEST_F(SimdTest, DotRowsMatchesDotBitwiseAtTailLengths) {
-  const std::size_t max_n = 128, max_rows = 9;
-  const Matrix a = random_dense(1, max_n, 277);
-  const Matrix b = random_dense(max_rows, max_n, 288);
+  const std::size_t max_n = 520, max_count = 65, max_a_rows = 5;
+  const std::size_t lengths[] = {0,  1,  2,  3,  7,  8,  9,   15,  16,  17,
+                                 31, 32, 33, 63, 64, 65, 100, 128, 512, 513};
+  const std::size_t counts[] = {1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 31, 32,
+                                33, 40, 64, 65};
+  const Matrix a = random_dense(max_a_rows, max_n, 277);
+  const Matrix b = random_dense(max_count, max_n, 288);
   for (const SimdTarget target :
        {SimdTarget::kScalar, SimdTarget::kAvx2, SimdTarget::kAvx512}) {
     if (!simd_target_available(target)) continue;
     ASSERT_TRUE(set_simd_target(target));
     const SimdOps& ops = simd_ops();
-    for (const std::size_t n : kTailLengths) {
-      for (std::size_t count = 1; count <= max_rows; ++count) {
-        std::vector<float> out(count);
-        ops.dot_rows(out.data(), a.data(), b.data(), max_n, n, count);
-        for (std::size_t j = 0; j < count; ++j) {
-          const float expected = ops.dot(a.data(), b.row(j), n);
-          EXPECT_EQ(0, std::memcmp(&expected, &out[j], sizeof(float)))
-              << simd_target_name() << " n=" << n << " count=" << count
-              << " row " << j;
+    for (const std::size_t n : lengths) {
+      for (std::size_t a_rows = 1; a_rows <= max_a_rows; ++a_rows) {
+        for (const std::size_t count : counts) {
+          // ldo > count: the kernel must leave the gap columns alone.
+          const std::size_t ldo = count + 3;
+          std::vector<float> out(a_rows * ldo, -7.0f);
+          ops.dot_rows(out.data(), ldo, a.data(), max_n, a_rows, b.data(),
+                       max_n, n, count);
+          for (std::size_t r = 0; r < a_rows; ++r) {
+            for (std::size_t j = 0; j < ldo; ++j) {
+              const float expected =
+                  j < count ? ops.dot(a.row(r), b.row(j), n) : -7.0f;
+              ASSERT_EQ(0, std::memcmp(&expected, &out[r * ldo + j],
+                                       sizeof(float)))
+                  << simd_target_name() << " n=" << n << " rows=" << a_rows
+                  << " count=" << count << " at " << r << "," << j;
+            }
+          }
         }
       }
     }

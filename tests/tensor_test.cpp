@@ -434,7 +434,9 @@ TEST(Csr, TransposeRoundTrip) {
             static_cast<float>(rng.uniform(-1.0, 1.0)));
   }
   const CsrMatrix csr = CsrMatrix::from_coo(coo);
-  const CsrMatrix tt = csr.transpose().transpose();
+  CsrMatrix t, tt;
+  csr.transpose_into(t);
+  t.transpose_into(tt);
   ASSERT_EQ(tt.rows(), csr.rows());
   ASSERT_EQ(tt.nnz(), csr.nnz());
   // Compare as dense.
@@ -450,7 +452,8 @@ TEST(Csr, TransposeMatchesManual) {
   CooMatrix coo(2, 3);
   coo.add(0, 2, 5.0f);
   coo.add(1, 0, 7.0f);
-  const CsrMatrix t = CsrMatrix::from_coo(coo).transpose();
+  CsrMatrix t;
+  CsrMatrix::from_coo(coo).transpose_into(t);
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_EQ(t.cols(), 2u);
   Matrix x(2, 1);

@@ -367,13 +367,9 @@ int cmd_infer(const Args& args) {
   }
   if (args.has("out")) {
     const std::string out = args.get("out", "predictions.txt");
+    const std::string text = format_predictions(netlist, probabilities);
     atomic_write_file(out, [&](std::ostream& os) {
-      os << "# node p(positive) predicted\n";
-      for (NodeId v = 0; v < netlist.size(); ++v) {
-        const float p = probabilities.at(v, 1);
-        os << netlist.node_name(v) << " " << p << " "
-           << (p >= 0.5f ? 1 : 0) << "\n";
-      }
+      os.write(text.data(), static_cast<std::streamsize>(text.size()));
     });
     std::cout << "wrote per-node predictions to " << out << "\n";
   }
