@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   std::uint32_t worst_co = 0;
   for (NodeId v = 0; v < netlist.size(); ++v) {
     if (!is_logic(netlist.type(v))) continue;
-    table.add_row({netlist.node_name(v),
+    table.add_row({std::string(netlist.node_name(v)),
                    std::string(cell_type_name(netlist.type(v))),
                    std::to_string(scoap.cc0[v]), std::to_string(scoap.cc1[v]),
                    std::to_string(scoap.co[v])});

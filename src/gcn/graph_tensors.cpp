@@ -290,16 +290,16 @@ GraphTensors build_graph_tensors(const Netlist& netlist,
   StatsRegistry::instance().gauge("graph.reorder").set(
       tensors.reordered() ? 1 : 0);
 
-  using NeighborList = const std::vector<NodeId>& (Netlist::*)(NodeId) const;
-  const auto adjacency = [&](NeighborList neighbors) {
+  // Row p lists the span of node_of(p)'s neighbours, in netlist order.
+  const auto adjacency = [&](auto neighbors) {
     return csr_by_rows(n, netlist.edge_count(), [&](std::size_t p, auto add) {
-      for (const NodeId u : (netlist.*neighbors)(tensors.node_of(p))) {
+      for (const NodeId u : neighbors(tensors.node_of(p))) {
         add(tensors.row_of(u), 1.0f);
       }
     });
   };
-  tensors.pred = adjacency(&Netlist::fanins);
-  tensors.succ = adjacency(&Netlist::fanouts);
+  tensors.pred = adjacency([&](NodeId v) { return netlist.fanins(v); });
+  tensors.succ = adjacency([&](NodeId v) { return netlist.fanouts(v); });
   return tensors;
 }
 
@@ -320,7 +320,7 @@ void append_observe_point(GraphTensors& tensors, const Netlist& netlist,
   tensors.pending_edges.push_back({target, op});
 
   // New feature row: the paper assigns the new node [0, 1, 1, 0].
-  grow_rows(tensors.features, op + 1);
+  tensors.features.grow_rows(op + 1);
   float* row = tensors.features.row(op);
   row[0] = tensors.encode(0, 0.0);
   row[1] = tensors.encode(1, 1.0);

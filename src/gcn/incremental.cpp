@@ -106,8 +106,8 @@ void IncrementalGcnEngine::dirty_pass(const GraphTensors& tensors,
 
   // Appended nodes grow every cached layer (new rows are always dirty, so
   // their zero placeholders are overwritten below).
-  for (Matrix& layer : embeddings_) grow_rows(layer, n);
-  grow_rows(logits_, n);
+  for (Matrix& layer : embeddings_) layer.grow_rows(n);
+  logits_.grow_rows(n);
   if (dirty.empty()) return;
 
   // E_0 rows come straight from the (already updated) feature matrix;

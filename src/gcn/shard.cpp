@@ -448,7 +448,7 @@ void ShardedGcnEngine::dirty_pass(const GraphTensors& tensors,
       affected_flag[k] = 1;
     }
     rebuild_send_views();
-    grow_rows(logits_, n);
+    logits_.grow_rows(n);
     extends.add();
     extended = !affected.empty();
     StatsRegistry::instance().gauge("shard.halo_rows").set(
@@ -504,7 +504,7 @@ void ShardedGcnEngine::dirty_pass(const GraphTensors& tensors,
       store_.get(static_cast<int>(d), k, owner_block_);
       const auto& owners = partition_.shard(k).owners;
       if (owner_block_.rows() < owners.size()) {
-        grow_rows(owner_block_, owners.size());
+        owner_block_.grow_rows(owners.size());
       }
       for (std::size_t i = 0; i < dirty_owner_pos[k].size(); ++i) {
         const float* in = compact_out_.row(i);

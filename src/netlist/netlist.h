@@ -8,10 +8,18 @@
 //
 // NodeId values are dense indices, stable across appends; nodes are never
 // removed (the DFT flows only ever add observation points).
+//
+// Storage is flat. Each direction's adjacency is one edge arena in which
+// every node owns one contiguous slice, and every node name lives in one
+// character arena. fanins(v) and fanouts(v) are spans into the arenas and
+// node_name(v) is a view; an edit may move an arena, so a span or view
+// stays valid only until the next non-const call on the netlist.
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netlist/cell.h"
@@ -35,28 +43,39 @@ class Netlist {
   std::size_t edge_count() const noexcept { return edge_count_; }
 
   /// Adds a cell and returns its id. Names must be unique only if the
-  /// netlist will be written out; an empty name is auto-generated.
-  NodeId add_node(CellType type, std::string name = {});
+  /// netlist will be written out; an empty name is auto-generated. `name`
+  /// may be a node_name() of this netlist.
+  NodeId add_node(CellType type, std::string_view name = {});
 
-  /// Reserves room for `nodes` nodes in total, so adding up to that many
-  /// does not reallocate the per-node arrays.
-  void reserve(std::size_t nodes);
+  /// Reserves room for `nodes` nodes in total, `name_bytes` bytes of names
+  /// and `edges` edges, so adding up to that many does not reallocate.
+  void reserve(std::size_t nodes, std::size_t name_bytes = 0,
+               std::size_t edges = 0);
 
-  /// Reserves room for `fanins` fanin and `fanouts` fanout edges at `v`,
-  /// so connecting that many does not reallocate v's adjacency lists.
+  /// Gives `v` room for `fanins` fanin and `fanouts` fanout edges, so
+  /// connecting that many does not move v's lists. Called for every node
+  /// in id order before any connect(), it lays all lists out packed.
   void reserve_edges(NodeId v, std::size_t fanins, std::size_t fanouts);
 
   /// Adds the directed edge `from -> to` (output of `from` drives an input
   /// of `to`). Duplicate edges are allowed (multi-input from same driver).
-  void connect(NodeId from, NodeId to);
+  /// Amortized O(1).
+  void connect(NodeId from, NodeId to) {
+    fanouts_.push(from, to);
+    fanins_.push(to, from);
+    ++edge_count_;
+  }
 
   CellType type(NodeId v) const noexcept { return types_[v]; }
-  const std::string& node_name(NodeId v) const noexcept { return names_[v]; }
-  const std::vector<NodeId>& fanins(NodeId v) const noexcept {
-    return fanins_[v];
+  std::string_view node_name(NodeId v) const noexcept {
+    const std::uint32_t begin = v == 0 ? 0 : name_end_[v - 1];
+    return {name_chars_.data() + begin, name_end_[v] - begin};
   }
-  const std::vector<NodeId>& fanouts(NodeId v) const noexcept {
-    return fanouts_[v];
+  std::span<const NodeId> fanins(NodeId v) const noexcept {
+    return fanins_.list(v);
+  }
+  std::span<const NodeId> fanouts(NodeId v) const noexcept {
+    return fanouts_.list(v);
   }
 
   /// All primary inputs, in insertion order.
@@ -70,8 +89,8 @@ class Netlist {
 
   /// Nodes in a topological order of the combinational graph (sources
   /// first). DFF outputs count as sources; DFF inputs as sinks, so the
-  /// graph is acyclic under the full-scan assumption. Throws
-  /// std::runtime_error on a combinational cycle.
+  /// graph is acyclic under the full-scan assumption. Throws a kCorrupt
+  /// gcnt::Error on a combinational cycle.
   std::vector<NodeId> topological_order() const;
 
   /// Logic level per node: sources are level 0; every other node is
@@ -116,7 +135,8 @@ class Netlist {
 
   /// Re-routes every fanout edge of `from` (except edges into `except`)
   /// to leave `to` instead: consumers' fanin slots are rewritten and both
-  /// fanout lists updated. Edge count is preserved.
+  /// fanout lists updated. Edge count is preserved. O(fanouts of `from`
+  /// plus their fanins).
   void retarget_fanouts(NodeId from, NodeId to, NodeId except = kInvalidNode);
 
   /// Structural validation: fanin arities, source/sink conventions,
@@ -124,15 +144,72 @@ class Netlist {
   std::vector<std::string> validate() const;
 
  private:
+  /// One direction's adjacency: a single edge arena in which node v's list
+  /// is the slice [begin, begin + size) with room for `capacity` entries. A
+  /// push onto a full list extends it in place when it ends the arena, and
+  /// otherwise moves it to the arena's end with doubled capacity, so an
+  /// append is amortized O(1) and every list stays one contiguous span. A
+  /// moved list leaves its old slots unused until the next copy, which lays
+  /// every list out packed.
+  class EdgeArena {
+   public:
+    EdgeArena() = default;
+    EdgeArena(const EdgeArena& other);
+    EdgeArena& operator=(const EdgeArena& other);
+    EdgeArena(EdgeArena&&) noexcept = default;
+    EdgeArena& operator=(EdgeArena&&) noexcept = default;
+
+    std::span<const NodeId> list(NodeId v) const noexcept {
+      const Slice& s = slices_[v];
+      return {edges_.data() + s.begin, s.size};
+    }
+    std::span<NodeId> list(NodeId v) noexcept {
+      const Slice& s = slices_[v];
+      return {edges_.data() + s.begin, s.size};
+    }
+
+    /// Adds an empty list for the next node.
+    void add_list() { slices_.emplace_back(); }
+    /// Reserves room for `lists` lists and `edges` arena slots in total.
+    void reserve(std::size_t lists, std::size_t edges);
+    /// Gives v's list room for `capacity` entries (a no-op when it has it).
+    void reserve_list(NodeId v, std::size_t capacity);
+    void push(NodeId v, NodeId x) {
+      Slice& s = slices_[v];
+      if (s.size == s.capacity) grow(v);
+      edges_[s.begin + s.size++] = x;
+    }
+    /// Keeps the first `size` entries of v's list.
+    void truncate(NodeId v, std::size_t size) noexcept {
+      slices_[v].size = static_cast<std::uint32_t>(size);
+    }
+
+   private:
+    struct Slice {
+      std::uint32_t begin = 0;
+      std::uint32_t size = 0;
+      std::uint32_t capacity = 0;
+    };
+
+    /// Moves or extends v's list so it has room for at least one more entry.
+    void grow(NodeId v);
+    /// Places v's list at the arena's end with `capacity` slots.
+    void relocate(NodeId v, std::size_t capacity);
+
+    std::vector<Slice> slices_;
+    std::vector<NodeId> edges_;
+  };
+
   /// True if edges from `v` carry combinational data (DFF outputs do, but
   /// the DFF's *input* edge is a sequential boundary).
   bool edge_is_combinational(NodeId from, NodeId to) const noexcept;
 
   std::string name_;
   std::vector<CellType> types_;
-  std::vector<std::string> names_;
-  std::vector<std::vector<NodeId>> fanins_;
-  std::vector<std::vector<NodeId>> fanouts_;
+  std::vector<char> name_chars_;          // every name, back to back
+  std::vector<std::uint32_t> name_end_;   // node v's name ends here
+  EdgeArena fanins_;
+  EdgeArena fanouts_;
   std::vector<NodeId> pis_, pos_, dffs_, ops_;
   std::size_t edge_count_ = 0;
 };

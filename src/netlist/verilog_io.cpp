@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -222,25 +223,39 @@ Netlist parse_verilog(std::string_view text, std::string fallback_name) {
     if (!signal.insert(net.text, next_id())) {
       fail(line, "multiple drivers for " + std::string(net.text));
     }
-    netlist.add_node(type, std::string(net.text));
+    netlist.add_node(type, net.text);
   };
+  std::size_t name_bytes = 0;
+  for (const Token& t : inputs) name_bytes += t.text.size();
+  for (const Instance& instance : instances) {
+    name_bytes += ports[instance.first].text.size();
+  }
+  for (const auto& assign : assigns) name_bytes += assign.first.text.size();
+  for (const Token& t : outputs) name_bytes += 4 + t.text.size();
+  netlist.reserve(inputs.size() + instances.size() + assigns.size() +
+                      outputs.size(),
+                  name_bytes, ports.size() + assigns.size() + outputs.size());
   for (const Token& t : inputs) {
     if (!signal.insert(t.text, next_id())) {
       fail(t.line, "redefinition of " + std::string(t.text));
     }
-    netlist.add_node(CellType::kInput, std::string(t.text));
+    netlist.add_node(CellType::kInput, t.text);
   }
   for (const Instance& instance : instances) {
     drive(ports[instance.first], instance.line, instance.type);
   }
   for (const auto& [lhs, rhs] : assigns) drive(lhs, lhs.line, CellType::kBuf);
 
+  // Resolve every edge in the order it is connected, so the first error is
+  // the one an edge-by-edge build would hit, and count both directions'
+  // list sizes; then size every list and connect.
+  std::vector<std::pair<NodeId, NodeId>> edges;  // driver -> sink
+  edges.reserve(ports.size() + assigns.size() + outputs.size());
   const auto resolve = [&](std::string_view name, int line) -> NodeId {
     const NodeId id = signal.find(name);
     if (id == kInvalidNode) fail(line, "undriven net " + std::string(name));
     return id;
   };
-
   for (const Instance& instance : instances) {
     const NodeId gate = signal.find(ports[instance.first].text);
     const int arity = static_cast<int>(instance.end - instance.first) - 1;
@@ -248,17 +263,28 @@ Netlist parse_verilog(std::string_view text, std::string fallback_name) {
       fail(instance.line, "illegal port count for primitive");
     }
     for (std::size_t p = instance.first + 1; p < instance.end; ++p) {
-      netlist.connect(resolve(ports[p].text, instance.line), gate);
+      edges.emplace_back(resolve(ports[p].text, instance.line), gate);
     }
   }
   for (const auto& [lhs, rhs] : assigns) {
-    netlist.connect(resolve(rhs.text, rhs.line), signal.find(lhs.text));
+    edges.emplace_back(resolve(rhs.text, rhs.line), signal.find(lhs.text));
   }
+  std::string po_name;
   for (const Token& t : outputs) {
-    const NodeId po =
-        netlist.add_node(CellType::kOutput, "out_" + std::string(t.text));
-    netlist.connect(resolve(t.text, t.line), po);
+    const NodeId driver = resolve(t.text, t.line);
+    po_name.assign("out_").append(t.text);
+    edges.emplace_back(driver, netlist.add_node(CellType::kOutput, po_name));
   }
+  std::vector<std::uint32_t> fanins(netlist.size(), 0),
+      fanouts(netlist.size(), 0);
+  for (const auto& [from, to] : edges) {
+    ++fanouts[from];
+    ++fanins[to];
+  }
+  for (NodeId v = 0; v < netlist.size(); ++v) {
+    netlist.reserve_edges(v, fanins[v], fanouts[v]);
+  }
+  for (const auto& [from, to] : edges) netlist.connect(from, to);
   return netlist;
 }
 
@@ -278,7 +304,7 @@ void write_verilog(const Netlist& netlist, std::ostream& out) {
       netlist.name().empty() ? "top" : netlist.name();
   out << "module " << module_name << " (";
   bool first = true;
-  const auto emit_port = [&](const std::string& name) {
+  const auto emit_port = [&](std::string_view name) {
     if (!first) out << ", ";
     out << name;
     first = false;

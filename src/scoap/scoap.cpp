@@ -104,57 +104,6 @@ void gate_controllability(const Netlist& netlist, NodeId v,
 
 }  // namespace
 
-/// Observability of fanin slot `slot` of gate `g`, given the gate's own
-/// output observability: cost of sensitizing the path through `g`.
-std::uint32_t scoap_observe_through(const Netlist& netlist, NodeId g,
-                                    std::size_t slot,
-                                    const ScoapMeasures& measures,
-                                    std::uint32_t gate_co) {
-  const std::vector<std::uint32_t>& cc0 = measures.cc0;
-  const std::vector<std::uint32_t>& cc1 = measures.cc1;
-  const auto& fanins = netlist.fanins(g);
-  switch (netlist.type(g)) {
-    case CellType::kOutput:
-    case CellType::kObserve:
-      return 0;
-    case CellType::kDff:
-      return 0;  // captured by the scan cell
-    case CellType::kBuf:
-    case CellType::kNot:
-      return scoap_add(gate_co, 1);
-    case CellType::kAnd:
-    case CellType::kNand: {
-      std::uint32_t cost = scoap_add(gate_co, 1);
-      for (std::size_t j = 0; j < fanins.size(); ++j) {
-        if (j == slot) continue;
-        cost = scoap_add(cost, cc1[fanins[j]]);  // side inputs at 1
-      }
-      return cost;
-    }
-    case CellType::kOr:
-    case CellType::kNor: {
-      std::uint32_t cost = scoap_add(gate_co, 1);
-      for (std::size_t j = 0; j < fanins.size(); ++j) {
-        if (j == slot) continue;
-        cost = scoap_add(cost, cc0[fanins[j]]);  // side inputs at 0
-      }
-      return cost;
-    }
-    case CellType::kXor:
-    case CellType::kXnor: {
-      std::uint32_t cost = scoap_add(gate_co, 1);
-      for (std::size_t j = 0; j < fanins.size(); ++j) {
-        if (j == slot) continue;
-        cost = scoap_add(cost, std::min(cc0[fanins[j]], cc1[fanins[j]]));
-      }
-      return cost;
-    }
-    case CellType::kInput:
-      break;
-  }
-  return kScoapInfinity;
-}
-
 void compute_controllability(const Netlist& netlist,
                              const std::vector<NodeId>& order,
                              ScoapMeasures& measures) {
@@ -166,19 +115,97 @@ void compute_controllability(const Netlist& netlist,
   }
 }
 
+namespace {
+
+/// Calls visit(slot, cost) for every fanin slot of gate `g`, cost being
+/// the SCOAP cost of observing that slot's driver through `g` given g's
+/// own output observability `gate_co`. The side-input costs are summed
+/// once per gate and each slot's own term taken back out: every cost is a
+/// saturating sum of non-negative terms, which equals min(exact sum,
+/// kScoapInfinity) whatever the order, so an exact 64-bit sum gives every
+/// slot in O(fanins) instead of O(fanins^2).
+template <typename Visit>
+void observe_through_each_slot(const Netlist& netlist, NodeId g,
+                               const ScoapMeasures& measures,
+                               std::uint32_t gate_co, Visit visit) {
+  const auto fanins = netlist.fanins(g);
+  const auto each_slot = [&](auto cost_of_slot) {
+    for (std::size_t slot = 0; slot < fanins.size(); ++slot) {
+      visit(slot, cost_of_slot(fanins[slot]));
+    }
+  };
+  const auto through_sides = [&](auto side_cost) {
+    std::uint64_t total = std::uint64_t{gate_co} + 1;
+    for (const NodeId u : fanins) total += side_cost(u);
+    each_slot([&](NodeId u) {
+      return static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(total - side_cost(u), kScoapInfinity));
+    });
+  };
+  const std::vector<std::uint32_t>& cc0 = measures.cc0;
+  const std::vector<std::uint32_t>& cc1 = measures.cc1;
+  switch (netlist.type(g)) {
+    case CellType::kOutput:
+    case CellType::kObserve:
+    case CellType::kDff:  // captured by the scan cell
+      each_slot([](NodeId) { return 0u; });
+      return;
+    case CellType::kBuf:
+    case CellType::kNot:
+      each_slot([&](NodeId) { return scoap_add(gate_co, 1); });
+      return;
+    case CellType::kAnd:
+    case CellType::kNand:
+      through_sides([&](NodeId u) { return cc1[u]; });  // side inputs at 1
+      return;
+    case CellType::kOr:
+    case CellType::kNor:
+      through_sides([&](NodeId u) { return cc0[u]; });  // side inputs at 0
+      return;
+    case CellType::kXor:
+    case CellType::kXnor:
+      through_sides([&](NodeId u) { return std::min(cc0[u], cc1[u]); });
+      return;
+    case CellType::kInput:
+      return;
+  }
+}
+
+}  // namespace
+
+std::uint32_t scoap_observe_through(const Netlist& netlist, NodeId g,
+                                    std::size_t slot,
+                                    const ScoapMeasures& measures,
+                                    std::uint32_t gate_co) {
+  std::uint32_t cost = kScoapInfinity;
+  observe_through_each_slot(netlist, g, measures, gate_co,
+                            [&](std::size_t s, std::uint32_t c) {
+                              if (s == slot) cost = c;
+                            });
+  return cost;
+}
+
 void compute_observability(const Netlist& netlist,
                            const std::vector<NodeId>& order,
                            ScoapMeasures& measures) {
-  measures.co.assign(netlist.size(), kScoapInfinity);
-  const auto co_of = [&](NodeId g) { return measures.co[g]; };
+  // Each gate pushes its fanins' costs through it, in reverse order: a
+  // node's CO is final once every fanout has pushed. Combinational fanouts
+  // follow the node in `order`; a DFF is a source of the order and may
+  // precede its D-pin driver, so its (constant 0) cost is pushed first.
+  std::vector<std::uint32_t>& co = measures.co;
+  co.assign(netlist.size(), kScoapInfinity);
+  for (const NodeId ff : netlist.flip_flops()) {
+    for (const NodeId u : netlist.fanins(ff)) co[u] = 0;
+  }
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId v = *it;
-    if (is_sink(netlist.type(v))) {
-      measures.co[v] = 0;  // value lands in a scan cell / on a pin
-      continue;
-    }
-    measures.co[v] = observability_through_fanouts(netlist, v, measures,
-                                                   co_of);
+    if (is_sink(netlist.type(v))) co[v] = 0;  // lands in a scan cell / on a pin
+    const auto fanins = netlist.fanins(v);
+    observe_through_each_slot(netlist, v, measures, co[v],
+                              [&](std::size_t slot, std::uint32_t cost) {
+                                const NodeId u = fanins[slot];
+                                co[u] = std::min(co[u], cost);
+                              });
   }
 }
 

@@ -85,9 +85,10 @@ std::uint32_t scoap_observe_through(const Netlist& netlist, NodeId g,
 /// The SCOAP observability rule for a non-sink node v: the minimum, over
 /// every (fanout g, fanin slot of g that v drives), of
 /// scoap_observe_through with g's output CO read through `co_of(g)`.
-/// Full computation, incremental repair and tentative overlays differ
-/// only in where a fanout's CO comes from; sinks (CO 0) are left to the
-/// caller.
+/// Incremental repair and tentative overlays differ only in where a
+/// fanout's CO comes from; sinks (CO 0) are left to the caller. The full
+/// pass (compute_observability) applies the same rule gate by gate,
+/// pushing each gate's cost to all its fanins at once.
 template <typename CoOf>
 std::uint32_t observability_through_fanouts(const Netlist& netlist, NodeId v,
                                             const ScoapMeasures& measures,

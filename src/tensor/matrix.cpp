@@ -86,13 +86,6 @@ float Matrix::dot(const Matrix& other) const {
   return static_cast<float>(acc);
 }
 
-void grow_rows(Matrix& m, std::size_t new_rows) {
-  if (m.rows() == new_rows) return;
-  Matrix grown(new_rows, m.cols());
-  std::copy(m.data(), m.data() + m.size(), grown.data());
-  m = std::move(grown);
-}
-
 void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
           bool transpose_b, float alpha, float beta) {
   GCNT_KERNEL_SCOPE("gemm");

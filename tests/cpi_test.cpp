@@ -67,7 +67,8 @@ TEST(Netlist, RetargetRespectsExcept) {
   const NodeId q = n.add_node(CellType::kBuf, "q");
   n.connect(by_name(n, "a"), q);
   n.retarget_fanouts(p, q, x);
-  EXPECT_EQ(n.fanouts(p), std::vector<NodeId>{x});
+  EXPECT_EQ(std::vector<NodeId>(n.fanouts(p).begin(), n.fanouts(p).end()),
+            std::vector<NodeId>{x});
 }
 
 TEST(ControlPoint, InactiveControlPreservesBehavior) {

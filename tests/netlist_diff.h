@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/error.h"
@@ -14,6 +15,16 @@
 #include "netlist/netlist.h"
 
 namespace gcnt {
+
+/// Two adjacency lists, element by element.
+inline void expect_same_list(std::span<const NodeId> got,
+                             std::span<const NodeId> want, const char* what,
+                             NodeId v) {
+  ASSERT_EQ(got.size(), want.size()) << what << " count of node " << v;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << what << " " << i << " of node " << v;
+  }
+}
 
 /// Every observable field: ids, types, names, fanin and fanout order, and
 /// the PI/PO/DFF/OP lists.
@@ -24,8 +35,8 @@ inline void expect_same_netlist(const Netlist& got, const Netlist& want) {
   for (NodeId v = 0; v < want.size(); ++v) {
     ASSERT_EQ(got.type(v), want.type(v)) << "node " << v;
     ASSERT_EQ(got.node_name(v), want.node_name(v)) << "node " << v;
-    ASSERT_EQ(got.fanins(v), want.fanins(v)) << "node " << v;
-    ASSERT_EQ(got.fanouts(v), want.fanouts(v)) << "node " << v;
+    expect_same_list(got.fanins(v), want.fanins(v), "fanin", v);
+    expect_same_list(got.fanouts(v), want.fanouts(v), "fanout", v);
   }
   EXPECT_EQ(got.primary_inputs(), want.primary_inputs());
   EXPECT_EQ(got.primary_outputs(), want.primary_outputs());

@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/error.h"
 #include "netlist/netlist.h"
 #include "netlist/text_scan.h"
 
@@ -143,7 +144,8 @@ TEST(Netlist, InsertObservePoint) {
   const NodeId op = n.insert_observe_point(2);
   EXPECT_EQ(n.size(), before + 1);
   EXPECT_EQ(n.type(op), CellType::kObserve);
-  EXPECT_EQ(n.fanins(op), std::vector<NodeId>{2});
+  EXPECT_EQ(std::vector<NodeId>(n.fanins(op).begin(), n.fanins(op).end()),
+            std::vector<NodeId>{2});
   EXPECT_EQ(n.observe_points(), std::vector<NodeId>{op});
 }
 
@@ -218,8 +220,78 @@ TEST(Netlist, ReserveKeepsStructure) {
   ASSERT_EQ(reserved.size(), plain.size());
   EXPECT_EQ(reserved.edge_count(), plain.edge_count());
   for (NodeId v = 0; v < plain.size(); ++v) {
-    EXPECT_EQ(reserved.fanins(v), plain.fanins(v));
-    EXPECT_EQ(reserved.fanouts(v), plain.fanouts(v));
+    EXPECT_TRUE(std::ranges::equal(reserved.fanins(v), plain.fanins(v)));
+    EXPECT_TRUE(std::ranges::equal(reserved.fanouts(v), plain.fanouts(v)));
+  }
+}
+
+TEST(Netlist, CombinationalCycleIsCorruptInput) {
+  Netlist n;
+  const NodeId a = n.add_node(CellType::kInput, "a");
+  const NodeId g1 = n.add_node(CellType::kAnd, "g1");
+  const NodeId g2 = n.add_node(CellType::kOr, "g2");
+  n.connect(a, g1);
+  n.connect(g2, g1);
+  n.connect(a, g2);
+  n.connect(g1, g2);
+  try {
+    (void)n.logic_levels();
+    FAIL() << "a cycle must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kCorrupt);
+  }
+  const auto problems = n.validate();
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems.front().find("combinational cycle"), std::string::npos);
+}
+
+// A copy lays its arenas out packed, so the next name or edge it takes must
+// grow them. The inputs below are views into those very arenas (run under
+// ASan to see a dangling read).
+TEST(Netlist, AddNodeCopiesOwnNameWhileArenaGrows) {
+  Netlist built = small_chain();
+  for (int i = 0; i < 40; ++i) {
+    built.add_node(CellType::kInput, "a_name_long_enough_" + std::to_string(i));
+  }
+  Netlist n = built;  // packed: the name arena is exactly full
+  const std::string want(n.node_name(7));
+  const NodeId copy = n.add_node(CellType::kBuf, n.node_name(7));
+  EXPECT_EQ(n.node_name(copy), want);
+  for (NodeId v = 0; v < built.size(); ++v) {
+    EXPECT_EQ(n.node_name(v), built.node_name(v));
+  }
+}
+
+TEST(Netlist, EditsOnExactlyFullArenasKeepNamesAndLists) {
+  // g1 drives two consumers, so retargeting them pushes onto the new
+  // gate's list (moving the arena) while g1's list is still being read.
+  Netlist built = small_chain();
+  const NodeId g3 = built.add_node(CellType::kBuf, "g3");
+  const NodeId po2 = built.add_node(CellType::kOutput, "po2");
+  built.connect(2, g3);
+  built.connect(g3, po2);
+  for (const bool one : {false, true}) {
+    Netlist n = built;  // packed: every list and arena exactly full
+    const Netlist::ControlPoint cp = n.insert_control_point(2, one);
+    EXPECT_EQ(n.node_name(cp.control), "cp_g1");
+    EXPECT_EQ(n.node_name(cp.gate), one ? "cp1_g1" : "cp0_g1");
+    // g1's consumers (g2, g3) now hang off the gate, which g1 drives.
+    ASSERT_EQ(n.fanouts(2).size(), 1u);
+    EXPECT_EQ(n.fanouts(2).front(), cp.gate);
+    const std::vector<NodeId> gate_fanouts(n.fanouts(cp.gate).begin(),
+                                           n.fanouts(cp.gate).end());
+    EXPECT_EQ(gate_fanouts, (std::vector<NodeId>{3, g3}));
+    EXPECT_EQ(n.fanins(3).front(), cp.gate);
+    EXPECT_EQ(n.fanins(g3).front(), cp.gate);
+    EXPECT_TRUE(n.validate().empty());
+
+    Netlist m = built;
+    const NodeId op = m.insert_observe_point(2);
+    EXPECT_EQ(m.node_name(op), "op_g1");
+    const std::vector<NodeId> g1_fanouts(m.fanouts(2).begin(),
+                                         m.fanouts(2).end());
+    EXPECT_EQ(g1_fanouts, (std::vector<NodeId>{3, g3, op}));
+    EXPECT_EQ(m.edge_count(), built.edge_count() + 1);
   }
 }
 

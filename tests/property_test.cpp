@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string_view>
 
 #include "atpg/atpg.h"
 #include "common/rng.h"
@@ -38,7 +39,7 @@ TEST_P(SeedSweep, BenchRoundTripPreservesSimulation) {
   ASSERT_EQ(reparsed.size(), original.size());
 
   // Node ids may be permuted; signals are matched by name.
-  std::map<std::string, NodeId> reparsed_by_name;
+  std::map<std::string_view, NodeId> reparsed_by_name;
   for (NodeId v = 0; v < reparsed.size(); ++v) {
     reparsed_by_name[reparsed.node_name(v)] = v;
   }
@@ -50,7 +51,7 @@ TEST_P(SeedSweep, BenchRoundTripPreservesSimulation) {
   // Drive both with the same named assignment.
   Rng rng(GetParam() * 31 + 7);
   const PatternBatch batch_a = sim_a.random_batch(rng);
-  std::map<std::string, std::uint64_t> assignment;
+  std::map<std::string_view, std::uint64_t> assignment;
   for (std::size_t i = 0; i < sim_a.sources().size(); ++i) {
     assignment[original.node_name(sim_a.sources()[i])] = batch_a[i];
   }

@@ -371,7 +371,7 @@ void expect_equivalent(const Netlist& a, const Netlist& b,
 
   Rng rng(seed);
   const PatternBatch batch_a = sim_a.random_batch(rng);
-  std::map<std::string, std::uint64_t> stimulus;
+  std::map<std::string_view, std::uint64_t> stimulus;
   for (std::size_t i = 0; i < sim_a.sources().size(); ++i) {
     stimulus[a.node_name(sim_a.sources()[i])] = batch_a[i];
   }

@@ -214,11 +214,18 @@ int cmd_stats(const Args& args) {
   table.add_row({"Flip-flops", std::to_string(netlist.flip_flops().size())});
   table.add_row({"Observe points",
                  std::to_string(netlist.observe_points().size())});
-  std::uint32_t max_level = 0;
-  for (std::uint32_t level : netlist.logic_levels()) {
-    max_level = std::max(max_level, level);
+  // A combinational cycle leaves the depth undefined; validate() has
+  // already reported it, so the table still prints.
+  std::string depth = "n/a";
+  try {
+    std::uint32_t max_level = 0;
+    for (std::uint32_t level : netlist.logic_levels()) {
+      max_level = std::max(max_level, level);
+    }
+    depth = std::to_string(max_level);
+  } catch (const Error&) {
   }
-  table.add_row({"Logic depth", std::to_string(max_level)});
+  table.add_row({"Logic depth", depth});
   table.add_row({"Well-formed", problems.empty() ? "yes" : problems.front()});
   table.print(std::cout);
   return problems.empty() ? 0 : 1;
@@ -239,7 +246,7 @@ int cmd_scoap(const Args& args) {
   Table table("Least observable nodes (SCOAP)",
               {"Node", "Type", "CC0", "CC1", "CO"});
   for (NodeId v : nodes) {
-    table.add_row({netlist.node_name(v),
+    table.add_row({std::string(netlist.node_name(v)),
                    std::string(cell_type_name(netlist.type(v))),
                    std::to_string(measures.cc0[v]),
                    std::to_string(measures.cc1[v]),
@@ -350,7 +357,10 @@ int cmd_infer(const Args& args) {
   apply_simd_flag(args);
   const Netlist netlist =
       read_netlist_file(netlist_arg(args, args.get("netlist", "")));
-  GcnModel model = load_model_file(args.get("model", "model.txt"));
+  GcnModel model = [&] {
+    TraceSpan span("model.load");
+    return load_model_file(args.get("model", "model.txt"));
+  }();
   if (cli_precision(args) == Precision::kInt8 &&
       model.precision() != Precision::kInt8) {
     model.set_precision(Precision::kInt8);
@@ -360,14 +370,21 @@ int cmd_infer(const Args& args) {
   ForwardWorkspace ws;
   Matrix logits;
   model.infer(tensors, ws, logits);
-  const Matrix probabilities = softmax(logits);
+  Matrix probabilities;
   std::size_t positives = 0;
-  for (std::size_t v = 0; v < probabilities.rows(); ++v) {
-    if (probabilities.at(v, 1) >= 0.5f) ++positives;
+  {
+    TraceSpan span("infer.softmax");
+    span.arg("rows", static_cast<double>(logits.rows()));
+    probabilities = softmax(logits);
+    for (std::size_t v = 0; v < probabilities.rows(); ++v) {
+      if (probabilities.at(v, 1) >= 0.5f) ++positives;
+    }
   }
   if (args.has("out")) {
     const std::string out = args.get("out", "predictions.txt");
+    TraceSpan span("infer.write_out");
     const std::string text = format_predictions(netlist, probabilities);
+    span.arg("bytes", static_cast<double>(text.size()));
     atomic_write_file(out, [&](std::ostream& os) {
       os.write(text.data(), static_cast<std::streamsize>(text.size()));
     });
