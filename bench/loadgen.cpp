@@ -210,7 +210,7 @@ int run_overload_probe(const Options& options) {
     writer.u8(1);  // inline .bench text
     writer.str(big);
     writer.u8(0);
-    serve::write_frame(client.write_fd(), frame);
+    serve::write_frame(client.fd(), frame);
   };
   send_load("overload1", 1);
   send_load("overload2", 2);
@@ -219,7 +219,7 @@ int run_overload_probe(const Options& options) {
     serve::Frame frame;
     frame.opcode = static_cast<std::uint8_t>(serve::Op::kPing);
     frame.request_id = static_cast<std::uint32_t>(100 + i);
-    serve::write_frame(client.write_fd(), frame);
+    serve::write_frame(client.fd(), frame);
   }
 
   std::size_t ok = 0, rejected = 0;
@@ -228,7 +228,7 @@ int run_overload_probe(const Options& options) {
     serve::Frame response;
     ErrorKind kind = ErrorKind::kInternal;
     std::string message;
-    if (serve::read_frame(client.write_fd(), response, kind, message) !=
+    if (serve::read_frame(client.fd(), response, kind, message) !=
         serve::ReadStatus::kFrame) {
       std::cerr << "loadgen: transport failure mid-probe: " << message
                 << "\n";

@@ -13,8 +13,9 @@ Dataset make_dataset(Netlist netlist, const LabelerOptions& options) {
   span.arg("nodes", static_cast<double>(netlist.size()));
   Dataset dataset;
   dataset.netlist = std::move(netlist);
-  dataset.scoap = compute_scoap(dataset.netlist);
-  dataset.levels = dataset.netlist.logic_levels();
+  const std::vector<NodeId> order = dataset.netlist.topological_order();
+  dataset.scoap = compute_scoap(dataset.netlist, order);
+  dataset.levels = dataset.netlist.logic_levels(order);
   dataset.tensors =
       build_graph_tensors(dataset.netlist, dataset.scoap, dataset.levels);
   dataset.tensors.labels = label_difficult_to_observe(dataset.netlist, options);

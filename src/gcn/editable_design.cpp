@@ -87,8 +87,9 @@ Netlist::ControlPoint EditableDesign::control(NodeId target,
 
 void EditableDesign::sync() {
   if (rebuild_pending_) {
-    scoap_ = compute_scoap(netlist_);
-    levels_ = netlist_.logic_levels();
+    const std::vector<NodeId> order = netlist_.topological_order();
+    scoap_ = compute_scoap(netlist_, order);
+    levels_ = netlist_.logic_levels(order);
     GraphTensors rebuilt =
         build_graph_tensors(netlist_, scoap_, levels_, &tensors_);
     if (standardize_) rebuilt.standardize_features();

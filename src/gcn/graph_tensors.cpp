@@ -304,8 +304,9 @@ GraphTensors build_graph_tensors(const Netlist& netlist,
 }
 
 GraphTensors build_graph_tensors(const Netlist& netlist) {
-  const ScoapMeasures scoap = compute_scoap(netlist);
-  return build_graph_tensors(netlist, scoap, netlist.logic_levels());
+  const std::vector<NodeId> order = netlist.topological_order();
+  return build_graph_tensors(netlist, compute_scoap(netlist, order),
+                             netlist.logic_levels(order));
 }
 
 void append_observe_point(GraphTensors& tensors, const Netlist& netlist,

@@ -163,7 +163,11 @@ std::vector<NodeId> Netlist::topological_order() const {
 }
 
 std::vector<std::uint32_t> Netlist::logic_levels() const {
-  const auto order = topological_order();
+  return logic_levels(topological_order());
+}
+
+std::vector<std::uint32_t> Netlist::logic_levels(
+    const std::vector<NodeId>& order) const {
   std::vector<std::uint32_t> level(size(), 0);
   for (const NodeId v : order) {
     // DFF fanin edges are sequential, so a DFF stays at level 0 (it acts as

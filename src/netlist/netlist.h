@@ -96,6 +96,10 @@ class Netlist {
   /// Logic level per node: sources are level 0; every other node is
   /// 1 + max(level of combinational fanins). This is the LL attribute.
   std::vector<std::uint32_t> logic_levels() const;
+  /// The same levels from the caller's topological_order(), so a caller
+  /// that also needs the order (SCOAP) sorts once.
+  std::vector<std::uint32_t> logic_levels(
+      const std::vector<NodeId>& order) const;
 
   /// Transitive fanin cone of `root` (excluding `root`), breadth-first,
   /// stopping at sources; at most `limit` nodes are returned.

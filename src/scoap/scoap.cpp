@@ -210,9 +210,13 @@ void compute_observability(const Netlist& netlist,
 }
 
 ScoapMeasures compute_scoap(const Netlist& netlist) {
+  return compute_scoap(netlist, netlist.topological_order());
+}
+
+ScoapMeasures compute_scoap(const Netlist& netlist,
+                            const std::vector<NodeId>& order) {
   GCNT_KERNEL_SCOPE("scoap.full");
   ScoapMeasures measures;
-  const std::vector<NodeId> order = netlist.topological_order();
   compute_controllability(netlist, order, measures);
   compute_observability(netlist, order, measures);
   return measures;

@@ -36,6 +36,10 @@ constexpr std::uint32_t scoap_add(std::uint32_t a, std::uint32_t b) noexcept {
 
 /// Computes all three measures for every node.
 ScoapMeasures compute_scoap(const Netlist& netlist);
+/// The same from the caller's netlist.topological_order(), so a caller
+/// that also needs logic_levels(order) sorts once.
+ScoapMeasures compute_scoap(const Netlist& netlist,
+                            const std::vector<NodeId>& order);
 
 /// Recomputes only controllability, in `order` (netlist.topological_order()).
 void compute_controllability(const Netlist& netlist,

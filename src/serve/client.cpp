@@ -121,7 +121,7 @@ bool idempotent(Op op) noexcept {
 ServeClient ServeClient::connect_unix(const std::string& path,
                                       const ClientOptions& options) {
   const int fd = open_unix(path, options);
-  ServeClient client(fd, fd, true);
+  ServeClient client(fd);
   client.options_ = options;
   client.unix_path_ = path;
   return client;
@@ -129,20 +129,14 @@ ServeClient ServeClient::connect_unix(const std::string& path,
 
 ServeClient ServeClient::connect_tcp(int port, const ClientOptions& options) {
   const int fd = open_tcp(port, options);
-  ServeClient client(fd, fd, true);
+  ServeClient client(fd);
   client.options_ = options;
   client.tcp_port_ = port;
   return client;
 }
 
-ServeClient ServeClient::from_fds(int read_fd, int write_fd, bool owns_fds) {
-  return ServeClient(read_fd, write_fd, owns_fds);
-}
-
 ServeClient::ServeClient(ServeClient&& other) noexcept
-    : read_fd_(std::exchange(other.read_fd_, -1)),
-      write_fd_(std::exchange(other.write_fd_, -1)),
-      owns_fds_(other.owns_fds_),
+    : fd_(std::exchange(other.fd_, -1)),
       next_request_id_(other.next_request_id_),
       options_(other.options_),
       last_brownout_(other.last_brownout_),
@@ -152,9 +146,7 @@ ServeClient::ServeClient(ServeClient&& other) noexcept
 ServeClient& ServeClient::operator=(ServeClient&& other) noexcept {
   if (this != &other) {
     close();
-    read_fd_ = std::exchange(other.read_fd_, -1);
-    write_fd_ = std::exchange(other.write_fd_, -1);
-    owns_fds_ = other.owns_fds_;
+    fd_ = std::exchange(other.fd_, -1);
     next_request_id_ = other.next_request_id_;
     options_ = other.options_;
     last_brownout_ = other.last_brownout_;
@@ -167,27 +159,15 @@ ServeClient& ServeClient::operator=(ServeClient&& other) noexcept {
 ServeClient::~ServeClient() { close(); }
 
 void ServeClient::close() noexcept {
-  if (read_fd_ < 0) return;
-  if (owns_fds_) {
-    ::close(read_fd_);
-    if (write_fd_ != read_fd_) ::close(write_fd_);
-  }
-  read_fd_ = -1;
-  write_fd_ = -1;
+  if (fd_ < 0) return;
+  ::close(fd_);
+  fd_ = -1;
 }
 
 void ServeClient::reconnect() {
-  if (unix_path_.empty() && tcp_port_ < 0) {
-    throw Error(ErrorKind::kIo,
-                "connection lost and this client cannot reconnect "
-                "(borrowed descriptors)");
-  }
   close();
-  const int fd = unix_path_.empty() ? open_tcp(tcp_port_, options_)
-                                    : open_unix(unix_path_, options_);
-  read_fd_ = fd;
-  write_fd_ = fd;
-  owns_fds_ = true;
+  fd_ = unix_path_.empty() ? open_tcp(tcp_port_, options_)
+                           : open_unix(unix_path_, options_);
 }
 
 std::string ServeClient::call_once(Op op, const std::string& body,
@@ -202,15 +182,15 @@ std::string ServeClient::call_once(Op op, const std::string& body,
     request.deadline_ms = options_.deadline_ms;
   }
   request.body = body;
-  if (read_fd_ < 0) {
+  if (fd_ < 0) {
     throw Error(ErrorKind::kIo, "client connection is closed");
   }
-  write_frame(write_fd_, request);
+  write_frame(fd_, request);
 
   Frame response;
   ErrorKind kind = ErrorKind::kInternal;
   std::string message;
-  const ReadStatus status = read_frame(read_fd_, response, kind, message);
+  const ReadStatus status = read_frame(fd_, response, kind, message);
   if (status == ReadStatus::kEof) {
     throw Error(ErrorKind::kIo, "server closed the connection");
   }
@@ -242,7 +222,6 @@ std::string ServeClient::call_once(Op op, const std::string& body,
 
 std::string ServeClient::call(Op op, const std::string& body) {
   const RetryPolicy& retry = options_.retry;
-  const bool reconnectable = !unix_path_.empty() || tcp_port_ >= 0;
   std::uint64_t rng_state =
       retry.jitter_seed ^ (static_cast<std::uint64_t>(next_request_id_) *
                            0x9e3779b97f4a7c15ull);
@@ -252,8 +231,8 @@ std::string ServeClient::call(Op op, const std::string& body) {
     try {
       return call_once(op, body, &transport);
     } catch (const Error& e) {
-      const bool retryable = transport && idempotent(op) && reconnectable &&
-                             attempt < retry.max_attempts;
+      const bool retryable =
+          transport && idempotent(op) && attempt < retry.max_attempts;
       if (!retryable) throw;
       // Full jitter: sleep uniform in [0, min(max, base << attempt)],
       // bounded by the per-call budget so pathological outages fail
@@ -289,22 +268,6 @@ ServeClient::Health ServeClient::ping() {
   health.brownout = reader.u8() != 0;
   health.sessions = reader.u32();
   return health;
-}
-
-ServeClient::SessionInfo ServeClient::load_session_file(
-    const std::string& name, const std::string& path, bool standardize) {
-  std::string body;
-  WireWriter writer(body);
-  writer.str(name);
-  writer.u8(0);  // source 0: server-side file path
-  writer.str(path);
-  writer.u8(standardize ? 1 : 0);
-  const std::string payload = call(Op::kLoadSession, body);
-  WireReader reader(payload);
-  SessionInfo info;
-  info.nodes = reader.u32();
-  info.edges = reader.u32();
-  return info;
 }
 
 ServeClient::SessionInfo ServeClient::load_session_inline(

@@ -62,11 +62,6 @@ class ServeClient {
   static ServeClient connect_tcp(int port,
                                  const ClientOptions& options = {});
 
-  /// Wraps existing descriptors (e.g. pipes to a --stdio child). The fds
-  /// are closed on destruction only when `owns_fds`. Not reconnectable,
-  /// so retries repair nothing once the transport dies.
-  static ServeClient from_fds(int read_fd, int write_fd, bool owns_fds);
-
   ServeClient(ServeClient&& other) noexcept;
   ServeClient& operator=(ServeClient&& other) noexcept;
   ServeClient(const ServeClient&) = delete;
@@ -95,11 +90,8 @@ class ServeClient {
     std::uint32_t nodes = 0;
     std::uint32_t edges = 0;
   };
-  /// Loads a netlist resident in the daemon from a server-side file path
-  /// (.bench, or .v for Verilog).
-  SessionInfo load_session_file(const std::string& name,
-                                const std::string& path, bool standardize);
-  /// Loads from .bench text carried inline in the request.
+  /// Loads a netlist resident in the daemon from .bench text carried
+  /// inline in the request.
   SessionInfo load_session_inline(const std::string& name,
                                   const std::string& bench_text,
                                   bool standardize);
@@ -145,33 +137,25 @@ class ServeClient {
   /// (stale cached logits; kFrameFlagBrownout on the response).
   bool last_brownout() const noexcept { return last_brownout_; }
 
-  /// Changes the per-request wire deadline for subsequent calls.
-  void set_deadline_ms(std::uint32_t ms) noexcept {
-    options_.deadline_ms = ms;
-  }
-
-  /// Raw write descriptor — lets tests inject malformed bytes.
-  int write_fd() const noexcept { return write_fd_; }
+  /// The connection's socket — lets tests write malformed bytes and
+  /// read raw replies.
+  int fd() const noexcept { return fd_; }
 
  private:
-  ServeClient(int read_fd, int write_fd, bool owns_fds)
-      : read_fd_(read_fd), write_fd_(write_fd), owns_fds_(owns_fds) {}
+  explicit ServeClient(int fd) : fd_(fd) {}
   void close() noexcept;
   /// One request/response exchange, no retries. Sets *transport while
   /// the failure could be transport-level (send/recv); clears it once a
   /// matching response header decoded (server errors are not retryable).
   std::string call_once(Op op, const std::string& body, bool* transport);
-  /// Re-establishes the stored endpoint (unix path / tcp port). Throws
-  /// Error{kIo} when this client has no reconnectable endpoint.
+  /// Re-establishes the stored endpoint (unix path / tcp port).
   void reconnect();
 
-  int read_fd_ = -1;
-  int write_fd_ = -1;
-  bool owns_fds_ = true;
+  int fd_ = -1;
   std::uint32_t next_request_id_ = 1;
   ClientOptions options_;
   bool last_brownout_ = false;
-  // Reconnect endpoint: exactly one is set for socket clients.
+  // Reconnect endpoint: exactly one is set.
   std::string unix_path_;
   int tcp_port_ = -1;
 };

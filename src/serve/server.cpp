@@ -13,7 +13,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "common/fault_inject.h"
@@ -21,7 +20,6 @@
 #include "common/stats.h"
 #include "common/trace.h"
 #include "netlist/bench_io.h"
-#include "netlist/verilog_io.h"
 
 namespace gcnt::serve {
 
@@ -51,6 +49,12 @@ bool deadline_expired(const Frame& frame, std::uint64_t enqueue_ns,
          now_ns > enqueue_ns + frame.deadline_ms * 1'000'000ull;
 }
 
+/// Nanoseconds from `from_ns` to `to_ns`; 0 when two threads' clock
+/// readings arrive out of order.
+std::uint64_t since_ns(std::uint64_t from_ns, std::uint64_t to_ns) noexcept {
+  return to_ns > from_ns ? to_ns - from_ns : 0;
+}
+
 /// Applies SO_RCVTIMEO so blocked reads wake up every `ms` milliseconds
 /// (read_frame turns the expiry into kIdle / a mid-frame kIo error).
 void set_receive_timeout(int fd, std::uint64_t ms) {
@@ -75,24 +79,6 @@ Counter& op_counter(std::uint8_t opcode) {
     slot.store(counter, std::memory_order_release);
   }
   return *counter;
-}
-
-bool is_verilog_path(const std::string& path) {
-  return path.size() >= 2 && path.compare(path.size() - 2, 2, ".v") == 0;
-}
-
-Netlist read_netlist_source(std::uint8_t source, const std::string& data) {
-  if (source == 0) {  // server-side file path
-    std::ifstream in(data);
-    if (!in) throw Error(ErrorKind::kIo, "cannot open " + data);
-    return is_verilog_path(data) ? read_verilog(in, data)
-                                 : read_bench(in, data);
-  }
-  if (source == 1) {  // inline .bench text
-    return read_bench_string(data, "<inline>");
-  }
-  throw Error(ErrorKind::kUsage,
-              "unknown netlist source kind " + std::to_string(source));
 }
 
 /// Ops whose body begins with a session-name string (pre-parsed by the
@@ -137,24 +123,26 @@ void ServeServer::Connection::send(const Frame& frame) {
     // peer sees when the daemon dies between write() calls.
     const std::string bytes = encode_frame(frame);
     try {
-      write_bytes(write_fd, bytes.data(), bytes.size() / 2);
+      write_bytes(fd, bytes.data(), bytes.size() / 2);
     } catch (const Error&) {
     }
     close();
     throw Error(ErrorKind::kIo, "injected short write (connection dropped)");
   }
-  write_frame(write_fd, frame);
+  write_frame(fd, frame);
 }
 
 void ServeServer::Connection::close() noexcept {
+  std::lock_guard<std::mutex> lock(fd_mutex);
   if (closed.exchange(true)) return;
-  // shutdown() wakes a reader blocked in read(); harmless ENOTSOCK on
-  // pipe fds (stdio mode, where the fds are borrowed anyway).
-  ::shutdown(read_fd, SHUT_RDWR);
-  if (owns_fds) {
-    ::close(read_fd);
-    if (write_fd != read_fd) ::close(write_fd);
-  }
+  ::shutdown(fd, SHUT_RDWR);  // wakes a reader blocked in read()
+}
+
+void ServeServer::Connection::release() noexcept {
+  close();
+  std::scoped_lock lock(write_mutex, fd_mutex);  // no send is mid-write
+  if (fd >= 0) ::close(fd);
+  fd = -1;
 }
 
 ServeServer::ServeServer(ServeOptions options)
@@ -184,12 +172,9 @@ ServeServer::~ServeServer() {
 }
 
 void ServeServer::start() {
-  const int transports = (options_.unix_socket.empty() ? 0 : 1) +
-                         (options_.tcp_port >= 0 ? 1 : 0) +
-                         (options_.stdio ? 1 : 0);
-  if (transports != 1) {
+  if (options_.unix_socket.empty() == (options_.tcp_port < 0)) {
     throw Error(ErrorKind::kUsage,
-                "serve needs exactly one of --socket, --port, --stdio");
+                "serve needs exactly one of --socket or --port");
   }
   if (options_.model_path.empty()) {
     throw Error(ErrorKind::kUsage, "serve needs --model <artifact>");
@@ -268,43 +253,17 @@ void ServeServer::start() {
   if (options_.watchdog_budget_ms != 0) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
   }
-  if (listen_fd_ >= 0) {
-    acceptor_ = std::thread([this] { acceptor_loop(); });
-  }
+  acceptor_ = std::thread([this] { acceptor_loop(); });
   log_info("serve: ready (",
-           options_.stdio
-               ? std::string("stdio")
-               : (!options_.unix_socket.empty()
-                      ? "unix " + options_.unix_socket
-                      : "tcp 127.0.0.1:" + std::to_string(bound_tcp_port_)),
+           !options_.unix_socket.empty()
+               ? "unix " + options_.unix_socket
+               : "tcp 127.0.0.1:" + std::to_string(bound_tcp_port_),
            ", ", options_.workers, " workers, queue ", options_.queue_limit,
            ")");
 }
 
-void ServeServer::run_stdio() {
-  auto conn = std::make_shared<Connection>();
-  conn->read_fd = 0;
-  conn->write_fd = 1;
-  conn->owns_fds = false;  // stdin/stdout are borrowed from the process
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.push_back(conn);
-  }
-  pump_connection(conn);
-  begin_shutdown();
-}
-
 void ServeServer::wait() {
-  if (acceptor_.joinable()) {
-    acceptor_.join();
-  } else {
-    // stdio mode: run_stdio() already pumped to EOF / shutdown; spin
-    // lightly for a signal-driven stop otherwise.
-    while (!shutting_down_.load()) {
-      if (stop_requested_.load()) begin_shutdown();
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  }
+  if (acceptor_.joinable()) acceptor_.join();
   if (watchdog_.joinable()) watchdog_.join();
   queue_ready_.notify_all();
   for (std::thread& worker : workers_) {
@@ -373,8 +332,7 @@ void ServeServer::acceptor_loop() {
                                 : options_.idle_timeout_ms);
     live_connections_.fetch_add(1, std::memory_order_acq_rel);
     auto conn = std::make_shared<Connection>();
-    conn->read_fd = fd;
-    conn->write_fd = fd;
+    conn->fd = fd;
     std::lock_guard<std::mutex> lock(connections_mutex_);
     connections_.push_back(conn);
     readers_.emplace_back(
@@ -386,7 +344,7 @@ void ServeServer::acceptor_loop() {
 void ServeServer::connection_loop(std::shared_ptr<Connection> conn) {
   trace_set_thread_name("serve-reader");
   pump_connection(conn);
-  conn->close();
+  conn->release();
   live_connections_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
@@ -404,7 +362,7 @@ void ServeServer::pump_connection(const std::shared_ptr<Connection>& conn) {
     ErrorKind kind = ErrorKind::kInternal;
     std::string message;
     const ReadStatus status =
-        read_frame(conn->read_fd, frame, kind, message);
+        read_frame(conn->fd, frame, kind, message);
     if (status == ReadStatus::kEof) return;
     if (status == ReadStatus::kIdle) {
       // Receive timeout with no frame started: accumulate idle ticks and
@@ -439,29 +397,20 @@ void ServeServer::pump_connection(const std::shared_ptr<Connection>& conn) {
     // server-wide sequence number, its wire size, and a deterministic
     // sampling decision that rides with it into the worker.
     idle_ms = 0;
-    const std::uint64_t rid = next_rid_.fetch_add(1);
-    const std::size_t bytes_in = frame_bytes(frame);
-    // Replies the reader sends itself (protocol errors, shutdown) still
-    // produce one access-log line each, so line count == reply count.
-    const auto reply_inline = [&](const Frame& response, const char* outcome,
-                                  const std::string& error) {
+    Request request;
+    request.conn = conn;
+    request.rid = next_rid_.fetch_add(1);
+    request.bytes_in = frame_bytes(frame);
+    request.sampled = trace_should_sample(request.rid);
+    request.frame = std::move(frame);
+    // Replies the reader sends itself (protocol errors, shutdown) take
+    // the same reply path as a worker's. False when the send failed.
+    const auto reply_inline = [&](ErrorKind kind, const std::string& error) {
       AccessRecord record;
-      record.ts_us = unix_micros();
-      record.rid = rid;
-      record.request_id = frame.request_id;
-      record.op = op_name(frame.opcode);
-      record.bytes_in = bytes_in;
-      record.bytes_out = frame_bytes(response);
-      record.outcome = outcome;
+      record.outcome = error_kind_name(kind);
       record.error = error;
-      bool sent = true;
-      try {
-        conn->send(response);
-      } catch (const Error&) {
-        sent = false;
-      }
-      if (sent) log_access(std::move(record));
-      return sent;
+      return reply(request, make_error_response(request.frame, kind, error),
+                   record);
     };
 
     if (fault_serve_read_probe()) {
@@ -469,57 +418,43 @@ void ServeServer::pump_connection(const std::shared_ptr<Connection>& conn) {
       // real framing failure (typed `corrupt`), but with the request
       // context intact so the peer can correlate, then drop the stream.
       malformed.add();
-      const std::string error = "injected torn request frame";
-      reply_inline(make_error_response(frame, ErrorKind::kCorrupt, error),
-                   "corrupt", error);
+      reply_inline(ErrorKind::kCorrupt, "injected torn request frame");
       return;
     }
 
-    if (frame.version < kMinProtocolVersion ||
-        frame.version > kProtocolVersion) {
+    const std::uint8_t version = request.frame.version;
+    const std::uint8_t opcode = request.frame.opcode;
+    if (version < kMinProtocolVersion || version > kProtocolVersion) {
       const std::string error =
-          "protocol version " + std::to_string(frame.version) +
+          "protocol version " + std::to_string(version) +
           " unsupported (want " + std::to_string(kMinProtocolVersion) +
           ".." + std::to_string(kProtocolVersion) + ")";
-      if (!reply_inline(make_error_response(frame, ErrorKind::kVersion, error),
-                        "version", error)) {
+      if (!reply_inline(ErrorKind::kVersion, error)) return;
+      continue;
+    }
+    if (!known_opcode(opcode)) {
+      if (!reply_inline(ErrorKind::kUsage,
+                        "unknown opcode " + std::to_string(opcode))) {
         return;
       }
       continue;
     }
-    if (!known_opcode(frame.opcode)) {
-      const std::string error =
-          "unknown opcode " + std::to_string(frame.opcode);
-      if (!reply_inline(make_error_response(frame, ErrorKind::kUsage, error),
-                        "usage", error)) {
-        return;
-      }
-      continue;
-    }
-    if (static_cast<Op>(frame.opcode) == Op::kShutdown) {
+    if (static_cast<Op>(opcode) == Op::kShutdown) {
       // Handled inline so shutdown is never rejected by a full queue.
-      reply_inline(make_ok_response(frame, {}), "ok", {});
+      AccessRecord record;
+      reply(request, make_ok_response(request.frame, {}), record);
       begin_shutdown();
       return;
     }
-    Request request;
-    request.conn = conn;
-    request.rid = rid;
-    request.bytes_in = bytes_in;
-    request.sampled = trace_should_sample(rid);
-    if (has_session_name(frame.opcode)) {
+    if (has_session_name(opcode)) {
       try {
-        WireReader reader(frame.body);
+        WireReader reader(request.frame.body);
         request.session = reader.str();
       } catch (const Error& e) {
-        if (!reply_inline(make_error_response(frame, e.kind(), e.what()),
-                          error_kind_name(e.kind()), e.what())) {
-          return;
-        }
+        if (!reply_inline(e.kind(), e.what())) return;
         continue;
       }
     }
-    request.frame = std::move(frame);
     enqueue(std::move(request));
   }
 }
@@ -541,32 +476,16 @@ void ServeServer::enqueue(Request request) {
   // Admission control: reply immediately with the typed `resource`
   // error instead of queueing (or accepting work during shutdown).
   rejected.add();
-  const std::string reason =
-      shutting_down_.load()
-          ? "server is shutting down"
-          : "server overloaded: request queue full (" +
-                std::to_string(options_.queue_limit) + ")";
-  const Frame response =
-      make_error_response(request.frame, ErrorKind::kResource, reason);
-  bool sent = true;
-  try {
-    request.conn->send(response);
-  } catch (const Error&) {
-    sent = false;
-  }
-  if (sent) {
-    AccessRecord record;
-    record.ts_us = unix_micros();
-    record.rid = request.rid;
-    record.request_id = request.frame.request_id;
-    record.session = request.session;
-    record.op = op_name(request.frame.opcode);
-    record.bytes_in = request.bytes_in;
-    record.bytes_out = frame_bytes(response);
-    record.outcome = "resource";
-    record.error = reason;
-    log_access(std::move(record));
-  }
+  AccessRecord record;
+  record.outcome = error_kind_name(ErrorKind::kResource);
+  record.error = shutting_down_.load()
+                     ? "server is shutting down"
+                     : "server overloaded: request queue full (" +
+                           std::to_string(options_.queue_limit) + ")";
+  reply(request,
+        make_error_response(request.frame, ErrorKind::kResource,
+                            record.error),
+        record);
 }
 
 void ServeServer::worker_loop(std::size_t index) {
@@ -602,8 +521,7 @@ void ServeServer::dispatch(const Request& request, ForwardWorkspace& ws,
   static Histogram& queue_wait =
       StatsRegistry::instance().histogram("serve.queue_wait_us");
   const std::uint64_t dequeue_ns = trace_now_ns();
-  const std::uint64_t queue_wait_ns =
-      dequeue_ns > request.enqueue_ns ? dequeue_ns - request.enqueue_ns : 0;
+  const std::uint64_t queue_wait_ns = since_ns(request.enqueue_ns, dequeue_ns);
   requests.add();
   op_counter(request.frame.opcode).add();
   queue_wait.record(queue_wait_ns / 1000);
@@ -636,24 +554,10 @@ void ServeServer::dispatch(const Request& request, ForwardWorkspace& ws,
   TraceSuppressScope suppress(trace_enabled() && !request.sampled);
 
   AccessRecord record;
-  record.rid = request.rid;
-  record.request_id = request.frame.request_id;
-  record.session = request.session;
-  record.op = op_name(request.frame.opcode);
   record.queue_wait_us = queue_wait_ns / 1000;
-  record.bytes_in = request.bytes_in;
-
-  const auto respond = [&](Frame response) {
-    record.bytes_out = frame_bytes(response);
-    request.conn->send(response);
-  };
-  // Non-infer handlers run under one "serve.handle" child span; the
-  // infer path records finer decode/forward/encode phases itself.
-  const auto handle = [&](std::string (ServeServer::*handler)(const Frame&)) {
-    TraceSpan span("serve.handle");
-    span.arg("rid", static_cast<double>(request.rid));
-    return (this->*handler)(request.frame);
-  };
+  Batch batch;  // same-session infers answered along with this one
+  std::string payload;
+  ErrorKind error_kind = ErrorKind::kInternal;
   try {
     // Chaos probes fire before any real work: a delayed worker is what a
     // page fault storm looks like, an alloc failure is what decode OOM
@@ -676,73 +580,45 @@ void ServeServer::dispatch(const Request& request, ForwardWorkspace& ws,
                       std::to_string(queue_wait_ns / 1'000'000) +
                       " ms in queue");
     }
-    switch (static_cast<Op>(request.frame.opcode)) {
-      case Op::kPing:
-        respond(make_ok_response(request.frame,
-                                 health_payload(request.frame.version)));
-        break;
-      case Op::kInfer:
-        handle_infer(request, ws, record);
-        break;
-      case Op::kLoadSession:
-        respond(make_ok_response(request.frame,
-                                 handle(&ServeServer::handle_load_session)));
-        break;
-      case Op::kAppendObserve:
-        respond(make_ok_response(
-            request.frame, handle(&ServeServer::handle_append_observe)));
-        break;
-      case Op::kAppendControl:
-        respond(make_ok_response(
-            request.frame, handle(&ServeServer::handle_append_control)));
-        break;
-      case Op::kStats: {
-        TraceSpan span("serve.handle");
-        span.arg("rid", static_cast<double>(request.rid));
-        respond(make_ok_response(request.frame, handle_stats()));
-        break;
-      }
-      case Op::kMetrics:
-        respond(make_ok_response(request.frame,
-                                 handle(&ServeServer::handle_metrics)));
-        break;
-      case Op::kReloadModel:
-        respond(make_ok_response(request.frame,
-                                 handle(&ServeServer::handle_reload)));
-        break;
-      case Op::kCloseSession:
-        respond(make_ok_response(request.frame,
-                                 handle(&ServeServer::handle_close_session)));
-        break;
-      case Op::kShutdown:
-        break;  // answered by the reader
+    if (static_cast<Op>(request.frame.opcode) == Op::kInfer) {
+      // The infer path records finer decode/forward/encode phases itself.
+      payload = handle_infer(request, ws, record, batch);
+    } else {
+      TraceSpan span("serve.handle");
+      span.arg("rid", static_cast<double>(request.rid));
+      payload = handle(request.frame);
     }
   } catch (const Error& e) {
-    record.outcome = error_kind_name(e.kind());
+    error_kind = e.kind();
+    record.outcome = error_kind_name(error_kind);
     record.error = e.what();
-    try {
-      respond(make_error_response(request.frame, e.kind(), e.what()));
-    } catch (const Error&) {
-    }
   } catch (const std::bad_alloc&) {
-    record.outcome = error_kind_name(ErrorKind::kResource);
+    error_kind = ErrorKind::kResource;
+    record.outcome = error_kind_name(error_kind);
     record.error = "out of memory";
-    try {
-      respond(make_error_response(request.frame, ErrorKind::kResource,
-                                  "out of memory"));
-    } catch (const Error&) {
-    }
   } catch (const std::exception& e) {
-    record.outcome = error_kind_name(ErrorKind::kInternal);
+    record.outcome = error_kind_name(error_kind);
     record.error = e.what();
-    try {
-      respond(make_error_response(request.frame, ErrorKind::kInternal,
-                                  e.what()));
-    } catch (const Error&) {
-    }
   }
+  const bool ok = record.outcome == "ok";
+  // Every request of a batch gets the same body under its own header.
+  const auto response_for = [&](const Frame& frame) {
+    Frame response = ok ? make_ok_response(frame, payload)
+                        : make_error_response(frame, error_kind, record.error);
+    if (ok && record.brownout && response.version >= 2) {
+      response.flags |= kFrameFlagBrownout;
+    }
+    return response;
+  };
+  // What batch members share, taken before the leader's send can turn
+  // its own outcome into `io`.
+  AccessRecord shared;
+  shared.outcome = record.outcome;
+  shared.error = record.error;
+  shared.batch = record.batch;
+  shared.brownout = record.brownout;
+  reply(request, response_for(request.frame), record, dequeue_ns);
   const std::uint64_t done_ns = trace_now_ns();
-  if (slot != nullptr) slot->busy.store(false, std::memory_order_release);
   latency.record(done_ns - dequeue_ns);
   if (tracing) {
     trace_detail::record("serve.request", dequeue_ns, done_ns, "rid",
@@ -750,9 +626,21 @@ void ServeServer::dispatch(const Request& request, ForwardWorkspace& ws,
                          static_cast<double>(request.frame.opcode));
   }
   if (record.outcome != "ok") errors.add();
-  record.ts_us = unix_micros();
-  record.service_us = (done_ns - dequeue_ns) / 1000;
-  log_access(std::move(record));
+
+  // Batch members get their own replies, spans and access-log lines; the
+  // shared forward pass is visible through the common batch size.
+  for (const Request& member : batch.members) {
+    AccessRecord member_record = shared;
+    member_record.queue_wait_us =
+        since_ns(member.enqueue_ns, batch.claim_ns) / 1000;
+    reply(member, response_for(member.frame), member_record, batch.claim_ns);
+    if (member.sampled && trace_enabled()) {
+      trace_detail::record("serve.request", batch.claim_ns, trace_now_ns(),
+                           "rid", static_cast<double>(member.rid), "op",
+                           static_cast<double>(member.frame.opcode));
+    }
+  }
+  if (slot != nullptr) slot->busy.store(false, std::memory_order_release);
 }
 
 std::string ServeServer::health_payload(std::uint8_t version) {
@@ -776,8 +664,9 @@ std::string ServeServer::health_payload(std::uint8_t version) {
   return payload;
 }
 
-void ServeServer::handle_infer(const Request& request, ForwardWorkspace& ws,
-                               AccessRecord& record) {
+std::string ServeServer::handle_infer(const Request& request,
+                                      ForwardWorkspace& ws,
+                                      AccessRecord& record, Batch& batch) {
   static Counter& batched =
       StatsRegistry::instance().counter("serve.batched_infers");
   static Histogram& batch_size =
@@ -785,214 +674,140 @@ void ServeServer::handle_infer(const Request& request, ForwardWorkspace& ws,
   // Claim every queued infer for the same session: one forward pass (or
   // cache hit) answers the whole batch. The queue depth at claim time is
   // the brownout signal — it is the backlog this request actually saw.
-  std::vector<Request> batch;
+  std::vector<Request> claimed;
   std::size_t depth_at_claim = 0;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     depth_at_claim = queue_.size();
     for (auto it = queue_.begin();
-         it != queue_.end() && batch.size() + 1 < options_.batch_limit;) {
+         it != queue_.end() && claimed.size() + 1 < options_.batch_limit;) {
       if (static_cast<Op>(it->frame.opcode) == Op::kInfer &&
           it->session == request.session) {
-        batch.push_back(std::move(*it));
+        claimed.push_back(std::move(*it));
         it = queue_.erase(it);
       } else {
         ++it;
       }
     }
   }
-  const std::uint64_t claim_ns = trace_now_ns();
+  batch.claim_ns = trace_now_ns();
   // Mid-batch deadline shed: members whose deadline expired while the
   // batch formed get the typed `deadline` error now instead of riding a
   // forward pass whose answer their caller has stopped waiting for.
-  {
-    static Counter& shed_batch =
-        StatsRegistry::instance().counter("serve.shed_batch");
-    std::vector<Request> kept;
-    kept.reserve(batch.size());
-    for (Request& r : batch) {
-      if (!deadline_expired(r.frame, r.enqueue_ns, claim_ns)) {
-        kept.push_back(std::move(r));
-        continue;
-      }
-      shed_batch.add();
-      const std::string error =
-          "deadline of " + std::to_string(r.frame.deadline_ms) +
-          " ms exceeded while batched";
-      const Frame response =
-          make_error_response(r.frame, ErrorKind::kDeadline, error);
-      bool sent = true;
-      try {
-        r.conn->send(response);
-      } catch (const Error&) {
-        sent = false;
-      }
-      if (sent) {
-        AccessRecord member;
-        member.ts_us = unix_micros();
-        member.rid = r.rid;
-        member.request_id = r.frame.request_id;
-        member.session = r.session;
-        member.op = op_name(r.frame.opcode);
-        member.queue_wait_us =
-            (claim_ns > r.enqueue_ns ? claim_ns - r.enqueue_ns : 0) / 1000;
-        member.bytes_in = r.bytes_in;
-        member.bytes_out = frame_bytes(response);
-        member.outcome = error_kind_name(ErrorKind::kDeadline);
-        member.error = error;
-        log_access(std::move(member));
-      }
+  static Counter& shed_batch =
+      StatsRegistry::instance().counter("serve.shed_batch");
+  for (Request& r : claimed) {
+    if (!deadline_expired(r.frame, r.enqueue_ns, batch.claim_ns)) {
+      batch.members.push_back(std::move(r));
+      continue;
     }
-    batch = std::move(kept);
+    shed_batch.add();
+    AccessRecord shed;
+    shed.outcome = error_kind_name(ErrorKind::kDeadline);
+    shed.error = "deadline of " + std::to_string(r.frame.deadline_ms) +
+                 " ms exceeded while batched";
+    shed.queue_wait_us = since_ns(r.enqueue_ns, batch.claim_ns) / 1000;
+    reply(r, make_error_response(r.frame, ErrorKind::kDeadline, shed.error),
+          shed);
   }
-  batched.add(batch.size());
-  batch_size.record(batch.size() + 1);
+  record.batch = batch.members.size() + 1;
+  batched.add(batch.members.size());
+  batch_size.record(record.batch);
   // A batch member's queue wait ends when the batch claims it.
-  for (const Request& r : batch) {
+  for (const Request& r : batch.members) {
     if (r.sampled && trace_enabled()) {
-      trace_detail::record("serve.queue_wait", r.enqueue_ns, claim_ns, "rid",
-                           static_cast<double>(r.rid), nullptr, 0.0);
+      trace_detail::record("serve.queue_wait", r.enqueue_ns, batch.claim_ns,
+                           "rid", static_cast<double>(r.rid), nullptr, 0.0);
     }
   }
 
-  const bool brownout_on = options_.brownout_queue != 0 &&
-                           depth_at_claim >= options_.brownout_queue;
-  bool served_brownout = false;
-  std::string payload;
-  ErrorKind error_kind = ErrorKind::kInternal;
-  std::string error_message;
-  bool ok = true;
-  std::uint64_t decode_done_ns = claim_ns;
-  std::uint64_t forward_done_ns = claim_ns;
-  try {
-    std::shared_ptr<ServeSession> session;
-    {
-      TraceSpan span("serve.decode");
-      span.arg("rid", static_cast<double>(request.rid));
-      session = find_session(request.session);
-      if (!session) {
-        throw Error(ErrorKind::kUsage,
-                    "unknown session '" + request.session + "'");
-      }
-    }
-    decode_done_ns = trace_now_ns();
-    const ModelRegistry::Snapshot snapshot = models_->snapshot();
-    std::lock_guard<std::mutex> lock(session->mutex());
-    const Matrix* logits = nullptr;
-    if (brownout_on) {
-      // Brownout: past the queue-depth threshold, answer from the
-      // session's cached (possibly stale) logits and skip the forward.
-      // Cold sessions have nothing cached and fall through to a normal
-      // forward — degrading them would mean failing them.
-      static Counter& brownout_served =
-          StatsRegistry::instance().counter("serve.brownout_served");
-      static Counter& brownout_miss =
-          StatsRegistry::instance().counter("serve.brownout_miss");
-      logits = session->cached_logits(snapshot);
-      if (logits != nullptr) {
-        brownout_served.add(batch.size() + 1);
-        served_brownout = true;
-      } else {
-        brownout_miss.add();
-      }
-    }
-    if (logits == nullptr) {
-      TraceSpan span("serve.forward");
-      span.arg("rid", static_cast<double>(request.rid));
-      logits = &session->logits(snapshot, ws);
-    }
-    forward_done_ns = trace_now_ns();
-    {
-      TraceSpan span("serve.encode");
-      span.arg("rid", static_cast<double>(request.rid));
-      WireWriter writer(payload);
-      writer.u32(static_cast<std::uint32_t>(logits->rows()));
-      writer.u32(static_cast<std::uint32_t>(logits->cols()));
-      payload.reserve(payload.size() +
-                      logits->rows() * logits->cols() * sizeof(float));
-      for (std::size_t r = 0; r < logits->rows(); ++r) {
-        const float* row = logits->row(r);
-        for (std::size_t c = 0; c < logits->cols(); ++c) writer.f32(row[c]);
-      }
-    }
-  } catch (const Error& e) {
-    ok = false;
-    error_kind = e.kind();
-    error_message = e.what();
-  } catch (const std::exception& e) {
-    ok = false;
-    error_kind = ErrorKind::kInternal;
-    error_message = e.what();
-  }
-  const std::uint64_t encode_done_ns = trace_now_ns();
-  record.decode_us = (decode_done_ns - claim_ns) / 1000;
-  record.forward_us = (forward_done_ns - decode_done_ns) / 1000;
-  record.encode_us = (encode_done_ns - forward_done_ns) / 1000;
-  record.batch = batch.size() + 1;
-  record.brownout = served_brownout;
-  if (!ok) {
-    record.outcome = error_kind_name(error_kind);
-    record.error = error_message;
-  }
-
-  const auto response_for = [&](const Frame& frame) {
-    Frame response = ok ? make_ok_response(frame, payload)
-                        : make_error_response(frame, error_kind,
-                                              error_message);
-    if (ok && served_brownout && response.version >= 2) {
-      response.flags |= kFrameFlagBrownout;
-    }
-    return response;
+  std::uint64_t phase_ns = batch.claim_ns;
+  const auto phase_us = [&phase_ns] {
+    const std::uint64_t now = trace_now_ns();
+    const std::uint64_t us = (now - phase_ns) / 1000;
+    phase_ns = now;
+    return us;
   };
+  std::shared_ptr<ServeSession> session;
   {
-    const Frame response = response_for(request.frame);
-    record.bytes_out = frame_bytes(response);
-    try {
-      request.conn->send(response);
-    } catch (const Error& e) {
-      // The reply never reached the peer: the access line must say so,
-      // not claim success (chaos asserts every faulted request is typed).
-      if (record.outcome == "ok") {
-        record.outcome = error_kind_name(e.kind());
-        record.error = e.what();
-      }
+    TraceSpan span("serve.decode");
+    span.arg("rid", static_cast<double>(request.rid));
+    session = find_session(request.session);
+    if (!session) {
+      throw Error(ErrorKind::kUsage,
+                  "unknown session '" + request.session + "'");
     }
   }
-  // Batch members get their own spans and access-log lines; the shared
-  // forward pass is visible through the common batch size.
-  for (const Request& r : batch) {
-    const Frame response = response_for(r.frame);
-    AccessRecord member;
-    member.outcome = record.outcome;
-    member.error = record.error;
-    member.brownout = served_brownout;
-    try {
-      r.conn->send(response);
-    } catch (const Error& e) {
-      if (member.outcome == "ok") {
-        member.outcome = error_kind_name(e.kind());
-        member.error = e.what();
-      }
+  record.decode_us = phase_us();
+  const ModelRegistry::Snapshot snapshot = models_->snapshot();
+  std::lock_guard<std::mutex> lock(session->mutex());
+  const Matrix* logits = nullptr;
+  if (options_.brownout_queue != 0 &&
+      depth_at_claim >= options_.brownout_queue) {
+    // Brownout: past the queue-depth threshold, answer from the
+    // session's cached (possibly stale) logits and skip the forward.
+    // Cold sessions have nothing cached and fall through to a normal
+    // forward — degrading them would mean failing them.
+    static Counter& brownout_served =
+        StatsRegistry::instance().counter("serve.brownout_served");
+    static Counter& brownout_miss =
+        StatsRegistry::instance().counter("serve.brownout_miss");
+    logits = session->cached_logits(snapshot);
+    if (logits != nullptr) {
+      brownout_served.add(record.batch);
+      record.brownout = true;
+    } else {
+      brownout_miss.add();
     }
-    const std::uint64_t done_ns = trace_now_ns();
-    if (r.sampled && trace_enabled()) {
-      trace_detail::record("serve.request", claim_ns, done_ns, "rid",
-                           static_cast<double>(r.rid), "op",
-                           static_cast<double>(r.frame.opcode));
-    }
-    member.ts_us = unix_micros();
-    member.rid = r.rid;
-    member.request_id = r.frame.request_id;
-    member.session = r.session;
-    member.op = op_name(r.frame.opcode);
-    member.queue_wait_us =
-        (claim_ns > r.enqueue_ns ? claim_ns - r.enqueue_ns : 0) / 1000;
-    member.service_us = (done_ns - claim_ns) / 1000;
-    member.batch = batch.size() + 1;
-    member.bytes_in = r.bytes_in;
-    member.bytes_out = frame_bytes(response);
-    log_access(std::move(member));
   }
+  if (logits == nullptr) {
+    TraceSpan span("serve.forward");
+    span.arg("rid", static_cast<double>(request.rid));
+    logits = &session->logits(snapshot, ws);
+  }
+  record.forward_us = phase_us();
+  std::string payload;
+  {
+    TraceSpan span("serve.encode");
+    span.arg("rid", static_cast<double>(request.rid));
+    WireWriter writer(payload);
+    writer.u32(static_cast<std::uint32_t>(logits->rows()));
+    writer.u32(static_cast<std::uint32_t>(logits->cols()));
+    payload.reserve(payload.size() +
+                    logits->rows() * logits->cols() * sizeof(float));
+    for (std::size_t r = 0; r < logits->rows(); ++r) {
+      const float* row = logits->row(r);
+      for (std::size_t c = 0; c < logits->cols(); ++c) writer.f32(row[c]);
+    }
+  }
+  record.encode_us = phase_us();
+  return payload;
+}
+
+std::string ServeServer::handle(const Frame& frame) {
+  switch (static_cast<Op>(frame.opcode)) {
+    case Op::kPing:
+      return health_payload(frame.version);
+    case Op::kLoadSession:
+      return handle_load_session(frame);
+    case Op::kAppendObserve:
+      return handle_append_observe(frame);
+    case Op::kAppendControl:
+      return handle_append_control(frame);
+    case Op::kStats:
+      return handle_stats();
+    case Op::kMetrics:
+      return handle_metrics(frame);
+    case Op::kReloadModel:
+      return handle_reload(frame);
+    case Op::kCloseSession:
+      return handle_close_session(frame);
+    case Op::kInfer:     // handle_infer
+    case Op::kShutdown:  // answered by the reader
+      break;
+  }
+  throw Error(ErrorKind::kInternal,
+              std::string("no handler for ") + op_name(frame.opcode));
 }
 
 std::string ServeServer::handle_load_session(const Frame& frame) {
@@ -1001,6 +816,10 @@ std::string ServeServer::handle_load_session(const Frame& frame) {
   const std::uint8_t source = reader.u8();
   const std::string data = reader.str();
   const bool standardize = reader.u8() != 0;
+  if (source != 1) {  // 1 = inline .bench text, the only source kind
+    throw Error(ErrorKind::kUsage,
+                "unknown netlist source kind " + std::to_string(source));
+  }
   if (name.empty()) {
     throw Error(ErrorKind::kUsage, "session name must not be empty");
   }
@@ -1018,7 +837,7 @@ std::string ServeServer::handle_load_session(const Frame& frame) {
   }
   // Build outside the lock (SCOAP + tensors dominate); publish after.
   auto session = std::make_shared<ServeSession>(
-      name, read_netlist_source(source, data), standardize);
+      name, read_bench_string(data, "<inline>"), standardize);
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   if (sessions_.count(name) != 0) {
     throw Error(ErrorKind::kUsage, "session '" + name + "' already exists");
@@ -1108,7 +927,31 @@ std::string ServeServer::handle_metrics(const Frame& frame) {
   return payload;
 }
 
-void ServeServer::log_access(AccessRecord record) {
+bool ServeServer::reply(const Request& request, const Frame& response,
+                        AccessRecord& record, std::uint64_t start_ns) {
+  record.rid = request.rid;
+  record.request_id = request.frame.request_id;
+  record.session = request.session;
+  record.op = op_name(request.frame.opcode);
+  record.bytes_in = request.bytes_in;
+  record.bytes_out = frame_bytes(response);
+  bool sent = true;
+  try {
+    request.conn->send(response);
+  } catch (const Error& e) {
+    // The reply never reached the peer: the line says so instead of
+    // claiming the handler's outcome.
+    sent = false;
+    record.outcome = error_kind_name(ErrorKind::kIo);
+    record.error = e.what();
+  }
+  if (start_ns != 0) record.service_us = (trace_now_ns() - start_ns) / 1000;
+  record.ts_us = unix_micros();
+  log_access(record);
+  return sent;
+}
+
+void ServeServer::log_access(const AccessRecord& record) {
   if (slow_ring_) slow_ring_->offer(record);
   if (access_log_) access_log_->write(record);
 }

@@ -1,7 +1,7 @@
 #pragma once
 // The `gcnt serve` daemon: loads model artifacts once, keeps netlists
 // resident as named sessions, and serves framed requests over a Unix or
-// TCP socket (or a stdin/stdout pipe pair for tests and scripting).
+// TCP socket.
 //
 // Architecture:
 //
@@ -18,12 +18,16 @@
 // every queued infer for the same session (up to batch_limit) and
 // answers them all from one forward pass / cache hit.
 //
-// Shutdown is always clean: a kShutdown request, request_stop() (the
-// CLI's signal handler), or EOF in stdio mode stop the acceptor, drain
-// the queue, answer everything in flight, and join all threads.
+// Every reply to a decoded request, from the reader or a worker, goes
+// through reply(): one send, never retried, and exactly one access-log
+// line, whose outcome is `io` when the send failed.
 //
-// Resilience (all opt-in via ServeOptions; defaults keep the PR 6/7
-// behavior):
+// Shutdown is always clean: a kShutdown request or request_stop() (the
+// CLI's signal handler) stop the acceptor, drain the queue, answer
+// everything in flight, and join all threads.
+//
+// Resilience (knobs in ServeOptions: 0 turns one off, and all but
+// brownout are on by default):
 //   - deadlines: v2 requests may carry a deadline; requests that expire
 //     in the queue or inside a claimed batch are shed with a typed
 //     `deadline` error (serve.shed_deadline / serve.shed_batch).
@@ -77,7 +81,6 @@ struct ServeOptions {
   // Exactly one transport:
   std::string unix_socket;  ///< bind a Unix domain socket at this path
   int tcp_port = -1;        ///< bind 127.0.0.1:<port> (0 = ephemeral)
-  bool stdio = false;       ///< single connection on fds 0/1
 
   std::size_t workers = 2;       ///< request worker threads
   std::size_t queue_limit = 64;  ///< admission bound on queued requests
@@ -89,19 +92,19 @@ struct ServeOptions {
   /// Slow-request ring capacity (N worst by service time, kMetrics dump).
   std::size_t slow_ring = 16;
 
-  // --- resilience (0 = feature disabled, the pre-resilience behavior) ---
+  // --- resilience (0 = feature disabled) ---
 
   /// Mid-frame read stall budget per connection, ms. A peer that goes
   /// silent inside a frame for this long is dropped (slowloris guard).
-  std::uint64_t read_timeout_ms = 0;
+  std::uint64_t read_timeout_ms = 30000;
   /// Reap connections idle (no frame started) this long, ms. When
   /// read_timeout_ms is 0 the idle budget is one receive-timeout tick.
-  std::uint64_t idle_timeout_ms = 0;
+  std::uint64_t idle_timeout_ms = 300000;
   /// Concurrent connection cap; excess peers get one typed `resource`
   /// error frame and are closed before a reader thread is spawned.
-  std::size_t max_connections = 0;
+  std::size_t max_connections = 256;
   /// Watchdog: flag a request its worker has held longer than this, ms.
-  std::uint64_t watchdog_budget_ms = 0;
+  std::uint64_t watchdog_budget_ms = 10000;
   WatchdogAction watchdog_action = WatchdogAction::kLog;
   /// Brownout: serve infer from cached logits when the queue depth at
   /// dequeue is at or above this threshold.
@@ -118,21 +121,16 @@ class ServeServer {
 
   /// Binds the configured transport and starts the acceptor + workers.
   /// Throws Error{kUsage} on a bad configuration, Error{kIo} when the
-  /// socket cannot be bound. In stdio mode, starts workers only; call
-  /// run_stdio() to pump the connection.
+  /// socket cannot be bound.
   void start();
 
-  /// Blocks until shutdown completes (kShutdown request, request_stop(),
-  /// or stdio EOF), then joins every thread.
+  /// Blocks until shutdown completes (kShutdown request or
+  /// request_stop()), then joins every thread.
   void wait();
 
   /// Requests shutdown from another thread or a signal handler (only
   /// sets an atomic flag; the acceptor notices within its poll tick).
   void request_stop() noexcept { stop_requested_.store(true); }
-
-  /// Pumps the stdio connection on the calling thread until EOF or
-  /// shutdown (stdio mode only).
-  void run_stdio();
 
   /// Bound TCP port (after start(); useful with tcp_port = 0).
   int bound_tcp_port() const noexcept { return bound_tcp_port_; }
@@ -141,15 +139,21 @@ class ServeServer {
 
  private:
   struct Connection {
-    int read_fd = -1;
-    int write_fd = -1;
-    bool owns_fds = true;
-    std::mutex write_mutex;
+    int fd = -1;  ///< written only by release(), under both mutexes
+    std::mutex write_mutex;  ///< one frame on the wire at a time
+    std::mutex fd_mutex;     ///< orders shutdown() before the final close
     std::atomic<bool> closed{false};
 
     void send(const Frame& frame);
+    /// Wakes the reader and fails every later send. It only shuts the
+    /// socket down, and never waits for a send blocked in write(): the
+    /// descriptor stays open until release(), so accept() cannot hand
+    /// its number to a new peer while the reader may still read it.
     void close() noexcept;
-    ~Connection() { close(); }
+    /// close(), then closes the descriptor. Called by the reader after
+    /// its last read.
+    void release() noexcept;
+    ~Connection() { release(); }
   };
 
   /// Per-request context, threaded from the connection reader through
@@ -180,6 +184,13 @@ class ServeServer {
     std::uint64_t reported_rid = ~0ull;  ///< watchdog-thread-only state
   };
 
+  /// Same-session infers a worker claimed from the queue to answer with
+  /// one forward pass; their queue wait ends at `claim_ns`.
+  struct Batch {
+    std::vector<Request> members;
+    std::uint64_t claim_ns = 0;
+  };
+
   void acceptor_loop();
   void connection_loop(std::shared_ptr<Connection> conn);
   void worker_loop(std::size_t index);
@@ -190,15 +201,25 @@ class ServeServer {
   void enqueue(Request request);
   void dispatch(const Request& request, ForwardWorkspace& ws,
                 InFlight* slot);
-  /// Answers `request` plus every batched same-session infer. Fills
-  /// `record`'s phase timings, batch size, bytes_out, and outcome (it
-  /// replies errors itself and never throws for handler failures).
-  void handle_infer(const Request& request, ForwardWorkspace& ws,
-                    AccessRecord& record);
+  /// The one reply path for a decoded request: sends `response` once
+  /// (never retried) and writes the request's one access-log line.
+  /// Completes `record` with the request's identity, bytes_out, ts_us
+  /// and, when `start_ns` is set, service_us; a failed send turns the
+  /// outcome into `io`. Returns whether the send succeeded.
+  bool reply(const Request& request, const Frame& response,
+             AccessRecord& record, std::uint64_t start_ns = 0);
+  /// Claims the same-session infers queued behind `request` into `batch`
+  /// (answering deadline-expired ones itself) and returns the logits
+  /// payload that answers them all. Fills `record`'s phase timings,
+  /// batch size and brownout flag; throws like any handler.
+  std::string handle_infer(const Request& request, ForwardWorkspace& ws,
+                           AccessRecord& record, Batch& batch);
+  /// Runs a non-infer request's handler and returns its reply payload.
+  std::string handle(const Frame& frame);
 
   /// v2 ping body: queue depth, workers, model generation, brownout
-  /// flag, session count. v1 requesters get an empty body (the PR 6
-  /// contract), so old clients never see fields they cannot parse.
+  /// flag, session count. v1 requesters get an empty body, so old
+  /// clients never see fields they cannot parse.
   std::string health_payload(std::uint8_t version);
   std::string handle_load_session(const Frame& frame);
   std::string handle_append_observe(const Frame& frame);
@@ -212,8 +233,8 @@ class ServeServer {
   /// Error{kResource} when the watchdog has quarantined it.
   std::shared_ptr<ServeSession> find_session(const std::string& name);
   void begin_shutdown();
-  /// Emits one access-log line and offers the record to the slow ring.
-  void log_access(AccessRecord record);
+  /// Offers the record to the slow ring and writes its access-log line.
+  void log_access(const AccessRecord& record);
 
  public:
   /// Access-log lines emitted so far (0 when the log is disabled).

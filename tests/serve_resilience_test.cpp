@@ -2,7 +2,8 @@
 // (shed at dequeue and mid-batch), brownout serving from cached logits,
 // the worker watchdog (log / abort / quarantine), connection hygiene
 // (idle reaping, mid-frame stall drops, the connection cap), client
-// timeouts and retry/backoff, and a chaos sweep driving the
+// timeouts and retry/backoff, the one-access-line-per-request rule under
+// failed sends, rejections and batching, and a chaos sweep driving the
 // GCNT_FAULT_INJECT serve probes end to end.
 //
 // The contract under test: faults change which requests are *answered*
@@ -14,13 +15,16 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
 #include "common/fault_inject.h"
+#include "common/json.h"
 #include "common/stats.h"
 #include "gcn/graph_tensors.h"
 #include "gcn/model.h"
@@ -114,6 +118,7 @@ class ServeResilienceTest : public ::testing::Test {
     set_stats_enabled(false);
     ::unlink(model_path_.c_str());
     ::unlink(socket_path_.c_str());
+    ::unlink(access_log_path().c_str());
   }
 
   ServeOptions options() const {
@@ -170,6 +175,53 @@ class ServeResilienceTest : public ::testing::Test {
     return body;
   }
 
+  /// Options with a JSON-lines access log at access_log_path().
+  ServeOptions logged_options() const {
+    ServeOptions opts = options();
+    opts.access_log = access_log_path();
+    return opts;
+  }
+
+  std::string access_log_path() const { return model_path_ + ".access"; }
+
+  /// Waits for `expected` access-log lines, gives a stray extra line time
+  /// to land, and returns every line parsed.
+  std::vector<json::Value> access_lines(std::size_t expected) {
+    for (int i = 0; i < 400 && server_->access_log_lines() < expected; ++i) {
+      sleep_ms(5);
+    }
+    sleep_ms(50);
+    std::vector<json::Value> lines;
+    std::ifstream in(access_log_path());
+    std::string text;
+    while (std::getline(in, text)) {
+      json::Value line;
+      std::string error;
+      EXPECT_TRUE(json::parse(text, line, error)) << error << "\n" << text;
+      lines.push_back(std::move(line));
+    }
+    return lines;
+  }
+
+  /// Access-log lines whose `key` field has string value `value`.
+  static std::vector<const json::Value*> lines_with(
+      const std::vector<json::Value>& lines, const char* key,
+      const std::string& value) {
+    std::vector<const json::Value*> out;
+    for (const json::Value& line : lines) {
+      const json::Value* field = line.find(key);
+      if (field != nullptr && field->text == value) out.push_back(&line);
+    }
+    return out;
+  }
+
+  /// Distinct request sequence numbers among `lines`.
+  static std::size_t distinct_rids(const std::vector<json::Value>& lines) {
+    std::set<double> rids;
+    for (const json::Value& line : lines) rids.insert(line.find("rid")->number);
+    return rids.size();
+  }
+
   std::string model_path_;
   std::string socket_path_;
   std::unique_ptr<GcnModel> model_;
@@ -194,7 +246,7 @@ TEST_F(ServeResilienceTest, DeadlineShedAtDequeue) {
   // dequeue with the typed `deadline` error, not served late.
   arm("serve-delay:nth=1,ms=400");
   ServeClient blocker = connect();
-  send_raw(blocker.write_fd(), Op::kPing, 1);
+  send_raw(blocker.fd(), Op::kPing, 1);
   sleep_ms(100);  // let the worker pick up the ping (and its delay)
 
   ClientOptions deadline_opts;
@@ -207,7 +259,7 @@ TEST_F(ServeResilienceTest, DeadlineShedAtDequeue) {
     EXPECT_EQ(e.kind(), ErrorKind::kDeadline);
   }
   Frame response;
-  EXPECT_EQ(read_status(blocker.write_fd(), response), kStatusOk);
+  EXPECT_EQ(read_status(blocker.fd(), response), kStatusOk);
   EXPECT_GE(counter_value("serve.shed_deadline"), shed_before + 1);
   clear_fault_injection();
   // The shed request cost nothing: the session still serves exact bits.
@@ -231,7 +283,7 @@ TEST_F(ServeResilienceTest, MidBatchDeadlineShed) {
   // time and must be shed from the batch individually.
   arm("serve-delay:nth=1,ms=400");
   ServeClient client = connect();
-  const int fd = client.write_fd();
+  const int fd = client.fd();
   send_raw(fd, Op::kPing, 1);
   sleep_ms(100);
   send_raw(fd, Op::kInfer, 2, infer_body("s1"));
@@ -275,7 +327,7 @@ TEST_F(ServeResilienceTest, BrownoutServesCachedLogitsUnderBacklog) {
   // answered from the cache with the brownout flag on the wire.
   arm("serve-delay:nth=1,ms=400");
   ServeClient client = connect();
-  const int fd = client.write_fd();
+  const int fd = client.fd();
   send_raw(fd, Op::kPing, 1);
   sleep_ms(100);
   for (std::uint32_t id = 2; id <= 4; ++id) {
@@ -312,7 +364,7 @@ TEST_F(ServeResilienceTest, BrownoutMissFallsBackToForward) {
   const std::uint64_t miss_before = counter_value("serve.brownout_miss");
   arm("serve-delay:nth=1,ms=300");
   ServeClient client = connect();
-  const int fd = client.write_fd();
+  const int fd = client.fd();
   send_raw(fd, Op::kPing, 1);
   sleep_ms(80);
   send_raw(fd, Op::kInfer, 2, infer_body("s1"));
@@ -346,7 +398,7 @@ TEST_F(ServeResilienceTest, WatchdogQuarantinesStuckSession) {
   // the watchdog must flag it and take s1 out of service.
   arm("serve-delay:nth=1,ms=600");
   ServeClient stuck = connect();
-  send_raw(stuck.write_fd(), Op::kInfer, 1, infer_body("s1"));
+  send_raw(stuck.fd(), Op::kInfer, 1, infer_body("s1"));
   sleep_ms(350);  // budget 100 ms + watchdog tick, with margin
   EXPECT_GE(counter_value("serve.watchdog_stuck"), stuck_before + 1);
 
@@ -364,7 +416,7 @@ TEST_F(ServeResilienceTest, WatchdogQuarantinesStuckSession) {
   // so its own reply is the quarantine's `resource` error; a stall
   // inside the forward pass would have answered ok.
   Frame response;
-  const std::uint8_t stuck_status = read_status(stuck.write_fd(), response);
+  const std::uint8_t stuck_status = read_status(stuck.fd(), response);
   if (stuck_status != kStatusOk) {
     EXPECT_EQ(error_kind_for_status(stuck_status), ErrorKind::kResource);
   }
@@ -390,7 +442,7 @@ TEST_F(ServeResilienceTest, WatchdogAbortClosesStuckConnection) {
   const std::uint64_t stuck_before = counter_value("serve.watchdog_stuck");
   arm("serve-delay:nth=1,ms=800");
   ServeClient stuck = connect();
-  send_raw(stuck.write_fd(), Op::kInfer, 1, infer_body("s1"));
+  send_raw(stuck.fd(), Op::kInfer, 1, infer_body("s1"));
 
   // The watchdog must close the wedged connection: the client sees the
   // stream end instead of waiting out the full stall.
@@ -398,7 +450,7 @@ TEST_F(ServeResilienceTest, WatchdogAbortClosesStuckConnection) {
   ErrorKind kind = ErrorKind::kInternal;
   std::string message;
   const ReadStatus status =
-      read_frame(stuck.write_fd(), response, kind, message);
+      read_frame(stuck.fd(), response, kind, message);
   EXPECT_NE(status, ReadStatus::kFrame);
   EXPECT_GE(counter_value("serve.watchdog_stuck"), stuck_before + 1);
   clear_fault_injection();
@@ -424,7 +476,7 @@ TEST_F(ServeResilienceTest, IdleConnectionIsReaped) {
   Frame response;
   ErrorKind kind = ErrorKind::kInternal;
   std::string message;
-  EXPECT_EQ(read_frame(idle.write_fd(), response, kind, message),
+  EXPECT_EQ(read_frame(idle.fd(), response, kind, message),
             ReadStatus::kEof);
   EXPECT_GE(counter_value("serve.idle_reaped"), reaped_before + 1);
 
@@ -442,11 +494,11 @@ TEST_F(ServeResilienceTest, MidFrameStallDropsConnection) {
   // Two bytes of a length prefix, then silence: a slowloris peer. The
   // mid-frame read stall must drop the connection within the budget.
   const char partial[2] = {0x10, 0x00};
-  ASSERT_EQ(::write(staller.write_fd(), partial, 2), 2);
+  ASSERT_EQ(::write(staller.fd(), partial, 2), 2);
   Frame response;
   ErrorKind kind = ErrorKind::kInternal;
   std::string message;
-  EXPECT_NE(read_frame(staller.write_fd(), response, kind, message),
+  EXPECT_NE(read_frame(staller.fd(), response, kind, message),
             ReadStatus::kFrame);
   connect().ping();
 }
@@ -462,11 +514,11 @@ TEST_F(ServeResilienceTest, ConnectionCapRejectsExcessPeers) {
   const std::uint64_t rejected_before = counter_value("serve.conn_rejected");
   ServeClient second = connect();  // accept() succeeds, then is rejected
   Frame response;
-  const std::uint8_t status = read_status(second.write_fd(), response);
+  const std::uint8_t status = read_status(second.fd(), response);
   EXPECT_EQ(error_kind_for_status(status), ErrorKind::kResource);
   ErrorKind kind = ErrorKind::kInternal;
   std::string message;
-  EXPECT_EQ(read_frame(second.write_fd(), response, kind, message),
+  EXPECT_EQ(read_frame(second.fd(), response, kind, message),
             ReadStatus::kEof);
   EXPECT_GE(counter_value("serve.conn_rejected"), rejected_before + 1);
   // The admitted peer is unaffected.
@@ -550,6 +602,136 @@ TEST_F(ServeResilienceTest, NonIdempotentOpsAreNeverRetried) {
 }
 
 // ---------------------------------------------------------------------------
+// Access log: exactly one line per decoded request
+
+TEST_F(ServeResilienceTest, FailedSendIsLoggedOnceAsIo) {
+  start(logged_options());
+  ServeClient setup = connect();
+  const Circuit circuit = canonical_circuit();
+  setup.load_session_inline("s1", circuit.text, false);
+
+  // A worker's reply torn mid-frame: the infer's one line reads `io`.
+  arm("serve-short-write:nth=1");
+  ServeClient torn = connect();
+  EXPECT_THROW(torn.infer("s1"), Error);
+
+  // A reply the reader sends itself (a protocol-version error), torn the
+  // same way: one `io` line too, not none.
+  arm("serve-short-write:nth=1");
+  ServeClient bad = connect();
+  Frame frame;
+  frame.version = 9;
+  frame.opcode = static_cast<std::uint8_t>(Op::kPing);
+  frame.request_id = 7;
+  write_frame(bad.fd(), frame);
+  Frame response;
+  ErrorKind kind = ErrorKind::kInternal;
+  std::string message;
+  EXPECT_NE(read_frame(bad.fd(), response, kind, message),
+            ReadStatus::kFrame);
+  clear_fault_injection();
+  expect_bit_identical(setup.infer("s1"),
+                       reference_logits(circuit.netlist, *model_));
+
+  // load + torn infer + torn ping + infer: four requests, four lines.
+  const std::vector<json::Value> lines = access_lines(4);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(distinct_rids(lines), 4u);
+  const auto io = lines_with(lines, "outcome", "io");
+  ASSERT_EQ(io.size(), 2u);
+  std::multiset<std::string> io_ops;
+  for (const json::Value* line : io) {
+    io_ops.insert(line->find("op")->text);
+    EXPECT_NE(line->find("error")->text.find("injected short write"),
+              std::string::npos);
+  }
+  EXPECT_EQ(io_ops, (std::multiset<std::string>{"infer", "ping"}));
+}
+
+TEST_F(ServeResilienceTest, AdmissionRejectionIsLoggedOnce) {
+  ServeOptions opts = logged_options();
+  opts.workers = 1;
+  opts.queue_limit = 1;
+  start(opts);
+  // Park the one worker on a ping, then burst pings behind it: the first
+  // fills the one queue slot and the rest are rejected by the reader.
+  arm("serve-delay:nth=1,ms=300");
+  ServeClient client = connect();
+  const int fd = client.fd();
+  send_raw(fd, Op::kPing, 1);
+  sleep_ms(100);
+  constexpr std::uint32_t kRequests = 8;
+  for (std::uint32_t id = 2; id <= kRequests; ++id) send_raw(fd, Op::kPing, id);
+  std::size_t rejected = 0;
+  for (std::uint32_t i = 0; i < kRequests; ++i) {
+    Frame response;
+    const std::uint8_t status = read_status(fd, response);
+    if (status != kStatusOk) {
+      EXPECT_EQ(error_kind_for_status(status), ErrorKind::kResource);
+      ++rejected;
+    }
+  }
+  EXPECT_GE(rejected, 1u);
+
+  const std::vector<json::Value> lines = access_lines(kRequests);
+  ASSERT_EQ(lines.size(), kRequests);
+  EXPECT_EQ(distinct_rids(lines), kRequests);
+  EXPECT_EQ(lines_with(lines, "outcome", "resource").size(), rejected);
+  EXPECT_EQ(lines_with(lines, "outcome", "ok").size(), kRequests - rejected);
+}
+
+TEST_F(ServeResilienceTest, BatchedInferLogsOneLinePerMember) {
+  ServeOptions opts = logged_options();
+  opts.workers = 1;
+  start(opts);
+  ServeClient setup = connect();
+  const Circuit circuit = canonical_circuit();
+  setup.load_session_inline("s1", circuit.text, false);
+
+  // Park the worker, then queue four same-session infers: the first
+  // leads a batch that claims the other three, one of which carries an
+  // already-expired deadline and is shed from the batch.
+  arm("serve-delay:nth=1,ms=400");
+  ServeClient client = connect();
+  const int fd = client.fd();
+  send_raw(fd, Op::kPing, 1);
+  sleep_ms(100);
+  send_raw(fd, Op::kInfer, 2, infer_body("s1"));
+  send_raw(fd, Op::kInfer, 3, infer_body("s1"));
+  send_raw(fd, Op::kInfer, 4, infer_body("s1"), /*deadline_ms=*/1);
+  send_raw(fd, Op::kInfer, 5, infer_body("s1"));
+  for (int i = 0; i < 5; ++i) {
+    Frame response;
+    const std::uint8_t status = read_status(fd, response);
+    if (response.request_id == 4) {
+      EXPECT_EQ(error_kind_for_status(status), ErrorKind::kDeadline);
+    } else {
+      EXPECT_EQ(status, kStatusOk) << "request " << response.request_id;
+    }
+  }
+
+  // load + ping + four infers.
+  const std::vector<json::Value> lines = access_lines(6);
+  ASSERT_EQ(lines.size(), 6u);
+  EXPECT_EQ(distinct_rids(lines), 6u);
+  const auto infers = lines_with(lines, "op", "infer");
+  ASSERT_EQ(infers.size(), 4u);
+  std::set<double> served;
+  for (const json::Value* line : infers) {
+    const double id = line->find("request_id")->number;
+    if (id == 4) {
+      EXPECT_EQ(line->find("outcome")->text, "deadline");
+      continue;
+    }
+    served.insert(id);
+    EXPECT_EQ(line->find("outcome")->text, "ok");
+    // Leader and both surviving members share one forward pass.
+    EXPECT_EQ(line->find("batch")->number, 3.0);
+  }
+  EXPECT_EQ(served, (std::set<double>{2, 3, 5}));
+}
+
+// ---------------------------------------------------------------------------
 // Health ping
 
 TEST_F(ServeResilienceTest, PingReportsHealth) {
@@ -571,9 +753,9 @@ TEST_F(ServeResilienceTest, PingReportsHealth) {
   frame.version = 1;
   frame.opcode = static_cast<std::uint8_t>(Op::kPing);
   frame.request_id = 9;
-  write_frame(client.write_fd(), frame);
+  write_frame(client.fd(), frame);
   Frame response;
-  EXPECT_EQ(read_status(client.write_fd(), response), kStatusOk);
+  EXPECT_EQ(read_status(client.fd(), response), kStatusOk);
   EXPECT_EQ(response.version, 1u);
   EXPECT_EQ(response.body.size(), 1u);  // no health fields for v1 peers
 }

@@ -326,12 +326,12 @@ TEST_F(ServeServerTest, BadProtocolVersionGetsTypedError) {
   frame.version = 9;
   frame.opcode = static_cast<std::uint8_t>(Op::kPing);
   frame.request_id = 5;
-  write_frame(client.write_fd(), frame);
+  write_frame(client.fd(), frame);
 
   Frame response;
   ErrorKind kind = ErrorKind::kInternal;
   std::string message;
-  ASSERT_EQ(read_frame(client.write_fd(), response, kind, message),
+  ASSERT_EQ(read_frame(client.fd(), response, kind, message),
             ReadStatus::kFrame);
   WireReader reader(response.body);
   EXPECT_EQ(error_kind_for_status(reader.u8()), ErrorKind::kVersion);
@@ -345,12 +345,12 @@ TEST_F(ServeServerTest, UnknownOpcodeGetsTypedError) {
   Frame frame;
   frame.opcode = 0x42;
   frame.request_id = 6;
-  write_frame(client.write_fd(), frame);
+  write_frame(client.fd(), frame);
 
   Frame response;
   ErrorKind kind = ErrorKind::kInternal;
   std::string message;
-  ASSERT_EQ(read_frame(client.write_fd(), response, kind, message),
+  ASSERT_EQ(read_frame(client.fd(), response, kind, message),
             ReadStatus::kFrame);
   EXPECT_EQ(response.request_id, 6u);
   WireReader reader(response.body);
@@ -370,15 +370,15 @@ TEST_F(ServeServerTest, MalformedFrameClosesConnectionWithoutLeakingState) {
     // dropped (the stream cannot be resynced).
     ServeClient hostile = connect();
     const std::uint32_t huge = 0xfffffff0u;
-    ASSERT_EQ(::write(hostile.write_fd(), &huge, 4), 4);
+    ASSERT_EQ(::write(hostile.fd(), &huge, 4), 4);
     Frame response;
     ErrorKind kind = ErrorKind::kInternal;
     std::string message;
-    ASSERT_EQ(read_frame(hostile.write_fd(), response, kind, message),
+    ASSERT_EQ(read_frame(hostile.fd(), response, kind, message),
               ReadStatus::kFrame);
     WireReader reader(response.body);
     EXPECT_EQ(error_kind_for_status(reader.u8()), ErrorKind::kCorrupt);
-    EXPECT_EQ(read_frame(hostile.write_fd(), response, kind, message),
+    EXPECT_EQ(read_frame(hostile.fd(), response, kind, message),
               ReadStatus::kEof);
   }
 
@@ -386,6 +386,29 @@ TEST_F(ServeServerTest, MalformedFrameClosesConnectionWithoutLeakingState) {
   EXPECT_EQ(server_->session_count(), 1u);
   expect_bit_identical(good.infer("s1"),
                        reference_logits(netlist, *model_));
+}
+
+TEST_F(ServeServerTest, ServerSideFileSourceIsAnUnknownSourceKind) {
+  start(options());
+  ServeClient client = connect();
+  // Inline text (source 1) is the only source kind: the daemon never
+  // opens a path a peer sends, even one it could read.
+  std::string body;
+  WireWriter writer(body);
+  writer.str("s1");
+  writer.u8(0);
+  writer.str(model_path_);
+  writer.u8(0);
+  try {
+    client.call(Op::kLoadSession, body);
+    FAIL() << "expected Error{kUsage}";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kUsage);
+    EXPECT_NE(std::string(e.what()).find("unknown netlist source kind 0"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(server_->session_count(), 0u);
 }
 
 TEST_F(ServeServerTest, SessionLimitIsATypedResourceError) {
@@ -425,7 +448,7 @@ TEST_F(ServeServerTest, OverloadRepliesResourceError) {
     writer.u8(1);  // inline .bench text
     writer.str(big);
     writer.u8(0);
-    write_frame(client.write_fd(), frame);
+    write_frame(client.fd(), frame);
   };
   send_load("big1", 1);  // queued, popped by the worker
   send_load("big2", 2);  // fills the queue (or is itself rejected)
@@ -434,7 +457,7 @@ TEST_F(ServeServerTest, OverloadRepliesResourceError) {
     Frame frame;
     frame.opcode = static_cast<std::uint8_t>(Op::kPing);
     frame.request_id = 100 + i;
-    write_frame(client.write_fd(), frame);
+    write_frame(client.fd(), frame);
   }
 
   // Replies arrive in completion order (rejections first, the slow load
@@ -445,7 +468,7 @@ TEST_F(ServeServerTest, OverloadRepliesResourceError) {
     Frame response;
     ErrorKind kind = ErrorKind::kInternal;
     std::string message;
-    ASSERT_EQ(read_frame(client.write_fd(), response, kind, message),
+    ASSERT_EQ(read_frame(client.fd(), response, kind, message),
               ReadStatus::kFrame);
     WireReader reader(response.body);
     const std::uint8_t status = reader.u8();

@@ -12,7 +12,7 @@
 //                 [--journal [file]] [--resume]
 //   gcnt flow     [design.bench] [--gates N] [--epochs E] [--atpg]
 //                 [--checkpoint base] [--resume]
-//   gcnt serve    --model model.txt (--socket path | --port P | --stdio)
+//   gcnt serve    --model model.txt (--socket path | --port P)
 //                 [--workers N] [--queue N] [--batch N] [--max-sessions N]
 //                 [--read-timeout MS] [--idle-timeout MS] [--max-conns N]
 //                 [--watchdog MS] [--watchdog-action log|abort|quarantine]
@@ -548,25 +548,27 @@ int cmd_serve(const Args& args) {
   if (args.has("port")) {
     options.tcp_port = static_cast<int>(args.get_size("port", 0));
   }
-  options.stdio = args.has("stdio");
-  options.workers = args.get_size("workers", 2);
-  options.queue_limit = args.get_size("queue", 64);
-  options.batch_limit = args.get_size("batch", 16);
-  options.max_sessions = args.get_size("max-sessions", 64);
+  // Every numeric flag defaults to ServeOptions' own default.
+  const auto size_flag = [&args](const char* name, auto& field) {
+    field = args.get_size(name, field);
+  };
+  size_flag("workers", options.workers);
+  size_flag("queue", options.queue_limit);
+  size_flag("batch", options.batch_limit);
+  size_flag("max-sessions", options.max_sessions);
+  size_flag("slow-ring", options.slow_ring);
   options.access_log = args.get("access-log", "");
   if (options.access_log.empty()) {
     const char* env = std::getenv("GCNT_ACCESS_LOG");
     if (env != nullptr) options.access_log = env;
   }
-  options.slow_ring = args.get_size("slow-ring", 16);
 
-  // Resilience knobs (docs/API.md "Serve resilience"). The hygiene
-  // defaults are generous enough to never bite a healthy client but
-  // still reap wedged peers; 0 disables a knob entirely.
-  options.read_timeout_ms = args.get_size("read-timeout", 30000);
-  options.idle_timeout_ms = args.get_size("idle-timeout", 300000);
-  options.max_connections = args.get_size("max-conns", 256);
-  options.watchdog_budget_ms = args.get_size("watchdog", 10000);
+  // Resilience knobs (docs/API.md "Serve resilience"); 0 disables one.
+  size_flag("read-timeout", options.read_timeout_ms);
+  size_flag("idle-timeout", options.idle_timeout_ms);
+  size_flag("max-conns", options.max_connections);
+  size_flag("watchdog", options.watchdog_budget_ms);
+  size_flag("brownout-queue", options.brownout_queue);
   const std::string action = args.get("watchdog-action", "log");
   if (action == "log") {
     options.watchdog_action = serve::WatchdogAction::kLog;
@@ -579,7 +581,6 @@ int cmd_serve(const Args& args) {
                 "--watchdog-action must be log, abort, or quarantine (got " +
                     action + ")");
   }
-  options.brownout_queue = args.get_size("brownout-queue", 0);
 
   // The daemon always keeps stats on: kMetrics scrapes and `gcnt top`
   // are useless without them, and the cost is relaxed atomic adds.
@@ -594,7 +595,6 @@ int cmd_serve(const Args& args) {
     std::cout << "listening on 127.0.0.1:" << server.bound_tcp_port()
               << std::endl;
   }
-  if (args.has("stdio")) server.run_stdio();
   server.wait();
   g_serve_server = nullptr;
   std::signal(SIGINT, SIG_DFL);
@@ -782,8 +782,7 @@ int usage() {
             << "  flow     [<netlist>] [--gates N] [--epochs E] [--atpg]\n"
             << "           [--checkpoint base] [--resume]\n"
             << "           [--shards K] [--halo D] [--spill-dir dir]\n"
-            << "  serve    --model model.txt (--socket path | --port P | "
-               "--stdio)\n"
+            << "  serve    --model model.txt (--socket path | --port P)\n"
             << "           [--workers N] [--queue N] [--batch N] "
                "[--max-sessions N]\n"
             << "           [--access-log file] [--slow-ring N]\n"
