@@ -1,17 +1,15 @@
-// Figure 10, sharded out-of-core leg: whole-graph inference runtime and
-// peak resident set vs graph size with the sharded engine (gcn/shard.h)
-// holding one shard's working set at a time. This is the scale tier the
-// per-push CI cannot reach — the nightly workflow drives the sweep to
-// 10^7 nodes under a pinned peak-RSS budget, while the per-push
-// scale-smoke job runs the small sizes plus the bit-identity sweep.
+// Figure 10, sharded leg: whole-graph inference runtime and peak
+// resident set vs graph size with the sharded engine (gcn/shard.h), which
+// walks the graph one shard at a time with its off-shard blocks in
+// memory. The per-push scale-smoke job runs the small sizes plus the
+// bit-identity sweep.
 //
-// Sizes sweep 3*10^4..10^7 gates capped by GCNT_BENCH_MAX_NODES (so the
-// CI smoke cap of 3*10^4 and the nightly cap share JSON key prefixes).
+// Sizes sweep 3*10^4..10^7 gates capped by GCNT_BENCH_MAX_NODES (so every
+// cap shares JSON key prefixes).
 //
 // Knobs (environment variables):
 //   GCNT_SHARDS                 shard count K              (default 8)
 //   GCNT_HALO                   halo depth D               (default 2)
-//   GCNT_SPILL_DIR              non-empty: spill off-shard blocks to disk
 //   GCNT_SHARD_CHECK_MAX_NODES  run the monolithic engine and assert
 //                               bitwise logit identity up to this size
 //                               (default 200000; the whole point of
@@ -75,7 +73,7 @@ std::vector<std::size_t> env_list(const char* name) {
 }
 
 /// Process peak resident set in KB (ru_maxrss is KB on Linux). Monotone
-/// across the sweep — the budget gate cares about the final peak.
+/// across the sweep.
 double peak_rss_kb() {
   struct rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -94,13 +92,10 @@ GraphTensors make_tensors(std::size_t gates, Netlist& netlist) {
   return build_graph_tensors(netlist);
 }
 
-ShardedGcnOptions engine_options(std::size_t shards, int halo,
-                                 const std::string& spill_root,
-                                 const std::string& tag) {
+ShardedGcnOptions engine_options(std::size_t shards, int halo) {
   ShardedGcnOptions options;
   options.shards = shards;
   options.halo = halo;
-  if (!spill_root.empty()) options.spill_dir = spill_root + "/" + tag;
   return options;
 }
 
@@ -112,14 +107,10 @@ int main() {
   const std::size_t shards = env_size("GCNT_SHARDS", 8);
   const int halo = static_cast<int>(env_size("GCNT_HALO", 2));
   const std::size_t check_cap = env_size("GCNT_SHARD_CHECK_MAX_NODES", 200000);
-  const char* spill_env = std::getenv("GCNT_SPILL_DIR");
-  const std::string spill_root = spill_env ? spill_env : "";
   GcnModel model(bench::paper_model_config());
 
-  std::cout << "# Figure 10 (sharded): out-of-core inference, K=" << shards
-            << " halo=" << halo
-            << (spill_root.empty() ? " (in-memory blocks)"
-                                   : " (spill: " + spill_root + ")")
+  std::cout << "# Figure 10 (sharded): inference, K=" << shards
+            << " halo=" << halo << " (in-memory blocks)"
             << "\nnodes,edges,sharded_s,peak_rss_kb,blocks,identical\n";
   Table table("Figure 10 sharded: inference runtime / peak RSS",
               {"#Nodes", "Sharded (s)", "Peak RSS (KB)", "Blocks",
@@ -141,14 +132,12 @@ int main() {
     size_span.arg("nodes", static_cast<double>(n));
     size_span.arg("shards", static_cast<double>(shards));
 
-    ShardedGcnEngine engine(
-        model, engine_options(shards, halo, spill_root,
-                              "n" + std::to_string(gates)));
+    ShardedGcnEngine engine(model, engine_options(shards, halo));
     Timer timer;
     const Matrix& logits = engine.refresh(tensors);
     const double seconds = timer.seconds();
     const double rss_kb = peak_rss_kb();
-    const std::size_t blocks = engine.store().block_count();
+    const std::size_t blocks = engine.block_count();
 
     // Bitwise identity vs the monolithic forward, where it still fits.
     std::string identical = "(skipped)";
@@ -188,10 +177,8 @@ int main() {
       for (std::size_t d :
            (sweep_halos.empty() ? std::vector<std::size_t>{1} : sweep_halos)) {
         any_check = true;
-        ShardedGcnEngine engine(
-            model, engine_options(k, static_cast<int>(d), spill_root,
-                                  "sweep_k" + std::to_string(k) + "_d" +
-                                      std::to_string(d)));
+        ShardedGcnEngine engine(model,
+                                engine_options(k, static_cast<int>(d)));
         const bool match = engine.refresh(tensors) == reference;
         if (!match) all_identical = false;
         std::cout << k << "," << d << "," << (match ? "yes" : "NO") << "\n";

@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -14,8 +16,14 @@ namespace gcnt {
 namespace {
 
 struct FaultState {
-  std::atomic<bool> armed{false};
-  FaultSpec spec;
+  /// The armed spec, or null when every probe is disarmed. A probe reads
+  /// it with one acquire load and then only that immutable copy, so a
+  /// spec published from another thread is never read half-written.
+  std::atomic<const FaultSpec*> spec{nullptr};
+  /// Every spec ever published. A replaced one stays alive because a
+  /// probe on another thread may still be reading it.
+  std::mutex published_mutex;
+  std::vector<std::unique_ptr<const FaultSpec>> published;
   std::atomic<std::uint64_t> write_probes{0};
   std::atomic<std::uint64_t> read_probes{0};
   std::atomic<std::uint64_t> alloc_probes{0};
@@ -39,14 +47,23 @@ FaultState& state() {
   return instance;
 }
 
+void publish(FaultState& s, const FaultSpec& spec) {
+  const FaultSpec* armed = nullptr;
+  if (spec.armed()) {
+    std::lock_guard<std::mutex> lock(s.published_mutex);
+    s.published.push_back(std::make_unique<const FaultSpec>(spec));
+    armed = s.published.back().get();
+  }
+  s.spec.store(armed, std::memory_order_release);
+}
+
 /// Reads GCNT_FAULT_INJECT exactly once, before the first probe decision.
 void ensure_env_loaded() {
   FaultState& s = state();
   std::call_once(s.env_once, [&s] {
     const char* raw = std::getenv("GCNT_FAULT_INJECT");
     if (raw == nullptr || *raw == '\0') return;
-    s.spec = parse_fault_spec(raw);
-    s.armed.store(s.spec.armed(), std::memory_order_release);
+    publish(s, parse_fault_spec(raw));
   });
 }
 
@@ -187,7 +204,6 @@ FaultSpec parse_fault_spec(const std::string& text) {
 void set_fault_spec(const FaultSpec& spec) {
   FaultState& s = state();
   ensure_env_loaded();  // consume the env slot so it cannot overwrite later
-  s.spec = spec;
   s.write_probes.store(0, std::memory_order_relaxed);
   s.read_probes.store(0, std::memory_order_relaxed);
   s.alloc_probes.store(0, std::memory_order_relaxed);
@@ -195,34 +211,35 @@ void set_fault_spec(const FaultSpec& spec) {
   s.serve_write_probes.store(0, std::memory_order_relaxed);
   s.serve_delay_probes.store(0, std::memory_order_relaxed);
   s.serve_alloc_probes.store(0, std::memory_order_relaxed);
-  s.armed.store(spec.armed(), std::memory_order_release);
+  publish(s, spec);
 }
 
 void clear_fault_injection() { set_fault_spec(FaultSpec{}); }
 
 bool fault_injection_enabled() noexcept {
-  return state().armed.load(std::memory_order_acquire);
+  return state().spec.load(std::memory_order_acquire) != nullptr;
 }
 
 std::size_t fault_write_probe(std::size_t intended_bytes) {
   ensure_env_loaded();
   FaultState& s = state();
-  if (!s.armed.load(std::memory_order_acquire)) return intended_bytes;
+  const FaultSpec* spec = s.spec.load(std::memory_order_acquire);
+  if (spec == nullptr) return intended_bytes;
   static Counter& probes =
       StatsRegistry::instance().counter("faultinject.write_probes");
   probes.add();
   const std::uint64_t n =
       s.write_probes.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (s.spec.fail_write_nth != 0 && n == s.spec.fail_write_nth) {
+  if (spec->fail_write_nth != 0 && n == spec->fail_write_nth) {
     fired_counters().write_fail.add();
     throw Error(ErrorKind::kIo, "injected write failure (probe " +
                                     std::to_string(n) + ")");
   }
-  if (s.spec.short_write_nth != 0 && n == s.spec.short_write_nth) {
+  if (spec->short_write_nth != 0 && n == spec->short_write_nth) {
     fired_counters().short_write.add();
-    const std::size_t keep = s.spec.short_write_bytes != 0
+    const std::size_t keep = spec->short_write_bytes != 0
                                  ? static_cast<std::size_t>(
-                                       s.spec.short_write_bytes)
+                                       spec->short_write_bytes)
                                  : intended_bytes / 2;
     return keep < intended_bytes ? keep : intended_bytes;
   }
@@ -232,18 +249,19 @@ std::size_t fault_write_probe(std::size_t intended_bytes) {
 void fault_read_probe(void* data, std::size_t len) {
   ensure_env_loaded();
   FaultState& s = state();
-  if (!s.armed.load(std::memory_order_acquire)) return;
+  const FaultSpec* spec = s.spec.load(std::memory_order_acquire);
+  if (spec == nullptr) return;
   static Counter& probes =
       StatsRegistry::instance().counter("faultinject.read_probes");
   probes.add();
   const std::uint64_t n =
       s.read_probes.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (s.spec.bitflip_read_nth == 0 || n != s.spec.bitflip_read_nth ||
+  if (spec->bitflip_read_nth == 0 || n != spec->bitflip_read_nth ||
       len == 0) {
     return;
   }
   fired_counters().bitflip.add();
-  std::uint64_t mix = s.spec.bitflip_seed + n;
+  std::uint64_t mix = spec->bitflip_seed + n;
   const std::uint64_t draw = splitmix64(mix);
   auto* bytes = static_cast<unsigned char*>(data);
   bytes[(draw >> 3) % len] ^=
@@ -253,13 +271,14 @@ void fault_read_probe(void* data, std::size_t len) {
 void fault_alloc_probe(const char* what) {
   ensure_env_loaded();
   FaultState& s = state();
-  if (!s.armed.load(std::memory_order_acquire)) return;
+  const FaultSpec* spec = s.spec.load(std::memory_order_acquire);
+  if (spec == nullptr) return;
   static Counter& probes =
       StatsRegistry::instance().counter("faultinject.alloc_probes");
   probes.add();
   const std::uint64_t n =
       s.alloc_probes.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (s.spec.alloc_fail_nth != 0 && n == s.spec.alloc_fail_nth) {
+  if (spec->alloc_fail_nth != 0 && n == spec->alloc_fail_nth) {
     fired_counters().alloc_fail.add();
     throw Error(ErrorKind::kResource,
                 std::string("injected allocation failure at ") + what +
@@ -270,14 +289,15 @@ void fault_alloc_probe(const char* what) {
 bool fault_serve_read_probe() {
   ensure_env_loaded();
   FaultState& s = state();
-  if (!s.armed.load(std::memory_order_acquire)) return false;
+  const FaultSpec* spec = s.spec.load(std::memory_order_acquire);
+  if (spec == nullptr) return false;
   static Counter& probes =
       StatsRegistry::instance().counter("faultinject.serve_read_probes");
   probes.add();
   const std::uint64_t n =
       s.serve_read_probes.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (!clause_fires(n, s.spec.serve_torn_read_nth,
-                    s.spec.serve_torn_read_every)) {
+  if (!clause_fires(n, spec->serve_torn_read_nth,
+                    spec->serve_torn_read_every)) {
     return false;
   }
   fired_counters().serve_torn_read.add();
@@ -287,14 +307,15 @@ bool fault_serve_read_probe() {
 bool fault_serve_write_probe() {
   ensure_env_loaded();
   FaultState& s = state();
-  if (!s.armed.load(std::memory_order_acquire)) return false;
+  const FaultSpec* spec = s.spec.load(std::memory_order_acquire);
+  if (spec == nullptr) return false;
   static Counter& probes =
       StatsRegistry::instance().counter("faultinject.serve_write_probes");
   probes.add();
   const std::uint64_t n =
       s.serve_write_probes.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (!clause_fires(n, s.spec.serve_short_write_nth,
-                    s.spec.serve_short_write_every)) {
+  if (!clause_fires(n, spec->serve_short_write_nth,
+                    spec->serve_short_write_every)) {
     return false;
   }
   fired_counters().serve_short_write.add();
@@ -304,29 +325,31 @@ bool fault_serve_write_probe() {
 std::uint64_t fault_serve_delay_probe() {
   ensure_env_loaded();
   FaultState& s = state();
-  if (!s.armed.load(std::memory_order_acquire)) return 0;
+  const FaultSpec* spec = s.spec.load(std::memory_order_acquire);
+  if (spec == nullptr) return 0;
   static Counter& probes =
       StatsRegistry::instance().counter("faultinject.serve_delay_probes");
   probes.add();
   const std::uint64_t n =
       s.serve_delay_probes.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (!clause_fires(n, s.spec.serve_delay_nth, s.spec.serve_delay_every)) {
+  if (!clause_fires(n, spec->serve_delay_nth, spec->serve_delay_every)) {
     return 0;
   }
   fired_counters().serve_delay.add();
-  return s.spec.serve_delay_ms;
+  return spec->serve_delay_ms;
 }
 
 void fault_serve_alloc_probe(const char* what) {
   ensure_env_loaded();
   FaultState& s = state();
-  if (!s.armed.load(std::memory_order_acquire)) return;
+  const FaultSpec* spec = s.spec.load(std::memory_order_acquire);
+  if (spec == nullptr) return;
   static Counter& probes =
       StatsRegistry::instance().counter("faultinject.serve_alloc_probes");
   probes.add();
   const std::uint64_t n =
       s.serve_alloc_probes.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (!clause_fires(n, s.spec.serve_alloc_nth, s.spec.serve_alloc_every)) {
+  if (!clause_fires(n, spec->serve_alloc_nth, spec->serve_alloc_every)) {
     return;
   }
   fired_counters().serve_alloc.add();

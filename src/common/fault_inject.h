@@ -3,10 +3,10 @@
 //
 // Probes sit at I/O and allocation boundaries (artifact writes/reads,
 // checkpoint loads, the trainer's epoch boundary) and are disarmed by
-// default: each probe is one relaxed atomic load + branch, the same
-// discipline as the stats layer. Arm them with the GCNT_FAULT_INJECT
-// environment variable or set_fault_spec(); every probe is counted and
-// seeded, so a failing run replays exactly.
+// default: a disarmed probe is one acquire load of the published spec
+// and a branch, the same discipline as the stats layer. Arm them with the
+// GCNT_FAULT_INJECT environment variable or set_fault_spec(); every probe
+// is counted and seeded, so a failing run replays exactly.
 //
 // Spec syntax (semicolon-separated clauses, comma-separated params):
 //
@@ -84,7 +84,9 @@ struct FaultSpec {
 FaultSpec parse_fault_spec(const std::string& text);
 
 /// Arms `spec` process-wide and resets all probe counters. Overrides the
-/// environment (which is read once, at the first probe).
+/// environment (which is read once, at the first probe). Safe while
+/// probes run on other threads: each probe reads either the old spec or
+/// the new one, whole.
 void set_fault_spec(const FaultSpec& spec);
 
 /// Disarms every probe and resets counters.

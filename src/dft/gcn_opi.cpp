@@ -33,11 +33,10 @@ OpiResult run_gcn_opi(Netlist& netlist,
                  netlist.size(), options.resume);
   }
 
-  // The cascade's engines (monolithic incremental or sharded out-of-core,
+  // The cascade's engines (monolithic incremental or sharded,
   // bit-identical either way) and all derived state live in the design.
   EditableDesign design(netlist, options.standardize_features);
-  design.set_models(stages, options.shards, options.shard_halo,
-                    options.shard_spill_dir);
+  design.set_models(stages, options.shards, options.shard_halo);
 
   OpiResult result;
   // Replay journaled batches from an interrupted sweep through the same

@@ -35,16 +35,12 @@ struct GcnOpiOptions {
   /// full re-inference; see gcn/incremental.h) instead of re-running the
   /// whole-graph forward every iteration.
   bool incremental = true;
-  /// > 0: predict with the sharded out-of-core engine (gcn/shard.h) at
-  /// this shard count instead of the monolithic incremental engine —
-  /// bit-identical logits, one-shard peak residency. 0 = monolithic.
+  /// > 0: predict with the sharded engine (gcn/shard.h) at this shard
+  /// count instead of the monolithic incremental engine — bit-identical
+  /// logits. 0 = monolithic. Library-only (perfbench's opi probes).
   std::size_t shards = 0;
   /// Halo depth for the sharded engine (>= 1; also its layers-per-round).
   int shard_halo = 1;
-  /// With shards > 0: non-empty spills off-shard embedding blocks under
-  /// this directory (one subdirectory per cascade stage) instead of
-  /// keeping them in memory.
-  std::string shard_spill_dir;
   /// When non-empty, each iteration's accepted insertion batch is appended
   /// to this journal — fsync'd *before* it is applied (dft/flow_journal.h)
   /// — so an interrupted sweep can be resumed mid-flow.

@@ -33,17 +33,12 @@ EditableDesign::EditableDesign(Netlist& netlist, bool standardize_features)
 }
 
 void EditableDesign::set_models(const std::vector<const GcnModel*>& stages,
-                                std::size_t shards, int halo,
-                                const std::string& spill_dir) {
+                                std::size_t shards, int halo) {
   engines_.clear();
   max_depth_ = 0;
-  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
-    // Cascade stages must not collide on spill block keys.
-    engines_.push_back(make_gcn_engine(
-        *stages[stage], shards, halo,
-        spill_dir.empty() ? std::string()
-                          : spill_dir + "/stage" + std::to_string(stage)));
-    max_depth_ = std::max(max_depth_, stages[stage]->config().depth);
+  for (const GcnModel* stage : stages) {
+    engines_.push_back(make_gcn_engine(*stage, shards, halo));
+    max_depth_ = std::max(max_depth_, stage->config().depth);
   }
   primed_ = false;
 }

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "gcn/engine.h"
@@ -42,12 +41,10 @@ class EditableDesign {
   /// `standardize_features` must match how the models were trained.
   EditableDesign(Netlist& netlist, bool standardize_features);
 
-  /// Replaces the engines: one make_gcn_engine per cascade stage, stage k
-  /// spilling under `spill_dir`/stage<k> when `spill_dir` is non-empty.
-  /// An empty list drops them. The next predict() refreshes.
+  /// Replaces the engines: one make_gcn_engine per cascade stage. An
+  /// empty list drops them. The next predict() refreshes.
   void set_models(const std::vector<const GcnModel*>& stages,
-                  std::size_t shards = 0, int halo = 1,
-                  const std::string& spill_dir = {});
+                  std::size_t shards = 0, int halo = 1);
 
   /// Inserts an observation point on `target`: SCOAP CO repaired in its
   /// fan-in cone, the OP edge queued and its feature row appended, the

@@ -61,14 +61,12 @@ std::vector<float> GcnEngine::positive_probability() const {
 }
 
 std::unique_ptr<GcnEngine> make_gcn_engine(const GcnModel& model,
-                                           std::size_t shards, int halo,
-                                           std::string spill_dir) {
+                                           std::size_t shards, int halo) {
   if (shards == 0) return std::make_unique<IncrementalGcnEngine>(model);
   ShardedGcnOptions options;
   options.shards = shards;
   options.halo = halo;
-  options.spill_dir = std::move(spill_dir);
-  return std::make_unique<ShardedGcnEngine>(model, std::move(options));
+  return std::make_unique<ShardedGcnEngine>(model, options);
 }
 
 }  // namespace gcnt

@@ -7,13 +7,15 @@
 //
 // The base owns the contract both engines share: the dirty-fraction
 // fallback to a full pass, the CSR/dirty-id input checks, the cached
-// logits, and the int8 downgrade count (engines compute fp32 because no
-// row-subset int8 kernel exists yet; a model in int8 mode ticks the
-// `quant.fallback` counter once per pass instead of silently mixing tiers).
+// logits, and the int8 downgrade count (engines compute fp32; a model set
+// to the library-only int8 tier ticks the `quant.fallback` counter once
+// per pass instead of silently mixing tiers).
+//
+// The sharded engine is library-only: no command selects it. It stays for
+// perfbench's sharded probes and goes with them (ROADMAP item 5).
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "gcn/graph_tensors.h"
@@ -74,12 +76,10 @@ class GcnEngine {
 };
 
 /// The engine a flow predicts through: IncrementalGcnEngine when
-/// `shards` is 0, else a ShardedGcnEngine with that shard count, halo
-/// depth and (non-empty) spill directory. Both use their default
-/// dirty-fraction fallback.
+/// `shards` is 0, else a ShardedGcnEngine with that shard count and halo
+/// depth. Both use their default dirty-fraction fallback.
 std::unique_ptr<GcnEngine> make_gcn_engine(const GcnModel& model,
                                            std::size_t shards = 0,
-                                           int halo = 1,
-                                           std::string spill_dir = {});
+                                           int halo = 1);
 
 }  // namespace gcnt

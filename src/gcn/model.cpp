@@ -61,34 +61,6 @@ void GcnModel::set_precision(Precision precision) {
   gauge.set(static_cast<std::int64_t>(precision_));
 }
 
-void GcnModel::install_quantized(std::vector<QuantizedLinear> encoders,
-                                 std::vector<QuantizedLinear> fc) {
-  if (encoders.size() != encoders_.size() || fc.size() != fc_.size()) {
-    throw Error(ErrorKind::kCorrupt,
-                "install_quantized: layer count mismatch");
-  }
-  for (std::size_t d = 0; d < encoders.size(); ++d) {
-    if (encoders[d].in != encoders_[d].in_features() ||
-        encoders[d].out != encoders_[d].out_features()) {
-      throw Error(ErrorKind::kCorrupt,
-                  "install_quantized: encoder " + std::to_string(d) +
-                      " shape mismatch");
-    }
-  }
-  for (std::size_t i = 0; i < fc.size(); ++i) {
-    if (fc[i].in != fc_[i].in_features() || fc[i].out != fc_[i].out_features()) {
-      throw Error(ErrorKind::kCorrupt, "install_quantized: fc layer " +
-                                           std::to_string(i) +
-                                           " shape mismatch");
-    }
-  }
-  qencoders_ = std::move(encoders);
-  qfc_ = std::move(fc);
-  precision_ = Precision::kInt8;
-  static Gauge& gauge = StatsRegistry::instance().gauge("model.precision");
-  gauge.set(static_cast<std::int64_t>(precision_));
-}
-
 void GcnModel::layer_step(std::size_t d, const CsrMatrix& pred,
                           const CsrMatrix& succ, const Matrix& in,
                           const std::vector<std::uint32_t>* rows,

@@ -135,25 +135,10 @@ class GcnModel {
   /// current fp32 weights; call again after further training to
   /// re-calibrate. Only the no-cache inference path switches — training
   /// forward/backward always run fp32. kFp32 (the default) keeps every
-  /// existing output bitwise unchanged.
+  /// existing output bitwise unchanged. The tier is not persisted:
+  /// save_model writes the fp32 weights whatever the precision.
   void set_precision(Precision precision);
   Precision precision() const noexcept { return precision_; }
-
-  /// Quantized layer snapshots (empty until int8 is selected or a
-  /// quantized artifact section is loaded). Order matches encoders() /
-  /// fc_layers().
-  const std::vector<QuantizedLinear>& quantized_encoders() const noexcept {
-    return qencoders_;
-  }
-  const std::vector<QuantizedLinear>& quantized_fc() const noexcept {
-    return qfc_;
-  }
-
-  /// Installs pre-quantized layer snapshots (artifact load path) and
-  /// switches to kInt8 without re-calibrating. Throws Error{kCorrupt} on
-  /// a layer-count or shape mismatch with this model's configuration.
-  void install_quantized(std::vector<QuantizedLinear> encoders,
-                         std::vector<QuantizedLinear> fc);
 
  private:
   /// Shared whole-graph forward; fills `train` (training) or `embeddings`

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -93,49 +92,6 @@ QuantizedLinear quantize_linear(const Linear& layer) {
     std::int32_t sum = 0;
     const std::int8_t* row = q.row(j);
     for (std::size_t k = 0; k < q.in; ++k) sum += row[k];
-    q.col_sums[j] = sum;
-  }
-  return q;
-}
-
-QuantizedLinear make_quantized_linear(std::size_t in, std::size_t out,
-                                      std::vector<float> scales,
-                                      std::vector<std::int8_t> codes) {
-  if (codes.size() != in * out) {
-    throw Error(ErrorKind::kCorrupt,
-                "quantized linear: code count " +
-                    std::to_string(codes.size()) + " != " +
-                    std::to_string(in) + " x " + std::to_string(out));
-  }
-  if (scales.size() != out) {
-    throw Error(ErrorKind::kCorrupt,
-                "quantized linear: scale count " +
-                    std::to_string(scales.size()) + " != " +
-                    std::to_string(out));
-  }
-  for (const float scale : scales) {
-    if (!std::isfinite(scale) || scale <= 0.0f) {
-      throw Error(ErrorKind::kCorrupt,
-                  "quantized linear: scale must be finite and positive");
-    }
-  }
-  for (const std::int8_t c : codes) {
-    if (c == std::numeric_limits<std::int8_t>::min()) {
-      // Symmetric scheme never emits -128; reject so |code| <= 127 holds.
-      throw Error(ErrorKind::kCorrupt,
-                  "quantized linear: weight code out of [-127, 127]");
-    }
-  }
-  QuantizedLinear q;
-  q.in = in;
-  q.out = out;
-  q.scales = std::move(scales);
-  q.weight_t = std::move(codes);
-  q.col_sums.assign(out, 0);
-  for (std::size_t j = 0; j < out; ++j) {
-    std::int32_t sum = 0;
-    const std::int8_t* row = q.row(j);
-    for (std::size_t k = 0; k < in; ++k) sum += row[k];
     q.col_sums[j] = sum;
   }
   return q;

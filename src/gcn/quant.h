@@ -1,10 +1,11 @@
 #pragma once
-// Int8 quantized inference tier (ROADMAP item 5).
+// Int8 quantized inference tier: library-only. No command, serve option
+// or model file selects it; it stays for perfbench's int8 probes and goes
+// with them (ROADMAP item 4). On the whole forward it loses to fp32.
 //
 // Weights: per-output-column symmetric int8 — scales[j] = max|w[:,j]| /
-// 127, calibrated once when the tier is selected
-// (GcnModel::set_precision) or when a quantized artifact section is
-// loaded. Column granularity is what makes 8 bits enough here: Xavier
+// 127, calibrated when the tier is selected (GcnModel::set_precision).
+// Column granularity is what makes 8 bits enough here: Xavier
 // columns differ in magnitude enough that a single per-layer scale
 // crushes the small ones (measured: per-layer weight scales topped out
 // around 98.6-98.7% fp32 agreement on the Table 2 suite regardless of
@@ -46,8 +47,7 @@
 
 namespace gcnt {
 
-/// Inference precision tier. Selected per model (GcnModel::set_precision),
-/// opt-in via GCNT_PRECISION=int8 or the gcnt --precision flag.
+/// Inference precision tier. Selected per model (GcnModel::set_precision).
 enum class Precision : int {
   kFp32 = 0,
   kInt8 = 1,
@@ -56,11 +56,11 @@ enum class Precision : int {
 /// "fp32" / "int8".
 const char* precision_name(Precision precision);
 
-/// Resolves the precision tier: `flag` (a --precision value, may be null)
-/// takes priority over the GCNT_PRECISION environment variable; both
-/// accept "fp32" | "int8". Unset resolves to kFp32; an unknown value
-/// logs a warning and resolves to kFp32 (existing outputs stay bitwise
-/// unchanged unless int8 is explicitly requested).
+/// Resolves the precision tier: `flag` (may be null) takes priority over
+/// the GCNT_PRECISION environment variable; both accept "fp32" | "int8".
+/// Only perfbench reads it (its `schema.precision` field). Unset
+/// resolves to kFp32; an unknown value logs a warning and resolves to
+/// kFp32.
 Precision resolve_precision(const char* flag = nullptr);
 
 /// Per-row 7-bit unsigned activation codes with per-row asymmetric zero
@@ -109,14 +109,6 @@ struct QuantizedLinear {
 /// Calibrates a symmetric per-output-column int8 snapshot of `layer`'s
 /// weights (scales[j] = max|w[:,j]| / 127, nearest-even rounding).
 QuantizedLinear quantize_linear(const Linear& layer);
-
-/// Builds a QuantizedLinear from pre-quantized codes (artifact load
-/// path); recomputes col_sums. Throws Error{kCorrupt} when the code
-/// count does not match in * out, the scale count does not match out, or
-/// any scale is not finite and positive.
-QuantizedLinear make_quantized_linear(std::size_t in, std::size_t out,
-                                      std::vector<float> scales,
-                                      std::vector<std::int8_t> codes);
 
 /// Dynamic per-row activation quantization: scans each row's min/max
 /// (extended to include 0), derives that row's scale / zero point

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <iomanip>
 #include <istream>
-#include <iterator>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -20,12 +19,9 @@ namespace gcnt {
 namespace {
 
 constexpr const char* kMagic = "gcnt-model";
-// v1: config + fp32 params. v2 = v1 + a trailing quantized-weights
-// section. A model without int8 snapshots still saves as v1 — byte
-// identical to what older builds wrote — so default saves never change
-// and old readers only reject files that actually need the new section.
+// v1: config + fp32 params, the only version this build reads or writes.
+// (Older builds wrote int8 models as v2; those fail the version check.)
 constexpr int kVersion = 1;
-constexpr int kQuantVersion = 2;
 
 // Architecture bounds: a corrupted or hostile header must not be able to
 // drive a huge allocation. The paper's widest layer is 128; these caps
@@ -85,8 +81,7 @@ std::size_t config_param_elements(const GcnConfig& config) {
 
 void save_model(const GcnModel& model, std::ostream& out) {
   const GcnConfig& config = model.config();
-  const bool quantized = model.precision() == Precision::kInt8;
-  out << kMagic << " v" << (quantized ? kQuantVersion : kVersion) << "\n";
+  out << kMagic << " v" << kVersion << "\n";
   out << "depth " << config.depth << "\n";
   out << "embed_dims";
   for (std::size_t k : config.embed_dims) out << " " << k;
@@ -107,33 +102,6 @@ void save_model(const GcnModel& model, std::ostream& out) {
           << ((i + 1) % 8 == 0 || i + 1 == param->value.size() ? "\n" : " ");
     }
   }
-
-  if (quantized) {
-    // Calibrated per-layer int8 snapshots, encoders first then FC, so a
-    // v2 load reproduces int8 inference bit-for-bit without
-    // re-calibrating (col_sums are recomputed — they are derived data).
-    const std::size_t layer_count =
-        model.quantized_encoders().size() + model.quantized_fc().size();
-    out << "quant int8 " << layer_count << "\n";
-    const auto write_qlayer = [&out](const QuantizedLinear& q) {
-      // "qlayer in out" then `out` per-column fp32 scales, then the
-      // in*out transposed codes, both 16 values per line.
-      out << "qlayer " << q.in << " " << q.out << "\n";
-      for (std::size_t j = 0; j < q.out; ++j) {
-        out << q.scales[j]
-            << ((j + 1) % 16 == 0 || j + 1 == q.out ? "\n" : " ");
-      }
-      const std::size_t total = q.weight_t.size();
-      for (std::size_t i = 0; i < total; ++i) {
-        out << static_cast<int>(q.weight_t[i])
-            << ((i + 1) % 16 == 0 || i + 1 == total ? "\n" : " ");
-      }
-    };
-    for (const QuantizedLinear& q : model.quantized_encoders()) {
-      write_qlayer(q);
-    }
-    for (const QuantizedLinear& q : model.quantized_fc()) write_qlayer(q);
-  }
 }
 
 GcnModel load_model(std::istream& in) {
@@ -141,12 +109,10 @@ GcnModel load_model(std::istream& in) {
   if (!(in >> magic >> version) || magic != kMagic) {
     fail("bad header");
   }
-  const bool quantized = version == "v" + std::to_string(kQuantVersion);
-  if (!quantized && version != "v" + std::to_string(kVersion)) {
+  if (version != "v" + std::to_string(kVersion)) {
     throw Error(ErrorKind::kVersion,
                 "load_model: model is " + version + ", this build reads v" +
-                    std::to_string(kVersion) + "/v" +
-                    std::to_string(kQuantVersion));
+                    std::to_string(kVersion));
   }
 
   GcnConfig config;
@@ -229,57 +195,6 @@ GcnModel load_model(std::istream& in) {
     }
   }
 
-  if (quantized) {
-    std::string token, scheme;
-    std::size_t layer_count = 0;
-    if (!(in >> token >> scheme >> layer_count) || token != "quant") {
-      fail("missing quant section in v2 model");
-    }
-    if (scheme != "int8") fail("unknown quantization scheme '" + scheme + "'");
-    const std::size_t expected =
-        model.encoders().size() + model.fc_layers().size();
-    if (layer_count != expected) {
-      fail("quant section declares " + std::to_string(layer_count) +
-           " layers, model has " + std::to_string(expected));
-    }
-    std::vector<QuantizedLinear> qlayers;
-    qlayers.reserve(layer_count);
-    for (std::size_t l = 0; l < layer_count; ++l) {
-      std::size_t in_dim = 0, out_dim = 0;
-      if (!(in >> token >> in_dim >> out_dim) || token != "qlayer") {
-        fail("missing qlayer block");
-      }
-      if (in_dim == 0 || in_dim > kMaxDim || out_dim == 0 ||
-          out_dim > kMaxDim) {
-        fail("qlayer dimensions outside [1, " + std::to_string(kMaxDim) + "]");
-      }
-      std::vector<float> scales(out_dim);
-      for (std::size_t j = 0; j < out_dim; ++j) {
-        if (!(in >> scales[j])) fail("truncated qlayer scales");
-      }
-      std::vector<std::int8_t> codes(in_dim * out_dim);
-      for (std::size_t i = 0; i < codes.size(); ++i) {
-        int code = 0;
-        if (!(in >> code)) fail("truncated quantized weight data");
-        if (code < -127 || code > 127) {
-          fail("quantized weight code outside [-127, 127]");
-        }
-        codes[i] = static_cast<std::int8_t>(code);
-      }
-      // make_quantized_linear re-validates scales and rebuilds col_sums;
-      // install_quantized checks each shape against the architecture.
-      qlayers.push_back(make_quantized_linear(in_dim, out_dim,
-                                              std::move(scales),
-                                              std::move(codes)));
-    }
-    std::vector<QuantizedLinear> qfc(
-        std::make_move_iterator(qlayers.begin() +
-                                static_cast<std::ptrdiff_t>(
-                                    model.encoders().size())),
-        std::make_move_iterator(qlayers.end()));
-    qlayers.resize(model.encoders().size());
-    model.install_quantized(std::move(qlayers), std::move(qfc));
-  }
   return model;
 }
 

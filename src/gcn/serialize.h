@@ -15,17 +15,10 @@
 //
 // Floats are written with max_digits10 so a round-trip is bit-exact.
 //
-// A model whose precision is int8 saves as v2: the v1 layout above
-// followed by a quantized-weights section —
-//
-//   quant int8 <layer-count>
-//   qlayer <in> <out> <scale>
-//   <int8 codes, row-major transposed weight ...>
-//   ...
-//
-// (encoders first, then FC layers), so loading reproduces int8
-// inference bit-for-bit without re-calibration. Models left at the
-// default fp32 precision keep writing byte-identical v1 files.
+// v1 is the only version: every model saves its fp32 weights as v1,
+// whatever its precision tier. Older builds wrote int8 models as v2 (v1
+// plus a quantized-weights section); loading one fails the version check
+// with Error{kVersion}.
 //
 // On disk the v1 text above is the payload of a checksummed
 // `gcnt-artifact` envelope (common/artifact.h), written atomically —

@@ -1,158 +1,24 @@
 #include "gcn/shard.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <utility>
 
-#include "common/artifact.h"
 #include "common/error.h"
 #include "common/stats.h"
 #include "common/trace.h"
 
 namespace gcnt {
 
-// ---------------------------------------------------------------------------
-// ShardStore
-
-void ShardStore::configure(std::string dir) {
-  clear();
-  dir_ = std::move(dir);
-  if (!dir_.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    if (ec) {
-      throw Error(ErrorKind::kIo,
-                  "ShardStore: cannot create spill dir '" + dir_ +
-                      "': " + ec.message());
-    }
-  }
-}
-
-std::string ShardStore::path_of(const std::string& key) const {
-  return dir_ + "/" + key + ".blk";
-}
-
-std::string ShardStore::block_path(int layer, std::size_t shard) const {
-  return path_of("E" + std::to_string(layer) + "_S" + std::to_string(shard));
-}
-
-std::string ShardStore::export_path(int layer, std::size_t producer,
-                                    std::size_t consumer) const {
-  return path_of("X" + std::to_string(layer) + "_S" +
-                 std::to_string(producer) + "_to_S" +
-                 std::to_string(consumer));
-}
-
-void ShardStore::put(int layer, std::size_t shard, const Matrix& block) {
-  put_block("E" + std::to_string(layer) + "_S" + std::to_string(shard),
-            block);
-}
-
-void ShardStore::get(int layer, std::size_t shard, Matrix& out) const {
-  get_block("E" + std::to_string(layer) + "_S" + std::to_string(shard), out);
-}
-
-void ShardStore::put_export(int layer, std::size_t producer,
-                            std::size_t consumer, const Matrix& block) {
-  put_block("X" + std::to_string(layer) + "_S" + std::to_string(producer) +
-                "_to_S" + std::to_string(consumer),
-            block);
-}
-
-void ShardStore::get_export(int layer, std::size_t producer,
-                            std::size_t consumer, Matrix& out) const {
-  get_block("X" + std::to_string(layer) + "_S" + std::to_string(producer) +
-                "_to_S" + std::to_string(consumer),
-            out);
-}
-
-void ShardStore::put_block(const std::string& key, const Matrix& block) {
-  if (!on_disk()) {
-    memory_[key].copy_from(block);
-    return;
-  }
-  static Counter& writes =
-      StatsRegistry::instance().counter("shard.spill_writes");
-  static Counter& write_bytes =
-      StatsRegistry::instance().counter("shard.spill_write_bytes");
-  const std::uint64_t rows = block.rows();
-  const std::uint64_t cols = block.cols();
-  std::string payload(16 + block.rows() * block.cols() * sizeof(float), '\0');
-  std::memcpy(&payload[0], &rows, 8);
-  std::memcpy(&payload[8], &cols, 8);
-  for (std::size_t r = 0; r < block.rows(); ++r) {
-    std::memcpy(&payload[16 + r * block.cols() * sizeof(float)], block.row(r),
-                block.cols() * sizeof(float));
-  }
-  write_artifact_file(path_of(key), "shard-block", payload);
-  writes.add();
-  write_bytes.add(payload.size());
-  written_.insert(key);
-}
-
-void ShardStore::get_block(const std::string& key, Matrix& out) const {
-  if (!on_disk()) {
-    const auto it = memory_.find(key);
-    if (it == memory_.end()) {
-      throw Error(ErrorKind::kInternal,
-                  "ShardStore: missing in-memory block '" + key + "'");
-    }
-    out.resize(it->second.rows(), it->second.cols());
-    out.copy_from(it->second);
-    return;
-  }
-  static Counter& reads =
-      StatsRegistry::instance().counter("shard.spill_reads");
-  static Counter& read_bytes =
-      StatsRegistry::instance().counter("shard.spill_read_bytes");
-  const std::string payload = read_artifact_file(path_of(key), "shard-block");
-  if (payload.size() < 16) {
-    throw Error(ErrorKind::kCorrupt,
-                "ShardStore: block '" + key + "' shorter than its header");
-  }
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  std::memcpy(&rows, payload.data(), 8);
-  std::memcpy(&cols, payload.data() + 8, 8);
-  // The shape comes from untrusted bytes: bound it by the payload before
-  // multiplying, so a hostile header cannot wrap rows * cols to a size
-  // that passes the check.
-  const std::size_t body = payload.size() - 16;
-  if ((cols == 0 ? rows != 0 : rows > body / sizeof(float) / cols) ||
-      rows * cols * sizeof(float) != body) {
-    throw Error(ErrorKind::kCorrupt,
-                "ShardStore: block '" + key + "' size/shape mismatch");
-  }
-  out.resize(rows, cols);
-  if (body != 0) std::memcpy(out.data(), payload.data() + 16, body);
-  reads.add();
-  read_bytes.add(payload.size());
-}
-
-void ShardStore::clear() {
-  memory_.clear();
-  for (const std::string& key : written_) {
-    std::remove(path_of(key).c_str());
-  }
-  written_.clear();
-}
-
-// ---------------------------------------------------------------------------
-// ShardedGcnEngine
-
 ShardedGcnEngine::ShardedGcnEngine(const GcnModel& model,
                                    ShardedGcnOptions options)
     : GcnEngine(model, options.full_fallback_fraction),
-      options_(std::move(options)) {
+      options_(options) {
   if (options_.shards == 0) {
     throw Error(ErrorKind::kUsage, "ShardedGcnEngine: shards must be > 0");
   }
   if (options_.halo < 1) {
     throw Error(ErrorKind::kUsage, "ShardedGcnEngine: halo must be >= 1");
   }
-  store_.configure(options_.spill_dir);
 }
 
 const GraphPartition& ShardedGcnEngine::partition() const {
@@ -308,30 +174,30 @@ void ShardedGcnEngine::gather_active(const GraphTensors& tensors,
     }
     return;
   }
-  store_.get(layer, k, owner_block_);
+  const Matrix& owner_block = owner_blocks_[{layer, k}];
   const std::size_t owner_count = partition_.shard(k).owners.size();
-  if (owner_block_.rows() != owner_count) {
+  if (owner_block.rows() != owner_count) {
     throw Error(ErrorKind::kInternal,
                 "ShardedGcnEngine: owner block row count drifted");
   }
-  out.resize(ls.active.size(), owner_block_.cols());
+  out.resize(ls.active.size(), owner_block.cols());
   const auto& owner_pos = ls.rows_within[0];
   for (std::size_t i = 0; i < owner_count; ++i) {
-    const float* in = owner_block_.row(i);
-    std::copy(in, in + owner_block_.cols(), out.row(owner_pos[i]));
+    const float* in = owner_block.row(i);
+    std::copy(in, in + owner_block.cols(), out.row(owner_pos[i]));
   }
   const Shard& s = partition_.shard(k);
   for (std::size_t g = 0; g < s.recv.size(); ++g) {
-    store_.get_export(layer, s.recv[g].producer, k, xbuf_);
-    if (xbuf_.rows() != s.recv[g].rows.size() ||
-        xbuf_.cols() != out.cols()) {
+    const Matrix& exported = export_blocks_[{layer, s.recv[g].producer, k}];
+    if (exported.rows() != s.recv[g].rows.size() ||
+        exported.cols() != out.cols()) {
       throw Error(ErrorKind::kInternal,
                   "ShardedGcnEngine: export block shape drifted");
     }
     const auto& pos = ls.recv_local[g];
     for (std::size_t i = 0; i < pos.size(); ++i) {
-      const float* in = xbuf_.row(i);
-      std::copy(in, in + xbuf_.cols(), out.row(pos[i]));
+      const float* in = exported.row(i);
+      std::copy(in, in + exported.cols(), out.row(pos[i]));
     }
   }
 }
@@ -339,8 +205,8 @@ void ShardedGcnEngine::gather_active(const GraphTensors& tensors,
 void ShardedGcnEngine::put_exports(int layer, std::size_t p,
                                    const Matrix& owner_block) {
   for (const ExportPlan& plan : send_[p]) {
-    gather_rows(owner_block, plan.positions, xbuf_);
-    store_.put_export(layer, p, plan.consumer, xbuf_);
+    gather_rows(owner_block, plan.positions,
+                export_blocks_[{layer, p, plan.consumer}]);
   }
 }
 
@@ -370,7 +236,8 @@ void ShardedGcnEngine::full_pass(const GraphTensors& tensors) {
       cached_succ_nnz_ != tensors.succ.nnz()) {
     rebuild_all(tensors);
   }
-  store_.clear();
+  owner_blocks_.clear();
+  export_blocks_.clear();
   logits_.resize(n, model_->config().num_classes);
 
   const std::size_t layer_count = model_->encoders().size();
@@ -393,12 +260,12 @@ void ShardedGcnEngine::full_pass(const GraphTensors& tensors) {
         const auto& rows = ls.rows_within[m - j];
         model_->layer_step(d, ls.pred, ls.succ, *x, &rows, Precision::kFp32,
                            ws_, compact_out_);
-        // Persist this layer's owner rows (and their halo exports) so the
+        // Keep this layer's owner rows (and their halo exports) so the
         // incremental path can later re-propagate any layer.
-        gather_rows(compact_out_, ls.owner_pos_in[m - j], owner_block_);
-        store_.put(static_cast<int>(d + 1), k, owner_block_);
+        Matrix& owner_block = owner_blocks_[{static_cast<int>(d + 1), k}];
+        gather_rows(compact_out_, ls.owner_pos_in[m - j], owner_block);
         if (d + 1 < layer_count) {
-          put_exports(static_cast<int>(d + 1), k, owner_block_);
+          put_exports(static_cast<int>(d + 1), k, owner_block);
         }
         if (j < m) {
           // Scatter into the next active buffer; rows outside the next
@@ -412,7 +279,8 @@ void ShardedGcnEngine::full_pass(const GraphTensors& tensors) {
         }
       }
       if (done + m == layer_count) {
-        run_fc(tensors, owner_block_, partition_.shard(k).owners);
+        run_fc(tensors, owner_blocks_[{static_cast<int>(layer_count), k}],
+               partition_.shard(k).owners);
       }
     }
     done += m;
@@ -501,19 +369,18 @@ void ShardedGcnEngine::dirty_pass(const GraphTensors& tensors,
       const LocalShard& ls = locals_[k];
       model_->layer_step(d - 1, ls.pred, ls.succ, active_a_, &dirty_local[k],
                          Precision::kFp32, ws_, compact_out_);
-      store_.get(static_cast<int>(d), k, owner_block_);
+      Matrix& owner_block = owner_blocks_[{static_cast<int>(d), k}];
       const auto& owners = partition_.shard(k).owners;
-      if (owner_block_.rows() < owners.size()) {
-        owner_block_.grow_rows(owners.size());
+      if (owner_block.rows() < owners.size()) {
+        owner_block.grow_rows(owners.size());
       }
       for (std::size_t i = 0; i < dirty_owner_pos[k].size(); ++i) {
         const float* in = compact_out_.row(i);
         std::copy(in, in + compact_out_.cols(),
-                  owner_block_.row(dirty_owner_pos[k][i]));
+                  owner_block.row(dirty_owner_pos[k][i]));
       }
-      store_.put(static_cast<int>(d), k, owner_block_);
       if (d < layer_count) {
-        put_exports(static_cast<int>(d), k, owner_block_);
+        put_exports(static_cast<int>(d), k, owner_block);
       } else {
         run_fc(tensors, compact_out_, dirty_global[k]);
       }
@@ -524,15 +391,11 @@ void ShardedGcnEngine::dirty_pass(const GraphTensors& tensors,
       // already rewrote theirs above, with the new send lists).
       for (std::size_t p = 0; p < shard_count; ++p) {
         if (!dirty_global[p].empty()) continue;
-        bool loaded = false;
+        const int layer = static_cast<int>(d);
         for (const ExportPlan& plan : send_[p]) {
           if (!affected_flag[plan.consumer]) continue;
-          if (!loaded) {
-            store_.get(static_cast<int>(d), p, owner_block_);
-            loaded = true;
-          }
-          gather_rows(owner_block_, plan.positions, xbuf_);
-          store_.put_export(static_cast<int>(d), p, plan.consumer, xbuf_);
+          gather_rows(owner_blocks_[{layer, p}], plan.positions,
+                      export_blocks_[{layer, p, plan.consumer}]);
         }
       }
     }

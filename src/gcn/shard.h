@@ -1,14 +1,16 @@
 #pragma once
-// Sharded out-of-core GCN execution (forward + incremental OPI updates).
+// Sharded GCN execution (forward + incremental OPI updates).
 //
-// The monolithic engines hold every per-layer embedding E_0..E_D for the
-// whole graph in memory at once. ShardedGcnEngine instead partitions the
-// compute rows into K shards (graph/partition.h) and walks them one at a
-// time: for each shard it gathers the owner + halo embeddings, runs up to
-// D aggregation layers on the shard-local sub-matrices, and scatters the
-// owner results back out — so only one shard's tensors are ever resident.
-// Off-shard state lives in a ShardStore, either as in-memory blocks or
-// spilled to disk in the checksummed artifact envelope (common/artifact.h).
+// The monolithic engines run every layer over the whole graph at once.
+// ShardedGcnEngine instead partitions the compute rows into K shards
+// (graph/partition.h) and walks them one at a time: for each shard it
+// gathers the owner + halo embeddings, runs up to D aggregation layers on
+// the shard-local sub-matrices, and scatters the owner results back out.
+// Off-shard state stays in the engine as keyed in-memory blocks.
+//
+// The tier is library-only: no command selects it. It loses to the
+// monolithic engine in time and memory, and stays only for perfbench's
+// sharded probes (ROADMAP item 5).
 //
 // Bitwise identity with the monolithic path is a hard invariant, pinned
 // by tests/shard_test.cpp: the shard-local CSR forms are carved out of
@@ -30,8 +32,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <set>
-#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "gcn/engine.h"
@@ -42,78 +44,19 @@
 
 namespace gcnt {
 
-/// Keyed storage for off-shard embedding blocks: per-(layer, shard) owner
-/// blocks and per-(layer, producer, consumer) halo export blocks. In
-/// memory mode blocks live in a map; in disk mode each block is one
-/// "shard-block" artifact file (u64 rows, u64 cols, then row-major floats,
-/// native-endian — spill files are host-local scratch, not interchange).
-/// Disk writes are atomic (temp + fsync + rename), so a crash mid-spill
-/// leaves the previous block or none — never a torn file; reads verify
-/// the envelope CRC and the header shape against the payload size and
-/// throw Error{kCorrupt} on any damage, Error{kIo} when a block file is
-/// missing or unreadable.
-class ShardStore {
- public:
-  ShardStore() = default;
-
-  /// Switches to disk mode rooted at `dir` (created if missing); an empty
-  /// dir reverts to memory mode. Call before any put().
-  void configure(std::string dir);
-
-  bool on_disk() const noexcept { return !dir_.empty(); }
-  const std::string& dir() const noexcept { return dir_; }
-
-  /// Owner block: embeddings E_layer of one shard's owner rows.
-  void put(int layer, std::size_t shard, const Matrix& block);
-  void get(int layer, std::size_t shard, Matrix& out) const;
-
-  /// Export block: the rows of `producer`'s E_layer owner block that
-  /// `consumer`'s halo needs, in the consumer's recv-group row order.
-  void put_export(int layer, std::size_t producer, std::size_t consumer,
-                  const Matrix& block);
-  void get_export(int layer, std::size_t producer, std::size_t consumer,
-                  Matrix& out) const;
-
-  /// Spill file paths (disk mode; tests use these to corrupt/delete).
-  std::string block_path(int layer, std::size_t shard) const;
-  std::string export_path(int layer, std::size_t producer,
-                          std::size_t consumer) const;
-
-  /// Drops every stored block; disk mode removes the files it wrote.
-  void clear();
-
-  /// Blocks currently stored (memory entries or files written).
-  std::size_t block_count() const noexcept {
-    return on_disk() ? written_.size() : memory_.size();
-  }
-
- private:
-  void put_block(const std::string& key, const Matrix& block);
-  void get_block(const std::string& key, Matrix& out) const;
-  std::string path_of(const std::string& key) const;
-
-  std::string dir_;
-  std::map<std::string, Matrix> memory_;
-  std::set<std::string> written_;  ///< disk keys, for clear()
-};
-
 struct ShardedGcnOptions {
   std::size_t shards = 2;
   /// Halo depth D >= 1; also the number of encoder layers per resident
   /// round. Deeper halos trade larger shard working sets for fewer halo
   /// exchanges. Independent of the model depth (rounds repeat).
   int halo = 1;
-  /// Non-empty: spill off-shard blocks to artifact files under this
-  /// directory instead of keeping them in memory (true out-of-core mode).
-  std::string spill_dir;
   /// Same semantics as IncrementalGcnOptions: dirty fractions beyond this
   /// make update() run a full sharded refresh instead.
   double full_fallback_fraction = 0.25;
 };
 
 /// Shard-at-a-time counterpart of IncrementalGcnEngine: same GcnEngine
-/// contract and bit-exact logits, but peak residency of one shard's
-/// working set instead of the whole graph. refresh() (re)partitions when
+/// contract and bit-exact logits. refresh() (re)partitions when
 /// the graph changed shape; update() re-propagates the dirty rows through
 /// the stored blocks shard by shard and layer-synchronously, extending
 /// the partition over appended rows. The engine tracks one evolving graph
@@ -129,8 +72,10 @@ class ShardedGcnEngine : public GcnEngine {
   /// refresh().
   const GraphPartition& partition() const;
 
-  ShardStore& store() noexcept { return store_; }
-  const ShardStore& store() const noexcept { return store_; }
+  /// Owner and export blocks currently stored.
+  std::size_t block_count() const noexcept {
+    return owner_blocks_.size() + export_blocks_.size();
+  }
 
  private:
   /// Resident working set of one shard: the active rows (owners + halo,
@@ -167,8 +112,8 @@ class ShardedGcnEngine : public GcnEngine {
   void rebuild_local(const GraphTensors& tensors, std::size_t k);
   void rebuild_send_views();
   /// Loads shard k's full active block of E_layer into `out` (layer 0
-  /// reads the feature matrix directly; deeper layers read the stored
-  /// owner + export blocks).
+  /// reads the feature matrix directly; deeper layers read the owner +
+  /// export blocks).
   void gather_active(const GraphTensors& tensors, std::size_t k, int layer,
                      Matrix& out);
   /// Writes every export block of producer p at `layer` from its owner
@@ -184,13 +129,16 @@ class ShardedGcnEngine : public GcnEngine {
   bool has_partition_ = false;
   std::vector<LocalShard> locals_;
   std::vector<std::vector<ExportPlan>> send_;
-  ShardStore store_;
+  /// E_layer of one shard's owner rows, keyed (layer, shard).
+  std::map<std::pair<int, std::size_t>, Matrix> owner_blocks_;
+  /// The rows of a producer's owner block that a consumer's halo needs,
+  /// in the consumer's recv-group row order; keyed (layer, producer,
+  /// consumer).
+  std::map<std::tuple<int, std::size_t, std::size_t>, Matrix> export_blocks_;
   ForwardWorkspace ws_;
   Matrix active_a_;     ///< shard active-block ping
   Matrix active_b_;     ///< shard active-block pong
   Matrix compact_out_;  ///< per-layer compact activation output
-  Matrix owner_block_;  ///< owner-row block staging
-  Matrix xbuf_;         ///< export-row staging
   std::size_t cached_pred_nnz_ = 0;
   std::size_t cached_succ_nnz_ = 0;
 };

@@ -1,5 +1,5 @@
 #pragma once
-// Graph partitioning for out-of-core sharded GCN execution.
+// Graph partitioning for sharded GCN execution (gcn/shard.h).
 //
 // A GraphPartition splits the CSR compute-row space into K disjoint
 // *owner* sets plus, per shard, a D-hop *halo*: the rows within D hops

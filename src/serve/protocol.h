@@ -1,7 +1,6 @@
 #pragma once
 // Wire protocol for the `gcnt serve` daemon: length-prefixed binary
-// frames with a versioned header, carried over a Unix/TCP socket or a
-// stdin/stdout pipe pair.
+// frames with a versioned header, carried over a Unix or TCP socket.
 //
 // Frame layout (all integers little-endian):
 //

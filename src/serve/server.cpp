@@ -13,6 +13,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 
 #include "common/fault_inject.h"
@@ -160,13 +161,7 @@ ServeServer::~ServeServer() {
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (auto& conn : connections_) conn->close();
-  }
-  for (std::thread& reader : readers_) {
-    if (reader.joinable()) reader.join();
-  }
+  close_readers();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (!options_.unix_socket.empty()) ::unlink(options_.unix_socket.c_str());
 }
@@ -183,8 +178,7 @@ void ServeServer::start() {
   // write(), not kill the daemon with SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
 
-  models_ =
-      std::make_unique<ModelRegistry>(options_.model_path, options_.precision);
+  models_ = std::make_unique<ModelRegistry>(options_.model_path);
   slow_ring_ = std::make_unique<SlowRequestRing>(options_.slow_ring);
   if (!options_.access_log.empty()) {
     access_log_ = std::make_unique<AccessLog>(options_.access_log);
@@ -269,14 +263,7 @@ void ServeServer::wait() {
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (auto& conn : connections_) conn->close();
-  }
-  for (std::thread& reader : readers_) {
-    if (reader.joinable()) reader.join();
-  }
-  readers_.clear();
+  close_readers();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -296,11 +283,39 @@ void ServeServer::begin_shutdown() {
   queue_ready_.notify_all();
 }
 
+void ServeServer::reap_readers() {
+  std::vector<Reader> finished;
+  {
+    std::lock_guard<std::mutex> lock(readers_mutex_);
+    const auto done = std::partition(
+        readers_.begin(), readers_.end(), [](const Reader& reader) {
+          return !reader.conn->reader_done.load(std::memory_order_acquire);
+        });
+    finished.assign(std::make_move_iterator(done),
+                    std::make_move_iterator(readers_.end()));
+    readers_.erase(done, readers_.end());
+  }
+  for (Reader& reader : finished) reader.thread.join();
+}
+
+void ServeServer::close_readers() {
+  std::vector<Reader> readers;
+  {
+    std::lock_guard<std::mutex> lock(readers_mutex_);
+    readers.swap(readers_);
+  }
+  for (Reader& reader : readers) reader.conn->close();
+  for (Reader& reader : readers) {
+    if (reader.thread.joinable()) reader.thread.join();
+  }
+}
+
 void ServeServer::acceptor_loop() {
   trace_set_thread_name("serve-accept");
   while (!stop_requested_.load()) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 200);
+    reap_readers();
     if (ready <= 0) continue;  // timeout, EINTR: re-check the stop flag
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
@@ -333,10 +348,9 @@ void ServeServer::acceptor_loop() {
     live_connections_.fetch_add(1, std::memory_order_acq_rel);
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.push_back(conn);
-    readers_.emplace_back(
-        [this, conn = std::move(conn)] { connection_loop(conn); });
+    std::lock_guard<std::mutex> lock(readers_mutex_);
+    readers_.push_back(
+        Reader{conn, std::thread([this, conn] { connection_loop(conn); })});
   }
   begin_shutdown();
 }
@@ -346,6 +360,7 @@ void ServeServer::connection_loop(std::shared_ptr<Connection> conn) {
   pump_connection(conn);
   conn->release();
   live_connections_.fetch_sub(1, std::memory_order_acq_rel);
+  conn->reader_done.store(true, std::memory_order_release);
 }
 
 void ServeServer::pump_connection(const std::shared_ptr<Connection>& conn) {

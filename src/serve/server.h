@@ -6,6 +6,7 @@
 // Architecture:
 //
 //   acceptor thread ── accept() ──> one reader thread per connection
+//        (the acceptor joins a reader once its connection has ended)
 //        reader: read_frame -> admission control -> bounded queue
 //   worker pool (N threads, each with a reusable ForwardWorkspace)
 //        worker: pop -> batch same-session infers -> dispatch -> reply
@@ -74,9 +75,6 @@ enum class WatchdogAction {
 
 struct ServeOptions {
   std::string model_path;  ///< required: initial model artifact
-  /// Inference precision applied at model load and every hot reload
-  /// (resolve --precision / GCNT_PRECISION via resolve_precision()).
-  Precision precision = Precision::kFp32;
 
   // Exactly one transport:
   std::string unix_socket;  ///< bind a Unix domain socket at this path
@@ -143,6 +141,8 @@ class ServeServer {
     std::mutex write_mutex;  ///< one frame on the wire at a time
     std::mutex fd_mutex;     ///< orders shutdown() before the final close
     std::atomic<bool> closed{false};
+    /// Set by the reader as its last step; the acceptor then joins it.
+    std::atomic<bool> reader_done{false};
 
     void send(const Frame& frame);
     /// Wakes the reader and fails every later send. It only shuts the
@@ -191,7 +191,18 @@ class ServeServer {
     std::uint64_t claim_ns = 0;
   };
 
+  /// One accepted connection and the thread that reads it.
+  struct Reader {
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
+  };
+
   void acceptor_loop();
+  /// Joins the readers that have finished and drops their connections,
+  /// so a long-running daemon holds only its live connections' threads.
+  void reap_readers();
+  /// Shuts every connection down and joins every reader.
+  void close_readers();
   void connection_loop(std::shared_ptr<Connection> conn);
   void worker_loop(std::size_t index);
   void watchdog_loop();
@@ -274,9 +285,8 @@ class ServeServer {
   std::vector<std::unique_ptr<InFlight>> in_flight_;  ///< one per worker
   std::thread watchdog_;
   std::atomic<std::size_t> live_connections_{0};
-  std::mutex connections_mutex_;
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::vector<std::thread> readers_;
+  std::mutex readers_mutex_;
+  std::vector<Reader> readers_;
 };
 
 }  // namespace gcnt::serve

@@ -7,31 +7,9 @@
 
 namespace gcnt::serve {
 
-namespace {
-
-/// load_model_file + the registry's precision policy: an explicit kInt8
-/// request calibrates a freshly loaded fp32 model; otherwise the model
-/// keeps the tier its artifact encodes.
-GcnModel load_serving_model(const std::string& path, Precision precision) {
-  GcnModel model = load_model_file(path);
-  if (precision == Precision::kInt8 &&
-      model.precision() != Precision::kInt8) {
-    model.set_precision(Precision::kInt8);
-  }
-  if (model.precision() == Precision::kInt8) {
-    log_info("serve: model serving int8 inference (unedited sessions; "
-             "edited sessions fall back to fp32 incremental)");
-  }
-  return model;
-}
-
-}  // namespace
-
-ModelRegistry::ModelRegistry(std::string path, Precision precision)
-    : path_(std::move(path)), precision_(precision) {
-  model_ = std::make_shared<const GcnModel>(
-      load_serving_model(path_, precision_));
-}
+ModelRegistry::ModelRegistry(std::string path)
+    : path_(std::move(path)),
+      model_(std::make_shared<const GcnModel>(load_model_file(path_))) {}
 
 ModelRegistry::Snapshot ModelRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -43,8 +21,7 @@ std::uint64_t ModelRegistry::reload(const std::string& path) {
   // the served model is never touched (load_model_file checks the
   // envelope CRC, the architecture bounds, and weight finiteness).
   const std::string source = path.empty() ? path_ : path;
-  auto fresh = std::make_shared<const GcnModel>(
-      load_serving_model(source, precision_));
+  auto fresh = std::make_shared<const GcnModel>(load_model_file(source));
   std::lock_guard<std::mutex> lock(mutex_);
   model_ = std::move(fresh);
   path_ = source;

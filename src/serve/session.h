@@ -40,13 +40,7 @@ class ModelRegistry {
   };
 
   /// Loads the initial model (generation 1). Throws like load_model_file.
-  /// `precision` kInt8 calibrates the int8 inference tier at load time
-  /// (resolve the serve --precision flag / GCNT_PRECISION through
-  /// resolve_precision first); kFp32 keeps whatever tier the artifact
-  /// itself encodes (v2 quantized artifacts stay int8, v1 stays fp32).
-  /// The same rule re-applies on every reload().
-  explicit ModelRegistry(std::string path,
-                         Precision precision = Precision::kFp32);
+  explicit ModelRegistry(std::string path);
 
   Snapshot snapshot() const;
 
@@ -59,7 +53,6 @@ class ModelRegistry {
  private:
   mutable std::mutex mutex_;
   std::string path_;
-  Precision precision_ = Precision::kFp32;
   std::shared_ptr<const GcnModel> model_;
   std::uint64_t generation_ = 1;
 };

@@ -1,7 +1,7 @@
 // Int8 quantized inference tier (gcn/quant.h): calibration and round-trip
 // bounds, the integer GEMM/SpMM kernels against naive references, the
 // model-level bitwise determinism contract across threads and dispatch
-// targets, artifact v2 round-trips, the fp32 fallback rules of
+// targets, the fp32 fallback rules of
 // the incremental and sharded engines, and the ForwardWorkspace reuse
 // regression across graph-dimension changes.
 
@@ -9,19 +9,15 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "gcn/incremental.h"
 #include "gcn/model.h"
 #include "gcn/quant.h"
-#include "gcn/serialize.h"
 #include "gcn/shard.h"
 #include "gcn/workspace.h"
 #include "gen/generator.h"
@@ -131,19 +127,6 @@ TEST_F(QuantTest, QuantizeLinearUsesPerColumnScales) {
     for (std::size_t k = 0; k < q.in; ++k) sum += q.row(j)[k];
     EXPECT_EQ(q.col_sums[j], sum);
   }
-}
-
-TEST_F(QuantTest, MakeQuantizedLinearValidatesShapesAndScales) {
-  std::vector<std::int8_t> codes(6, 1);
-  std::vector<float> scales(2, 0.5f);
-  EXPECT_NO_THROW(make_quantized_linear(3, 2, scales, codes));
-  EXPECT_THROW(make_quantized_linear(3, 3, scales, codes), Error);
-  EXPECT_THROW(make_quantized_linear(3, 2, {0.5f}, codes), Error);
-  EXPECT_THROW(make_quantized_linear(3, 2, {0.5f, 0.0f}, codes), Error);
-  EXPECT_THROW(make_quantized_linear(3, 2, {0.5f, -1.0f}, codes), Error);
-  std::vector<std::int8_t> bad = codes;
-  bad[4] = std::numeric_limits<std::int8_t>::min();  // -128 never emitted
-  EXPECT_THROW(make_quantized_linear(3, 2, scales, bad), Error);
 }
 
 TEST_F(QuantTest, QuantizedLinearForwardMatchesIntegerReference) {
@@ -262,60 +245,6 @@ TEST_F(QuantTest, Fp32PathUnchangedByPrecisionRoundTrip) {
   model.set_precision(Precision::kFp32);
   const Matrix after = model.infer(tensors);
   EXPECT_EQ(before, after);
-}
-
-TEST_F(QuantTest, SerializeV2RoundTripReproducesInt8Bits) {
-  const GraphTensors tensors = generated_tensors(500, 0xE5);
-  GcnModel model(small_config());
-
-  // An fp32 model still writes v1 — byte-identical saves, old readers OK.
-  std::ostringstream fp32_stream;
-  save_model(model, fp32_stream);
-  EXPECT_EQ(fp32_stream.str().substr(0, 13), "gcnt-model v1");
-
-  model.set_precision(Precision::kInt8);
-  const Matrix int8_logits = model.infer(tensors);
-  std::ostringstream v2_stream;
-  save_model(model, v2_stream);
-  EXPECT_EQ(v2_stream.str().substr(0, 13), "gcnt-model v2");
-
-  std::istringstream in(v2_stream.str());
-  GcnModel loaded = load_model(in);
-  EXPECT_EQ(loaded.precision(), Precision::kInt8);
-  ASSERT_EQ(loaded.quantized_encoders().size(),
-            model.quantized_encoders().size());
-  EXPECT_EQ(loaded.infer(tensors), int8_logits)
-      << "v2 load must reproduce int8 inference bit-for-bit";
-
-  // The fp32 weights ride along unchanged in v2.
-  loaded.set_precision(Precision::kFp32);
-  model.set_precision(Precision::kFp32);
-  EXPECT_EQ(loaded.infer(tensors), model.infer(tensors));
-
-  // v1 payload still loads (back-compat).
-  std::istringstream v1_in(fp32_stream.str());
-  GcnModel v1_loaded = load_model(v1_in);
-  EXPECT_EQ(v1_loaded.precision(), Precision::kFp32);
-  EXPECT_EQ(v1_loaded.infer(tensors), model.infer(tensors));
-}
-
-TEST_F(QuantTest, SerializeV2RejectsCorruptQuantSection) {
-  GcnModel model(small_config());
-  model.set_precision(Precision::kInt8);
-  std::ostringstream out;
-  save_model(model, out);
-  std::string text = out.str();
-
-  // Truncate inside the quant section.
-  const std::string::size_type qpos = text.find("qlayer");
-  ASSERT_NE(qpos, std::string::npos);
-  std::istringstream truncated(text.substr(0, qpos + 10));
-  EXPECT_THROW(load_model(truncated), Error);
-
-  // An out-of-range weight code must be rejected.
-  const std::string::size_type cut = text.rfind('\n', text.size() - 2);
-  std::istringstream bad_code(text.substr(0, cut + 1) + "999\n");
-  EXPECT_THROW(load_model(bad_code), Error);
 }
 
 // Incremental engine contract: it always computes fp32 (bit-identical to

@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 
+#include "common/artifact.h"
 #include "common/error.h"
 #include "gcn/serialize.h"
 #include "gen/generator.h"
@@ -109,6 +111,48 @@ TEST(Serialize, VersionMismatchIsVersionError) {
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kVersion);
   }
+}
+
+// Older builds saved int8 models as v2: the v1 text under a v2 header,
+// then a quantized-weights section. This build reads v1 only, so such a
+// file is a typed version error, bare or inside the artifact envelope.
+TEST(Serialize, V2ModelIsVersionError) {
+  GcnModel model(small_config());
+  std::ostringstream v1;
+  save_model(model, v1);
+  std::string v2 = v1.str();
+  ASSERT_EQ(v2.compare(0, 14, "gcnt-model v1\n"), 0);
+  v2.replace(0, 13, "gcnt-model v2");
+  v2 += "quant int8 4\nqlayer 4 8\n";
+  const auto kind_of_load = [](const std::function<void()>& load) {
+    try {
+      load();
+    } catch (const Error& e) {
+      return e.kind();
+    }
+    return ErrorKind::kInternal;
+  };
+  std::istringstream bare(v2);
+  EXPECT_EQ(kind_of_load([&] { load_model(bare); }), ErrorKind::kVersion);
+  const std::string path = "serialize_test_v2.txt";
+  write_artifact_file(path, "model", v2);
+  EXPECT_EQ(kind_of_load([&] { load_model_file(path); }),
+            ErrorKind::kVersion);
+  std::remove(path.c_str());
+}
+
+// The int8 tier is not persisted: a model set to it saves the same v1
+// bytes as at fp32, and loads back at fp32.
+TEST(Serialize, Int8ModelSavesFp32WeightsAsV1) {
+  GcnModel model(small_config());
+  std::ostringstream fp32;
+  save_model(model, fp32);
+  model.set_precision(Precision::kInt8);
+  std::ostringstream int8;
+  save_model(model, int8);
+  EXPECT_EQ(int8.str(), fp32.str());
+  std::istringstream in(int8.str());
+  EXPECT_EQ(load_model(in).precision(), Precision::kFp32);
 }
 
 /// Builds a syntactically valid header around hostile architecture

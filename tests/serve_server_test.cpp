@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -615,6 +616,53 @@ TEST_F(ServeServerTest, AccessLogWritesOneParsableLinePerRequest) {
   EXPECT_EQ(lines, 6u);
   EXPECT_EQ(usage_lines, 1u);
   ::unlink(log_path.c_str());
+}
+
+/// This process's mapped address space in kB (VmSize, /proc/self/status).
+long vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      long kb = 0;
+      status >> kb;
+      return kb;
+    }
+    std::getline(status, key);
+  }
+  return -1;
+}
+
+// Every accepted connection runs on its own reader thread. A finished
+// reader must be joined while the daemon runs: unjoined, its stack stays
+// mapped until shutdown, so the address space grows with every
+// connection the daemon has ever accepted.
+TEST_F(ServeServerTest, FinishedReadersAreReaped) {
+  start(options());
+  const auto ping_once = [this] {
+    ServeClient client = connect();
+    client.ping();
+  };
+  // Warm up first: the allocator's per-thread arenas settle.
+  for (int i = 0; i < 16; ++i) ping_once();
+  const long before_kb = vm_size_kb();
+  ASSERT_GT(before_kb, 0);
+  constexpr long kConnections = 200;
+  for (long i = 0; i < kConnections; ++i) ping_once();
+  const long grown_kb = vm_size_kb() - before_kb;
+
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  std::size_t stack_bytes = 0;
+  pthread_attr_getstacksize(&attr, &stack_bytes);
+  pthread_attr_destroy(&attr);
+  const long stack_kb = static_cast<long>(stack_bytes / 1024);
+  ASSERT_GT(stack_kb, 0);
+  // Unreaped, the readers would keep kConnections stacks mapped; allow a
+  // few that are still finishing.
+  EXPECT_LT(grown_kb, 16 * stack_kb)
+      << kConnections << " sequential connections grew VmSize by "
+      << grown_kb << " kB (thread stack " << stack_kb << " kB)";
 }
 
 TEST_F(ServeServerTest, SlowRingKeepsWorstRequestsSorted) {

@@ -1,27 +1,21 @@
-// Sharded out-of-core execution (graph/partition.h + gcn/shard.h): the
-// equivalence suite pinning the bitwise-identity claim — sharded logits
-// must equal the monolithic GcnModel::infer and IncrementalGcnEngine
-// results for every shard count, halo depth, reorder policy, and spill
-// mode — plus partition invariant tests (disjoint cover, exact D-hop halo
-// closure, owner/halo bijection, extend-after-append) and spill-store
-// durability tests (artifact round-trip, corruption rejection,
-// kill-mid-spill recovery). Registered whole-binary at GCNT_THREADS 1 and
-// 8 (tests/CMakeLists.txt), mirroring the serve suite.
+// Sharded execution (graph/partition.h + gcn/shard.h): the equivalence
+// suite pinning the bitwise-identity claim — sharded logits must equal
+// the monolithic GcnModel::infer and IncrementalGcnEngine results for
+// every shard count, halo depth and reorder policy — plus partition
+// invariant tests (disjoint cover, exact D-hop halo closure, owner/halo
+// bijection, extend-after-append). Registered whole-binary at
+// GCNT_THREADS 1 and 8 (tests/CMakeLists.txt), mirroring the serve suite.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <functional>
 #include <numeric>
 #include <string>
 #include <vector>
 
-#include "common/artifact.h"
 #include "common/error.h"
-#include "common/fault_inject.h"
 #include "gcn/graph_tensors.h"
 #include "gcn/incremental.h"
 #include "gcn/model.h"
@@ -422,24 +416,6 @@ TEST(ShardedForward, BitIdenticalUnderRcmReorder) {
   reset_graph_reorder();
 }
 
-TEST(ShardedForward, SpillToDiskIsIdenticalAndEnveloped) {
-  const Netlist netlist = test_netlist(34, 1000);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  GcnModel model(small_config());
-  const Matrix reference = model.infer(tensors);
-  ShardedGcnOptions options;
-  options.shards = 4;
-  options.halo = 1;
-  options.spill_dir = testing::TempDir() + "gcnt_shard_spill";
-  ShardedGcnEngine engine(model, options);
-  engine.refresh(tensors);
-  EXPECT_EQ(engine.logits(), reference);
-  EXPECT_TRUE(engine.store().on_disk());
-  EXPECT_GT(engine.store().block_count(), 0u);
-  // Every spilled block is a checksummed artifact (common/artifact.h).
-  EXPECT_TRUE(is_artifact_file(engine.store().block_path(1, 0)));
-}
-
 // ---------------------------------------------------------------------------
 // Sharded incremental updates: the OPI dirty-cone path
 
@@ -482,7 +458,7 @@ TEST(ShardedIncremental, MatchesMonolithicAcrossInsertionBatches) {
   }
 }
 
-TEST(ShardedIncremental, RcmAndSpillTogetherStayIdentical) {
+TEST(ShardedIncremental, RcmReorderStaysIdentical) {
   set_graph_reorder(GraphReorder::kRcm);
   Netlist netlist = test_netlist(42);
   GraphTensors tensors = build_graph_tensors(netlist);
@@ -494,7 +470,6 @@ TEST(ShardedIncremental, RcmAndSpillTogetherStayIdentical) {
   ShardedGcnOptions options;
   options.shards = 4;
   options.halo = 1;
-  options.spill_dir = testing::TempDir() + "gcnt_shard_spill_rcm";
   options.full_fallback_fraction = 0.9;
   ShardedGcnEngine engine(model, options);
   engine.refresh(tensors);
@@ -524,125 +499,6 @@ TEST(ShardedIncremental, OversizedDirtySetFallsBackToFullForward) {
   engine.update(tensors, all);
   EXPECT_TRUE(engine.last_was_full());
   EXPECT_EQ(engine.logits(), model.infer(tensors));
-}
-
-// ---------------------------------------------------------------------------
-// ShardStore durability
-
-TEST(ShardStore, MemoryRoundTrip) {
-  ShardStore store;
-  Matrix block(3, 5);
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 5; ++c) {
-      block.at(r, c) = static_cast<float>(r * 5 + c) * 0.25f;
-    }
-  }
-  store.put(2, 1, block);
-  store.put_export(2, 1, 0, block);
-  EXPECT_EQ(store.block_count(), 2u);
-  Matrix out;
-  store.get(2, 1, out);
-  EXPECT_EQ(out, block);
-  store.get_export(2, 1, 0, out);
-  EXPECT_EQ(out, block);
-  EXPECT_EQ(kind_of([&] { store.get(3, 0, out); }), ErrorKind::kInternal);
-  store.clear();
-  EXPECT_EQ(store.block_count(), 0u);
-}
-
-TEST(ShardStore, DiskRoundTripUsesTheArtifactEnvelope) {
-  ShardStore store;
-  store.configure(testing::TempDir() + "gcnt_shard_store");
-  Matrix block(4, 3);
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      block.at(r, c) = static_cast<float>(r) - static_cast<float>(c) * 0.5f;
-    }
-  }
-  store.put(1, 2, block);
-  EXPECT_TRUE(is_artifact_file(store.block_path(1, 2)));
-  Matrix out;
-  store.get(1, 2, out);
-  EXPECT_EQ(out, block);
-  // Missing blocks are an I/O error, not silence.
-  EXPECT_EQ(kind_of([&] { store.get(1, 3, out); }), ErrorKind::kIo);
-  store.clear();
-  EXPECT_EQ(kind_of([&] { store.get(1, 2, out); }), ErrorKind::kIo);
-}
-
-TEST(ShardStore, CorruptedBlockIsRejected) {
-  ShardStore store;
-  store.configure(testing::TempDir() + "gcnt_shard_corrupt");
-  Matrix block(2, 2);
-  block.at(0, 0) = 1.0f;
-  block.at(1, 1) = 2.0f;
-  store.put(1, 0, block);
-  // Flip one payload byte behind the envelope's back.
-  const std::string path = store.block_path(1, 0);
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, -1, SEEK_END), 0);
-  const int byte = std::fgetc(f);
-  ASSERT_NE(byte, EOF);
-  ASSERT_EQ(std::fseek(f, -1, SEEK_END), 0);
-  std::fputc(byte ^ 0x40, f);
-  std::fclose(f);
-  Matrix out;
-  EXPECT_EQ(kind_of([&] { store.get(1, 0, out); }), ErrorKind::kCorrupt);
-
-  // A valid envelope around a hostile header: rows = 2^62, cols = 4 makes
-  // rows * cols * sizeof(float) wrap to 0, matching the empty body.
-  std::string forged(16, '\0');
-  const std::uint64_t rows = std::uint64_t{1} << 62;
-  const std::uint64_t cols = 4;
-  std::memcpy(&forged[0], &rows, 8);
-  std::memcpy(&forged[8], &cols, 8);
-  write_artifact_file(path, "shard-block", forged);
-  EXPECT_EQ(kind_of([&] { store.get(1, 0, out); }), ErrorKind::kCorrupt);
-  store.clear();
-}
-
-TEST(ShardStore, KillMidSpillLeavesThePreviousBlock) {
-  ShardStore store;
-  store.configure(testing::TempDir() + "gcnt_shard_kill");
-  Matrix original(2, 3);
-  original.fill(1.5f);
-  store.put(1, 0, original);
-  // The next write dies before the rename — the old block must survive
-  // intact (atomic temp + fsync + rename).
-  FaultSpec spec;
-  spec.fail_write_nth = 1;
-  set_fault_spec(spec);
-  Matrix replacement(2, 3);
-  replacement.fill(9.0f);
-  EXPECT_EQ(kind_of([&] { store.put(1, 0, replacement); }), ErrorKind::kIo);
-  clear_fault_injection();
-  Matrix out;
-  store.get(1, 0, out);
-  EXPECT_EQ(out, original);
-  store.clear();
-}
-
-TEST(ShardedForward, RecoversAfterAKilledSpillWrite) {
-  const Netlist netlist = test_netlist(44, 800);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  GcnModel model(small_config());
-  const Matrix reference = model.infer(tensors);
-  ShardedGcnOptions options;
-  options.shards = 2;
-  options.halo = 1;
-  options.spill_dir = testing::TempDir() + "gcnt_shard_recover";
-  ShardedGcnEngine engine(model, options);
-  // Kill the 5th spill write mid-refresh: the forward aborts with kIo and
-  // no cache is published.
-  FaultSpec spec;
-  spec.fail_write_nth = 5;
-  set_fault_spec(spec);
-  EXPECT_EQ(kind_of([&] { engine.refresh(tensors); }), ErrorKind::kIo);
-  clear_fault_injection();
-  // The retry starts clean and produces the exact monolithic bits.
-  engine.refresh(tensors);
-  EXPECT_EQ(engine.logits(), reference);
 }
 
 }  // namespace

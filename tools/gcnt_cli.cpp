@@ -1,6 +1,6 @@
 // gcnt — command-line front end for the library.
 //
-//   gcnt generate --gates N --seed S --out design.bench [--verilog]
+//   gcnt generate --gates N --seed S --out design.bench
 //   gcnt stats    design.bench
 //   gcnt scoap    design.bench [--worst K]
 //   gcnt label    design.bench [--batches B] [--rate R]
@@ -35,11 +35,12 @@
 // --stats-json out.json writes it as JSON. GCNT_TRACE / GCNT_STATS do the
 // same via the environment.
 //
-// Performance knobs (infer/opi/flow/serve): --simd auto|scalar|avx2|avx512
-// pins the microkernel backend and --precision fp32|int8 selects the
-// inference tier. Each flag outranks its environment variable (GCNT_SIMD
-// / GCNT_PRECISION); see docs/API.md ("SIMD backend" and "Quantized
-// inference") for the full precedence and fallback rules.
+// Each command accepts only its own flags (kCommands) plus the global
+// ones; any other flag is a usage error (exit 64) that names it.
+//
+// Performance knob (infer/flow/serve): --simd auto|scalar|avx2|avx512
+// pins the microkernel backend, outranking GCNT_SIMD; see docs/API.md
+// ("SIMD backend") for the full precedence and fallback rules.
 //
 // Netlist files ending in .v are read/written as structural Verilog,
 // anything else as ISCAS .bench.
@@ -57,6 +58,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -73,7 +75,6 @@
 #include "data/dataset.h"
 #include "dft/gcn_opi.h"
 #include "gcn/graph_tensors.h"
-#include "gcn/quant.h"
 #include "gcn/serialize.h"
 #include "gcn/trainer.h"
 #include "gcn/workspace.h"
@@ -147,15 +148,6 @@ void apply_simd_flag(const Args& args) {
     log_warn("--simd ", value, " unavailable on this host; using ",
              simd_target_name());
   }
-}
-
-// --precision <fp32|int8>, falling back to GCNT_PRECISION then fp32.
-// Unknown values warn and resolve to fp32 (resolve_precision), matching
-// the env-var behavior exactly.
-Precision cli_precision(const Args& args) {
-  return args.has("precision")
-             ? resolve_precision(args.get("precision", "fp32").c_str())
-             : resolve_precision();
 }
 
 bool is_verilog_path(const std::string& path) {
@@ -351,20 +343,15 @@ int cmd_train(const Args& args) {
 
 // Single-shot whole-graph inference: netlist -> tensors -> logits.
 // Prints a summary; --out writes one "name p(positive) predicted" line
-// per node. --precision int8 runs the quantized tier (docs/API.md
-// "Quantized inference").
+// per node.
 int cmd_infer(const Args& args) {
   apply_simd_flag(args);
   const Netlist netlist =
       read_netlist_file(netlist_arg(args, args.get("netlist", "")));
-  GcnModel model = [&] {
+  const GcnModel model = [&] {
     TraceSpan span("model.load");
     return load_model_file(args.get("model", "model.txt"));
   }();
-  if (cli_precision(args) == Precision::kInt8 &&
-      model.precision() != Precision::kInt8) {
-    model.set_precision(Precision::kInt8);
-  }
   GraphTensors tensors = build_graph_tensors(netlist);
   tensors.standardize_features();
   ForwardWorkspace ws;
@@ -391,23 +378,14 @@ int cmd_infer(const Args& args) {
     std::cout << "wrote per-node predictions to " << out << "\n";
   }
   std::cout << positives << " predicted difficult-to-observe nodes of "
-            << netlist.size() << " (" << precision_name(model.precision())
-            << ", simd " << simd_target_name() << ")\n";
+            << netlist.size() << " (simd " << simd_target_name() << ")\n";
   return 0;
 }
 
 int cmd_opi(const Args& args) {
   const std::string design = netlist_arg(args);
   Netlist netlist = read_netlist_file(design);
-  GcnModel model = load_model_file(args.get("model", "model.txt"));
-  // int8 requests quantize the model here; the incremental/sharded
-  // engines inside run_gcn_opi still compute fp32 (there is no
-  // row-subset int8 kernel yet) and tick quant.fallback per pass
-  // (docs/API.md "Quantized inference").
-  if (cli_precision(args) == Precision::kInt8 &&
-      model.precision() != Precision::kInt8) {
-    model.set_precision(Precision::kInt8);
-  }
+  const GcnModel model = load_model_file(args.get("model", "model.txt"));
   GcnOpiOptions options;
   options.max_iterations = args.get_size("iterations", 12);
   // gcnt train always trains on standardized features.
@@ -423,9 +401,6 @@ int cmd_opi(const Args& args) {
     options.journal_design = design;
     options.resume = args.has("resume");
   }
-  options.shards = args.get_size("shards", 0);
-  options.shard_halo = static_cast<int>(args.get_size("halo", 1));
-  options.shard_spill_dir = args.get("spill-dir", "");
   const auto result = run_gcn_opi(netlist, {&model}, options);
   std::cout << "inserted " << result.inserted.size() << " observation points"
             << " in " << result.iterations << " iterations ("
@@ -490,14 +465,6 @@ int cmd_flow(const Args& args) {
   std::cout << "trained " << history.size() << " epochs, final loss "
             << Table::num(history.back().loss, 4) << "\n";
 
-  // Quantize after training (calibration reads the trained weights). The
-  // OPI engines below compute fp32 — no row-subset int8 kernel exists
-  // yet — and tick quant.fallback, so this mainly exercises the flag
-  // plumbing end to end under --trace.
-  if (cli_precision(args) == Precision::kInt8) {
-    model.set_precision(Precision::kInt8);
-  }
-
   GcnOpiOptions opi_options;
   opi_options.max_iterations = args.get_size("iterations", 2);
   opi_options.standardize_features = true;  // as trained above
@@ -506,9 +473,6 @@ int cmd_flow(const Args& args) {
     opi_options.journal_design = design;
     opi_options.resume = resume;
   }
-  opi_options.shards = args.get_size("shards", 0);
-  opi_options.shard_halo = static_cast<int>(args.get_size("halo", 1));
-  opi_options.shard_spill_dir = args.get("spill-dir", "");
   const auto result = run_gcn_opi(dataset.netlist, {&model}, opi_options);
   std::cout << "inserted " << result.inserted.size()
             << " observation points in " << result.iterations
@@ -543,7 +507,6 @@ int cmd_serve(const Args& args) {
   apply_simd_flag(args);
   serve::ServeOptions options;
   options.model_path = args.get("model", "");
-  options.precision = cli_precision(args);
   options.unix_socket = args.get("socket", "");
   if (args.has("port")) {
     options.tcp_port = static_cast<int>(args.get_size("port", 0));
@@ -778,10 +741,8 @@ int usage() {
             << "  infer    <netlist> --model model.txt [--out pred.txt]\n"
             << "  opi      <netlist> --model model.txt --out out.bench\n"
             << "           [--journal [file]] [--resume]\n"
-            << "           [--shards K] [--halo D] [--spill-dir dir]\n"
             << "  flow     [<netlist>] [--gates N] [--epochs E] [--atpg]\n"
             << "           [--checkpoint base] [--resume]\n"
-            << "           [--shards K] [--halo D] [--spill-dir dir]\n"
             << "  serve    --model model.txt (--socket path | --port P)\n"
             << "           [--workers N] [--queue N] [--batch N] "
                "[--max-sessions N]\n"
@@ -798,31 +759,64 @@ int usage() {
                "[--count N] [--plain]\n"
             << "global flags: --trace out.json | --stats | --stats-json "
                "out.json\n"
-            << "infer/opi/flow/serve: --precision fp32|int8; "
-               "infer/flow/serve: --simd auto|scalar|avx2|avx512\n"
-            << "  (each flag outranks its env var GCNT_PRECISION / "
+            << "infer/flow/serve: --simd auto|scalar|avx2|avx512 (outranks "
                "GCNT_SIMD)\n"
+            << "a flag the command does not take is a usage error\n"
             << "netlists ending in .v are treated as structural Verilog\n"
             << "exit codes: 64 usage, 65 corrupt/version, 70 internal, "
                "71 resource, 74 i/o, 75 deadline\n";
   return exit_code_for(ErrorKind::kUsage);
 }
 
+/// One command: its handler and the flags it reads, besides kGlobalFlags.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+constexpr std::string_view kGlobalFlags[] = {"trace", "stats", "stats-json"};
+
+const std::vector<Command> kCommands = {
+    {"generate", cmd_generate,
+     {"gates", "seed", "inputs", "outputs", "flops", "traps", "out"}},
+    {"stats", cmd_stats, {}},
+    {"scoap", cmd_scoap, {"worst"}},
+    {"label", cmd_label, {"batches", "rate"}},
+    {"atpg", cmd_atpg, {"sample", "patterns"}},
+    {"train", cmd_train,
+     {"model", "epochs", "batches", "weight", "checkpoint",
+      "checkpoint-interval", "resume"}},
+    {"infer", cmd_infer, {"netlist", "model", "out", "simd"}},
+    {"opi", cmd_opi, {"model", "out", "iterations", "journal", "resume"}},
+    {"flow", cmd_flow,
+     {"gates", "seed", "epochs", "batches", "iterations", "checkpoint",
+      "resume", "atpg", "sample", "out", "simd"}},
+    {"serve", cmd_serve,
+     {"model", "socket", "port", "workers", "queue", "batch", "max-sessions",
+      "slow-ring", "access-log", "read-timeout", "idle-timeout", "max-conns",
+      "watchdog", "watchdog-action", "brownout-queue", "simd"}},
+    {"ping", cmd_ping, {"socket", "port", "timeout"}},
+    {"metrics", cmd_metrics, {"socket", "port", "timeout", "slow"}},
+    {"top", cmd_top,
+     {"socket", "port", "timeout", "interval", "count", "plain"}},
+};
+
 int dispatch(const Args& args) {
-  if (args.command == "generate") return cmd_generate(args);
-  if (args.command == "stats") return cmd_stats(args);
-  if (args.command == "scoap") return cmd_scoap(args);
-  if (args.command == "label") return cmd_label(args);
-  if (args.command == "atpg") return cmd_atpg(args);
-  if (args.command == "train") return cmd_train(args);
-  if (args.command == "infer") return cmd_infer(args);
-  if (args.command == "opi") return cmd_opi(args);
-  if (args.command == "flow") return cmd_flow(args);
-  if (args.command == "serve") return cmd_serve(args);
-  if (args.command == "ping") return cmd_ping(args);
-  if (args.command == "metrics") return cmd_metrics(args);
-  if (args.command == "top") return cmd_top(args);
-  return usage();
+  const auto command =
+      std::find_if(kCommands.begin(), kCommands.end(),
+                   [&](const Command& c) { return c.name == args.command; });
+  if (command == kCommands.end()) return usage();
+  for (const auto& [flag, value] : args.options) {
+    if (std::find(command->flags.begin(), command->flags.end(), flag) ==
+            command->flags.end() &&
+        std::find(std::begin(kGlobalFlags), std::end(kGlobalFlags), flag) ==
+            std::end(kGlobalFlags)) {
+      throw Error(ErrorKind::kUsage,
+                  args.command + " does not take --" + flag);
+    }
+  }
+  return command->run(args);
 }
 
 }  // namespace
