@@ -5,6 +5,7 @@
 
 #include "common/log.h"
 #include "cop/cop.h"
+#include "dft/insertion_loop.h"
 
 namespace gcnt {
 
@@ -30,11 +31,9 @@ CpiResult run_baseline_cpi(Netlist& netlist, const CpiOptions& options) {
     result.rounds = round + 1;
 
     std::sort(candidates.begin(), candidates.end());
-    std::size_t budget = std::max<std::size_t>(
-        options.min_inserts_per_round,
-        static_cast<std::size_t>(options.insert_fraction *
-                                 static_cast<double>(candidates.size())));
-    budget = std::min(budget, candidates.size());
+    const std::size_t budget =
+        insertion_budget(candidates.size(), options.insert_fraction,
+                         options.min_inserts_per_round);
 
     for (std::size_t k = 0; k < budget; ++k) {
       const auto& [rarity, target, rare_is_one] = candidates[k];

@@ -38,6 +38,22 @@ struct FlowJournalRecord {
   std::vector<std::pair<NodeId, int>> entries;
 };
 
+/// The journal settings of the OPI and CPI flows.
+struct FlowJournalOptions {
+  /// When non-empty, each iteration's accepted insertion batch is appended
+  /// to this journal, fsync'd before it is applied, so an interrupted
+  /// sweep can be resumed mid-flow.
+  std::string journal_path;
+  /// With a journal_path: replay a matching journal left by an interrupted
+  /// sweep (re-applying its insertions on the original netlist without
+  /// re-running prediction), then continue at the next iteration. Safe to
+  /// pass always: with no journal on disk the sweep starts fresh.
+  bool resume = false;
+  /// Identity recorded in the journal header (e.g. the netlist file name);
+  /// a resumed journal must have been written for the same design.
+  std::string journal_design = "netlist";
+};
+
 class FlowJournal {
  public:
   FlowJournal() = default;

@@ -106,13 +106,13 @@ void EditableDesign::sync() {
   csr_stale_ = false;
 }
 
-EditableDesign::Prediction EditableDesign::predict(bool incremental) {
+EditableDesign::Prediction EditableDesign::predict() {
   if (engines_.empty()) {
     throw std::logic_error("EditableDesign::predict: no models set");
   }
   sync();
   Prediction result;
-  if (!primed_ || !incremental) {
+  if (!primed_) {
     for (auto& engine : engines_) engine->refresh(tensors_);
     primed_ = true;
     result.refreshed = true;

@@ -57,9 +57,9 @@ class EditableDesign {
   Netlist::ControlPoint control(NodeId target, bool drive_to_one);
 
   /// Applies pending edits, then refreshes every engine (first call after
-  /// set_models(), or `incremental` false) or updates them over the dirty
-  /// cone of the deepest stage. Needs at least one model.
-  Prediction predict(bool incremental = true);
+  /// set_models()) or updates them over the dirty cone of the deepest
+  /// stage. Needs at least one model.
+  Prediction predict();
 
   /// Edits made since the last predict().
   bool has_pending_edits() const noexcept { return !tracker_.empty(); }

@@ -23,6 +23,10 @@
 
 namespace gcnt {
 
+/// The dirty fraction past which an engine's update() runs a full pass
+/// instead: beyond it the subset bookkeeping costs more than it saves.
+inline constexpr double kFullFallbackFraction = 0.25;
+
 class GcnEngine {
  public:
   virtual ~GcnEngine() = default;

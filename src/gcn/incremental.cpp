@@ -85,9 +85,8 @@ std::vector<NodeId> DirtyConeTracker::affected(const GraphTensors& tensors,
   return result;
 }
 
-IncrementalGcnEngine::IncrementalGcnEngine(const GcnModel& model,
-                                           IncrementalGcnOptions options)
-    : GcnEngine(model, options.full_fallback_fraction) {}
+IncrementalGcnEngine::IncrementalGcnEngine(const GcnModel& model)
+    : GcnEngine(model, kFullFallbackFraction) {}
 
 void IncrementalGcnEngine::full_pass(const GraphTensors& tensors) {
   static KernelStats& stats = kernel_stats("gcn.incremental.refresh");

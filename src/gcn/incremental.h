@@ -58,20 +58,12 @@ class DirtyConeTracker {
   std::vector<NodeId> seeds_;
 };
 
-struct IncrementalGcnOptions {
-  /// When the dirty set exceeds this fraction of all nodes, update() runs
-  /// a full forward instead — beyond it the subset bookkeeping costs more
-  /// than it saves.
-  double full_fallback_fraction = 0.25;
-};
-
 /// Per-model incremental inference state: cached E_0..E_D and logits of
 /// the last (full or incremental) forward. The model's parameters must not
 /// change between calls (the OPI/CPI flows use trained, frozen models).
 class IncrementalGcnEngine : public GcnEngine {
  public:
-  explicit IncrementalGcnEngine(const GcnModel& model,
-                                IncrementalGcnOptions options = {});
+  explicit IncrementalGcnEngine(const GcnModel& model);
 
  private:
   /// GcnModel::infer with the embeddings sink: E_0..E_D land in the cache.

@@ -50,9 +50,9 @@ struct ShardedGcnOptions {
   /// round. Deeper halos trade larger shard working sets for fewer halo
   /// exchanges. Independent of the model depth (rounds repeat).
   int halo = 1;
-  /// Same semantics as IncrementalGcnOptions: dirty fractions beyond this
-  /// make update() run a full sharded refresh instead.
-  double full_fallback_fraction = 0.25;
+  /// Dirty fractions beyond this make update() run a full sharded refresh
+  /// instead.
+  double full_fallback_fraction = kFullFallbackFraction;
 };
 
 /// Shard-at-a-time counterpart of IncrementalGcnEngine: same GcnEngine

@@ -155,13 +155,11 @@ std::vector<EpochRecord> Trainer::run_epochs(
   const std::vector<float> class_weights{1.0f,
                                          options_.positive_class_weight};
 
-  // One replica per worker slot; each step a replica handles one graph,
-  // mirroring the one-graph-per-GPU scheme of Fig. 5.
-  const std::size_t replica_count =
-      options_.workers == 0 ? train_graphs.size()
-                            : std::min(options_.workers, train_graphs.size());
-  std::vector<GcnModel> replicas(replica_count, *model_);
-  ThreadPool pool(replica_count);
+  // One replica per training graph, mirroring the one-graph-per-GPU
+  // scheme of Fig. 5.
+  const std::size_t graph_count = train_graphs.size();
+  std::vector<GcnModel> replicas(graph_count, *model_);
+  ThreadPool pool(graph_count);
 
   const auto master_params = model_->params();
   history.reserve(options_.epochs);
@@ -181,37 +179,31 @@ std::vector<EpochRecord> Trainer::run_epochs(
     // Advance the trainer stream once per epoch so its checkpointed state
     // genuinely reflects progress (future stochastic schedules draw here).
     (void)rng();
-    std::vector<double> losses(train_graphs.size(), 0.0);
+    std::vector<double> losses(graph_count, 0.0);
 
-    // Process graphs in waves of `replica_count`.
-    for (std::size_t wave = 0; wave < train_graphs.size();
-         wave += replica_count) {
-      const std::size_t in_wave =
-          std::min(replica_count, train_graphs.size() - wave);
-      for (std::size_t k = 0; k < in_wave; ++k) {
-        replicas[k].copy_params_from(*model_);
-        replicas[k].zero_grad();
-      }
-      pool.parallel_for(in_wave, [&](std::size_t k) {
-        const TrainGraph& tg = train_graphs[wave + k];
-        GcnModel& replica = replicas[k];
-        const Matrix logits = replica.forward(*tg.graph);
-        Matrix dlogits;
-        losses[wave + k] = softmax_cross_entropy(
-            logits, tg.graph->labels, class_weights,
-            tg.rows.empty() ? nullptr : &tg.rows, dlogits);
-        replica.backward(*tg.graph, dlogits);
-      });
-      // Gather: average replica gradients into the master, then step.
-      const float scale = 1.0f / static_cast<float>(in_wave);
-      for (std::size_t k = 0; k < in_wave; ++k) {
-        const auto replica_params = replicas[k].params();
-        for (std::size_t p = 0; p < master_params.size(); ++p) {
-          master_params[p]->grad.axpy(scale, replica_params[p]->grad);
-        }
-      }
-      optimizer.step(master_params);
+    for (GcnModel& replica : replicas) {
+      replica.copy_params_from(*model_);
+      replica.zero_grad();
     }
+    pool.parallel_for(graph_count, [&](std::size_t k) {
+      const TrainGraph& tg = train_graphs[k];
+      GcnModel& replica = replicas[k];
+      const Matrix logits = replica.forward(*tg.graph);
+      Matrix dlogits;
+      losses[k] = softmax_cross_entropy(
+          logits, tg.graph->labels, class_weights,
+          tg.rows.empty() ? nullptr : &tg.rows, dlogits);
+      replica.backward(*tg.graph, dlogits);
+    });
+    // Gather: average replica gradients into the master, then step.
+    const float scale = 1.0f / static_cast<float>(graph_count);
+    for (const GcnModel& replica : replicas) {
+      const auto replica_params = replica.params();
+      for (std::size_t p = 0; p < master_params.size(); ++p) {
+        master_params[p]->grad.axpy(scale, replica_params[p]->grad);
+      }
+    }
+    optimizer.step(master_params);
 
     EpochRecord record;
     record.epoch = epoch;

@@ -643,15 +643,17 @@ void ServeServer::dispatch(const Request& request, ForwardWorkspace& ws,
   if (record.outcome != "ok") errors.add();
 
   // Batch members get their own replies, spans and access-log lines; the
-  // shared forward pass is visible through the common batch size.
+  // shared forward pass is visible through the common batch size. A
+  // member's span covers only its own reply, after the leader's closed.
   for (const Request& member : batch.members) {
     AccessRecord member_record = shared;
     member_record.queue_wait_us =
         since_ns(member.enqueue_ns, batch.claim_ns) / 1000;
+    const std::uint64_t reply_ns = trace_now_ns();
     reply(member, response_for(member.frame), member_record, batch.claim_ns);
     if (member.sampled && trace_enabled()) {
-      trace_detail::record("serve.request", batch.claim_ns, trace_now_ns(),
-                           "rid", static_cast<double>(member.rid), "op",
+      trace_detail::record("serve.request", reply_ns, trace_now_ns(), "rid",
+                           static_cast<double>(member.rid), "op",
                            static_cast<double>(member.frame.opcode));
     }
   }

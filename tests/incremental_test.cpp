@@ -1,8 +1,8 @@
 // Incremental dirty-cone inference (gcn/incremental.h): the equivalence
 // suite pinning the bit-identity claim — incremental logits must equal a
-// full GcnModel::infer after 1, 8, and 64 OP insertions, across thread
-// counts — plus DirtyConeTracker unit tests and the
-// OPI/CPI end-to-end incremental-vs-full comparison.
+// full GcnModel::infer after 1, 2, and 64 OP insertions, across thread
+// counts — plus DirtyConeTracker unit tests and end-to-end checks of the
+// OPI/CPI loops' dirty-cone re-prediction.
 
 #include <gtest/gtest.h>
 
@@ -163,9 +163,10 @@ TEST(Incremental, RefreshMatchesInferBitwise) {
 }
 
 /// The core equivalence matrix: incremental logits == full-infer logits
-/// after 1, 8, and 64 OP insertions, for GCNT_THREADS in {1, 8}.
+/// after 1, 2, and 64 OP insertions, for GCNT_THREADS in {1, 8}, on
+/// whichever path the fallback rule picks.
 TEST(Incremental, UpdateMatchesFullInferAcrossThreads) {
-  for (const std::size_t insertions : {1u, 8u, 64u}) {
+  for (const std::size_t insertions : {1u, 2u, 64u}) {
     for (const int threads : {1, 8}) {
       set_kernel_threads(threads);
 
@@ -174,9 +175,7 @@ TEST(Incremental, UpdateMatchesFullInferAcrossThreads) {
       std::vector<std::uint32_t> levels = netlist.logic_levels();
       GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
       const GcnModel model(small_config());
-      // Fallback disabled: force the incremental path even at 64
-      // insertions so the subset kernels themselves are what is tested.
-      IncrementalGcnEngine engine(model, IncrementalGcnOptions{2.0});
+      IncrementalGcnEngine engine(model);
       engine.refresh(tensors);
 
       DirtyConeTracker tracker;
@@ -186,8 +185,17 @@ TEST(Incremental, UpdateMatchesFullInferAcrossThreads) {
 
       const auto dirty = tracker.affected(tensors, model.config().depth);
       engine.update(tensors, dirty);
-      EXPECT_FALSE(engine.last_was_full());
-      EXPECT_EQ(engine.last_dirty_rows(), dirty.size());
+      // The subset kernels run for 1 and 2 insertions. From 8 on, the
+      // dirty cone on this design is past kFullFallbackFraction, so the
+      // update of 64 is a full pass.
+      const bool over = static_cast<double>(dirty.size()) >
+                        kFullFallbackFraction *
+                            static_cast<double>(tensors.node_count());
+      EXPECT_EQ(over, insertions == 64) << "dirty=" << dirty.size();
+      EXPECT_EQ(engine.last_was_full(), over);
+      if (!over) {
+        EXPECT_EQ(engine.last_dirty_rows(), dirty.size());
+      }
       EXPECT_EQ(engine.logits(), model.infer(tensors))
           << "insertions=" << insertions << " threads=" << threads;
 
@@ -204,7 +212,7 @@ TEST(Incremental, RepeatedUpdateBatchesStayIdentical) {
   std::vector<std::uint32_t> levels = netlist.logic_levels();
   GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
   const GcnModel model(small_config(2));
-  IncrementalGcnEngine engine(model, IncrementalGcnOptions{2.0});
+  IncrementalGcnEngine engine(model);
   engine.refresh(tensors);
 
   auto all_targets = op_targets(netlist, 24);
@@ -224,11 +232,21 @@ TEST(Incremental, FallsBackAboveDirtyFractionThreshold) {
   const Netlist netlist = test_netlist(51, 400);
   const GraphTensors tensors = build_graph_tensors(netlist);
   const GcnModel model(small_config(2));
-  IncrementalGcnEngine engine(model, IncrementalGcnOptions{0.0});
+  IncrementalGcnEngine engine(model);
   engine.refresh(tensors);
-  // Any non-empty dirty set exceeds a 0.0 threshold -> full fallback.
-  engine.update(tensors, {0});
+  // One row past kFullFallbackFraction of the nodes -> full fallback.
+  const auto over = static_cast<std::size_t>(
+      kFullFallbackFraction * static_cast<double>(tensors.node_count()));
+  std::vector<NodeId> dirty(over + 1);
+  for (NodeId v = 0; v < dirty.size(); ++v) dirty[v] = v;
+  engine.update(tensors, dirty);
   EXPECT_TRUE(engine.last_was_full());
+  EXPECT_EQ(engine.logits(), model.infer(tensors));
+  // At the fraction itself the dirty rows are re-propagated.
+  dirty.pop_back();
+  engine.update(tensors, dirty);
+  EXPECT_FALSE(engine.last_was_full());
+  EXPECT_EQ(engine.last_dirty_rows(), dirty.size());
   EXPECT_EQ(engine.logits(), model.infer(tensors));
 }
 
@@ -246,7 +264,7 @@ TEST(Incremental, UpdateValidatesInputs) {
   const Netlist netlist = test_netlist(53, 300);
   GraphTensors tensors = build_graph_tensors(netlist);
   const GcnModel model(small_config(2));
-  IncrementalGcnEngine engine(model, IncrementalGcnOptions{2.0});
+  IncrementalGcnEngine engine(model);
   engine.refresh(tensors);
   EXPECT_THROW(
       engine.update(tensors, {static_cast<NodeId>(netlist.size())}),
@@ -263,8 +281,10 @@ TEST(Incremental, UpdateValidatesInputs) {
 }
 
 TEST(Incremental, OpiFlowIdenticalWithAndWithoutIncremental) {
-  // End-to-end pin: the full OPI loop makes exactly the same decisions
-  // whether predictions come from the incremental engine or from scratch.
+  // End-to-end pin: the OPI loop makes exactly the same decisions whether
+  // predictions come from dirty-cone updates or from scratch. Chained
+  // single-iteration runs predict from scratch: each builds a new design,
+  // whose first predict() is a full forward.
   const GcnModel model(small_config());
   GcnOpiOptions options;
   options.max_iterations = 3;
@@ -272,14 +292,20 @@ TEST(Incremental, OpiFlowIdenticalWithAndWithoutIncremental) {
 
   Netlist full_netlist = test_netlist(61, 600);
   Netlist incremental_netlist = full_netlist;
-  options.incremental = false;
-  const OpiResult full = run_gcn_opi(full_netlist, {&model}, options);
-  options.incremental = true;
+  GcnOpiOptions single = options;
+  single.max_iterations = 1;
+  std::vector<NodeId> full_inserted;
+  OpiResult full;
+  for (std::size_t i = 0; i < options.max_iterations; ++i) {
+    full = run_gcn_opi(full_netlist, {&model}, single);
+    full_inserted.insert(full_inserted.end(), full.inserted.begin(),
+                         full.inserted.end());
+  }
   const OpiResult incremental =
       run_gcn_opi(incremental_netlist, {&model}, options);
 
-  EXPECT_EQ(full.inserted, incremental.inserted);
-  EXPECT_EQ(full.iterations, incremental.iterations);
+  EXPECT_EQ(full_inserted, incremental.inserted);
+  EXPECT_EQ(incremental.iterations, options.max_iterations);
   EXPECT_EQ(full.final_positive_predictions,
             incremental.final_positive_predictions);
   EXPECT_GT(incremental.inserted.size(), 0u);
@@ -311,15 +337,15 @@ TEST(Incremental, OpiFlowIdenticalWithAndWithoutIncremental) {
   EXPECT_EQ(run({&model, &second}, 3, 1), cascade);
 }
 
-TEST(Incremental, CpiFlowIdenticalWithAndWithoutIncremental) {
-  Netlist full_netlist = test_netlist(62, 500);
-  Netlist incremental_netlist = full_netlist;
+TEST(Incremental, CpiFlowRepredictsDirtyCone) {
+  Netlist first_netlist = test_netlist(62, 500);
+  Netlist second_netlist = first_netlist;
 
   // A briefly trained difficult-to-control classifier: an untrained model
   // may predict no positives at all, which would make this test vacuous.
-  GraphTensors train_tensors = build_graph_tensors(full_netlist);
+  GraphTensors train_tensors = build_graph_tensors(first_netlist);
   train_tensors.labels = label_difficult_to_control(
-      full_netlist, compute_cop(full_netlist), 0.02);
+      first_netlist, compute_cop(first_netlist), 0.02);
   GcnModel model(small_config(2));
   TrainerOptions trainer_options;
   trainer_options.epochs = 60;
@@ -330,25 +356,41 @@ TEST(Incremental, CpiFlowIdenticalWithAndWithoutIncremental) {
   const TrainGraph data{&train_tensors, {}};
   trainer.train({data}, nullptr);
 
+  // The second iteration re-predicts through the dirty cone of the first
+  // batch's rebuild; its logits equal a full forward (pinned for random
+  // control edits by EditableDesignOracle), and the loop's counters say
+  // what it did.
   GcnCpiOptions options;
   options.max_iterations = 2;
   options.insert_fraction = 0.2;
-  options.incremental = false;
-  const GcnCpiResult full = run_gcn_cpi(full_netlist, {&model}, options);
-  options.incremental = true;
-  const GcnCpiResult incremental =
-      run_gcn_cpi(incremental_netlist, {&model}, options);
+  const bool stats_were_on = stats_enabled();
+  set_stats_enabled(true);
+  StatsRegistry& stats = StatsRegistry::instance();
+  const std::uint64_t iterations_before =
+      stats.counter("cpi.iterations").value();
+  const std::uint64_t inserted_before =
+      stats.counter("cpi.inserted_points").value();
+  const std::uint64_t dirty_before = stats.counter("cpi.dirty_nodes").value();
+  const GcnCpiResult first = run_gcn_cpi(first_netlist, {&model}, options);
+  EXPECT_EQ(stats.counter("cpi.iterations").value() - iterations_before,
+            options.max_iterations);
+  EXPECT_EQ(stats.counter("cpi.inserted_points").value() - inserted_before,
+            first.inserted.size());
+  EXPECT_GT(stats.counter("cpi.dirty_nodes").value() - dirty_before, 0u);
+  set_stats_enabled(stats_were_on);
 
-  EXPECT_GT(full.inserted.size(), 0u);
-  ASSERT_EQ(full.inserted.size(), incremental.inserted.size());
-  for (std::size_t i = 0; i < full.inserted.size(); ++i) {
-    EXPECT_EQ(full.inserted[i].control, incremental.inserted[i].control);
-    EXPECT_EQ(full.inserted[i].gate, incremental.inserted[i].gate);
-    EXPECT_EQ(full.inserted[i].inverter, incremental.inserted[i].inverter);
+  const GcnCpiResult second = run_gcn_cpi(second_netlist, {&model}, options);
+  EXPECT_GT(first.inserted.size(), 0u);
+  ASSERT_EQ(first.inserted.size(), second.inserted.size());
+  for (std::size_t i = 0; i < first.inserted.size(); ++i) {
+    EXPECT_EQ(first.inserted[i].control, second.inserted[i].control);
+    EXPECT_EQ(first.inserted[i].gate, second.inserted[i].gate);
+    EXPECT_EQ(first.inserted[i].inverter, second.inserted[i].inverter);
   }
-  EXPECT_EQ(full.iterations, incremental.iterations);
-  EXPECT_EQ(full.final_positive_predictions,
-            incremental.final_positive_predictions);
+  EXPECT_EQ(first.iterations, options.max_iterations);
+  EXPECT_EQ(first.iterations, second.iterations);
+  EXPECT_EQ(first.final_positive_predictions,
+            second.final_positive_predictions);
 }
 
 TEST(Incremental, RcmReorderingKeepsIncrementalBitIdentical) {
@@ -365,7 +407,7 @@ TEST(Incremental, RcmReorderingKeepsIncrementalBitIdentical) {
   ASSERT_TRUE(tensors.reordered());
 
   const GcnModel model(small_config(2));
-  IncrementalGcnEngine engine(model, IncrementalGcnOptions{2.0});
+  IncrementalGcnEngine engine(model);
   engine.refresh(tensors);
   EXPECT_EQ(engine.logits(), model.infer(tensors));
 
@@ -393,7 +435,7 @@ TEST(Incremental, TracedUpdatesRecordOneSpanEach) {
   const Netlist netlist = test_netlist(13, 600);
   const GraphTensors tensors = build_graph_tensors(netlist);
   const GcnModel model(small_config(2));
-  IncrementalGcnEngine engine(model, IncrementalGcnOptions{2.0});
+  IncrementalGcnEngine engine(model);
   engine.refresh(tensors);
 
   const bool stats_were_on = stats_enabled();

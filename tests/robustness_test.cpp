@@ -15,8 +15,11 @@
 #include "common/error.h"
 #include "common/fault_inject.h"
 #include "common/parallel.h"
+#include "cop/cop.h"
 #include "data/dataset.h"
+#include "data/labeler.h"
 #include "dft/flow_journal.h"
+#include "dft/gcn_cpi.h"
 #include "dft/gcn_opi.h"
 #include "gcn/checkpoint.h"
 #include "gcn/serialize.h"
@@ -560,55 +563,111 @@ TEST(FlowJournal, MidFileCorruptionRejected) {
   std::remove(path.c_str());
 }
 
-// ---- End-to-end OPI crash/resume -----------------------------------------
+// ---- End-to-end OPI/CPI crash/resume --------------------------------------
 
-TEST(OpiJournal, CrashedSweepResumesToIdenticalNetlist) {
-  FaultGuard guard;
-  // Train a small predictor so the sweep actually inserts points.
+/// One insertion flow over the shared loop: its trained model and a sweep
+/// that returns what it inserted (OPI: targets; CPI: the CP gates).
+struct JournaledFlow {
+  GcnModel model{tiny_model_config()};
+  std::function<std::vector<NodeId>(const GcnModel&, Netlist&,
+                                    const std::string& journal, bool resume,
+                                    std::size_t& iterations)>
+      sweep;
+};
+
+/// A small predictor for `flow`, trained so the sweep actually inserts
+/// points: difficult-to-observe labels for "opi", difficult-to-control
+/// labels for "cpi".
+JournaledFlow make_journaled_flow(const std::string& flow) {
+  JournaledFlow made;
+  const Netlist netlist = generate_circuit(tiny_design(57));
   LabelerOptions labeler;
   labeler.batches = 8;
-  Dataset dataset =
-      make_dataset(generate_circuit(tiny_design(57)), labeler);
-  GcnModel model(tiny_model_config());
+  Dataset dataset = make_dataset(netlist, labeler);
+  if (flow == "cpi") {
+    dataset.tensors.labels = label_difficult_to_control(
+        dataset.netlist, compute_cop(dataset.netlist), 0.02);
+  }
   TrainerOptions train_options;
   train_options.epochs = 60;
   train_options.positive_class_weight = 8.0f;
   train_options.eval_interval = 100;
-  Trainer trainer(model, train_options);
+  Trainer trainer(made.model, train_options);
   const TrainGraph graph{&dataset.tensors, {}};
   trainer.train({graph}, nullptr);
 
-  GcnOpiOptions opi;
-  opi.max_iterations = 3;
+  if (flow == "opi") {
+    made.sweep = [](const GcnModel& model, Netlist& netlist,
+                    const std::string& journal, bool resume,
+                    std::size_t& iterations) {
+      GcnOpiOptions options;
+      options.max_iterations = 3;
+      options.journal_path = journal;
+      options.journal_design = "tiny57";
+      options.resume = resume;
+      const OpiResult result = run_gcn_opi(netlist, {&model}, options);
+      iterations = result.iterations;
+      return result.inserted;
+    };
+  } else {
+    made.sweep = [](const GcnModel& model, Netlist& netlist,
+                    const std::string& journal, bool resume,
+                    std::size_t& iterations) {
+      GcnCpiOptions options;
+      options.max_iterations = 3;
+      options.journal_path = journal;
+      options.journal_design = "tiny57";
+      options.resume = resume;
+      const GcnCpiResult result = run_gcn_cpi(netlist, {&model}, options);
+      iterations = result.iterations;
+      std::vector<NodeId> gates;
+      for (const Netlist::ControlPoint& cp : result.inserted) {
+        gates.push_back(cp.gate);
+      }
+      return gates;
+    };
+  }
+  return made;
+}
+
+class FlowJournalResume : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FlowJournalResume, CrashedSweepResumesToIdenticalNetlist) {
+  FaultGuard guard;
+  const JournaledFlow flow = make_journaled_flow(GetParam());
 
   // Reference: uninterrupted sweep.
   Netlist reference = generate_circuit(tiny_design(57));
-  const OpiResult expected = run_gcn_opi(reference, {&model}, opi);
-  ASSERT_GT(expected.inserted.size(), 0u) << "sweep inserted nothing; the "
-                                             "crash/resume check is vacuous";
+  std::size_t expected_iterations = 0;
+  const std::vector<NodeId> expected =
+      flow.sweep(flow.model, reference, "", false, expected_iterations);
+  ASSERT_GT(expected.size(), 0u) << "sweep inserted nothing; the "
+                                    "crash/resume check is vacuous";
 
   // Crash: fail the journal's second record append (probe 1 = header,
   // probe 2 = iteration 0, probe 3 = iteration 1).
-  const std::string journal_path = "robustness_opi.journal";
+  const std::string journal_path = "robustness_" + GetParam() + ".journal";
   std::remove(journal_path.c_str());
-  opi.journal_path = journal_path;
-  opi.journal_design = "tiny57";
   Netlist crashed = generate_circuit(tiny_design(57));
   FaultSpec spec;
   spec.fail_write_nth = 3;
   set_fault_spec(spec);
-  EXPECT_EQ(kind_of([&] { run_gcn_opi(crashed, {&model}, opi); }),
+  std::size_t iterations = 0;
+  EXPECT_EQ(kind_of([&] {
+              flow.sweep(flow.model, crashed, journal_path, false,
+                         iterations);
+            }),
             ErrorKind::kIo);
   clear_fault_injection();
   EXPECT_TRUE(std::ifstream(journal_path).good()) << "journal must survive";
 
   // Resume on the ORIGINAL netlist: replay + continue.
-  opi.resume = true;
   Netlist resumed = generate_circuit(tiny_design(57));
-  const OpiResult actual = run_gcn_opi(resumed, {&model}, opi);
+  const std::vector<NodeId> actual =
+      flow.sweep(flow.model, resumed, journal_path, true, iterations);
 
-  EXPECT_EQ(actual.inserted, expected.inserted);
-  EXPECT_EQ(actual.iterations, expected.iterations);
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(iterations, expected_iterations);
   std::ostringstream reference_text, resumed_text;
   write_bench(reference, reference_text);
   write_bench(resumed, resumed_text);
@@ -616,6 +675,10 @@ TEST(OpiJournal, CrashedSweepResumesToIdenticalNetlist) {
   // A completed sweep removes its journal.
   EXPECT_FALSE(std::ifstream(journal_path).good());
 }
+
+INSTANTIATE_TEST_SUITE_P(BothFlows, FlowJournalResume,
+                         ::testing::Values("opi", "cpi"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace gcnt

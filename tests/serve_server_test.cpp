@@ -12,18 +12,24 @@
 #include <pthread.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
+#include "common/fault_inject.h"
 #include "common/json.h"
 #include "common/stats.h"
+#include "common/trace.h"
 #include "gcn/graph_tensors.h"
 #include "gcn/model.h"
 #include "gcn/serialize.h"
@@ -221,6 +227,91 @@ TEST_F(ServeServerTest, ConcurrentClientsStayBitIdentical) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST_F(ServeServerTest, BatchedRequestSpansDoNotOverlap) {
+  // One worker, each dispatch stalled 20 ms: while the leader stalls, the
+  // other client's infer queues and the leader claims it as a batch
+  // member. Every member's serve.request span must cover its own reply
+  // only, after the leader's has closed, so that no two serve.request
+  // spans on one thread partly overlap.
+  ServeOptions opts = options();
+  opts.workers = 1;
+  start(opts);
+  const Circuit circuit = canonical_circuit();
+  {
+    ServeClient setup = connect();
+    setup.load_session_inline("s", circuit.text, false);
+  }
+  const bool stats_were_on = stats_enabled();
+  set_stats_enabled(true);
+  Counter& batched = StatsRegistry::instance().counter("serve.batched_infers");
+  const std::uint64_t batched_before = batched.value();
+  FaultSpec delay;
+  delay.serve_delay_nth = 1;
+  delay.serve_delay_every = 1;
+  delay.serve_delay_ms = 20;
+  set_fault_spec(delay);
+  const std::uint64_t sample_period = trace_sample_period();
+  set_trace_sample_period(1);
+  const std::string path = "serve_batch_trace_" + std::to_string(::getpid()) +
+                           ".json";
+  trace_reset();
+  trace_start();
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([this] {
+      ServeClient client = ServeClient::connect_unix(socket_path_);
+      for (int i = 0; i < 6; ++i) client.infer("s");
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  // Spans are recorded after the reply goes out. The one worker answering
+  // an unsampled ping means every infer's dispatch has finished.
+  clear_fault_injection();
+  set_trace_sample_period(std::numeric_limits<std::uint64_t>::max());
+  connect().ping();
+  ASSERT_TRUE(trace_stop(path));
+  set_trace_sample_period(sample_period);
+  const std::uint64_t batched_members = batched.value() - batched_before;
+  set_stats_enabled(stats_were_on);
+  EXPECT_GT(batched_members, 0u) << "no batch formed; the check is vacuous";
+
+  const TraceValidation validation = validate_trace_file(path);
+  EXPECT_TRUE(validation.ok) << validation.error;
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  json::Value root;
+  std::string error;
+  ASSERT_TRUE(json::parse(text.str(), root, error)) << error;
+  std::map<double, std::vector<std::pair<double, double>>> by_thread;
+  for (const json::Value& event : root.find("traceEvents")->array) {
+    const json::Value* name = event.find("name");
+    if (name == nullptr || name->text != "serve.request") continue;
+    const double ts = event.find("ts")->number;
+    by_thread[event.find("tid")->number].emplace_back(
+        ts, ts + event.find("dur")->number);
+  }
+  std::size_t spans = 0;
+  for (auto& [tid, intervals] : by_thread) {
+    std::sort(intervals.begin(), intervals.end());
+    spans += intervals.size();
+    for (std::size_t i = 0; i < intervals.size(); ++i) {
+      for (std::size_t j = i + 1; j < intervals.size(); ++j) {
+        const auto& [a_begin, a_end] = intervals[i];
+        const auto& [b_begin, b_end] = intervals[j];
+        const bool disjoint = b_begin >= a_end;
+        const bool nested = b_end <= a_end;
+        EXPECT_TRUE(disjoint || nested)
+            << "serve.request spans partly overlap on thread " << tid
+            << ": [" << a_begin << ", " << a_end << ") and [" << b_begin
+            << ", " << b_end << ")";
+      }
+    }
+  }
+  EXPECT_EQ(spans, 12u);
+  std::remove(path.c_str());
 }
 
 TEST_F(ServeServerTest, AppendObserveMatchesFullRebuild) {

@@ -435,7 +435,7 @@ TEST(ShardedIncremental, MatchesMonolithicAcrossInsertionBatches) {
   // path rather than degenerating to full forwards.
   options.full_fallback_fraction = 0.9;
   ShardedGcnEngine sharded(model, options);
-  IncrementalGcnEngine monolithic(model, IncrementalGcnOptions{0.9});
+  IncrementalGcnEngine monolithic(model);
   sharded.refresh(tensors);
   monolithic.refresh(tensors);
   ASSERT_EQ(sharded.logits(), monolithic.logits());

@@ -48,7 +48,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -91,6 +93,13 @@ namespace {
 
 using namespace gcnt;
 
+template <typename T>
+bool parse_whole(const std::string& text, T& value) {
+  const char* end = text.data() + text.size();
+  const auto [parsed, error] = std::from_chars(text.data(), end, value);
+  return error == std::errc() && parsed == end;
+}
+
 struct Args {
   std::string command;
   std::vector<std::string> positional;
@@ -100,13 +109,30 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+  // A numeric flag's whole value must be the number: a sign on a size,
+  // an empty value, trailing characters or a non-number is a usage error
+  // that names the flag.
   std::size_t get_size(const std::string& key, std::size_t fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stoull(it->second);
+    if (it == options.end()) return fallback;
+    std::size_t value = 0;
+    if (!parse_whole(it->second, value)) {
+      throw Error(ErrorKind::kUsage, "--" + key +
+                                         " needs a non-negative integer "
+                                         "(got '" + it->second + "')");
+    }
+    return value;
   }
   double get_double(const std::string& key, double fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    double value = 0.0;
+    if (!parse_whole(it->second, value) || !std::isfinite(value)) {
+      throw Error(ErrorKind::kUsage, "--" + key +
+                                         " needs a finite number (got '" +
+                                         it->second + "')");
+    }
+    return value;
   }
   bool has(const std::string& key) const { return options.count(key) > 0; }
 };
@@ -224,9 +250,9 @@ int cmd_stats(const Args& args) {
 }
 
 int cmd_scoap(const Args& args) {
+  const std::size_t worst = args.get_size("worst", 10);
   const Netlist netlist = read_netlist_file(netlist_arg(args));
   const auto measures = compute_scoap(netlist);
-  const std::size_t worst = args.get_size("worst", 10);
   std::vector<NodeId> nodes;
   for (NodeId v = 0; v < netlist.size(); ++v) {
     if (is_logic(netlist.type(v))) nodes.push_back(v);
@@ -304,17 +330,8 @@ int cmd_atpg(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
-  Netlist netlist = read_netlist_file(netlist_arg(args));
   LabelerOptions labeler;
   labeler.batches = args.get_size("batches", 16);
-  Dataset dataset = make_dataset(std::move(netlist), labeler);
-  dataset.tensors.standardize_features();
-  std::cout << "labeled " << dataset.positives() << " positives\n";
-
-  GcnConfig config;
-  config.embed_dims = {32, 64, 128};
-  config.fc_dims = {64, 64, 128};
-  GcnModel model(config);
   TrainerOptions options;
   options.epochs = args.get_size("epochs", 200);
   options.learning_rate = 1e-2f;
@@ -329,6 +346,16 @@ int cmd_train(const Args& args) {
     options.checkpoint_path = checkpoint == "1" ? path + ".ckpt" : checkpoint;
     options.checkpoint_interval = args.get_size("checkpoint-interval", 1);
   }
+
+  Netlist netlist = read_netlist_file(netlist_arg(args));
+  Dataset dataset = make_dataset(std::move(netlist), labeler);
+  dataset.tensors.standardize_features();
+  std::cout << "labeled " << dataset.positives() << " positives\n";
+
+  GcnConfig config;
+  config.embed_dims = {32, 64, 128};
+  config.fc_dims = {64, 64, 128};
+  GcnModel model(config);
   Trainer trainer(model, options);
   const TrainGraph data{&dataset.tensors, {}};
   const auto history =
