@@ -30,14 +30,23 @@ std::filesystem::path cache_dir() {
   return std::filesystem::path("gcnt_bench_cache");
 }
 
-/// Cache layout per design: <dir>/<gates>_<name>.bench + .labels (one
-/// label per line, node order).
+/// Cache layout per design: <dir>/<gates>_<name>.bench + .labels (a
+/// version line, then one label per line in the .bench file's node
+/// order). A labels file without the version line may hold the labels of
+/// the generated node order, which the .bench file does not keep, and is
+/// a cache miss.
+constexpr const char* kLabelsVersion = "# gcnt-bench-labels v2";
+
 bool load_cached(std::size_t gates, const std::string& name,
                  Netlist& netlist, std::vector<std::int32_t>& labels) {
   const auto base = cache_dir() / (std::to_string(gates) + "_" + name);
   std::ifstream bench_in(base.string() + ".bench");
   std::ifstream labels_in(base.string() + ".labels");
-  if (!bench_in || !labels_in) return false;
+  std::string version;
+  if (!bench_in || !std::getline(labels_in, version) ||
+      version != kLabelsVersion) {
+    return false;
+  }
   try {
     netlist = read_bench(bench_in, name);
   } catch (const std::exception&) {
@@ -62,6 +71,7 @@ void store_cache(std::size_t gates, const Dataset& dataset) {
       write_bench(dataset.netlist, out);
     });
     atomic_write_file(base.string() + ".labels", [&](std::ostream& out) {
+      out << kLabelsVersion << "\n";
       for (std::int32_t label : dataset.tensors.labels) {
         out << label << "\n";
       }
@@ -115,7 +125,12 @@ std::vector<Dataset> load_suite() {
     }
     Timer timer;
     LabelerOptions labeler;  // empirical oracle, default budget
-    Dataset dataset = make_dataset(generate_benchmark_design(i, gates), labeler);
+    // Label the design's .bench round trip, which renumbers some nodes:
+    // it is the netlist every later run reads back from the cache.
+    Dataset dataset = make_dataset(
+        read_bench_string(
+            write_bench_string(generate_benchmark_design(i, gates)), name),
+        labeler);
     log_info("built + labeled ", dataset.name(), " (", dataset.netlist.size(),
              " nodes) in ", Table::num(timer.seconds(), 1), "s");
     store_cache(gates, dataset);

@@ -91,30 +91,40 @@ std::uint32_t crc32c(const void* data, std::size_t len,
 
 void atomic_write_file(const std::string& path,
                        const std::function<void(std::ostream&)>& writer) {
-  std::ostringstream buffer;
-  writer(buffer);
-  const std::string contents = buffer.str();
-
-  // The write probe may throw (fail-write) — before any byte hits disk,
-  // so the previous artifact survives — or truncate (short-write), which
-  // models a torn write that still got renamed into place: the loader
-  // must catch it by checksum, and the fault tests assert exactly that.
-  const std::size_t keep = fault_write_probe(contents.size());
-
+  // The writer streams straight into the temp file, so a writer that
+  // produces its bytes in chunks never holds the whole file in memory.
   const std::string temp =
       path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  std::size_t size = 0;
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
     if (!out) fail_io("cannot open for write", temp);
-    out.write(contents.data(), static_cast<std::streamsize>(keep));
+    try {
+      writer(out);
+    } catch (...) {
+      out.close();
+      std::remove(temp.c_str());
+      throw;
+    }
     out.flush();
-    if (!out.good()) {
+    const std::streamoff end = out.tellp();
+    if (!out.good() || end < 0) {
       out.close();
       std::remove(temp.c_str());
       fail_io("write failed", temp);
     }
+    size = static_cast<std::size_t>(end);
   }
   try {
+    // The write probe may throw (fail-write) — before the rename, so the
+    // previous artifact survives — or truncate (short-write), which
+    // models a torn write that still got renamed into place: the loader
+    // must catch it by checksum, and the fault tests assert exactly that.
+    const std::size_t keep = fault_write_probe(size);
+    if (keep < size &&
+        ::truncate(temp.c_str(), static_cast<off_t>(keep)) != 0) {
+      fail_io("truncate failed", temp);
+    }
     fsync_path(temp, /*directory=*/false);
   } catch (...) {
     std::remove(temp.c_str());

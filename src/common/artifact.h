@@ -4,11 +4,11 @@
 //
 // Two layers:
 //
-//  * atomic_write_file(path, writer): the writer callback produces the
-//    full contents into a stream; the bytes land in `<path>.tmp.<pid>`,
-//    are flushed and fsync'd, and the temp file is renamed over `path`
-//    (with a directory fsync). A crash at any instant leaves either the
-//    previous contents or the new contents — never a truncated mix.
+//  * atomic_write_file(path, writer): the writer callback streams the
+//    contents straight into `<path>.tmp.<pid>`, which is flushed and
+//    fsync'd, then renamed over `path` (with a directory fsync). A crash
+//    at any instant leaves either the previous contents or the new
+//    contents — never a truncated mix.
 //
 //  * the versioned envelope: a one-line header
 //
@@ -39,8 +39,11 @@ std::uint32_t crc32c(const void* data, std::size_t len,
                      std::uint32_t crc = 0) noexcept;
 
 /// Atomically replaces `path` with the bytes `writer` produces: temp file
-/// in the same directory, flush, fsync, rename, directory fsync. Throws
-/// Error{kIo} on any failure (the previous contents of `path` survive).
+/// in the same directory, flush, fsync, rename, directory fsync. The
+/// writer writes into the temp file's stream, so it need not hold the
+/// contents in memory. Throws Error{kIo} on any failure, and rethrows
+/// what the writer throws; either way the temp file is removed and the
+/// previous contents of `path` survive.
 void atomic_write_file(const std::string& path,
                        const std::function<void(std::ostream&)>& writer);
 

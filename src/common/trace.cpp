@@ -166,7 +166,8 @@ void write_events(std::ostream& out) {
 
 /// Atomic (temp + fsync + rename) trace export: a crash or full disk
 /// mid-export never leaves a truncated JSON behind. Buffers are cleared
-/// only when the writer callback ran (atomic_write_file buffers first).
+/// only when the writer callback ran (atomic_write_file runs it once the
+/// temp file is open).
 bool write_and_clear(const std::string& path) {
   try {
     atomic_write_file(path, [](std::ostream& out) { write_events(out); });

@@ -4,10 +4,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "common/artifact.h"
 #include "common/error.h"
@@ -53,6 +55,56 @@ bool unseal_line(const std::string& line, std::string& body,
   std::istringstream hex(line.substr(space + 1));
   hex >> std::hex >> declared_crc;
   return !hex.fail();
+}
+
+/// Parses all of `field` as a decimal T: no sign on an unsigned T, no
+/// leading space, no trailing characters, no overflow.
+template <class T>
+bool parse_field(std::string_view field, T& value) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  return ec == std::errc() && ptr == end && !field.empty();
+}
+
+/// Parses the body of a checksum-valid record line
+/// "I <iteration> <count> <target>:<flag> ...". Anything else is
+/// Error{kCorrupt}: the checksum only proves the bytes are the ones
+/// written, not that a writer of this format wrote them.
+FlowJournalRecord parse_record(const std::string& body,
+                               const std::string& path, std::size_t line) {
+  const auto corrupt = [&](const std::string& what) {
+    return Error(ErrorKind::kCorrupt, "journal " + path + ": " + what +
+                                          " on line " + std::to_string(line));
+  };
+  std::vector<std::string_view> fields;
+  for (std::size_t begin = 0; begin <= body.size();) {
+    std::size_t end = body.find(' ', begin);
+    if (end == std::string::npos) end = body.size();
+    fields.emplace_back(body.data() + begin, end - begin);
+    begin = end + 1;
+  }
+  FlowJournalRecord record;
+  std::size_t count = 0;
+  if (fields.size() < 3 || fields[0] != "I" ||
+      !parse_field(fields[1], record.iteration) ||
+      !parse_field(fields[2], count) || count > kMaxEntriesPerRecord) {
+    throw corrupt("malformed record");
+  }
+  if (fields.size() - 3 != count) throw corrupt("wrong entry count");
+  record.entries.reserve(count);
+  for (std::size_t i = 3; i < fields.size(); ++i) {
+    const std::string_view entry = fields[i];
+    const std::size_t colon = entry.find(':');
+    NodeId target = 0;
+    int flag = 0;
+    if (colon == std::string_view::npos ||
+        !parse_field(entry.substr(0, colon), target) ||
+        !parse_field(entry.substr(colon + 1), flag)) {
+      throw corrupt("bad entry '" + std::string(entry) + "'");
+    }
+    record.entries.emplace_back(target, flag);
+  }
+  return record;
 }
 
 bool line_valid(const std::string& line) {
@@ -116,34 +168,7 @@ void FlowJournal::open(const std::string& path, const std::string& flow,
         std::string body;
         std::uint32_t crc = 0;
         unseal_line(line, body, crc);
-        std::istringstream fields(body);
-        std::string tag;
-        FlowJournalRecord record;
-        std::size_t count = 0;
-        if (!(fields >> tag >> record.iteration >> count) || tag != "I" ||
-            count > kMaxEntriesPerRecord) {
-          throw Error(ErrorKind::kCorrupt,
-                      "journal " + path + ": malformed record on line " +
-                          std::to_string(line_index + 1));
-        }
-        record.entries.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          std::string entry;
-          if (!(fields >> entry)) {
-            throw Error(ErrorKind::kCorrupt,
-                        "journal " + path + ": short record on line " +
-                            std::to_string(line_index + 1));
-          }
-          const std::size_t colon = entry.find(':');
-          if (colon == std::string::npos) {
-            throw Error(ErrorKind::kCorrupt,
-                        "journal " + path + ": bad entry '" + entry + "'");
-          }
-          record.entries.emplace_back(
-              static_cast<NodeId>(std::stoul(entry.substr(0, colon))),
-              std::stoi(entry.substr(colon + 1)));
-        }
-        records_.push_back(std::move(record));
+        records_.push_back(parse_record(body, path, line_index + 1));
       }
       valid_bytes += line.size() + 1;
       ++line_index;

@@ -65,7 +65,8 @@ void GcnModel::layer_step(std::size_t d, const CsrMatrix& pred,
                           const CsrMatrix& succ, const Matrix& in,
                           const std::vector<std::uint32_t>* rows,
                           Precision precision, ForwardWorkspace& ws,
-                          Matrix& out, LayerSums* keep) const {
+                          Matrix& out, LayerSums* keep,
+                          bool through_head) const {
   TraceSpan span("gcn.layer");
   if (&out == &in) throw std::invalid_argument("layer_step: out aliases in");
   if (in.rows() != pred.cols() || in.rows() != succ.cols() ||
@@ -86,6 +87,14 @@ void GcnModel::layer_step(std::size_t d, const CsrMatrix& pred,
   }
   span.arg("rows", static_cast<double>(n));
   span.arg("nnz", static_cast<double>(nnz));
+  if (through_head) {
+    if (d + 1 != encoders_.size() ||
+        (rows == nullptr && precision == Precision::kInt8)) {
+      throw std::invalid_argument(
+          "layer_step: only the last fp32 layer runs through the FC head");
+    }
+    span.arg("fc_head", 1.0);
+  }
 
   if (rows == nullptr && precision == Precision::kInt8) {
     // The int8 tier quantizes the activation once for both SpMMs; the
@@ -111,7 +120,9 @@ void GcnModel::layer_step(std::size_t d, const CsrMatrix& pred,
   if (k != encoder.in_features()) {
     throw std::invalid_argument("layer_step: input width mismatch");
   }
-  out.resize_for_overwrite(n, encoder.out_features());
+  const std::size_t width = encoder.out_features();
+  out.resize_for_overwrite(n, through_head ? fc_.back().out_features()
+                                           : width);
   if (keep) {
     keep->pred_sum.resize_for_overwrite(n, k);
     keep->succ_sum.resize_for_overwrite(n, k);
@@ -119,7 +130,12 @@ void GcnModel::layer_step(std::size_t d, const CsrMatrix& pred,
   }
   const BlockPlan plan = plan_blocks(n, kMinParallelRows);
   // Per block: kGemmRowBlock rows of G, then one row each of P*E and S*E.
-  ws.blocks.resize_for_overwrite(plan.count, (kGemmRowBlock + 2) * k);
+  // Through the head, the encoded rows follow, and the FC chain's hidden
+  // blocks reuse the space of G once it is encoded.
+  std::size_t front = (kGemmRowBlock + 2) * k;
+  if (through_head) front = std::max(front, fc_scratch_floats());
+  ws.blocks.resize_for_overwrite(
+      plan.count, front + (through_head ? kGemmRowBlock * width : 0));
   const SimdOps& ops = simd_ops();
   const float wp = w_pr();
   const float wsu = w_su();
@@ -144,12 +160,42 @@ void GcnModel::layer_step(std::size_t d, const CsrMatrix& pred,
         ops.axpy(gi, ps, wp, k);
         ops.axpy(gi, ss, wsu, k);
       }
-      // Encoding: E = ReLU(G * W + b) for the whole block.
+      // Encoding: E = ReLU(G * W + b) for the whole block, into `out` or
+      // into block scratch that the FC head reads.
+      float* e = through_head ? scratch + front : out.row(i0);
       gemm_bias_act_rows(g, k, count, encoder.weight.value,
-                         encoder.bias.value, /*relu=*/true, out.row(i0),
-                         out.cols());
+                         encoder.bias.value, /*relu=*/true, e, width);
+      if (through_head) fc_rows(e, width, count, scratch, out.row(i0));
     }
   });
+}
+
+std::size_t GcnModel::fc_scratch_floats() const noexcept {
+  std::size_t widest = 0;
+  for (std::size_t i = 0; i + 1 < fc_.size(); ++i) {
+    widest = std::max(widest, fc_[i].out_features());
+  }
+  return 2 * kGemmRowBlock * widest;
+}
+
+void GcnModel::fc_rows(const float* x, std::size_t ldx, std::size_t count,
+                       float* scratch, float* logits,
+                       std::vector<Matrix>* hidden_out,
+                       std::size_t row) const {
+  // Two hidden activation blocks, ping-ponged layer to layer (or, when
+  // caching, the rows of the caller's hidden outputs instead).
+  const std::size_t hidden_block = fc_scratch_floats() / 2;
+  for (std::size_t i = 0; i < fc_.size(); ++i) {
+    const bool hidden = i + 1 < fc_.size();
+    const std::size_t width = fc_[i].out_features();
+    float* y = !hidden      ? logits
+               : hidden_out ? (*hidden_out)[i].row(row)
+                            : scratch + (i % 2) * hidden_block;
+    gemm_bias_act_rows(x, ldx, count, fc_[i].weight.value, fc_[i].bias.value,
+                       /*relu=*/hidden, y, width);
+    x = y;
+    ldx = width;
+  }
 }
 
 void GcnModel::fc_head(const Matrix& in, Precision precision,
@@ -177,10 +223,6 @@ void GcnModel::fc_head(const Matrix& in, Precision precision,
     throw std::invalid_argument("fc_head: input width mismatch");
   }
   const std::size_t m = in.rows();
-  std::size_t widest = 0;
-  for (std::size_t i = 0; i + 1 < fc_.size(); ++i) {
-    widest = std::max(widest, fc_[i].out_features());
-  }
   out.resize_for_overwrite(m, fc_.back().out_features());
   if (hidden_out) {
     for (std::size_t i = 1; i < fc_.size(); ++i) {
@@ -188,27 +230,11 @@ void GcnModel::fc_head(const Matrix& in, Precision precision,
     }
   }
   const BlockPlan plan = plan_blocks(m, kMinParallelRows);
-  // Per block: two hidden activation blocks, ping-ponged layer to layer
-  // (or, when caching, the rows of the caller's hidden outputs instead).
-  const std::size_t hidden_block = kGemmRowBlock * widest;
-  ws.blocks.resize_for_overwrite(plan.count, 2 * hidden_block);
+  ws.blocks.resize_for_overwrite(plan.count, fc_scratch_floats());
   run_blocks(plan, [&](std::size_t block, std::size_t b0, std::size_t b1) {
-    float* scratch = ws.blocks.row(block);
     for (std::size_t i0 = b0; i0 < b1; i0 += kGemmRowBlock) {
-      const std::size_t count = std::min(kGemmRowBlock, b1 - i0);
-      const float* x = in.row(i0);
-      std::size_t ldx = in.cols();
-      for (std::size_t i = 0; i < fc_.size(); ++i) {
-        const bool hidden = i + 1 < fc_.size();
-        const std::size_t width = fc_[i].out_features();
-        float* y = !hidden      ? out.row(i0)
-                   : hidden_out ? (*hidden_out)[i].row(i0)
-                                : scratch + (i % 2) * hidden_block;
-        gemm_bias_act_rows(x, ldx, count, fc_[i].weight.value,
-                           fc_[i].bias.value, /*relu=*/hidden, y, width);
-        x = y;
-        ldx = width;
-      }
+      fc_rows(in.row(i0), in.cols(), std::min(kGemmRowBlock, b1 - i0),
+              ws.blocks.row(block), out.row(i0), hidden_out, i0);
     }
   });
 }
@@ -236,27 +262,33 @@ void GcnModel::run_forward(const GraphTensors& graph, TrainWorkspace* train,
   // warm-up pass per graph, the whole forward allocates nothing. All
   // internal activations live in compute (possibly reordered) row order;
   // only the gather here and the scatter of the logits touch the
-  // permutation.
+  // permutation. Plain fp32 inference never stores E_D: the last layer
+  // step sends each encoded row block on through the FC head, so its
+  // only graph-sized buffers are E_{D-2}, E_{D-1} and the logits.
+  const bool fused = !embeddings && precision == Precision::kFp32;
   if (embeddings) embeddings->resize(encoders_.size() + 1);
   if (train) train->layers.resize(encoders_.size());
   Matrix* emb = embeddings ? &embeddings->front() : &ws.ping;
   Matrix* spare = &ws.pong;
   gather_compute_rows(graph, graph.features, *emb);
   for (std::size_t d = 0; d < encoders_.size(); ++d) {
-    Matrix* next = embeddings ? &(*embeddings)[d + 1] : spare;
+    const bool head = fused && d + 1 == encoders_.size();
+    Matrix* next = embeddings ? &(*embeddings)[d + 1]
+                   : head && !graph.reordered() ? &out
+                                                : spare;
     layer_step(d, graph.pred, graph.succ, *emb, nullptr, precision, ws, *next,
-               train ? &train->layers[d] : nullptr);
+               train ? &train->layers[d] : nullptr, head);
     if (!embeddings) spare = emb;
     emb = next;
   }
 
-  std::vector<Matrix>* fc_hidden = train ? &train->fc_hidden : nullptr;
-  if (graph.reordered()) {
-    fc_head(*emb, precision, ws, *spare, fc_hidden);
-    scatter_compute_rows(graph, *spare, out);
-  } else {
-    fc_head(*emb, precision, ws, out, fc_hidden);
+  // `emb` now holds E_D, or the compute-order logits when fused.
+  if (!fused) {
+    Matrix& logits = graph.reordered() ? *spare : out;
+    fc_head(*emb, precision, ws, logits, train ? &train->fc_hidden : nullptr);
+    emb = &logits;
   }
+  if (graph.reordered()) scatter_compute_rows(graph, *emb, out);
 }
 
 Matrix GcnModel::forward(const GraphTensors& graph) {

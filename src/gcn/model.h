@@ -72,6 +72,12 @@ class GcnModel {
   /// distinct workspaces for concurrent callers. A non-null `embeddings`
   /// also receives E_0..E_D in compute row order (the incremental
   /// engine's cache); such a caching forward always runs fp32.
+  /// Without `embeddings`, an fp32 forward never stores E_D: the last
+  /// layer step runs each encoded row block on through the FC head, so
+  /// the graph-sized buffers are E_{D-2} and E_{D-1} in ws.ping / ws.pong
+  /// (4 * (K_{D-2} + K_{D-1}) bytes per node, 384 with the paper's dims)
+  /// and the N x num_classes logits. A caching forward, or the int8 tier,
+  /// also holds E_D (another 4 * K_D bytes per node).
   void infer(const GraphTensors& graph, ForwardWorkspace& ws, Matrix& out,
              std::vector<Matrix>* embeddings = nullptr) const;
 
@@ -86,15 +92,19 @@ class GcnModel {
   /// straight into `out`. Every output row is bitwise the row of the
   /// unfused spmm / copy / axpy / gemm_bias_act sequence, for any thread
   /// count and row list. A non-null `keep` (fp32 only) also receives the
-  /// graph-sized P*E, S*E and G for backward.
+  /// graph-sized P*E, S*E and G for backward. `through_head` (fp32, last
+  /// layer only) sends each encoded block on through the FC head's block
+  /// chain in ws.blocks instead of into `out`, which then receives the
+  /// logits, bitwise those of fc_head over the unfused step's output.
   /// kInt8 (all rows only): quantize_tensor / spmm_q8 / axpy_exact /
   /// quantized_linear_forward through ws.pred_sum / succ_sum / aggregated.
-  /// `out` must not be `in` (std::invalid_argument); a row id past
-  /// pred/succ throws std::out_of_range.
+  /// `out` must not be `in` and `through_head` needs d == D-1 and fp32
+  /// (std::invalid_argument); a row id past pred/succ throws
+  /// std::out_of_range.
   void layer_step(std::size_t d, const CsrMatrix& pred, const CsrMatrix& succ,
                   const Matrix& in, const std::vector<std::uint32_t>* rows,
                   Precision precision, ForwardWorkspace& ws, Matrix& out,
-                  LayerSums* keep = nullptr) const;
+                  LayerSums* keep = nullptr, bool through_head = false) const;
 
   /// FC head over every row of `in`, writing the raw logits into `out`
   /// (which must not be `in`). fp32: all FC layers run per
@@ -146,6 +156,20 @@ class GcnModel {
   void run_forward(const GraphTensors& graph, TrainWorkspace* train,
                    std::vector<Matrix>* embeddings, ForwardWorkspace& ws,
                    Matrix& out) const;
+
+  /// Floats of block scratch the FC chain needs: two kGemmRowBlock-row
+  /// blocks of the widest hidden FC layer.
+  std::size_t fc_scratch_floats() const noexcept;
+
+  /// The FC chain over one block of `count` <= kGemmRowBlock rows of `x`
+  /// (row stride `ldx`): hidden activations ping-pong through `scratch`,
+  /// or land in rows `row`.. of *hidden_out when caching; the logits go
+  /// to `logits` (row stride num_classes). fc_head and the fused last
+  /// layer step both run it.
+  void fc_rows(const float* x, std::size_t ldx, std::size_t count,
+               float* scratch, float* logits,
+               std::vector<Matrix>* hidden_out = nullptr,
+               std::size_t row = 0) const;
 
   GcnConfig config_;
   Param w_pr_;

@@ -215,10 +215,17 @@ GcnModel load_model_file(const std::string& path) {
   return load_model(in);
 }
 
-std::string format_predictions(const Netlist& netlist,
-                               const Matrix& probabilities) {
-  std::string text = "# node p(positive) predicted\n";
-  text.reserve(text.size() + netlist.size() * 24);
+std::size_t write_predictions(const Netlist& netlist,
+                              const Matrix& probabilities, std::ostream& out) {
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::string chunk = "# node p(positive) predicted\n";
+  chunk.reserve(kChunk + 64);
+  std::size_t bytes = 0;
+  const auto flush = [&] {
+    out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    bytes += chunk.size();
+    chunk.clear();
+  };
   char number[32];
   for (NodeId v = 0; v < netlist.size(); ++v) {
     const float p = probabilities.at(v, 1);
@@ -227,12 +234,14 @@ std::string format_predictions(const Netlist& netlist,
     const auto end = std::to_chars(number, number + sizeof number, p,
                                    std::chars_format::general, 6)
                          .ptr;
-    text += netlist.node_name(v);
-    text += ' ';
-    text.append(number, end);
-    text += p >= 0.5f ? " 1\n" : " 0\n";
+    chunk += netlist.node_name(v);
+    chunk += ' ';
+    chunk.append(number, end);
+    chunk += p >= 0.5f ? " 1\n" : " 0\n";
+    if (chunk.size() >= kChunk) flush();
   }
-  return text;
+  flush();
+  return bytes;
 }
 
 }  // namespace gcnt

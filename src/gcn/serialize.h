@@ -46,11 +46,13 @@ GcnModel load_model(std::istream& in);
 void save_model_file(const GcnModel& model, const std::string& path);
 GcnModel load_model_file(const std::string& path);
 
-/// The per-node prediction file of `gcnt infer --out`: a header line,
-/// then "name p predicted" per node, p = probabilities(v, 1) printed as
-/// `std::ostream << p` prints it (%g, 6 significant digits) and predicted
-/// = p >= 0.5. Formatted with std::to_chars into one string.
-std::string format_predictions(const Netlist& netlist,
-                               const Matrix& probabilities);
+/// Writes the per-node prediction file of `gcnt infer --out` to `out`: a
+/// header line, then "name p predicted" per node, p = probabilities(v, 1)
+/// printed as `std::ostream << p` prints it (%g, 6 significant digits)
+/// and predicted = p >= 0.5. Formatted with std::to_chars into a
+/// fixed-size chunk that is written out whenever it fills, so memory
+/// does not grow with the netlist. Returns the bytes written.
+std::size_t write_predictions(const Netlist& netlist,
+                              const Matrix& probabilities, std::ostream& out);
 
 }  // namespace gcnt

@@ -8,6 +8,12 @@
 // The fp32 forward never materializes graph-sized P*E, S*E, G or hidden
 // FC activations: each kernel-pool block aggregates, encodes and
 // classifies kGemmRowBlock rows at a time in its own row of `blocks`.
+// Plain (no-cache) fp32 inference does not store E_D either: the last
+// layer step runs each encoded block on through the FC head, so `ping`
+// and `pong` end up holding E_{D-1} and E_{D-2} (or, on a reordered
+// graph, the compute-order logits in the buffer E_{D-2} left). That is
+// 4 * (K_{D-1} + K_{D-2}) bytes per node — 384 with the paper's
+// (32, 64, 128) — where storing E_D took 4 * (K_{D-1} + K_D), 768.
 //
 // Matrix::resize() and Matrix::copy_from() reuse the underlying
 // allocation whenever the new element count fits in capacity(), so after
@@ -38,7 +44,9 @@ class ForwardWorkspace {
  public:
   /// Row-block scratch of the fp32 layer step and FC head, one row per
   /// kernel-pool block (indexed by run_blocks' block index): the block's
-  /// G rows and one P*E / S*E row pair, or two hidden FC activation blocks.
+  /// G rows and one P*E / S*E row pair, or two hidden FC activation
+  /// blocks; in the fused last layer step, the larger of the two plus
+  /// the block's encoded E_D rows.
   Matrix blocks;
   Matrix ping;  ///< activation ping-pong buffer A
   Matrix pong;  ///< activation ping-pong buffer B

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "gen/generator.h"
 #include "netlist/bench_io.h"
 #include "nn/optimizer.h"
+#include "tensor/simd/simd.h"
 
 namespace gcnt {
 namespace {
@@ -1038,6 +1040,131 @@ TEST(GcnModel, LayerStepMatchesUnfusedKernelsBitwise) {
                  std::invalid_argument);
   }
   set_kernel_threads(0);
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+class FusedForward : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    reset_simd_target();
+    reset_graph_reorder();
+    set_kernel_threads(0);
+  }
+
+  /// A row count that is no multiple of the row block, and one below
+  /// the parallel threshold (a single serial block).
+  static std::vector<Netlist> designs() {
+    GeneratorConfig config;
+    config.seed = 29;
+    config.target_gates = 900;
+    config.primary_inputs = 16;
+    config.primary_outputs = 8;
+    std::vector<Netlist> out;
+    out.push_back(generate_circuit(config));
+    out.push_back(tiny_circuit());
+    return out;
+  }
+};
+
+// Plain fp32 inference runs the last layer's blocks through the FC head
+// and never stores E_D. Its logits must be bitwise those of the caching
+// forwards, which keep E_D and run fc_head over it: infer with
+// embeddings (the incremental engine's refresh) and the training
+// forward(). On every SIMD target, at 1 and 4 threads, with and without
+// RCM reordering, for the paper's dims and a small non-dyadic model.
+TEST_F(FusedForward, LogitsMatchCachingForwardsBitwise) {
+  const std::vector<Netlist> netlists = designs();
+  ASSERT_NE(netlists[0].size() % kGemmRowBlock, 0u);
+  ASSERT_LT(netlists[1].size(), 64u);
+  GcnConfig tiny = tiny_config(3);
+  tiny.initial_w_pr = 0.3f;
+  tiny.initial_w_su = 0.7f;
+  for (const GcnConfig& config : {tiny, GcnConfig{}}) {
+    GcnModel model(config);
+    for (const SimdTarget target :
+         {SimdTarget::kScalar, SimdTarget::kAvx2, SimdTarget::kAvx512}) {
+      if (!simd_target_available(target)) continue;
+      ASSERT_TRUE(set_simd_target(target));
+      for (const GraphReorder reorder :
+           {GraphReorder::kOff, GraphReorder::kRcm}) {
+        set_graph_reorder(reorder);
+        for (const Netlist& netlist : netlists) {
+          const GraphTensors tensors = build_graph_tensors(netlist);
+          ASSERT_EQ(tensors.reordered(), reorder == GraphReorder::kRcm);
+          for (const std::size_t threads : {1u, 4u}) {
+            set_kernel_threads(threads);
+            SCOPED_TRACE(std::string(simd_target_name()) + " " +
+                         (tensors.reordered() ? "rcm" : "off") + " " +
+                         std::to_string(tensors.node_count()) + " nodes, " +
+                         std::to_string(threads) + " threads, K_D " +
+                         std::to_string(config.embed_dims.back()));
+            ForwardWorkspace ws;
+            Matrix fused;
+            model.infer(tensors, ws, fused);
+            Matrix cached;
+            std::vector<Matrix> embeddings;
+            model.infer(tensors, ws, cached, &embeddings);
+            const Matrix trained = model.forward(tensors);
+            ASSERT_EQ(fused.rows(), tensors.node_count());
+            EXPECT_TRUE(same_bits(fused, cached));
+            EXPECT_TRUE(same_bits(fused, trained));
+            EXPECT_TRUE(same_bits(fused, model.infer(tensors)));
+          }
+        }
+      }
+    }
+  }
+}
+
+// The memory contract of the fused forward: after a no-cache fp32
+// forward on an N-node graph, the two graph-sized activation buffers
+// hold at most E_{D-2} and E_{D-1}. An N x K_D buffer would not fit.
+TEST_F(FusedForward, NoCacheForwardAllocatesNoEdBuffer) {
+  const GcnModel model{GcnConfig{}};
+  const std::vector<std::size_t>& dims = model.config().embed_dims;
+  ASSERT_EQ(dims.size(), 3u);
+  const Netlist netlist = designs().front();
+  for (const GraphReorder reorder : {GraphReorder::kOff, GraphReorder::kRcm}) {
+    set_graph_reorder(reorder);
+    const GraphTensors tensors = build_graph_tensors(netlist);
+    const std::size_t n = tensors.node_count();
+    for (const std::size_t threads : {1u, 4u}) {
+      set_kernel_threads(threads);
+      ForwardWorkspace ws;
+      Matrix logits;
+      model.infer(tensors, ws, logits);
+      EXPECT_LE(ws.ping.capacity() + ws.pong.capacity(),
+                n * (dims[1] + dims[0]))
+          << (tensors.reordered() ? "rcm" : "off") << ", " << threads
+          << " threads";
+      EXPECT_LT(ws.blocks.capacity(), n * dims[2]);
+      EXPECT_EQ(logits.capacity(), n * model.config().num_classes);
+    }
+  }
+}
+
+TEST_F(FusedForward, LayerStepRefusesHeadOffTheLastFp32Layer) {
+  const auto tensors = build_graph_tensors(designs().back());
+  GcnModel model(tiny_config(2));
+  ForwardWorkspace ws;
+  Matrix e;
+  gather_compute_rows(tensors, tensors.features, e);
+  Matrix out;
+  EXPECT_THROW(model.layer_step(0, tensors.pred, tensors.succ, e, nullptr,
+                                Precision::kFp32, ws, out, nullptr, true),
+               std::invalid_argument);
+  model.set_precision(Precision::kInt8);
+  Matrix e1;
+  model.layer_step(0, tensors.pred, tensors.succ, e, nullptr,
+                   Precision::kFp32, ws, e1);
+  EXPECT_THROW(model.layer_step(1, tensors.pred, tensors.succ, e1, nullptr,
+                                Precision::kInt8, ws, out, nullptr, true),
+               std::invalid_argument);
 }
 
 // Eq. 1 by hand on a 3-node chain 0 -> 1 -> 2 (one encoder, one hidden FC

@@ -1,7 +1,7 @@
-// Decoder robustness: randomly mutated netlist text, model files and
-// training checkpoints must never crash or corrupt. Malformed netlists
-// surface as gcnt::Error{kCorrupt}; anything accepted must be
-// structurally valid. The artifact decoders are fuzzed twice: mutating
+// Decoder robustness: randomly mutated netlist text, model files,
+// training checkpoints and flow journals must never crash or corrupt.
+// Malformed netlists surface as gcnt::Error{kCorrupt}; anything accepted
+// must be structurally valid. The artifact decoders are fuzzed twice: mutating
 // the whole file (the envelope's checks must reject it) and mutating the
 // payload the envelope carries (the text decoder must). Success and a
 // typed gcnt::Error are the only allowed outcomes. Each case is seeded
@@ -25,6 +25,7 @@
 #include "common/artifact.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "dft/flow_journal.h"
 #include "gcn/checkpoint.h"
 #include "gcn/serialize.h"
 #include "gen/generator.h"
@@ -249,6 +250,75 @@ TEST_P(ParserFuzz, CheckpointFileNeverCrashes) {
   fuzz_decoder(GetParam() * 149 + 1, base, [&](const std::string& bytes) {
     write_file(path, bytes);
     load_checkpoint_and_model(path);
+  });
+  std::remove(path.c_str());
+}
+
+// Flow journals: the header and three records, as an OPI sweep leaves
+// them after three iterations.
+std::string base_journal(const std::string& path) {
+  FlowJournal journal;
+  journal.open(path, "opi", "fuzz", 400, false);
+  FlowJournalRecord record;
+  record.entries = {{7, 0}, {12, 0}, {31, 0}};
+  journal.append(record);
+  record.iteration = 1;
+  record.entries = {{399, 1}};
+  journal.append(record);
+  record.iteration = 2;
+  record.entries.clear();
+  journal.append(record);
+  journal.close();
+  return read_file(path);
+}
+
+void resume_journal(const std::string& path) {
+  FlowJournal journal;
+  journal.open(path, "opi", "fuzz", 400, /*resume=*/true);
+}
+
+/// Every line of `text` with its CRC32C seal, as FlowJournal writes it.
+std::string seal_lines(const std::string& text) {
+  std::string out;
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    std::size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    const std::string body = text.substr(begin, end - begin);
+    char crc[16];
+    std::snprintf(crc, sizeof crc, " %08x\n",
+                  crc32c(body.data(), body.size()));
+    out += body + crc;
+    begin = end + 1;
+  }
+  return out;
+}
+
+// Mutated record bodies, re-sealed: the checksum passes, so the record
+// parser itself must reject whatever it cannot read.
+TEST_P(ParserFuzz, JournalRecordsNeverCrash) {
+  const std::string path = fuzz_path("journal", GetParam());
+  const std::string sealed = base_journal(path);
+  std::string bodies;
+  for (std::size_t begin = 0; begin < sealed.size();) {
+    const std::size_t end = sealed.find('\n', begin);
+    bodies += sealed.substr(begin, sealed.rfind(' ', end) - begin) + "\n";
+    begin = end + 1;
+  }
+  ASSERT_EQ(seal_lines(bodies), sealed);
+  fuzz_decoder(GetParam() * 151 + 9, bodies, [&](const std::string& mutated) {
+    write_file(path, seal_lines(mutated));
+    resume_journal(path);
+  });
+  std::remove(path.c_str());
+}
+
+TEST_P(ParserFuzz, JournalFileNeverCrashes) {
+  const std::string path = fuzz_path("journal_file", GetParam());
+  const std::string base = base_journal(path);
+  fuzz_decoder(GetParam() * 157 + 11, base, [&](const std::string& bytes) {
+    write_file(path, bytes);
+    resume_journal(path);
   });
   std::remove(path.c_str());
 }

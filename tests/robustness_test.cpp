@@ -563,6 +563,53 @@ TEST(FlowJournal, MidFileCorruptionRejected) {
   std::remove(path.c_str());
 }
 
+/// `body` sealed the way FlowJournal seals a line: " <crc32c-hex>\n".
+std::string sealed(const std::string& body) {
+  char crc[16];
+  std::snprintf(crc, sizeof crc, " %08x\n", crc32c(body.data(), body.size()));
+  return body + crc;
+}
+
+// A checksum-valid record is not a well-formed one: every field must
+// parse whole as its type, or the resume fails with a typed kCorrupt.
+TEST(FlowJournal, MalformedChecksumValidRecordsRejectedAsCorrupt) {
+  const std::string path = "robustness_journal_fields.log";
+  for (const char* body :
+       {"I 0 1 abc:0", "I 0 1 5:x", "I 0 1 -1:0", "I 0 1 +5:0",
+        "I 0 1 4294967296:0", "I 0 1 5:99999999999", "I 0 1 5:", "I 0 1 :0",
+        "I 0 1 5", "I 0 2 5:0", "I 0 1 5:0 6:0", "I -1 1 5:0", "I x 1 5:0",
+        "I 0 -1", "I 0 1  5:0", "I 0 1 5:0 ", "X 0 1 5:0", "I 0"}) {
+    SCOPED_TRACE(body);
+    {
+      FlowJournal journal;
+      journal.open(path, "opi", "designA", 400, false);
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::app);
+      out << sealed(body);
+    }
+    FlowJournal resumed;
+    EXPECT_EQ(kind_of([&] { resumed.open(path, "opi", "designA", 400, true); }),
+              ErrorKind::kCorrupt);
+  }
+  // The same lines, well formed, replay.
+  {
+    FlowJournal journal;
+    journal.open(path, "opi", "designA", 400, false);
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << sealed("I 0 2 5:0 4294967295:1") << sealed("I 1 0");
+  }
+  FlowJournal resumed;
+  resumed.open(path, "opi", "designA", 400, true);
+  ASSERT_EQ(resumed.records().size(), 2u);
+  EXPECT_EQ(resumed.records()[0].entries[1].first, 4294967295u);
+  EXPECT_EQ(resumed.records()[0].entries[1].second, 1);
+  EXPECT_TRUE(resumed.records()[1].entries.empty());
+  resumed.remove();
+}
+
 // ---- End-to-end OPI/CPI crash/resume --------------------------------------
 
 /// One insertion flow over the shared loop: its trained model and a sweep

@@ -278,11 +278,21 @@ std::string ostream_predictions(const Netlist& netlist,
   return os.str();
 }
 
-// The same design as `gcnt generate --gates 2000 --seed 9` (the CLI
-// tests' cli_opi.bench).
-Netlist cli_opi_design() {
+// write_predictions into a string; its byte count must be the length.
+std::string predictions_text(const Netlist& netlist,
+                             const Matrix& probabilities) {
+  std::ostringstream os;
+  const std::size_t bytes = write_predictions(netlist, probabilities, os);
+  std::string text = os.str();
+  EXPECT_EQ(bytes, text.size());
+  return text;
+}
+
+// The same design as `gcnt generate --gates <gates> --seed 9` (2000 is
+// the CLI tests' cli_opi.bench).
+Netlist cli_opi_design(std::size_t gates = 2000) {
   GeneratorConfig config;
-  config.target_gates = 2000;
+  config.target_gates = gates;
   config.seed = 9;
   config.primary_inputs = 64;
   config.primary_outputs = 32;
@@ -333,7 +343,7 @@ TEST(FormatPredictions, MatchesOstreamOnEdgeValues) {
     }
     probabilities.at(v, 1) = p;
   }
-  EXPECT_EQ(format_predictions(netlist, probabilities),
+  EXPECT_EQ(predictions_text(netlist, probabilities),
             ostream_predictions(netlist, probabilities));
 }
 
@@ -343,11 +353,23 @@ TEST(FormatPredictions, CliOpiFileIsByteIdenticalToOstreamWriter) {
   tensors.standardize_features();
   const GcnModel model(GcnConfig{});
   const Matrix probabilities = softmax(model.infer(tensors));
-  const std::string text = format_predictions(netlist, probabilities);
+  const std::string text = predictions_text(netlist, probabilities);
   EXPECT_EQ(text, ostream_predictions(netlist, probabilities));
   EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(),
                                                 '\n')),
             netlist.size() + 1);
+}
+
+// A file several write chunks long is the same bytes as one string.
+TEST(FormatPredictions, ChunkedWriteMatchesOstreamWriter) {
+  const Netlist netlist = cli_opi_design(12000);
+  Matrix probabilities(netlist.size(), 2);
+  for (std::size_t v = 0; v < netlist.size(); ++v) {
+    probabilities.at(v, 1) = static_cast<float>(v % 997) / 996.0f;
+  }
+  const std::string text = predictions_text(netlist, probabilities);
+  EXPECT_GT(text.size(), std::size_t{3} << 16);
+  EXPECT_EQ(text, ostream_predictions(netlist, probabilities));
 }
 
 }  // namespace

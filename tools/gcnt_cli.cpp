@@ -397,11 +397,11 @@ int cmd_infer(const Args& args) {
   if (args.has("out")) {
     const std::string out = args.get("out", "predictions.txt");
     TraceSpan span("infer.write_out");
-    const std::string text = format_predictions(netlist, probabilities);
-    span.arg("bytes", static_cast<double>(text.size()));
+    std::size_t bytes = 0;
     atomic_write_file(out, [&](std::ostream& os) {
-      os.write(text.data(), static_cast<std::streamsize>(text.size()));
+      bytes = write_predictions(netlist, probabilities, os);
     });
+    span.arg("bytes", static_cast<double>(bytes));
     std::cout << "wrote per-node predictions to " << out << "\n";
   }
   std::cout << positives << " predicted difficult-to-observe nodes of "
