@@ -5,16 +5,26 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "common/log.h"
+#include "common/parallel.h"
 #include "common/stats.h"
 #include "common/trace.h"
 
 namespace gcnt {
 
 namespace {
+
+/// Below this many rows the feature and CSR passes run on the calling
+/// thread.
+constexpr std::size_t kMinParallelRows = 1 << 12;
+
+/// At most this many CSR row blocks, each with its own n-entry column
+/// scratch, so the scratch stays at 32 bytes per row on any host.
+constexpr std::size_t kMaxCsrBlocks = 8;
 
 // -1 = no programmatic override (fall back to GCNT_REORDER / off).
 std::atomic<int> reorder_override{-1};
@@ -31,6 +41,20 @@ GraphReorder env_reorder() {
     return GraphReorder::kOff;
   }();
   return cached;
+}
+
+/// transform_feature(count), read from a table for the small counts most
+/// levels and SCOAP measures are; the table holds transform_feature's own
+/// results, so the bits are the same.
+float count_feature(std::uint32_t count) {
+  static const std::array<float, 4096> table = [] {
+    std::array<float, 4096> values{};
+    for (std::uint32_t k = 0; k < values.size(); ++k) {
+      values[k] = transform_feature(k);
+    }
+    return values;
+  }();
+  return count < table.size() ? table[count] : transform_feature(count);
 }
 
 /// Reverse Cuthill-McKee over the netlist's undirected fanin+fanout
@@ -100,35 +124,72 @@ void extend_identity_tail(GraphTensors& tensors, std::size_t n) {
 }
 
 /// An n x n CSR filled row by row: fill_row(p, add) calls add(c, value)
-/// for row p's entries in order. A column repeated within a row keeps its
-/// first slot and sums the values (the bits CsrMatrix::from_coo gives for
-/// repeated tuples), so a netlist build and an OP append lay rows out
-/// alike.
+/// for row p's entries in order, and may run for several rows at once on
+/// the kernel pool. A column repeated within a row keeps its first slot
+/// and sums the values (the bits CsrMatrix::from_coo gives for repeated
+/// tuples), so a netlist build and an OP append lay rows out alike.
+///
+/// Three passes over row blocks: each block counts its rows' distinct
+/// columns, a prefix sum over the blocks places them, and each block fills
+/// its rows. Every array is sized here; the result is the same at any
+/// thread count.
 template <class FillRow>
-CsrMatrix csr_by_rows(std::size_t n, std::size_t nnz, FillRow fill_row) {
-  std::vector<std::uint32_t> row_ptr(n + 1, 0);
-  std::vector<std::uint32_t> col_index;
-  std::vector<float> values;
-  col_index.reserve(nnz);
-  values.reserve(nnz);
-  // slot_of[c]: where column c was last placed; a slot of the row being
-  // filled only if it lies past row_begin and still holds c.
-  std::vector<std::uint32_t> slot_of(n, 0);
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::size_t row_begin = col_index.size();
-    fill_row(p, [&](std::uint32_t c, float value) {
-      const std::size_t slot = slot_of[c];
-      if (slot >= row_begin && slot < col_index.size() &&
-          col_index[slot] == c) {
-        values[slot] += value;
-        return;
-      }
-      slot_of[c] = static_cast<std::uint32_t>(col_index.size());
-      col_index.push_back(c);
-      values.push_back(value);
-    });
-    row_ptr[p + 1] = static_cast<std::uint32_t>(col_index.size());
+CsrMatrix csr_by_rows(std::size_t n, FillRow fill_row) {
+  BlockPlan plan = plan_blocks(n, kMinParallelRows);
+  if (plan.count > kMaxCsrBlocks) {
+    plan.per_block = (n + kMaxCsrBlocks - 1) / kMaxCsrBlocks;
+    plan.count = (n + plan.per_block - 1) / plan.per_block;
   }
+  // One column index per block. While counting, seen[c] = p + 1 marks
+  // column c as met in row p. While filling, seen[c] is where c was last
+  // placed: a slot of the row being filled only if it lies inside the row
+  // and still holds c, whatever the count left there.
+  const auto seen_all =
+      std::make_unique_for_overwrite<std::uint32_t[]>(plan.count * n);
+  std::vector<std::uint32_t> row_ptr(n + 1, 0);
+  std::vector<std::size_t> block_start(plan.count + 1, 0);
+  run_blocks(plan, [&](std::size_t block, std::size_t first, std::size_t last) {
+    std::uint32_t* seen = seen_all.get() + block * n;
+    std::fill_n(seen, n, 0);
+    std::size_t entries = 0;
+    for (std::size_t p = first; p < last; ++p) {
+      const auto mark = static_cast<std::uint32_t>(p + 1);
+      std::uint32_t count = 0;
+      fill_row(p, [&](std::uint32_t c, float) {
+        if (seen[c] != mark) {
+          seen[c] = mark;
+          ++count;
+        }
+      });
+      row_ptr[p + 1] = count;
+      entries += count;
+    }
+    block_start[block + 1] = entries;
+  });
+  for (std::size_t b = 0; b < plan.count; ++b) {
+    block_start[b + 1] += block_start[b];
+  }
+  const std::size_t nnz = block_start[plan.count];
+  std::vector<std::uint32_t> col_index(nnz);
+  std::vector<float> values(nnz);
+  run_blocks(plan, [&](std::size_t block, std::size_t first, std::size_t last) {
+    std::uint32_t* slot_of = seen_all.get() + block * n;
+    std::size_t end = block_start[block];
+    for (std::size_t p = first; p < last; ++p) {
+      const std::size_t row_begin = end;
+      fill_row(p, [&](std::uint32_t c, float value) {
+        const std::size_t slot = slot_of[c];
+        if (slot >= row_begin && slot < end && col_index[slot] == c) {
+          values[slot] += value;
+          return;
+        }
+        slot_of[c] = static_cast<std::uint32_t>(end);
+        col_index[end] = c;
+        values[end++] = value;
+      });
+      row_ptr[p + 1] = static_cast<std::uint32_t>(end);
+    }
+  });
   return CsrMatrix::from_parts(n, n, std::move(row_ptr), std::move(col_index),
                                std::move(values));
 }
@@ -226,18 +287,21 @@ void GraphTensors::rebuild_csr() {
       edges.emplace_back(row_is_target ? target : op,
                          row_is_target ? op : target);
     }
-    std::stable_sort(
-        edges.begin(), edges.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::size_t e = 0;
-    return csr_by_rows(n, m.nnz() + edges.size(), [&](std::size_t p, auto add) {
+    const auto row_less = [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    };
+    std::stable_sort(edges.begin(), edges.end(), row_less);
+    return csr_by_rows(n, [&](std::size_t p, auto add) {
       if (p < m.rows()) {
         for (std::size_t k = m.row_ptr()[p]; k < m.row_ptr()[p + 1]; ++k) {
           add(m.col_index()[k], m.values()[k]);
         }
       }
-      for (; e < edges.size() && edges[e].first == p; ++e) {
-        add(edges[e].second, 1.0f);
+      const std::pair<std::uint32_t, std::uint32_t> row{
+          static_cast<std::uint32_t>(p), 0};
+      for (auto e = std::lower_bound(edges.begin(), edges.end(), row, row_less);
+           e != edges.end() && e->first == p; ++e) {
+        add(e->second, 1.0f);
       }
     });
   };
@@ -254,24 +318,28 @@ GraphTensors build_graph_tensors(const Netlist& netlist,
   span.arg("nodes", static_cast<double>(netlist.size()));
   GraphTensors tensors;
   const std::size_t n = netlist.size();
-  tensors.features.resize(n, kNodeFeatureDim);
-  for (NodeId v = 0; v < n; ++v) {
-    float* row = tensors.features.row(v);
-    if (netlist.type(v) == CellType::kObserve) {
-      // Paper convention: observation points carry [0, 1, 1, 0] regardless
-      // of where they sit (Section 4) — keeps incremental updates and
-      // from-scratch rebuilds identical.
-      row[0] = transform_feature(0.0);
-      row[1] = transform_feature(1.0);
-      row[2] = transform_feature(1.0);
-      row[3] = transform_feature(0.0);
-      continue;
+  // Each feature row depends only on its own node.
+  tensors.features.resize_for_overwrite(n, kNodeFeatureDim);
+  parallel_blocks(n, kMinParallelRows, [&](std::size_t first,
+                                           std::size_t last) {
+    for (NodeId v = first; v < last; ++v) {
+      float* row = tensors.features.row(v);
+      if (netlist.type(v) == CellType::kObserve) {
+        // Paper convention: observation points carry [0, 1, 1, 0]
+        // regardless of where they sit (Section 4) — keeps incremental
+        // updates and from-scratch rebuilds identical.
+        row[0] = transform_feature(0.0);
+        row[1] = transform_feature(1.0);
+        row[2] = transform_feature(1.0);
+        row[3] = transform_feature(0.0);
+        continue;
+      }
+      row[0] = count_feature(levels[v]);
+      row[1] = count_feature(scoap.cc0[v]);
+      row[2] = count_feature(scoap.cc1[v]);
+      row[3] = count_feature(scoap.co[v]);
     }
-    row[0] = transform_feature(levels[v]);
-    row[1] = transform_feature(scoap.cc0[v]);
-    row[2] = transform_feature(scoap.cc1[v]);
-    row[3] = transform_feature(scoap.co[v]);
-  }
+  });
 
   // Locality permutation: computed once per graph, then only extended
   // with an identity tail, so engines caching rows of `keep_order` stay
@@ -292,7 +360,7 @@ GraphTensors build_graph_tensors(const Netlist& netlist,
 
   // Row p lists the span of node_of(p)'s neighbours, in netlist order.
   const auto adjacency = [&](auto neighbors) {
-    return csr_by_rows(n, netlist.edge_count(), [&](std::size_t p, auto add) {
+    return csr_by_rows(n, [&](std::size_t p, auto add) {
       for (const NodeId u : neighbors(tensors.node_of(p))) {
         add(tensors.row_of(u), 1.0f);
       }
@@ -300,6 +368,7 @@ GraphTensors build_graph_tensors(const Netlist& netlist,
   };
   tensors.pred = adjacency([&](NodeId v) { return netlist.fanins(v); });
   tensors.succ = adjacency([&](NodeId v) { return netlist.fanouts(v); });
+  span.arg("nnz", static_cast<double>(tensors.pred.nnz() + tensors.succ.nnz()));
   return tensors;
 }
 

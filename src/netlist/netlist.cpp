@@ -7,7 +7,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/debug_assert.h"
 #include "common/error.h"
+#include "common/parallel.h"
 
 namespace gcnt {
 
@@ -20,6 +22,10 @@ std::uint32_t arena_offset(std::size_t offset) {
   }
   return static_cast<std::uint32_t>(offset);
 }
+
+/// Below this many nodes (or edges) Netlist::build fills its arrays on the
+/// calling thread.
+constexpr std::size_t kMinParallelNodes = 1 << 13;
 
 }  // namespace
 
@@ -44,6 +50,20 @@ Netlist::EdgeArena& Netlist::EdgeArena::operator=(const EdgeArena& other) {
 void Netlist::EdgeArena::reserve(std::size_t lists, std::size_t edges) {
   slices_.reserve(lists);
   edges_.reserve(edges);
+}
+
+void Netlist::EdgeArena::assign(std::vector<NodeId> edges,
+                                std::span<const std::uint32_t> list_end) {
+  edges_ = std::move(edges);
+  slices_.resize(list_end.size());
+  parallel_blocks(list_end.size(), kMinParallelNodes,
+                  [&](std::size_t first, std::size_t last) {
+                    for (std::size_t v = first; v < last; ++v) {
+                      const std::uint32_t begin = v == 0 ? 0 : list_end[v - 1];
+                      slices_[v] = {begin, list_end[v] - begin,
+                                    list_end[v] - begin};
+                    }
+                  });
 }
 
 void Netlist::EdgeArena::reserve_list(NodeId v, std::size_t capacity) {
@@ -92,23 +112,129 @@ NodeId Netlist::add_node(CellType type, std::string_view name) {
   name_end_.push_back(arena_offset(name_chars_.size()));
   fanins_.add_list();
   fanouts_.add_list();
-  switch (type) {
+  list_by_type(id);
+  return id;
+}
+
+void Netlist::list_by_type(NodeId v) {
+  switch (types_[v]) {
     case CellType::kInput:
-      pis_.push_back(id);
+      pis_.push_back(v);
       break;
     case CellType::kOutput:
-      pos_.push_back(id);
+      pos_.push_back(v);
       break;
     case CellType::kDff:
-      dffs_.push_back(id);
+      dffs_.push_back(v);
       break;
     case CellType::kObserve:
-      ops_.push_back(id);
+      ops_.push_back(v);
       break;
     default:
       break;
   }
-  return id;
+}
+
+Netlist Netlist::build(std::string design_name, std::vector<CellType> types,
+                       std::span<const std::string_view> names,
+                       std::span<const std::uint32_t> fanin_end,
+                       std::vector<NodeId> fanins) {
+  const std::size_t n = types.size();
+  const std::size_t edges = fanins.size();
+  GCNT_DEBUG_ASSERT(fanin_end.size() == n && names.size() <= n &&
+                        (n == 0 ? edges == 0 : fanin_end[n - 1] == edges),
+                    "Netlist::build: fanin_end does not match the nodes");
+  arena_offset(edges);
+  Netlist netlist(std::move(design_name));
+  netlist.types_ = std::move(types);
+  netlist.edge_count_ = edges;
+  const std::vector<CellType>& type = netlist.types_;
+
+  // A sink is named after its driver, with its type's prefix.
+  const auto name_parts = [&](NodeId v) {
+    if (v < names.size()) return std::pair{std::string_view(), names[v]};
+    GCNT_DEBUG_ASSERT((type[v] == CellType::kOutput ||
+                       type[v] == CellType::kObserve) &&
+                          v > 0 && fanin_end[v] - fanin_end[v - 1] == 1 &&
+                          fanins[fanin_end[v] - 1] < names.size(),
+                      "Netlist::build: an unnamed node is not a sink");
+    return std::pair{std::string_view(type[v] == CellType::kOutput ? "out_"
+                                                                   : "op_"),
+                     names[fanins[fanin_end[v] - 1]]};
+  };
+
+  // Names: each block sums its bytes, then writes its names from the sum
+  // of the blocks before it.
+  const BlockPlan plan = plan_blocks(n, kMinParallelNodes);
+  std::vector<std::size_t> block_bytes(plan.count + 1, 0);
+  run_blocks(plan, [&](std::size_t block, std::size_t first, std::size_t last) {
+    std::size_t bytes = 0;
+    for (NodeId v = first; v < last; ++v) {
+      const auto [prefix, name] = name_parts(v);
+      bytes += prefix.size() + name.size();
+    }
+    block_bytes[block + 1] = bytes;
+  });
+  for (std::size_t b = 0; b < plan.count; ++b) {
+    block_bytes[b + 1] += block_bytes[b];
+  }
+  arena_offset(block_bytes[plan.count]);
+  netlist.name_chars_.resize(block_bytes[plan.count]);
+  netlist.name_end_.resize(n);
+  run_blocks(plan, [&](std::size_t block, std::size_t first, std::size_t last) {
+    char* chars = netlist.name_chars_.data();
+    std::size_t at = block_bytes[block];
+    for (NodeId v = first; v < last; ++v) {
+      const auto [prefix, name] = name_parts(v);
+      std::copy_n(prefix.data(), prefix.size(), chars + at);
+      std::copy_n(name.data(), name.size(), chars + at + prefix.size());
+      at += prefix.size() + name.size();
+      netlist.name_end_[v] = static_cast<std::uint32_t>(at);
+    }
+  });
+
+  // Fanouts: each block owns a range of drivers and walks every fanin in
+  // consumer order, first counting the edges out of its drivers, then
+  // placing them. Consumers land in ascending order, as an edge-by-edge
+  // build in id order places them, with no atomics and no sort.
+  const auto each_edge_from = [&](std::size_t first, std::size_t last,
+                                  auto visit) {
+    std::uint32_t e = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      for (; e < fanin_end[v]; ++e) {
+        if (fanins[e] >= first && fanins[e] < last) visit(fanins[e], v);
+      }
+    }
+  };
+  std::vector<std::uint32_t> fanout_at(n, 0);
+  std::vector<std::size_t> block_edges(plan.count + 1, 0);
+  run_blocks(plan, [&](std::size_t block, std::size_t first, std::size_t last) {
+    each_edge_from(first, last, [&](NodeId u, NodeId) { ++fanout_at[u]; });
+    std::size_t count = 0;
+    for (std::size_t u = first; u < last; ++u) count += fanout_at[u];
+    block_edges[block + 1] = count;
+  });
+  for (std::size_t b = 0; b < plan.count; ++b) {
+    block_edges[b + 1] += block_edges[b];
+  }
+  std::vector<NodeId> fanouts(edges);
+  run_blocks(plan, [&](std::size_t block, std::size_t first, std::size_t last) {
+    // fanout_at[u]: u's count, then where its next consumer goes, then,
+    // once all are placed, where its list ends.
+    std::size_t at = block_edges[block];
+    for (std::size_t u = first; u < last; ++u) {
+      const std::uint32_t count = fanout_at[u];
+      fanout_at[u] = static_cast<std::uint32_t>(at);
+      at += count;
+    }
+    each_edge_from(first, last,
+                   [&](NodeId u, NodeId v) { fanouts[fanout_at[u]++] = v; });
+  });
+  netlist.fanins_.assign(std::move(fanins), fanin_end);
+  netlist.fanouts_.assign(std::move(fanouts), fanout_at);
+
+  for (NodeId v = 0; v < n; ++v) netlist.list_by_type(v);
+  return netlist;
 }
 
 void Netlist::reserve(std::size_t nodes, std::size_t name_bytes,

@@ -47,6 +47,22 @@ class Netlist {
   /// may be a node_name() of this netlist.
   NodeId add_node(CellType type, std::string_view name = {});
 
+  /// Builds a netlist in one pass, as a reader does once every name is
+  /// resolved. Node v has type types[v] and the fanins
+  /// fanins[fanin_end[v - 1], fanin_end[v]) (from 0 for v = 0) in slot
+  /// order, and is named names[v]. A node past names.size() must be an
+  /// OUTPUT or OBSERVE sink with one fanin; it is named "out_" or "op_"
+  /// plus its driver's name, as insert_observe_point names an OP.
+  /// fanouts(u) lists u's consumers in ascending id order, which is what
+  /// connecting the fanins node by node in id order gives. The name arena
+  /// and both edge arenas are filled as kernel-pool blocks into arrays
+  /// sized on the calling thread; the result does not depend on the
+  /// thread count.
+  static Netlist build(std::string design_name, std::vector<CellType> types,
+                       std::span<const std::string_view> names,
+                       std::span<const std::uint32_t> fanin_end,
+                       std::vector<NodeId> fanins);
+
   /// Reserves room for `nodes` nodes in total, `name_bytes` bytes of names
   /// and `edges` edges, so adding up to that many does not reallocate.
   void reserve(std::size_t nodes, std::size_t name_bytes = 0,
@@ -174,6 +190,10 @@ class Netlist {
 
     /// Adds an empty list for the next node.
     void add_list() { slices_.emplace_back(); }
+    /// Replaces every list: list v becomes edges[list_end[v - 1],
+    /// list_end[v]) (from 0 for v = 0), packed.
+    void assign(std::vector<NodeId> edges,
+                std::span<const std::uint32_t> list_end);
     /// Reserves room for `lists` lists and `edges` arena slots in total.
     void reserve(std::size_t lists, std::size_t edges);
     /// Gives v's list room for `capacity` entries (a no-op when it has it).
@@ -203,6 +223,9 @@ class Netlist {
     std::vector<Slice> slices_;
     std::vector<NodeId> edges_;
   };
+
+  /// Appends `v` to the PI/PO/DFF/OP list its type belongs to.
+  void list_by_type(NodeId v);
 
   /// True if edges from `v` carry combinational data (DFF outputs do, but
   /// the DFF's *input* edge is a sequential boundary).

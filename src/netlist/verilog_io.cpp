@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/trace.h"
 #include "netlist/text_scan.h"
 
 namespace gcnt {
@@ -118,6 +120,7 @@ struct Instance {
 };
 
 Netlist parse_verilog(std::string_view text, std::string fallback_name) {
+  std::optional<TraceSpan> phase(std::in_place, "netlist.scan");
   const auto tokens = tokenize(text);
   std::size_t at = 0;
 
@@ -207,15 +210,28 @@ Netlist parse_verilog(std::string_view text, std::string fallback_name) {
     }
   }
 
-  // --- build the graph. Inputs become kInput nodes; every instance output
-  // becomes a node of the primitive's type; outputs get PO sink nodes.
-  Netlist netlist(module_name);
-  NameTable signal(inputs.size() + instances.size() + assigns.size());
+  phase->arg("bytes", static_cast<double>(text.size()));
+  phase->arg("lines", tokens.empty() ? 0.0 : tokens.back().line);
+
+  // --- resolve. Inputs become kInput nodes; every instance output becomes
+  // a node of the primitive's type; outputs get PO sink nodes, which
+  // Netlist::build names after their drivers.
+  phase.emplace("netlist.resolve");
+  const std::size_t defined = inputs.size() + instances.size() + assigns.size();
+  std::vector<CellType> types;
+  std::vector<std::string_view> names;
+  types.reserve(defined + outputs.size());
+  names.reserve(defined);
+  NameTable signal(defined);
   NameTable declared(wires.size() + outputs.size());  // a set: ids unused
   for (const Token& t : wires) declared.insert(t.text, 0);
   for (const Token& t : outputs) declared.insert(t.text, 0);
 
-  const auto next_id = [&] { return static_cast<NodeId>(netlist.size()); };
+  const auto next_id = [&] { return static_cast<NodeId>(names.size()); };
+  const auto define = [&](std::string_view net, CellType type) {
+    names.push_back(net);
+    types.push_back(type);
+  };
   const auto drive = [&](const Token& net, int line, CellType type) {
     if (!declared.contains(net.text) && !signal.contains(net.text)) {
       fail(line, "undeclared net " + std::string(net.text));
@@ -223,68 +239,61 @@ Netlist parse_verilog(std::string_view text, std::string fallback_name) {
     if (!signal.insert(net.text, next_id())) {
       fail(line, "multiple drivers for " + std::string(net.text));
     }
-    netlist.add_node(type, net.text);
+    define(net.text, type);
   };
-  std::size_t name_bytes = 0;
-  for (const Token& t : inputs) name_bytes += t.text.size();
-  for (const Instance& instance : instances) {
-    name_bytes += ports[instance.first].text.size();
-  }
-  for (const auto& assign : assigns) name_bytes += assign.first.text.size();
-  for (const Token& t : outputs) name_bytes += 4 + t.text.size();
-  netlist.reserve(inputs.size() + instances.size() + assigns.size() +
-                      outputs.size(),
-                  name_bytes, ports.size() + assigns.size() + outputs.size());
   for (const Token& t : inputs) {
     if (!signal.insert(t.text, next_id())) {
       fail(t.line, "redefinition of " + std::string(t.text));
     }
-    netlist.add_node(CellType::kInput, t.text);
+    define(t.text, CellType::kInput);
   }
   for (const Instance& instance : instances) {
     drive(ports[instance.first], instance.line, instance.type);
   }
   for (const auto& [lhs, rhs] : assigns) drive(lhs, lhs.line, CellType::kBuf);
 
-  // Resolve every edge in the order it is connected, so the first error is
-  // the one an edge-by-edge build would hit, and count both directions'
-  // list sizes; then size every list and connect.
-  std::vector<std::pair<NodeId, NodeId>> edges;  // driver -> sink
-  edges.reserve(ports.size() + assigns.size() + outputs.size());
-  const auto resolve = [&](std::string_view name, int line) -> NodeId {
+  // Resolve every fanin in id order, the order an edge-by-edge build
+  // connects them in, so the first error is the one it would hit.
+  std::vector<NodeId> fanins;
+  fanins.reserve(ports.size() - instances.size() + assigns.size() +
+                 outputs.size());
+  std::vector<std::uint32_t> fanin_end(inputs.size(), 0);
+  fanin_end.reserve(defined + outputs.size());
+  const auto resolve = [&](std::string_view name, int line) {
     const NodeId id = signal.find(name);
     if (id == kInvalidNode) fail(line, "undriven net " + std::string(name));
-    return id;
+    fanins.push_back(id);
+  };
+  const auto end_node = [&] {
+    fanin_end.push_back(static_cast<std::uint32_t>(fanins.size()));
   };
   for (const Instance& instance : instances) {
-    const NodeId gate = signal.find(ports[instance.first].text);
     const int arity = static_cast<int>(instance.end - instance.first) - 1;
     if (arity < min_fanin(instance.type) || arity > max_fanin(instance.type)) {
       fail(instance.line, "illegal port count for primitive");
     }
     for (std::size_t p = instance.first + 1; p < instance.end; ++p) {
-      edges.emplace_back(resolve(ports[p].text, instance.line), gate);
+      resolve(ports[p].text, instance.line);
     }
+    end_node();
   }
   for (const auto& [lhs, rhs] : assigns) {
-    edges.emplace_back(resolve(rhs.text, rhs.line), signal.find(lhs.text));
+    resolve(rhs.text, rhs.line);
+    end_node();
   }
-  std::string po_name;
   for (const Token& t : outputs) {
-    const NodeId driver = resolve(t.text, t.line);
-    po_name.assign("out_").append(t.text);
-    edges.emplace_back(driver, netlist.add_node(CellType::kOutput, po_name));
+    resolve(t.text, t.line);
+    types.push_back(CellType::kOutput);
+    end_node();
   }
-  std::vector<std::uint32_t> fanins(netlist.size(), 0),
-      fanouts(netlist.size(), 0);
-  for (const auto& [from, to] : edges) {
-    ++fanouts[from];
-    ++fanins[to];
-  }
-  for (NodeId v = 0; v < netlist.size(); ++v) {
-    netlist.reserve_edges(v, fanins[v], fanouts[v]);
-  }
-  for (const auto& [from, to] : edges) netlist.connect(from, to);
+  phase->arg("names", static_cast<double>(names.size()));
+  phase->arg("operands", static_cast<double>(fanins.size()));
+
+  phase.emplace("netlist.build");
+  Netlist netlist = Netlist::build(std::move(module_name), std::move(types),
+                                   names, fanin_end, std::move(fanins));
+  phase->arg("nodes", static_cast<double>(netlist.size()));
+  phase->arg("edges", static_cast<double>(netlist.edge_count()));
   return netlist;
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <istream>
 #include <sstream>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "gen/generator.h"
 #include "netlist/bench_io.h"
@@ -433,6 +435,200 @@ TEST(BenchIoDiff, MutatedTextMatchesOracle) {
   }
   EXPECT_GT(accepted, 0u);
   EXPECT_LT(accepted, 12u * 40u);
+}
+
+// --- chunked parsing. A text of at least 64 KiB is scanned in one chunk
+// per kernel thread: the chunks start at plan_blocks' block boundaries,
+// each moved past the next newline. These cases put lines, errors and
+// redefinitions at and across those cuts, at 1 and 4 threads.
+
+constexpr std::size_t kChunkThreads = 4;
+
+/// A 20k-gate design's text: large enough to be cut into kChunkThreads
+/// chunks.
+std::string large_bench_text() {
+  GeneratorConfig config;
+  config.seed = 21;
+  config.target_gates = 20000;
+  config.flip_flops = 800;
+  return write_bench_string(generate_circuit(config));
+}
+
+/// Where the reader's chunk c (>= 1) of `text` nominally starts.
+std::size_t nominal_cut(const std::string& text, std::size_t c) {
+  set_kernel_threads(kChunkThreads);
+  const BlockPlan plan = plan_blocks(text.size(), 1);
+  EXPECT_EQ(plan.count, kChunkThreads);
+  return plan.begin(c);
+}
+
+/// `text` with a comment line of padding after its first line, grown until
+/// `fits(padded, nominal_cut(padded, 1))` holds.
+template <typename Fits>
+std::string pad_until(const std::string& text, Fits fits) {
+  const std::size_t after_first = text.find('\n') + 1;
+  for (std::size_t pad = 0; pad < 400; ++pad) {
+    std::string padded = text;
+    padded.insert(after_first, "#" + std::string(pad, ' ') + "\n");
+    if (fits(padded, nominal_cut(padded, 1))) return padded;
+  }
+  ADD_FAILURE() << "no padding puts the cut where wanted";
+  return text;
+}
+
+/// `text` with `line` inserted at the first line start past the middle of
+/// chunk c.
+std::string insert_in_chunk(const std::string& text, std::size_t c,
+                            const std::string& line) {
+  const std::size_t begin = c == 0 ? 0 : nominal_cut(text, c);
+  const std::size_t end =
+      c + 1 < kChunkThreads ? nominal_cut(text, c + 1) : text.size();
+  const std::size_t at = text.find('\n', (begin + end) / 2) + 1;
+  return text.substr(0, at) + line + "\n" + text.substr(at);
+}
+
+/// The line number of `pos` in `text`.
+int line_of(const std::string& text, std::size_t pos) {
+  return 1 + static_cast<int>(std::count(text.begin(), text.begin() + pos, '\n'));
+}
+
+/// Reads `text` at 1 and at kChunkThreads threads; both must match the
+/// oracle, and the outcome must be `accepted`.
+void expect_oracle_at_any_thread_count(const std::string& text, bool accepted) {
+  const ParseOutcome want = read_old(text);
+  ASSERT_EQ(want.netlist.has_value(), accepted) << want.message;
+  for (const std::size_t threads : {std::size_t{1}, kChunkThreads}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    set_kernel_threads(threads);
+    expect_same_outcome(read_new(text), want);
+  }
+  set_kernel_threads(0);
+}
+
+TEST(BenchIoDiff, ChunkCutsMatchOracle) {
+  const std::string base = large_bench_text();
+  ASSERT_GE(base.size(), std::size_t{1} << 18);
+  {
+    SCOPED_TRACE("a line ends exactly at a cut");
+    const std::string text =
+        pad_until(base, [](const std::string& t, std::size_t cut) {
+          return t[cut - 1] == '\n';
+        });
+    expect_oracle_at_any_thread_count(text, true);
+  }
+  std::string crlf;
+  for (const char c : base) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  {
+    SCOPED_TRACE("CR and LF on both sides of a cut");
+    const std::string text =
+        pad_until(crlf, [](const std::string& t, std::size_t cut) {
+          return t[cut - 1] == '\r' && t[cut] == '\n';
+        });
+    expect_oracle_at_any_thread_count(text, true);
+  }
+  {
+    SCOPED_TRACE("CRLF ends exactly at a cut");
+    const std::string text =
+        pad_until(crlf, [](const std::string& t, std::size_t cut) {
+          return t[cut - 1] == '\n';
+        });
+    expect_oracle_at_any_thread_count(text, true);
+  }
+  {
+    SCOPED_TRACE("no final newline");
+    ASSERT_EQ(base.back(), '\n');
+    expect_oracle_at_any_thread_count(base.substr(0, base.size() - 1), true);
+  }
+  {
+    SCOPED_TRACE("a line longer than a chunk");
+    const std::string text = insert_in_chunk(
+        base, 1, "# " + std::string(base.size() / 2, 'x'));
+    expect_oracle_at_any_thread_count(text, true);
+  }
+}
+
+TEST(BenchIoDiff, ChunkedErrorsMatchOracle) {
+  const std::string base = large_bench_text();
+  {
+    SCOPED_TRACE("a malformed line in the last chunk");
+    const std::string text =
+        insert_in_chunk(base, kChunkThreads - 1, "WIBBLE");
+    expect_oracle_at_any_thread_count(text, false);
+  }
+  {
+    SCOPED_TRACE("malformed lines in two chunks");
+    const std::string text = insert_in_chunk(
+        insert_in_chunk(base, 3, "y = MAJ3(pi0, pi1, pi2)"), 1, "INPUT a");
+    expect_oracle_at_any_thread_count(text, false);
+  }
+  {
+    SCOPED_TRACE("defined in chunk 0, redefined in chunk 3");
+    const std::string text = insert_in_chunk(base, 3, "pi0 = NOT(pi1)");
+    const std::size_t at = text.find("pi0 = NOT(pi1)");
+    ASSERT_GE(at, nominal_cut(text, 3));
+    expect_oracle_at_any_thread_count(text, false);
+    EXPECT_NE(read_new(text).message.find(
+                  "line " + std::to_string(line_of(text, at)) +
+                  ": redefinition of pi0"),
+              std::string::npos);
+  }
+  {
+    SCOPED_TRACE("a redefinition in chunk 1 above a malformed line in 2");
+    const std::string text = insert_in_chunk(
+        insert_in_chunk(base, 2, "WIBBLE(pi0)"), 1, "INPUT(pi1)");
+    expect_oracle_at_any_thread_count(text, false);
+    EXPECT_NE(read_new(text).message.find("redefinition of pi1"),
+              std::string::npos);
+  }
+  {
+    SCOPED_TRACE("a malformed line after thousands of blank lines");
+    const std::string text = insert_in_chunk(
+        insert_in_chunk(base, 2, "WIBBLE"), 1,
+        std::string(5000, '\n') + "#" + std::string(5000, ','));
+    expect_oracle_at_any_thread_count(text, false);
+  }
+  {
+    SCOPED_TRACE("undefined operands in two chunks");
+    const std::string text = insert_in_chunk(
+        insert_in_chunk(base, 3, "late3 = AND(pi0, ghost3)"), 1,
+        "late1 = OR(ghost1, pi0)");
+    expect_oracle_at_any_thread_count(text, false);
+    EXPECT_NE(read_new(text).message.find("undefined signal ghost1"),
+              std::string::npos);
+  }
+  {
+    SCOPED_TRACE("an undefined operand in a late chunk behind an OUTPUT");
+    const std::string text = insert_in_chunk(
+        insert_in_chunk(base, 3, "late = AND(pi0, ghost2)"), 0,
+        "OUTPUT(ghost1)");
+    expect_oracle_at_any_thread_count(text, false);
+    EXPECT_NE(read_new(text).message.find("undefined signal ghost2"),
+              std::string::npos);
+  }
+}
+
+TEST(BenchIoDiff, MutatedLargeTextMatchesOracle) {
+  const std::string base = large_bench_text();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    for (int round = 0; round < 6; ++round) {
+      std::string text = base;
+      for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) {
+        text = mutate(text, rng);
+      }
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", round " +
+                   std::to_string(round));
+      const ParseOutcome want = read_old(text);
+      for (const std::size_t threads : {std::size_t{1}, kChunkThreads}) {
+        set_kernel_threads(threads);
+        expect_same_outcome(read_new(text), want);
+      }
+    }
+  }
+  set_kernel_threads(0);
 }
 
 TEST(BenchIoDiff, StreamAndStringReadersAgree) {

@@ -132,10 +132,11 @@ TEST(GraphTensors, MergedAdjacencyMatchesDecomposedAggregation) {
 
 /// A generated design plus a gate fed twice by one driver, AND(a, a), so
 /// both CSRs hold a merged nonzero of value 2.
-Netlist design_with_repeated_fanin(std::uint64_t seed) {
+Netlist design_with_repeated_fanin(std::uint64_t seed,
+                                   std::size_t gates = 400) {
   GeneratorConfig config;
   config.seed = seed;
-  config.target_gates = 400;
+  config.target_gates = gates;
   config.primary_inputs = 12;
   config.primary_outputs = 8;
   Netlist n = generate_circuit(config);
@@ -290,6 +291,80 @@ TEST(GraphTensorsDiff, CsrMatchesCooOracleThroughEdits) {
       EXPECT_EQ(observed, 7u);
     }
   }
+  reset_graph_reorder();
+}
+
+/// Every bit of two tensor sets: features, both CSRs and the locality
+/// permutation.
+void expect_identical_tensors(const GraphTensors& want,
+                              const GraphTensors& got) {
+  ASSERT_EQ(want.features.rows(), got.features.rows());
+  ASSERT_EQ(want.features.cols(), got.features.cols());
+  EXPECT_EQ(std::memcmp(want.features.data(), got.features.data(),
+                        want.features.rows() * want.features.cols() *
+                            sizeof(float)),
+            0);
+  for (const auto csr : {&GraphTensors::pred, &GraphTensors::succ}) {
+    const CsrMatrix& a = want.*csr;
+    const CsrMatrix& b = got.*csr;
+    EXPECT_EQ(a.row_ptr(), b.row_ptr());
+    EXPECT_EQ(a.col_index(), b.col_index());
+    ASSERT_EQ(a.values().size(), b.values().size());
+    EXPECT_EQ(std::memcmp(a.values().data(), b.values().data(),
+                          a.values().size() * sizeof(float)),
+              0);
+  }
+  EXPECT_EQ(want.compute_row, got.compute_row);
+  EXPECT_EQ(want.compute_node, got.compute_node);
+}
+
+// The tensor build runs its feature rows and CSR passes as kernel-pool
+// blocks above a minimum row count; at 1, 4 and 16 threads, below and
+// above that minimum, with and without RCM, and after OP appends and a
+// control point, the tensors must be the same bits.
+TEST(GraphTensors, SameBitsAtAnyThreadCount) {
+  for (const GraphReorder reorder : {GraphReorder::kOff, GraphReorder::kRcm}) {
+    set_graph_reorder(reorder);
+    for (const std::size_t gates : {400u, 20000u}) {
+      SCOPED_TRACE(std::string(reorder == GraphReorder::kRcm ? "rcm" : "off") +
+                   ", gates " + std::to_string(gates));
+      const Netlist netlist = design_with_repeated_fanin(7, gates);
+      const auto built = [&](std::size_t threads) {
+        set_kernel_threads(threads);
+        return build_graph_tensors(netlist);
+      };
+      const GraphTensors one = built(1);
+      bool merged = false;
+      for (const float v : one.pred.values()) merged |= v == 2.0f;
+      EXPECT_TRUE(merged) << "AND(a, a) holds one nonzero of value 2";
+      expect_identical_tensors(one, built(4));
+      expect_identical_tensors(one, built(16));  // more blocks than the cap
+
+      // OPs append to the CSRs, a CP rebuilds them, more OPs append.
+      const auto edited = [&](std::size_t threads) {
+        set_kernel_threads(threads);
+        Netlist copy = netlist;
+        EditableDesign design(copy, /*standardize_features=*/true);
+        const auto observe_from = [&](NodeId v, std::size_t count) {
+          for (; count > 0; ++v) {
+            if (copy.can_observe(v)) {
+              design.observe(v);
+              --count;
+            }
+          }
+          return v;
+        };
+        NodeId v = observe_from(20, 4);
+        (void)design.tensors();
+        while (!copy.can_control(v)) ++v;
+        design.control(v, true);
+        observe_from(v + 9, 3);
+        return design.tensors();
+      };
+      expect_identical_tensors(edited(1), edited(4));
+    }
+  }
+  set_kernel_threads(0);
   reset_graph_reorder();
 }
 

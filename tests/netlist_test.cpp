@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "netlist/netlist.h"
 #include "netlist/text_scan.h"
 
@@ -322,12 +323,65 @@ TEST(NameTable, BatchFormsMatchSingleForms) {
   NameTable table;
   // "b" repeats at index 5: everything before it goes in, then it stops.
   EXPECT_EQ(table.insert_all(names, 10), 5u);
-  std::vector<NodeId> ids;
+  std::vector<NodeId> ids(names.size());
   table.find_all(names, ids);
   EXPECT_EQ(ids, (std::vector<NodeId>{10, 11, 12, 13, 14, 11, kInvalidNode}));
   const std::vector<std::string_view> fresh = {"d", "e"};
   EXPECT_EQ(table.insert_all(fresh, 20), fresh.size());
   EXPECT_EQ(table.find("e"), 21u);
+}
+
+// Names of every length around the inline key's word boundaries, with
+// NUL bytes and one-byte differences at every position, stay distinct.
+TEST(NameTable, KeysOfEveryLengthStayDistinct) {
+  std::vector<std::string> storage;
+  for (std::size_t length = 0; length <= 20; ++length) {
+    const std::string base(length, 'x');
+    storage.push_back(base);
+    storage.push_back(base + '\0');
+    for (std::size_t at = 0; at < length; ++at) {
+      std::string changed = base;
+      changed[at] = 'y';
+      storage.push_back(changed);
+    }
+  }
+  std::sort(storage.begin(), storage.end());
+  storage.erase(std::unique(storage.begin(), storage.end()), storage.end());
+  NameTable table;
+  for (std::size_t i = 0; i < storage.size(); ++i) {
+    ASSERT_TRUE(table.insert(storage[i], static_cast<NodeId>(i))) << i;
+  }
+  for (std::size_t i = 0; i < storage.size(); ++i) {
+    EXPECT_EQ(table.find(storage[i]), static_cast<NodeId>(i)) << i;
+  }
+  EXPECT_EQ(table.find(std::string(21, 'x')), kInvalidNode);
+  EXPECT_EQ(table.find(std::string(3, 'z')), kInvalidNode);
+}
+
+// A table sized for many names is partitioned and insert_all runs its
+// partitions in parallel: it must still stop at the first repeated name in
+// order, whichever partition holds it, at any thread count.
+TEST(NameTable, PartitionedBatchFindsTheFirstRepeat) {
+  std::vector<std::string> storage;
+  for (int i = 0; i < 20000; ++i) storage.push_back("g" + std::to_string(i));
+  storage.push_back("g17");    // index 20000: the first repeat
+  storage.push_back("g3");     // index 20001: an earlier name repeated later
+  storage.push_back("fresh");
+  const std::vector<std::string_view> names(storage.begin(), storage.end());
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    set_kernel_threads(threads);
+    NameTable table(names.size());
+    EXPECT_EQ(table.insert_all(names, 100), 20000u);
+    std::vector<NodeId> ids(20000);
+    table.find_all(std::span(names).first(20000), ids);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_EQ(ids[i], 100 + i) << names[i];
+      ASSERT_EQ(table.find(names[i]), 100 + i) << names[i];
+    }
+    EXPECT_EQ(table.find("g20000"), kInvalidNode);
+  }
+  set_kernel_threads(0);
 }
 
 }  // namespace

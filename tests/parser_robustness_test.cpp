@@ -24,6 +24,7 @@
 
 #include "common/artifact.h"
 #include "common/error.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "dft/flow_journal.h"
 #include "gcn/checkpoint.h"
@@ -76,6 +77,30 @@ TEST_P(ParserFuzz, BenchNeverCrashes) {
       EXPECT_EQ(e.kind(), ErrorKind::kCorrupt) << e.what();
     }
   }
+}
+
+// The same on a text large enough to be scanned in four chunks at four
+// kernel threads, so mutations land in every chunk and across the cuts.
+TEST_P(ParserFuzz, ChunkedBenchNeverCrashes) {
+  GeneratorConfig config;
+  config.seed = 4321;
+  config.target_gates = 20000;
+  std::string text = write_bench_string(generate_circuit(config));
+  Rng rng(GetParam() * 31 + 7);
+  set_kernel_threads(4);
+  for (int round = 0; round < 12; ++round) {
+    for (int k = 0; k < 4; ++k) text = mutate(text, rng);
+    try {
+      const Netlist parsed = read_bench_string(text, "fuzz");
+      for (NodeId v = 0; v < parsed.size(); ++v) {
+        for (NodeId u : parsed.fanins(v)) ASSERT_LT(u, parsed.size());
+      }
+      (void)parsed.validate();
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kCorrupt) << e.what();
+    }
+  }
+  set_kernel_threads(0);
 }
 
 TEST_P(ParserFuzz, VerilogNeverCrashes) {

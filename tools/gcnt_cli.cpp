@@ -54,6 +54,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <iomanip>
 #include <map>
 #include <fstream>
@@ -180,11 +181,24 @@ bool is_verilog_path(const std::string& path) {
   return path.size() >= 2 && path.substr(path.size() - 2) == ".v";
 }
 
-Netlist read_netlist_file(const std::string& path) {
-  std::ifstream in(path);
+/// The whole file, read with one sized read; a file whose size cannot be
+/// known in advance (a pipe, a device) is read to its end instead.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw Error(ErrorKind::kIo, "cannot open " + path);
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) return read_stream(in);
+  std::string text(size, '\0');
+  if (!in.read(text.data(), static_cast<std::streamsize>(size))) {
+    throw Error(ErrorKind::kIo, "cannot read " + path);
+  }
+  return text;
+}
+
+Netlist read_netlist_file(const std::string& path) {
   TraceSpan span("netlist.parse");
-  const std::string text = read_stream(in);
+  const std::string text = read_file(path);
   Netlist netlist = is_verilog_path(path) ? read_verilog_string(text, path)
                                           : read_bench_string(text, path);
   span.arg("bytes", static_cast<double>(text.size()));
