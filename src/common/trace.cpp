@@ -38,10 +38,8 @@ struct Event {
   const char* name;
   std::uint64_t begin_ns;
   std::uint64_t end_ns;
-  const char* key0;
-  const char* key1;
-  double value0;
-  double value1;
+  const char* keys[3];
+  double values[3];
 };
 
 /// Fixed-capacity flight recorder owned by one thread; the mutex is only
@@ -116,20 +114,14 @@ void write_event(std::ostream& out, const Event& event, std::uint32_t tid,
   json::write_escaped(out, event.name);
   out << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << tid << ",\"ts\":" << ts
       << ",\"dur\":" << dur;
-  if (event.key0 != nullptr) {
-    out << ",\"args\":{\"";
-    json::write_escaped(out, event.key0);
+  for (std::size_t i = 0; i < 3 && event.keys[i] != nullptr; ++i) {
+    out << (i == 0 ? ",\"args\":{\"" : ",\"");
+    json::write_escaped(out, event.keys[i]);
     char value[48];
-    std::snprintf(value, sizeof(value), "%.17g", event.value0);
+    std::snprintf(value, sizeof(value), "%.17g", event.values[i]);
     out << "\":" << value;
-    if (event.key1 != nullptr) {
-      out << ",\"";
-      json::write_escaped(out, event.key1);
-      std::snprintf(value, sizeof(value), "%.17g", event.value1);
-      out << "\":" << value;
-    }
-    out << "}";
   }
+  if (event.keys[0] != nullptr) out << "}";
   out << "}";
 }
 
@@ -230,10 +222,12 @@ std::uint64_t now_ns() noexcept {
 }
 
 void record(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
-            const char* key0, double value0, const char* key1, double value1) {
+            const char* key0, double value0, const char* key1, double value1,
+            const char* key2, double value2) {
   ThreadBuffer& buffer = this_thread_buffer();
   std::lock_guard<std::mutex> lock(buffer.mutex);
-  const Event event{name, begin_ns, end_ns, key0, key1, value0, value1};
+  const Event event{
+      name, begin_ns, end_ns, {key0, key1, key2}, {value0, value1, value2}};
   if (buffer.ring.size() < buffer.capacity) {
     buffer.ring.push_back(event);
   } else {

@@ -52,12 +52,7 @@ const Matrix& GcnEngine::update(const GraphTensors& tensors,
 }
 
 std::vector<float> GcnEngine::positive_probability() const {
-  const Matrix probabilities = softmax(logits_);
-  std::vector<float> positive(probabilities.rows());
-  for (std::size_t r = 0; r < probabilities.rows(); ++r) {
-    positive[r] = probabilities.at(r, 1);
-  }
-  return positive;
+  return softmax_positive(logits_);
 }
 
 std::unique_ptr<GcnEngine> make_gcn_engine(const GcnModel& model,

@@ -1,9 +1,9 @@
 #pragma once
 // GcnEngine: the one prediction interface the OPI/CPI flows and serve
-// sessions hold. Each engine is a schedule over GcnModel::layer_step and
-// GcnModel::fc_head — all rows (refresh), dirty rows (IncrementalGcnEngine)
-// or one shard's rows at a time (ShardedGcnEngine) — with bit-identical
-// logits either way, so callers never need to know which one runs.
+// sessions hold. Each engine is a schedule over GcnModel::layer_step — all
+// rows (refresh), dirty rows (IncrementalGcnEngine) or one shard's rows at
+// a time (ShardedGcnEngine, the last engine with a separate fc_head) —
+// with bit-identical logits, so callers never need to know which runs.
 //
 // The base owns the contract both engines share: the dirty-fraction
 // fallback to a full pass, the CSR/dirty-id input checks, the cached
@@ -12,7 +12,7 @@
 // per pass instead of silently mixing tiers).
 //
 // The sharded engine is library-only: no command selects it. It stays for
-// perfbench's sharded probes and goes with them (ROADMAP item 5).
+// perfbench's sharded probes and goes with them (ROADMAP item 4).
 
 #include <cstddef>
 #include <memory>

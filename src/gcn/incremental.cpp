@@ -122,14 +122,16 @@ void IncrementalGcnEngine::dirty_pass(const GraphTensors& tensors,
   // Re-propagate the dirty rows layer by layer. A clean row's inputs are
   // all clean (the dirty set is the D-hop closure), so reading the cached
   // E_{d-1} for neighbors is exact, and the row-subset layer step
-  // reproduces each recomputed row bit-for-bit.
-  for (std::size_t d = 0; d + 1 < embeddings_.size(); ++d) {
+  // reproduces each recomputed row bit-for-bit. As in the refresh, the
+  // last step runs on through the FC head; its logits scatter by node id.
+  for (std::size_t d = 0; d < embeddings_.size(); ++d) {
+    const bool head = d + 1 == embeddings_.size();
     model_->layer_step(d, tensors.pred, tensors.succ, embeddings_[d],
-                       &dirty_rows_, Precision::kFp32, ws_, ws_.ping);
-    scatter_rows(ws_.ping, dirty_rows_, embeddings_[d + 1]);
+                       &dirty_rows_, Precision::kFp32, ws_, ws_.ping,
+                       /*keep=*/nullptr, head);
+    scatter_rows(ws_.ping, head ? dirty : dirty_rows_,
+                 head ? logits_ : embeddings_[d + 1]);
   }
-  model_->fc_head(ws_.ping, Precision::kFp32, ws_, ws_.pong);
-  scatter_rows(ws_.pong, dirty, logits_);
 }
 
 }  // namespace gcnt

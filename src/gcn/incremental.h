@@ -8,15 +8,16 @@
 // aggregates both directions) of a perturbed node. DirtyConeTracker
 // accumulates the perturbations of an insertion batch and computes that
 // D-hop "dirty cone"; IncrementalGcnEngine keeps the per-layer embeddings
-// E_0..E_D of the last full forward cached and re-propagates only the
+// E_0..E_{D-1} of the last full forward cached and re-propagates only the
 // dirty rows, falling back to a full pass when the dirty fraction makes
-// re-propagation pointless.
+// re-propagation pointless. Both passes run the last layer step through
+// the FC head, so E_D is never stored.
 //
 // The incremental path is bit-identical to GcnModel::infer on the updated
 // tensors: both run GcnModel::layer_step, whose row-list form runs the
-// same per-row aggregation and encoding as the whole-graph form, so
-// recomputing a subset of rows yields exactly the bits a full pass would
-// (pinned by tests/incremental_test.cpp).
+// same per-row aggregation, encoding and FC head as the whole-graph form,
+// so recomputing a subset of rows yields exactly the bits a full pass
+// would (pinned by tests/incremental_test.cpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -58,7 +59,7 @@ class DirtyConeTracker {
   std::vector<NodeId> seeds_;
 };
 
-/// Per-model incremental inference state: cached E_0..E_D and logits of
+/// Per-model incremental inference state: cached E_0..E_{D-1} and logits of
 /// the last (full or incremental) forward. The model's parameters must not
 /// change between calls (the OPI/CPI flows use trained, frozen models).
 class IncrementalGcnEngine : public GcnEngine {
@@ -66,12 +67,12 @@ class IncrementalGcnEngine : public GcnEngine {
   explicit IncrementalGcnEngine(const GcnModel& model);
 
  private:
-  /// GcnModel::infer with the embeddings sink: E_0..E_D land in the cache.
+  /// GcnModel::infer with the embeddings sink, E_0..E_{D-1}.
   void full_pass(const GraphTensors& tensors) override;
   void dirty_pass(const GraphTensors& tensors,
                   const std::vector<NodeId>& dirty) override;
 
-  std::vector<Matrix> embeddings_;  ///< E_0 .. E_D, compute row order
+  std::vector<Matrix> embeddings_;  ///< E_0 .. E_{D-1}, compute row order
   /// Scratch reused by every pass; with a stable graph size the
   /// steady-state re-propagation allocates nothing.
   ForwardWorkspace ws_;

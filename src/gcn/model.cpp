@@ -257,38 +257,38 @@ void GcnModel::run_forward(const GraphTensors& graph, TrainWorkspace* train,
                 "GcnModel: quantized snapshots not calibrated");
   }
 
-  // Ping-pong the activations through the workspace — or, for a caching
-  // forward, write them straight into the caller's E_0..E_D: after one
-  // warm-up pass per graph, the whole forward allocates nothing. All
-  // internal activations live in compute (possibly reordered) row order;
+  // E_d lives in the caller's matrix where it keeps layer d, else in the
+  // workspace's ping-pong buffer of d's parity, so no step writes its own
+  // input and, after one warm-up pass per graph, the forward allocates
+  // nothing. Activations live in compute (possibly reordered) row order;
   // only the gather here and the scatter of the logits touch the
-  // permutation. Plain fp32 inference never stores E_D: the last layer
-  // step sends each encoded row block on through the FC head, so its
-  // only graph-sized buffers are E_{D-2}, E_{D-1} and the logits.
-  const bool fused = !embeddings && precision == Precision::kFp32;
-  if (embeddings) embeddings->resize(encoders_.size() + 1);
-  if (train) train->layers.resize(encoders_.size());
-  Matrix* emb = embeddings ? &embeddings->front() : &ws.ping;
-  Matrix* spare = &ws.pong;
-  gather_compute_rows(graph, graph.features, *emb);
-  for (std::size_t d = 0; d < encoders_.size(); ++d) {
-    const bool head = fused && d + 1 == encoders_.size();
-    Matrix* next = embeddings ? &(*embeddings)[d + 1]
-                   : head && !graph.reordered() ? &out
-                                                : spare;
-    layer_step(d, graph.pred, graph.succ, *emb, nullptr, precision, ws, *next,
+  // permutation. fp32 inference never stores E_D: the last layer step
+  // runs each encoded row block on through the FC head. Training
+  // (backward() reads E_D) and the int8 tier run fc_head over it.
+  const bool fused = !train && precision == Precision::kFp32;
+  const std::size_t depth = encoders_.size();
+  if (embeddings) embeddings->resize(train ? depth + 1 : depth);
+  if (train) train->layers.resize(depth);
+  const auto act = [&](std::size_t d) -> Matrix& {
+    if (embeddings && d < embeddings->size()) return (*embeddings)[d];
+    return d % 2 == 0 ? ws.ping : ws.pong;
+  };
+  gather_compute_rows(graph, graph.features, act(0));
+  for (std::size_t d = 0; d < depth; ++d) {
+    const bool head = fused && d + 1 == depth;
+    layer_step(d, graph.pred, graph.succ, act(d), nullptr, precision, ws,
+               head && !graph.reordered() ? out : act(d + 1),
                train ? &train->layers[d] : nullptr, head);
-    if (!embeddings) spare = emb;
-    emb = next;
   }
 
-  // `emb` now holds E_D, or the compute-order logits when fused.
+  // act(depth) holds E_D, or the compute-order logits when fused.
+  Matrix* logits = &act(depth);
   if (!fused) {
-    Matrix& logits = graph.reordered() ? *spare : out;
-    fc_head(*emb, precision, ws, logits, train ? &train->fc_hidden : nullptr);
-    emb = &logits;
+    logits = graph.reordered() ? &act(depth + 1) : &out;
+    fc_head(act(depth), precision, ws, *logits,
+            train ? &train->fc_hidden : nullptr);
   }
-  if (graph.reordered()) scatter_compute_rows(graph, *emb, out);
+  if (graph.reordered()) scatter_compute_rows(graph, *logits, out);
 }
 
 Matrix GcnModel::forward(const GraphTensors& graph) {
@@ -439,12 +439,7 @@ void GcnModel::backward(const GraphTensors& graph, const Matrix& dlogits) {
 
 std::vector<float> GcnModel::predict_positive_probability(
     const GraphTensors& graph) const {
-  const Matrix probabilities = softmax(infer(graph));
-  std::vector<float> positive(probabilities.rows());
-  for (std::size_t r = 0; r < probabilities.rows(); ++r) {
-    positive[r] = probabilities.at(r, 1);
-  }
-  return positive;
+  return softmax_positive(infer(graph));
 }
 
 std::vector<Param*> GcnModel::params() {

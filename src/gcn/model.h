@@ -69,15 +69,10 @@ class GcnModel {
   /// Zero-allocation inference: writes logits into `out` using the
   /// caller's workspace. After one warm-up call per graph, steady-state
   /// calls perform no heap allocations (see gcn/workspace.h). Use
-  /// distinct workspaces for concurrent callers. A non-null `embeddings`
-  /// also receives E_0..E_D in compute row order (the incremental
-  /// engine's cache); such a caching forward always runs fp32.
-  /// Without `embeddings`, an fp32 forward never stores E_D: the last
-  /// layer step runs each encoded row block on through the FC head, so
-  /// the graph-sized buffers are E_{D-2} and E_{D-1} in ws.ping / ws.pong
-  /// (4 * (K_{D-2} + K_{D-1}) bytes per node, 384 with the paper's dims)
-  /// and the N x num_classes logits. A caching forward, or the int8 tier,
-  /// also holds E_D (another 4 * K_D bytes per node).
+  /// distinct workspaces for concurrent callers. fp32 never stores E_D:
+  /// the last layer step runs each row block on through the FC head. A
+  /// non-null `embeddings` receives E_0..E_{D-1} in compute row order
+  /// (the incremental engine's cache; always fp32, same logits).
   void infer(const GraphTensors& graph, ForwardWorkspace& ws, Matrix& out,
              std::vector<Matrix>* embeddings = nullptr) const;
 
@@ -95,7 +90,8 @@ class GcnModel {
   /// graph-sized P*E, S*E and G for backward. `through_head` (fp32, last
   /// layer only) sends each encoded block on through the FC head's block
   /// chain in ws.blocks instead of into `out`, which then receives the
-  /// logits, bitwise those of fc_head over the unfused step's output.
+  /// logits, bitwise those of fc_head over the unfused step's output
+  /// (all rows or a row list).
   /// kInt8 (all rows only): quantize_tensor / spmm_q8 / axpy_exact /
   /// quantized_linear_forward through ws.pred_sum / succ_sum / aggregated.
   /// `out` must not be `in` and `through_head` needs d == D-1 and fp32
@@ -151,8 +147,9 @@ class GcnModel {
   Precision precision() const noexcept { return precision_; }
 
  private:
-  /// Shared whole-graph forward; fills `train` (training) or `embeddings`
-  /// when non-null. Scratch lives in `ws`, node-order logits land in `out`.
+  /// Shared whole-graph forward: training (fills `train`, E_D included)
+  /// or fused inference (a non-null `embeddings` receives E_0..E_{D-1}).
+  /// Scratch lives in `ws`, node-order logits land in `out`.
   void run_forward(const GraphTensors& graph, TrainWorkspace* train,
                    std::vector<Matrix>* embeddings, ForwardWorkspace& ws,
                    Matrix& out) const;

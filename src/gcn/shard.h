@@ -10,7 +10,7 @@
 //
 // The tier is library-only: no command selects it. It loses to the
 // monolithic engine in time and memory, and stays only for perfbench's
-// sharded probes (ROADMAP item 5).
+// sharded probes (ROADMAP item 4).
 //
 // Bitwise identity with the monolithic path is a hard invariant, pinned
 // by tests/shard_test.cpp: the shard-local CSR forms are carved out of

@@ -8,12 +8,12 @@
 // The fp32 forward never materializes graph-sized P*E, S*E, G or hidden
 // FC activations: each kernel-pool block aggregates, encodes and
 // classifies kGemmRowBlock rows at a time in its own row of `blocks`.
-// Plain (no-cache) fp32 inference does not store E_D either: the last
-// layer step runs each encoded block on through the FC head, so `ping`
-// and `pong` end up holding E_{D-1} and E_{D-2} (or, on a reordered
-// graph, the compute-order logits in the buffer E_{D-2} left). That is
-// 4 * (K_{D-1} + K_{D-2}) bytes per node — 384 with the paper's
-// (32, 64, 128) — where storing E_D took 4 * (K_{D-1} + K_D), 768.
+// fp32 inference does not store E_D either: the last layer step runs
+// each encoded block on through the FC head. Without a cache, `ping` and
+// `pong` hold E_{D-1} and E_{D-2} (on a reordered graph the compute-order
+// logits take E_{D-2}'s buffer): 384 B per node with the paper's
+// (32, 64, 128), where storing E_D took 768. A caching forward writes
+// E_0..E_{D-1} into the caller's matrices instead.
 //
 // Matrix::resize() and Matrix::copy_from() reuse the underlying
 // allocation whenever the new element count fits in capacity(), so after

@@ -10,6 +10,7 @@
 #include "common/debug_assert.h"
 #include "common/error.h"
 #include "common/parallel.h"
+#include "common/trace.h"
 
 namespace gcnt {
 
@@ -259,6 +260,8 @@ bool Netlist::edge_is_combinational(NodeId /*from*/, NodeId to) const noexcept {
 
 std::vector<NodeId> Netlist::topological_order() const {
   const std::size_t n = size();
+  TraceSpan span("netlist.topo");
+  span.arg("nodes", static_cast<double>(n));
   // Every fanin edge of a non-DFF node is combinational (see
   // edge_is_combinational), so a node waits on all its fanins or none.
   std::vector<std::uint32_t> pending(n);
@@ -294,6 +297,8 @@ std::vector<std::uint32_t> Netlist::logic_levels() const {
 
 std::vector<std::uint32_t> Netlist::logic_levels(
     const std::vector<NodeId>& order) const {
+  TraceSpan span("netlist.levels");
+  span.arg("nodes", static_cast<double>(size()));
   std::vector<std::uint32_t> level(size(), 0);
   for (const NodeId v : order) {
     // DFF fanin edges are sequential, so a DFF stays at level 0 (it acts as

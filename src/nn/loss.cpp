@@ -71,4 +71,15 @@ Matrix softmax(const Matrix& logits) {
   return out;
 }
 
+std::vector<float> softmax_positive(const Matrix& logits) {
+  if (logits.cols() < 2) throw std::invalid_argument("softmax_positive");
+  std::vector<float> probs(logits.cols());
+  std::vector<float> positive(logits.rows());
+  for (std::size_t r = 0; r < logits.rows(); ++r) {
+    softmax_row(logits.row(r), logits.cols(), probs.data());
+    positive[r] = probs[1];
+  }
+  return positive;
+}
+
 }  // namespace gcnt

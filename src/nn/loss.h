@@ -30,4 +30,7 @@ double softmax_cross_entropy(const Matrix& logits,
 /// Row-wise softmax probabilities (for inference confidence thresholds).
 Matrix softmax(const Matrix& logits);
 
+/// Column 1 of softmax(logits), bitwise: each row's positive probability.
+std::vector<float> softmax_positive(const Matrix& logits);
+
 }  // namespace gcnt

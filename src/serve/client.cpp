@@ -295,6 +295,9 @@ Matrix ServeClient::infer(const std::string& session) {
   WireReader reader(payload);
   const std::uint32_t rows = reader.u32();
   const std::uint32_t cols = reader.u32();
+  if (reader.remaining() / sizeof(float) != std::uint64_t{rows} * cols) {
+    throw Error(ErrorKind::kCorrupt, "malformed infer reply");
+  }
   Matrix logits(rows, cols);
   for (std::uint32_t r = 0; r < rows; ++r) {
     float* row = logits.row(r);

@@ -60,7 +60,7 @@ const Matrix& ServeSession::logits(const ModelRegistry::Snapshot& snapshot,
     return plain_logits_;
   }
 
-  // Edited session: the incremental engine caches E_0..E_D so an
+  // Edited session: the incremental engine caches E_0..E_{D-1} so an
   // insertion batch costs one dirty-cone re-propagation.
   if (!design_.primed()) design_.set_models({model_.get()});
   static Counter& dirty_rows =

@@ -946,21 +946,29 @@ TEST(ForwardWorkspace, SteadyStateInferAllocatesNothing) {
       EXPECT_EQ(ws.poll_allocations(), 1u);
     }
 
-    // Every pass runs plain inference, the caching forward, the row-list
-    // layer step at each list size, and the FC head on whole-graph and
-    // compact rows, all through `ws`.
+    // Every pass runs plain inference and the caching forward, which
+    // hands back E_0 and E_1 only. No inference forward stores E_D, so an
+    // unfused all-rows last layer step builds it here, and fc_head over
+    // it must give the fused forward's logits. Then, at each list size,
+    // the row-list last step must give those rows of E_D unfused, their
+    // logits through fc_head, and the same logits through the head (the
+    // incremental engine's dirty pass). All through `ws`.
     Matrix out;
     Matrix cached_out;
     std::vector<Matrix> embeddings;
+    Matrix last;
     Matrix step_out;
     Matrix head_out;
     Matrix compact_head_out;
+    Matrix fused_out;
     Matrix reference;
     const auto run_pass = [&] {
       model.infer(tensors, ws, out);
       model.infer(tensors, ws, cached_out, &embeddings);
-      ASSERT_EQ(embeddings.size(), 3u);
-      model.fc_head(embeddings[2], Precision::kFp32, ws, head_out);
+      ASSERT_EQ(embeddings.size(), 2u);
+      model.layer_step(1, tensors.pred, tensors.succ, embeddings[1], nullptr,
+                       Precision::kFp32, ws, last);
+      model.fc_head(last, Precision::kFp32, ws, head_out);
       for (std::size_t p = 0; p < rows; ++p) {
         for (std::size_t c = 0; c < out.cols(); ++c) {
           ASSERT_EQ(head_out.at(p, c), out.at(tensors.node_of(p), c));
@@ -972,14 +980,22 @@ TEST(ForwardWorkspace, SteadyStateInferAllocatesNothing) {
         ASSERT_EQ(step_out.rows(), list.size());
         for (std::size_t i = 0; i < list.size(); ++i) {
           for (std::size_t c = 0; c < step_out.cols(); ++c) {
-            ASSERT_EQ(step_out.at(i, c), embeddings[2].at(list[i], c))
+            ASSERT_EQ(step_out.at(i, c), last.at(list[i], c))
                 << "list of " << list.size() << ", row " << i;
           }
         }
         model.fc_head(step_out, Precision::kFp32, ws, compact_head_out);
+        model.layer_step(1, tensors.pred, tensors.succ, embeddings[1], &list,
+                         Precision::kFp32, ws, fused_out, nullptr,
+                         /*through_head=*/true);
+        ASSERT_EQ(fused_out.rows(), list.size());
+        ASSERT_EQ(fused_out.cols(), out.cols());
         for (std::size_t i = 0; i < list.size(); ++i) {
           for (std::size_t c = 0; c < out.cols(); ++c) {
             ASSERT_EQ(compact_head_out.at(i, c), head_out.at(list[i], c));
+            ASSERT_EQ(fused_out.at(i, c),
+                      out.at(tensors.node_of(list[i]), c))
+                << "list of " << list.size() << ", row " << i;
           }
         }
       }
@@ -998,11 +1014,15 @@ TEST(ForwardWorkspace, SteadyStateInferAllocatesNothing) {
       embedding_capacity.push_back(e.capacity());
     }
     const std::size_t step_capacity = step_out.capacity();
+    const std::size_t last_capacity = last.capacity();
+    const std::size_t fused_capacity = fused_out.capacity();
     for (int pass = 0; pass < 3; ++pass) {
       run_pass();
       EXPECT_EQ(ws.poll_allocations(), 0u) << "pass " << pass;
       EXPECT_EQ(out.capacity(), logits_capacity) << "pass " << pass;
       EXPECT_EQ(step_out.capacity(), step_capacity) << "pass " << pass;
+      EXPECT_EQ(last.capacity(), last_capacity) << "pass " << pass;
+      EXPECT_EQ(fused_out.capacity(), fused_capacity) << "pass " << pass;
       for (std::size_t d = 0; d < embeddings.size(); ++d) {
         EXPECT_EQ(embeddings[d].capacity(), embedding_capacity[d]);
       }
@@ -1146,12 +1166,13 @@ class FusedForward : public ::testing::Test {
   }
 };
 
-// Plain fp32 inference runs the last layer's blocks through the FC head
-// and never stores E_D. Its logits must be bitwise those of the caching
-// forwards, which keep E_D and run fc_head over it: infer with
-// embeddings (the incremental engine's refresh) and the training
-// forward(). On every SIMD target, at 1 and 4 threads, with and without
-// RCM reordering, for the paper's dims and a small non-dyadic model.
+// fp32 inference runs the last layer's blocks through the FC head and
+// never stores E_D. Its logits must be bitwise those of the training
+// forward(), which keeps E_D and runs fc_head over it; a sink for
+// E_0..E_{D-1} (the incremental engine's refresh) must not change them
+// and must hold the training forward's E_0..E_{D-1}.
+// On every SIMD target, at 1 and 4 threads, with and without RCM
+// reordering, for the paper's dims and a small non-dyadic model.
 TEST_F(FusedForward, LogitsMatchCachingForwardsBitwise) {
   const std::vector<Netlist> netlists = designs();
   ASSERT_NE(netlists[0].size() % kGemmRowBlock, 0u);
@@ -1188,6 +1209,14 @@ TEST_F(FusedForward, LogitsMatchCachingForwardsBitwise) {
             ASSERT_EQ(fused.rows(), tensors.node_count());
             EXPECT_TRUE(same_bits(fused, cached));
             EXPECT_TRUE(same_bits(fused, trained));
+            // The sink holds E_0..E_{D-1}, the training cache's first D.
+            const std::vector<Matrix>& kept =
+                model.train_workspace().embeddings;
+            ASSERT_EQ(embeddings.size(), model.encoders().size());
+            ASSERT_EQ(kept.size(), embeddings.size() + 1);
+            for (std::size_t d = 0; d < embeddings.size(); ++d) {
+              EXPECT_TRUE(same_bits(embeddings[d], kept[d])) << "E_" << d;
+            }
             EXPECT_TRUE(same_bits(fused, model.infer(tensors)));
           }
         }

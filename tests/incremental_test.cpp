@@ -431,12 +431,16 @@ TEST(Incremental, RcmReorderingKeepsIncrementalBitIdentical) {
   EXPECT_EQ(engine.logits(), model.infer(plain));
 }
 
+// A traced refresh and its updates: one gcn.incremental.* span per pass,
+// each over the model's D gcn.layer steps, of which only the last carries
+// fc_head = 1. The engine runs its FC head inside that step, so no pass
+// records a separate gcn.fc_head span.
 TEST(Incremental, TracedUpdatesRecordOneSpanEach) {
   const Netlist netlist = test_netlist(13, 600);
   const GraphTensors tensors = build_graph_tensors(netlist);
-  const GcnModel model(small_config(2));
+  constexpr int kDepth = 2;
+  const GcnModel model(small_config(kDepth));
   IncrementalGcnEngine engine(model);
-  engine.refresh(tensors);
 
   const bool stats_were_on = stats_enabled();
   set_stats_enabled(true);
@@ -446,6 +450,7 @@ TEST(Incremental, TracedUpdatesRecordOneSpanEach) {
   constexpr std::size_t kUpdates = 5;
   trace_reset();
   trace_start();
+  engine.refresh(tensors);
   for (std::size_t i = 0; i < kUpdates; ++i) {
     engine.update(tensors, {static_cast<NodeId>(i)});
     ASSERT_FALSE(engine.last_was_full());
@@ -462,17 +467,63 @@ TEST(Incremental, TracedUpdatesRecordOneSpanEach) {
   json::Value root;
   std::string error;
   ASSERT_TRUE(json::parse(text.str(), root, error)) << error;
-  std::size_t spans = 0;
+  const auto number = [](const json::Value& event, const char* key) {
+    const json::Value* field = event.find(key);
+    return field != nullptr ? field->number : -1.0;
+  };
+  std::vector<const json::Value*> passes;
+  std::vector<const json::Value*> layers;
+  std::size_t updates = 0;
+  std::size_t heads = 0;
   for (const json::Value& event : root.find("traceEvents")->array) {
     const json::Value* name = event.find("name");
-    if (name == nullptr || name->text != "gcn.incremental.update") continue;
-    ++spans;
+    if (name == nullptr) continue;
+    if (name->text == "gcn.fc_head") ++heads;
+    if (name->text == "gcn.layer") layers.push_back(&event);
+    if (name->text != "gcn.incremental.update" &&
+        name->text != "gcn.incremental.refresh") {
+      continue;
+    }
+    passes.push_back(&event);
+    if (name->text != "gcn.incremental.update") continue;
+    ++updates;
     const json::Value* args = event.find("args");
     ASSERT_NE(args, nullptr);
     EXPECT_NE(args->find("nodes"), nullptr);
     EXPECT_NE(args->find("dirty"), nullptr);
   }
-  EXPECT_EQ(spans, kUpdates);
+  EXPECT_EQ(updates, kUpdates);
+  EXPECT_EQ(passes.size(), kUpdates + 1);
+  EXPECT_EQ(heads, 0u) << "the engine ran a separate FC head";
+  for (const json::Value* pass : passes) {
+    SCOPED_TRACE(pass->find("name")->text + " at " +
+                 std::to_string(number(*pass, "ts")));
+    const double begin = number(*pass, "ts");
+    const double end = begin + number(*pass, "dur");
+    std::vector<const json::Value*> steps;
+    for (const json::Value* layer : layers) {
+      const double ts = number(*layer, "ts");
+      if (number(*layer, "tid") == number(*pass, "tid") && ts >= begin &&
+          ts <= end) {
+        steps.push_back(layer);
+      }
+    }
+    std::sort(steps.begin(), steps.end(), [&](const auto* a, const auto* b) {
+      return number(*a, "ts") < number(*b, "ts");
+    });
+    ASSERT_EQ(steps.size(), static_cast<std::size_t>(kDepth));
+    for (std::size_t d = 0; d < steps.size(); ++d) {
+      const json::Value* args = steps[d]->find("args");
+      ASSERT_NE(args, nullptr);
+      const json::Value* head = args->find("fc_head");
+      if (d + 1 < steps.size()) {
+        EXPECT_EQ(head, nullptr) << "layer " << d;
+      } else {
+        ASSERT_NE(head, nullptr) << "the last layer skipped the FC head";
+        EXPECT_EQ(head->number, 1.0);
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 

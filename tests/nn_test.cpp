@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/layers.h"
@@ -232,6 +234,19 @@ TEST(Softmax, RowsSumToOne) {
     }
     EXPECT_NEAR(sum, 1.0f, 1e-5f);
   }
+}
+
+TEST(Softmax, PositiveIsColumnOneBitwise) {
+  Matrix logits(5, 3);
+  for (std::size_t i = 0; i < logits.size(); ++i) {
+    logits.data()[i] = 0.37f * static_cast<float>(i) - 1.9f;
+  }
+  logits.at(4, 1) = 80.0f;
+  const Matrix p = softmax(logits);
+  const std::vector<float> positive = softmax_positive(logits);
+  ASSERT_EQ(positive.size(), 5u);
+  for (std::size_t r = 0; r < 5; ++r) EXPECT_EQ(positive[r], p.at(r, 1));
+  EXPECT_THROW(softmax_positive(Matrix(2, 1)), std::invalid_argument);
 }
 
 /// Minimizing f(w) = ||w - target||^2 exercises an optimizer end to end.

@@ -213,6 +213,32 @@ TEST(Trace, ConcurrentSpansFromPoolWorkersProduceValidFile) {
   std::remove(path.c_str());
 }
 
+// A span keeps three args in the order given and drops a fourth: the
+// fused last layer step records rows, nnz and fc_head.
+TEST(Trace, SpanKeepsThreeArgs) {
+  const std::string path = "observability_three_args_trace.json";
+  trace_reset();
+  trace_start();
+  {
+    TraceSpan span("test.three_args");
+    span.arg("rows", 1.0);
+    span.arg("nnz", 2.0);
+    span.arg("fc_head", 3.0);
+    span.arg("dropped", 4.0);
+  }
+  ASSERT_TRUE(trace_stop(path));
+  EXPECT_TRUE(validate_trace_file(path).ok);
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_NE(buffer.str().find(
+                "\"args\":{\"rows\":1,\"nnz\":2,\"fc_head\":3}"),
+            std::string::npos)
+      << buffer.str();
+  EXPECT_EQ(buffer.str().find("dropped"), std::string::npos);
+  std::remove(path.c_str());
+}
+
 TEST(Trace, DisabledSpansRecordNothing) {
   const std::string path = "observability_disabled_trace.json";
   trace_reset();

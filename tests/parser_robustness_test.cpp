@@ -1,5 +1,6 @@
 // Decoder robustness: randomly mutated netlist text, model files,
-// training checkpoints and flow journals must never crash or corrupt.
+// training checkpoints, flow journals and serve wire frames must never
+// crash or corrupt.
 // Malformed netlists surface as gcnt::Error{kCorrupt}; anything accepted
 // must be structurally valid. The artifact decoders are fuzzed twice: mutating
 // the whole file (the envelope's checks must reject it) and mutating the
@@ -21,6 +22,8 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/artifact.h"
 #include "common/error.h"
@@ -33,6 +36,7 @@
 #include "netlist/bench_io.h"
 #include "netlist/verilog_io.h"
 #include "netlist_diff.h"
+#include "serve/protocol.h"
 
 namespace gcnt {
 namespace {
@@ -346,6 +350,219 @@ TEST_P(ParserFuzz, JournalFileNeverCrashes) {
     resume_journal(path);
   });
   std::remove(path.c_str());
+}
+
+// ---- Serve wire frames ------------------------------------------------------
+
+/// A request body in the field order the daemon's handler reads it.
+void read_request_body(serve::Op op, serve::WireReader& reader) {
+  using serve::Op;
+  switch (op) {
+    case Op::kLoadSession:
+      (void)reader.str();
+      (void)reader.u8();
+      (void)reader.str();
+      (void)reader.u8();
+      break;
+    case Op::kInfer:
+    case Op::kReloadModel:
+    case Op::kCloseSession:
+      (void)reader.str();
+      break;
+    case Op::kAppendObserve:
+      (void)reader.str();
+      (void)reader.u32();
+      break;
+    case Op::kAppendControl:
+      (void)reader.str();
+      (void)reader.u32();
+      (void)reader.u8();
+      break;
+    case Op::kMetrics:
+      if (!reader.empty()) (void)reader.u8();
+      break;
+    case Op::kPing:
+    case Op::kStats:
+    case Op::kShutdown:
+      break;
+  }
+}
+
+/// A response body in the field order the client reads it: the status
+/// byte, then an error's message or the opcode's payload.
+void read_response_body(serve::Op op, serve::WireReader& reader) {
+  using serve::Op;
+  if (reader.u8() != serve::kStatusOk) {
+    (void)reader.str();
+    return;
+  }
+  switch (op) {
+    case Op::kPing:
+      if (reader.empty()) break;  // a v1 daemon's empty ping reply
+      (void)reader.u32();
+      (void)reader.u32();
+      (void)reader.u64();
+      (void)reader.u8();
+      (void)reader.u32();
+      break;
+    case Op::kLoadSession:
+    case Op::kAppendObserve:
+      (void)reader.u32();
+      (void)reader.u32();
+      break;
+    case Op::kInfer: {
+      const std::uint64_t rows = reader.u32();
+      const std::uint64_t cols = reader.u32();
+      for (std::uint64_t i = 0; i < rows * cols; ++i) (void)reader.f32();
+      break;
+    }
+    case Op::kAppendControl:
+      (void)reader.u32();
+      (void)reader.u32();
+      (void)reader.u32();
+      break;
+    case Op::kStats:
+      (void)reader.str();
+      break;
+    case Op::kMetrics:
+      (void)reader.str();
+      (void)reader.str();
+      break;
+    case Op::kReloadModel:
+      (void)reader.u64();
+      break;
+    case Op::kCloseSession:
+    case Op::kShutdown:
+      break;
+  }
+}
+
+/// Encoded request and ok-response frames of every opcode, bodies as the
+/// client and daemon write them, plus a deadline-flagged request, an
+/// error response and a v1 request.
+std::vector<std::string> base_frames() {
+  using serve::Op;
+  using serve::WireWriter;
+  std::vector<std::string> frames;
+  std::uint32_t request_id = 1;
+  for (std::uint8_t opcode = 1; opcode <= 10; ++opcode) {
+    const Op op = static_cast<Op>(opcode);
+    serve::Frame request;
+    request.opcode = opcode;
+    request.request_id = request_id++;
+    std::string reply;
+    WireWriter body(request.body);
+    WireWriter out(reply);
+    switch (op) {
+      case Op::kPing:
+        out.u32(3);
+        out.u32(4);
+        out.u64(2);
+        out.u8(0);
+        out.u32(1);
+        break;
+      case Op::kLoadSession:
+        body.str("design");
+        body.u8(1);
+        body.str("INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n");
+        body.u8(1);
+        out.u32(2);
+        out.u32(1);
+        break;
+      case Op::kInfer:
+        body.str("design");
+        out.u32(2);
+        out.u32(2);
+        for (const float logit : {0.5f, -0.5f, 1.25f, -2.0f}) out.f32(logit);
+        break;
+      case Op::kAppendObserve:
+        body.str("design");
+        body.u32(1);
+        out.u32(2);
+        out.u32(3);
+        break;
+      case Op::kAppendControl:
+        body.str("design");
+        body.u32(1);
+        body.u8(1);
+        out.u32(2);
+        out.u32(3);
+        out.u32(4);
+        break;
+      case Op::kStats:
+        out.str("{\"counters\":{}}");
+        break;
+      case Op::kReloadModel:
+        body.str("model.txt");
+        out.u64(7);
+        break;
+      case Op::kCloseSession:
+        body.str("design");
+        break;
+      case Op::kMetrics:
+        body.u8(1);
+        out.str("gcnt_up 1\n");
+        out.str("[]");
+        break;
+      case Op::kShutdown:
+        break;
+    }
+    frames.push_back(serve::encode_frame(request));
+    frames.push_back(
+        serve::encode_frame(serve::make_ok_response(request, reply)));
+    if (op == Op::kInfer) {
+      request.flags = serve::kFrameFlagDeadline;
+      request.deadline_ms = 250;
+      frames.push_back(serve::encode_frame(request));
+      frames.push_back(serve::encode_frame(serve::make_error_response(
+          request, ErrorKind::kDeadline, "deadline exceeded")));
+    }
+  }
+  serve::Frame v1;
+  v1.version = 1;
+  v1.opcode = static_cast<std::uint8_t>(Op::kAppendObserve);
+  v1.request_id = request_id;
+  serve::WireWriter(v1.body).str("design");
+  serve::WireWriter(v1.body).u32(5);
+  frames.push_back(serve::encode_frame(v1));
+  return frames;
+}
+
+// Mutated frames through decode_frame, then every decoded frame's body
+// through WireReader in its opcode's field order. kNeedMore, kMalformed
+// and a typed gcnt::Error are the only allowed outcomes besides success.
+TEST_P(ParserFuzz, WireFramesNeverCrash) {
+  const std::vector<std::string> frames = base_frames();
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    SCOPED_TRACE("base frame " + std::to_string(f));
+    fuzz_decoder(GetParam() * 163 + f, frames[f], [](const std::string& bytes) {
+      std::string_view rest(bytes);
+      for (;;) {
+        serve::Frame frame;
+        std::size_t consumed = 0;
+        ErrorKind kind = ErrorKind::kInternal;
+        std::string message;
+        const serve::DecodeResult result =
+            serve::decode_frame(rest, frame, consumed, kind, message);
+        if (result == serve::DecodeResult::kNeedMore) return;
+        if (result == serve::DecodeResult::kMalformed) {
+          EXPECT_FALSE(message.empty());
+          return;
+        }
+        ASSERT_EQ(result, serve::DecodeResult::kFrame);
+        ASSERT_GT(consumed, 0u);
+        ASSERT_LE(consumed, rest.size());
+        serve::WireReader reader(frame.body);
+        const auto op = static_cast<serve::Op>(frame.request_opcode());
+        if (frame.is_response()) {
+          read_response_body(op, reader);
+        } else {
+          read_request_body(op, reader);
+        }
+        rest.remove_prefix(consumed);
+      }
+    });
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz,

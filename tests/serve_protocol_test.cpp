@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cstring>
+#include <exception>
 #include <string>
 #include <thread>
 
 #include "common/error.h"
+#include "serve/client.h"
 #include "serve/protocol.h"
 
 namespace gcnt::serve {
@@ -338,6 +342,57 @@ TEST(ServeProtocol, ReadFrameRejectsHostileLengthWithoutAllocating) {
   EXPECT_EQ(read_frame(pipe.fds[0], decoded, kind, message),
             ReadStatus::kError);
   EXPECT_EQ(kind, ErrorKind::kCorrupt);
+}
+
+// An infer reply whose logits shape outruns its body is corrupt, and the
+// client says so before it allocates rows x cols floats: here 2^62 of
+// them, which no allocator can provide.
+TEST(ServeClientReply, InferShapeBeyondBodyIsCorrupt) {
+  const std::string path =
+      "serve_protocol_reply_" + std::to_string(::getpid()) + ".sock";
+  ::unlink(path.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  // A one-shot daemon: one infer request, one reply of shape 2^31 x 2^31
+  // carrying a single float.
+  std::thread daemon([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    Frame request;
+    ErrorKind kind = ErrorKind::kInternal;
+    std::string message;
+    try {
+      if (read_frame(fd, request, kind, message) == ReadStatus::kFrame) {
+        std::string payload;
+        WireWriter writer(payload);
+        writer.u32(1u << 31);
+        writer.u32(1u << 31);
+        writer.f32(0.5f);
+        write_frame(fd, make_ok_response(request, payload));
+      }
+    } catch (const Error&) {
+      // The client hung up first; its side of the test reports that.
+    }
+    ::close(fd);
+  });
+  try {
+    ServeClient client = ServeClient::connect_unix(path);
+    (void)client.infer("design");
+    ADD_FAILURE() << "a reply of 2^62 logits in 4 bytes was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kCorrupt) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped " << e.what();
+  }
+  daemon.join();
+  ::close(listener);
+  ::unlink(path.c_str());
 }
 
 }  // namespace
