@@ -4,143 +4,101 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 
 #include "common/parallel.h"
 #include "common/trace.h"
-#include "gcn/vec_ops.h"
 
 namespace gcnt {
 
 namespace {
 
-/// Sentinel id for the tentative OP node.
-constexpr NodeId kVirtualOp = kInvalidNode;
+constexpr NodeId kVirtualOp = kInvalidNode;  ///< the tentative OP's id
+constexpr std::uint32_t kUnnumbered = ~std::uint32_t{0};  ///< no local row
 
 /// Blocks per kernel thread in impacts(): cone costs vary by orders of
 /// magnitude, so finer blocks keep every worker busy to the end.
 constexpr std::size_t kBlocksPerThread = 8;
 
-/// Initial scratch capacity: room for the D = 3 neighbourhood of a
-/// 96-node cone on the paper's model, so a scratch rarely grows.
-constexpr std::size_t kMemoSlots = std::size_t{1} << 15;
-constexpr std::size_t kConeSlots = 512;
-constexpr std::size_t kArenaFloats = std::size_t{1} << 18;
+/// CSR arrays of the local rows carved so far.
+struct LocalRows {
+  std::vector<std::uint32_t> row_ptr{0};
+  std::vector<std::uint32_t> cols;
+  std::vector<float> values;
 
-/// Open-addressing map from 64-bit keys to 32-bit values with an O(1)
-/// clear(): a slot is live only while its stamp equals the current epoch.
-/// Capacity (a power of two) doubles at half load and is kept across
-/// clears.
-class EpochMap {
- public:
-  explicit EpochMap(std::size_t slots) : slots_(slots) {}
-
-  void clear() {
-    size_ = 0;
-    if (++epoch_ == 0) {  // wrapped: stale stamps could read as live
-      for (Slot& slot : slots_) slot.stamp = 0;
-      epoch_ = 1;
-    }
+  LocalRows& clear() {
+    row_ptr.resize(1);
+    cols.clear();
+    values.clear();
+    return *this;
   }
-
-  const std::uint32_t* find(std::uint64_t key) const {
-    for (std::size_t i = home(key);; i = (i + 1) & mask()) {
-      const Slot& slot = slots_[i];
-      if (slot.stamp != epoch_) return nullptr;
-      if (slot.key == key) return &slot.value;
-    }
+  void add(std::uint32_t col, float value) {
+    cols.push_back(col);
+    values.push_back(value);
   }
-
-  /// `key` must not be present.
-  void insert(std::uint64_t key, std::uint32_t value) {
-    if (2 * (size_ + 1) > slots_.size()) grow();
-    place(key, value);
-    ++size_;
+  /// The first `rows` rows as a rows x `cols_count` CSR.
+  CsrMatrix prefix(std::uint32_t rows, std::uint32_t cols_count) const {
+    const std::uint32_t nnz = row_ptr[rows];
+    return CsrMatrix::from_parts(
+        rows, cols_count, {row_ptr.begin(), row_ptr.begin() + rows + 1},
+        {cols.begin(), cols.begin() + nnz},
+        {values.begin(), values.begin() + nnz});
   }
-
- private:
-  struct Slot {
-    std::uint64_t key = 0;
-    std::uint32_t value = 0;
-    std::uint32_t stamp = 0;
-  };
-  std::size_t mask() const noexcept { return slots_.size() - 1; }
-  std::size_t home(std::uint64_t key) const noexcept {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) &
-           mask();
-  }
-  void place(std::uint64_t key, std::uint32_t value) {
-    std::size_t i = home(key);
-    while (slots_[i].stamp == epoch_) i = (i + 1) & mask();
-    slots_[i] = {key, value, epoch_};
-  }
-  void grow() {
-    std::vector<Slot> old(slots_.size() * 2);
-    old.swap(slots_);
-    for (const Slot& slot : old) {
-      if (slot.stamp == epoch_) place(slot.key, slot.value);
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::uint32_t epoch_ = 1;
-  std::size_t size_ = 0;
 };
 
-std::uint64_t memo_key(std::size_t stage, int depth, NodeId v) {
-  return static_cast<std::uint64_t>(v) |
-         (static_cast<std::uint64_t>(depth) << 32) |
-         (static_cast<std::uint64_t>(stage) << 40);
+/// Inputs must index the evaluator's design: one prediction per node of
+/// the netlist and of the tensors, and node ids as targets.
+void check_inputs(const Netlist& netlist, const GraphTensors& tensors,
+                  const std::vector<std::int32_t>& predictions,
+                  std::span<const NodeId> targets) {
+  const std::size_t n = netlist.size();
+  if (tensors.node_count() != n || tensors.pred.rows() != n ||
+      predictions.size() != n) {
+    throw std::invalid_argument(
+        "ImpactEvaluator: predictions, netlist and tensors differ in size");
+  }
+  if (std::any_of(targets.begin(), targets.end(),
+                  [n](NodeId target) { return target >= n; })) {
+    throw std::out_of_range("ImpactEvaluator: target is not a node id");
+  }
 }
 
 }  // namespace
 
-/// One evaluating thread's memo and buffers (see impact.h).
+/// One evaluating thread's local graph and buffers (see impact.h).
 struct ImpactEvaluator::Scratch {
-  explicit Scratch(const std::vector<const GcnModel*>& stages)
-      : memo(kMemoSlots), co(kConeSlots) {
-    arena.reserve(kArenaFloats);  // untouched until used
-    std::size_t head_width = 0;
-    for (const GcnModel* stage : stages) {
-      const auto& encoders = stage->encoders();
-      if (aggregate.size() < encoders.size()) aggregate.resize(encoders.size());
-      for (std::size_t d = 0; d < encoders.size(); ++d) {
-        if (aggregate[d].size() < encoders[d].in_features()) {
-          aggregate[d].resize(encoders[d].in_features());
-        }
-      }
-      for (const Linear& layer : stage->fc_layers()) {
-        head_width = std::max(head_width, layer.out_features());
-      }
+  /// Room for a typical closure, reserved by the thread that makes the
+  /// scratch: what a pool worker allocates stays resident in its arena.
+  explicit Scratch(std::size_t node_count) : local(node_count, kUnnumbered) {
+    constexpr std::size_t kRoom = std::size_t{1} << 15;
+    for (Matrix& m : act) m.reserve(4 * kRoom);
+    for (Matrix* m : {&logits, &ws.blocks}) m->reserve(kRoom);
+    for (auto* v : {&features, &pred_rows.values, &succ_rows.values}) {
+      v->reserve(kRoom);
     }
-    head[0].resize(head_width);
-    head[1].resize(head_width);
+    for (auto* v : {&nodes, &pred_rows.cols, &succ_rows.cols,
+                    &pred_rows.row_ptr, &succ_rows.row_ptr}) {
+      v->reserve(kRoom);
+    }
   }
 
-  /// Forgets every memoized embedding and tentative CO value.
-  void reset(NodeId candidate) {
-    target = candidate;
-    memo.clear();
-    co.clear();
-    arena_used = 0;
-  }
-
-  /// Offset of `n` fresh arena floats. Growing the arena moves it, so
-  /// pointers into it are re-derived from offsets after any allocation.
-  std::uint32_t alloc(std::size_t n) {
-    if (arena_used + n > arena.size()) arena.resize(arena_used + n);
-    const auto offset = static_cast<std::uint32_t>(arena_used);
-    arena_used += n;
-    return offset;
-  }
-
-  NodeId target = kInvalidNode;
-  EpochMap memo;  ///< (stage, depth, node) -> arena offset of the embedding
-  EpochMap co;    ///< cone node -> tentative SCOAP CO
-  std::vector<float> arena;
-  std::size_t arena_used = 0;
-  /// aggregate[d - 1]: the aggregation buffer of depth d.
-  std::vector<std::vector<float>> aggregate;
-  std::vector<float> head[2];  ///< FC head ping-pong rows
+  /// Node -> local row of the current candidate, kUnnumbered elsewhere:
+  /// one word per node, like the fault simulator's per-lane scratch.
+  std::vector<std::uint32_t> local;
+  std::vector<NodeId> nodes;            ///< local row -> node or kVirtualOp
+  std::vector<float> features;          ///< E_0 of every local row
+  std::vector<std::uint32_t> co;        ///< tentative CO of the cone rows
+  std::vector<std::uint32_t> ring_end;  ///< ring_end[k] = |R_k|
+  LocalRows pred_rows;
+  LocalRows succ_rows;
+  /// pred[k] / succ[k]: the rows of R_k over the columns of R_{k+1}.
+  std::vector<CsrMatrix> pred;
+  std::vector<CsrMatrix> succ;
+  std::vector<std::uint32_t> survivors;  ///< cone rows every stage kept
+  Matrix act[2];  ///< E_0, then the layer outputs, ping-ponged
+  Matrix logits;
+  ForwardWorkspace ws;
 };
 
 ImpactEvaluator::ImpactEvaluator(std::vector<const GcnModel*> stages,
@@ -152,137 +110,157 @@ ImpactEvaluator::ImpactEvaluator(std::vector<const GcnModel*> stages,
       netlist_(&netlist),
       tensors_(&tensors),
       scoap_(&scoap),
-      levels_(&levels) {}
-
-std::uint32_t ImpactEvaluator::embed(std::size_t stage, NodeId v, int depth,
-                                     Scratch& scratch) const {
-  const std::uint64_t key = memo_key(stage, depth, v);
-  if (const std::uint32_t* hit = scratch.memo.find(key)) return *hit;
-
-  std::uint32_t offset = 0;
-  if (depth == 0) {
-    offset = scratch.alloc(kNodeFeatureDim);
-    float* out = scratch.arena.data() + offset;
-    if (v == kVirtualOp) {
-      // The paper assigns the tentative OP node attributes [0, 1, 1, 0].
-      out[0] = tensors_->encode(0, 0.0);
-      out[1] = tensors_->encode(1, 1.0);
-      out[2] = tensors_->encode(2, 1.0);
-      out[3] = tensors_->encode(3, 0.0);
-    } else {
-      const float* row = tensors_->features.row(v);
-      std::copy(row, row + kNodeFeatureDim, out);
-      const std::uint32_t* co = scratch.co.find(v);
-      if (co != nullptr && *co != scoap_->co[v]) {
-        out[3] = tensors_->encode(3, *co);
-      }
-    }
-  } else {
-    const GcnModel& model = *stages_[stage];
-    const auto layer_index = static_cast<std::size_t>(depth - 1);
-    const Linear& layer = model.encoders()[layer_index];
-    const std::size_t dim = layer.in_features();
-    float* aggregated = scratch.aggregate[layer_index].data();
-    const SimdOps& ops = simd_ops();
-    // Deeper recursion only touches shallower aggregation buffers, and
-    // the arena pointer is re-read after each embed() call.
-    const std::uint32_t self = embed(stage, v, depth - 1, scratch);
-    std::copy_n(scratch.arena.data() + self, dim, aggregated);
-    const auto add = [&](float weight, NodeId u) {
-      const std::uint32_t neighbour = embed(stage, u, depth - 1, scratch);
-      ops.axpy(aggregated, scratch.arena.data() + neighbour, weight, dim);
-    };
-    const float wp = model.w_pr();
-    const float ws = model.w_su();
-    if (v == kVirtualOp) {
-      // The virtual OP's only neighbor is its target (a predecessor).
-      add(wp, scratch.target);
-    } else {
-      for (NodeId u : netlist_->fanins(v)) add(wp, u);
-      for (NodeId w : netlist_->fanouts(v)) add(ws, w);
-      // Tentative structural edit: target gains the OP as a successor.
-      if (v == scratch.target) add(ws, kVirtualOp);
-    }
-    offset = scratch.alloc(layer.out_features());
-    float* out = scratch.arena.data() + offset;
-    apply_linear_row(layer, aggregated, out);
-    ops.relu(out, layer.out_features());
+      levels_(&levels) {
+  for (const GcnModel* stage : stages_) {
+    depth_ = std::max(depth_, stage->encoders().size());
   }
-  scratch.memo.insert(key, offset);
-  return offset;
-}
-
-bool ImpactEvaluator::cascade_positive(NodeId v, Scratch& scratch) const {
-  for (std::size_t stage = 0; stage < stages_.size(); ++stage) {
-    const GcnModel& model = *stages_[stage];
-    const std::uint32_t offset =
-        embed(stage, v, model.config().depth, scratch);
-    const auto& fc = model.fc_layers();
-    const float* h = scratch.arena.data() + offset;
-    for (std::size_t i = 0; i < fc.size(); ++i) {
-      float* out = scratch.head[i % 2].data();
-      apply_linear_row(fc[i], h, out);
-      if (i + 1 < fc.size()) simd_ops().relu(out, fc[i].out_features());
-      h = out;
-    }
-    if (h[1] <= h[0]) return false;  // this stage filters v out
-  }
-  return true;
 }
 
 int ImpactEvaluator::impact_of(NodeId target,
                                const std::vector<std::int32_t>& predictions,
                                std::size_t cone_limit) const {
-  Scratch scratch(stages_);
-  std::size_t cone_nodes = 0;
-  return impact_of(target, predictions, cone_limit, scratch, cone_nodes);
+  check_inputs(*netlist_, *tensors_, predictions, {&target, 1});
+  TraceSuppressScope suppress;
+  Scratch scratch(netlist_->size());
+  Counts counts;
+  return impact_of(target, predictions, cone_limit, scratch, counts);
 }
 
 int ImpactEvaluator::impact_of(NodeId target,
                                const std::vector<std::int32_t>& predictions,
-                               std::size_t cone_limit, Scratch& scratch,
-                               std::size_t& cone_nodes) const {
+                               std::size_t cone_limit, Scratch& s,
+                               Counts& counts) const {
   std::vector<NodeId> cone = netlist_->fanin_cone(target, cone_limit);
   cone.push_back(target);
 
   int before = 0;
   for (NodeId v : cone) before += predictions[v] == 1 ? 1 : 0;
   if (before == 0) return 0;
+  counts.cone_nodes += cone.size();
 
-  // Tentative SCOAP CO update, restricted to the capped cone (descending
-  // level = valid reverse-topological order within the cone).
-  scratch.reset(target);
+  // R_0: the cone in descending level order, a valid reverse-topological
+  // order within the cone for the tentative SCOAP CO walk.
   std::sort(cone.begin(), cone.end(), [&](NodeId a, NodeId b) {
     return (*levels_)[a] > (*levels_)[b];
   });
-  const auto co_of = [&](NodeId g) {
-    const std::uint32_t* co = scratch.co.find(g);
-    return co != nullptr ? *co : scoap_->co[g];
-  };
-  for (NodeId v : cone) {
-    if (v == target) {
-      scratch.co.insert(v, 0);  // the OP observes it directly
-      continue;
+  // E_0 rows: the features, and for the tentative OP the paper's
+  // attributes [0, 1, 1, 0].
+  const float op_row[] = {tensors_->encode(0, 0.0), tensors_->encode(1, 1.0),
+                          tensors_->encode(2, 1.0), tensors_->encode(3, 0.0)};
+  for (const NodeId v : s.nodes) {  // the previous candidate's numbering
+    if (v != kVirtualOp) s.local[v] = kUnnumbered;
+  }
+  s.nodes.clear();
+  s.features.clear();
+  std::uint32_t op_local = kUnnumbered;
+  const auto local_row = [&](NodeId v) {
+    std::uint32_t& row = v == kVirtualOp ? op_local : s.local[v];
+    if (row == kUnnumbered) {
+      row = static_cast<std::uint32_t>(s.nodes.size());
+      s.nodes.push_back(v);
+      const float* f = v == kVirtualOp ? op_row : tensors_->features.row(v);
+      s.features.insert(s.features.end(), f, f + kNodeFeatureDim);
     }
-    if (is_sink(netlist_->type(v))) continue;
-    scratch.co.insert(
-        v, observability_through_fanouts(*netlist_, v, *scoap_, co_of));
+    return row;
+  };
+  s.co.clear();
+  for (NodeId v : cone) {
+    local_row(v);
+    s.co.push_back(scoap_->co[v]);
+  }
+  const auto co_of = [&](NodeId g) {
+    return s.local[g] < cone.size() ? s.co[s.local[g]] : scoap_->co[g];
+  };
+  for (std::uint32_t i = 0; i < cone.size(); ++i) {
+    const NodeId v = s.nodes[i];
+    if (v == target) {
+      s.co[i] = 0;  // the OP observes it directly
+    } else if (!is_sink(netlist_->type(v))) {
+      s.co[i] = observability_through_fanouts(*netlist_, v, *scoap_, co_of);
+    }
+    if (s.co[i] != scoap_->co[v]) {  // the overlay, in column 3
+      s.features[i * kNodeFeatureDim + 3] = tensors_->encode(3, s.co[i]);
+    }
   }
 
-  int after = 0;
-  for (NodeId v : cone) after += cascade_positive(v, scratch) ? 1 : 0;
-  cone_nodes += cone.size();
-  return before - after;
+  // R_{k+1} = R_k plus the neighbours of its rows, numbered in the order
+  // the carve meets them. Each local row is the global row with its
+  // columns renumbered, in its nonzero order; the tentative OP ends
+  // target's succ row and its own pred row is {target}, where
+  // rebuild_csr() puts a real OP.
+  LocalRows& pred = s.pred_rows.clear();
+  LocalRows& succ = s.succ_rows.clear();
+  const auto carve = [&](const CsrMatrix& global, NodeId v, LocalRows& rows) {
+    const std::uint32_t g = tensors_->row_of(v);
+    for (auto k = global.row_ptr()[g]; k < global.row_ptr()[g + 1]; ++k) {
+      rows.add(local_row(tensors_->node_of(global.col_index()[k])),
+               global.values()[k]);
+    }
+  };
+  s.ring_end.assign(1, static_cast<std::uint32_t>(cone.size()));
+  s.pred.resize(depth_);
+  s.succ.resize(depth_);
+  for (std::size_t k = 0; k < depth_; ++k) {
+    for (std::uint32_t i = k == 0 ? 0 : s.ring_end[k - 1]; i < s.ring_end[k];
+         ++i) {
+      const NodeId v = s.nodes[i];
+      if (v == kVirtualOp) {
+        pred.add(local_row(target), 1.0f);
+      } else {
+        carve(tensors_->pred, v, pred);
+        carve(tensors_->succ, v, succ);
+        if (v == target) succ.add(local_row(kVirtualOp), 1.0f);
+      }
+      pred.row_ptr.push_back(static_cast<std::uint32_t>(pred.cols.size()));
+      succ.row_ptr.push_back(static_cast<std::uint32_t>(succ.cols.size()));
+    }
+    s.ring_end.push_back(static_cast<std::uint32_t>(s.nodes.size()));
+    s.pred[k] = pred.prefix(s.ring_end[k], s.ring_end[k + 1]);
+    s.succ[k] = succ.prefix(s.ring_end[k], s.ring_end[k + 1]);
+  }
+
+  // The cascade over the local graph: a stage of depth D reads E_0 of
+  // R_D, layer d runs over R_{D-1-d}, and the last layer goes through
+  // the FC head for the cone rows the earlier stages kept.
+  s.survivors.resize(cone.size());
+  std::iota(s.survivors.begin(), s.survivors.end(), 0u);
+  for (const GcnModel* stage : stages_) {
+    if (s.survivors.empty()) break;
+    const std::size_t depth = stage->encoders().size();
+    Matrix& e0 = s.act[0];
+    e0.resize_for_overwrite(s.ring_end[depth], kNodeFeatureDim);
+    std::copy_n(s.features.begin(), e0.size(), e0.data());
+    const Matrix* in = &e0;
+    for (std::size_t d = 0; d < depth; ++d) {
+      const std::size_t k = depth - 1 - d;
+      const bool last = k == 0;
+      Matrix& out = last ? s.logits : s.act[(d + 1) % 2];
+      stage->layer_step(d, s.pred[k], s.succ[k], *in,
+                        last ? &s.survivors : nullptr, Precision::kFp32, s.ws,
+                        out, nullptr, last);
+      counts.rows += last ? s.survivors.size() : s.ring_end[k];
+      in = &out;
+    }
+    std::size_t kept = 0;
+    for (std::size_t j = 0; j < s.survivors.size(); ++j) {
+      if (s.logits.at(j, 1) > s.logits.at(j, 0)) {
+        s.survivors[kept++] = s.survivors[j];
+      }
+    }
+    s.survivors.resize(kept);
+  }
+  return before - static_cast<int>(s.survivors.size());
 }
 
 std::vector<int> ImpactEvaluator::impacts(
     const std::vector<NodeId>& candidates,
     const std::vector<std::int32_t>& predictions,
     std::size_t cone_limit) const {
+  check_inputs(*netlist_, *tensors_, predictions, candidates);
   TraceSpan span("dft.impact_rank");
   std::vector<int> result(candidates.size(), 0);
   const BlockPlan plan = plan_blocks(candidates.size(), 2, kBlocksPerThread);
-  std::vector<std::size_t> cone_nodes(plan.count, 0);
+  Counts total;
   // One scratch per concurrently running block (the pool's workers plus
   // the caller), made here and passed from block to block. Memory a
   // worker thread allocates lands in its own malloc arena, which keeps it
@@ -291,9 +269,11 @@ std::vector<int> ImpactEvaluator::impacts(
   std::mutex mutex;
   std::vector<std::unique_ptr<Scratch>> idle;
   while (idle.size() < std::min(plan.count, kernel_threads() + 1)) {
-    idle.push_back(std::make_unique<Scratch>(stages_));
+    idle.push_back(std::make_unique<Scratch>(netlist_->size()));
   }
-  run_blocks(plan, [&](std::size_t block, std::size_t begin, std::size_t end) {
+  run_blocks(plan, [&](std::size_t, std::size_t begin, std::size_t end) {
+    // Per candidate, layer and stage a layer step would record a span.
+    TraceSuppressScope suppress;
     std::unique_ptr<Scratch> scratch;
     {
       std::lock_guard<std::mutex> lock(mutex);
@@ -302,19 +282,20 @@ std::vector<int> ImpactEvaluator::impacts(
         idle.pop_back();
       }
     }
-    if (!scratch) scratch = std::make_unique<Scratch>(stages_);
+    if (!scratch) scratch = std::make_unique<Scratch>(netlist_->size());
+    Counts counts;
     for (std::size_t i = begin; i < end; ++i) {
       result[i] = impact_of(candidates[i], predictions, cone_limit, *scratch,
-                            cone_nodes[block]);
+                            counts);
     }
     std::lock_guard<std::mutex> lock(mutex);
     idle.push_back(std::move(scratch));
+    total.cone_nodes += counts.cone_nodes;
+    total.rows += counts.rows;
   });
   span.arg("candidates", static_cast<double>(candidates.size()));
-  span.arg("cone_nodes",
-           static_cast<double>(std::accumulate(cone_nodes.begin(),
-                                               cone_nodes.end(),
-                                               std::size_t{0})));
+  span.arg("cone_nodes", static_cast<double>(total.cone_nodes));
+  span.arg("rows", static_cast<double>(total.rows));
   return result;
 }
 

@@ -1,12 +1,9 @@
 #pragma once
-// Small row-vector helpers shared by the per-node inference engines
-// (recursive baseline, GraphSAGE-style sampled baseline, OPI impact
-// evaluation). Whole-graph paths use the Matrix kernels instead. The
-// inner loops run on the same runtime-dispatched SIMD microkernels
-// (tensor/simd/simd.h) as the Matrix kernels, so per-node and
-// whole-graph engines always execute on the same target.
+// Row-vector helpers of the per-node Fig. 10 baselines (recursive and
+// GraphSAGE-style sampled inference); every other path, OPI impact
+// evaluation included, runs GcnModel::layer_step. They run on the same
+// runtime-dispatched SIMD microkernels (tensor/simd/simd.h) as it.
 
-#include <algorithm>
 #include <vector>
 
 #include "nn/layers.h"
@@ -14,27 +11,18 @@
 
 namespace gcnt {
 
-/// out = in * W + b for one row: the bias first, then one axpy per
-/// nonzero input. `out` holds layer.out_features() floats and must not
-/// alias `in`.
-inline void apply_linear_row(const Linear& layer, const float* in,
-                             float* out) {
+/// row-vector * W + b on plain float vectors: the bias first, then one
+/// axpy per nonzero input.
+inline std::vector<float> apply_linear_row(const Linear& layer,
+                                           const std::vector<float>& in) {
   const Matrix& w = layer.weight.value;
   const Matrix& b = layer.bias.value;
   const SimdOps& ops = simd_ops();
-  std::copy(b.row(0), b.row(0) + w.cols(), out);
+  std::vector<float> out(b.row(0), b.row(0) + w.cols());
   for (std::size_t i = 0; i < w.rows(); ++i) {
-    const float x = in[i];
-    if (x == 0.0f) continue;
-    ops.axpy(out, w.row(i), x, w.cols());
+    if (in[i] == 0.0f) continue;
+    ops.axpy(out.data(), w.row(i), in[i], w.cols());
   }
-}
-
-/// row-vector * W + b on plain float vectors.
-inline std::vector<float> apply_linear_row(const Linear& layer,
-                                           const std::vector<float>& in) {
-  std::vector<float> out(layer.out_features());
-  apply_linear_row(layer, in.data(), out.data());
   return out;
 }
 

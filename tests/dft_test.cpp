@@ -4,20 +4,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "atpg/atpg.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
+#include "common/trace.h"
 #include "cop/cop.h"
 #include "data/dataset.h"
 #include "dft/baseline_opi.h"
 #include "dft/gcn_opi.h"
 #include "dft/impact.h"
+#include "gcn/editable_design.h"
 #include "gcn/graph_tensors.h"
 #include "gcn/trainer.h"
-#include "gcn/vec_ops.h"
 #include "gen/generator.h"
 
 namespace gcnt {
@@ -96,9 +102,10 @@ Dataset* GcnOpiTest::dataset_ = nullptr;
 GcnModel* GcnOpiTest::model_ = nullptr;
 GcnModel* GcnOpiTest::second_stage_ = nullptr;
 
-/// The map-based recursive impact evaluation that ImpactEvaluator's flat
-/// memo replaced, kept as the exactness reference: a hash-map memo of
-/// per-embedding vectors, rebuilt for every candidate.
+/// The whole-graph oracle of ImpactEvaluator: the same capped-cone CO
+/// overlay, applied with the OP to copies of the netlist and tensors
+/// (insert_observe_point, append_observe_point, rebuild_csr), then
+/// GcnModel::infer per stage over the whole edited graph.
 class ReferenceImpact {
  public:
   ReferenceImpact(std::vector<const GcnModel*> stages, const Netlist& netlist,
@@ -118,8 +125,6 @@ class ReferenceImpact {
     for (NodeId v : cone) before += predictions[v] == 1 ? 1 : 0;
     if (before == 0) return 0;
 
-    Overlay overlay;
-    overlay.target = target;
     std::sort(cone.begin(), cone.end(), [&](NodeId a, NodeId b) {
       return levels_[a] > levels_[b];
     });
@@ -145,82 +150,28 @@ class ReferenceImpact {
       }
       new_co[v] = best;
     }
-    for (const auto& [v, co] : new_co) {
-      if (co != scoap_.co[v]) {
-        overlay.observability_feature[v] = tensors_.encode(3, co);
+
+    Netlist netlist = netlist_;
+    const NodeId op = netlist.insert_observe_point(target);
+    ScoapMeasures scoap = scoap_;
+    for (const auto& [v, co] : new_co) scoap.co[v] = co;
+    GraphTensors tensors = tensors_;
+    append_observe_point(tensors, netlist, target, op, scoap, cone);
+    tensors.rebuild_csr();
+    std::vector<bool> positive(cone.size(), true);
+    for (const GcnModel* stage : stages_) {
+      const Matrix logits = stage->infer(tensors);
+      for (std::size_t i = 0; i < cone.size(); ++i) {
+        if (logits.at(cone[i], 1) <= logits.at(cone[i], 0)) {
+          positive[i] = false;
+        }
       }
     }
-    int after = 0;
-    for (NodeId v : cone) after += cascade_positive(v, overlay) ? 1 : 0;
-    return before - after;
+    return before -
+           static_cast<int>(std::count(positive.begin(), positive.end(), true));
   }
 
  private:
-  static constexpr NodeId kVirtualOp = kInvalidNode;
-
-  struct Overlay {
-    NodeId target = kInvalidNode;
-    std::unordered_map<NodeId, float> observability_feature;
-    std::unordered_map<std::uint64_t, std::vector<float>> memo;
-  };
-
-  std::vector<float> embed(std::size_t stage, NodeId v, int depth,
-                           Overlay& overlay) const {
-    const std::uint64_t key = static_cast<std::uint64_t>(v) |
-                              (static_cast<std::uint64_t>(depth) << 32) |
-                              (static_cast<std::uint64_t>(stage) << 40);
-    if (const auto it = overlay.memo.find(key); it != overlay.memo.end()) {
-      return it->second;
-    }
-    std::vector<float> result;
-    if (depth == 0) {
-      if (v == kVirtualOp) {
-        result = {tensors_.encode(0, 0.0), tensors_.encode(1, 1.0),
-                  tensors_.encode(2, 1.0), tensors_.encode(3, 0.0)};
-      } else {
-        const float* row = tensors_.features.row(v);
-        result.assign(row, row + kNodeFeatureDim);
-        const auto it = overlay.observability_feature.find(v);
-        if (it != overlay.observability_feature.end()) result[3] = it->second;
-      }
-    } else {
-      const GcnModel& model = *stages_[stage];
-      const float wp = model.w_pr();
-      const float ws = model.w_su();
-      std::vector<float> aggregated = embed(stage, v, depth - 1, overlay);
-      if (v == kVirtualOp) {
-        axpy_row(aggregated, wp,
-                 embed(stage, overlay.target, depth - 1, overlay));
-      } else {
-        for (NodeId u : netlist_.fanins(v)) {
-          axpy_row(aggregated, wp, embed(stage, u, depth - 1, overlay));
-        }
-        for (NodeId w : netlist_.fanouts(v)) {
-          axpy_row(aggregated, ws, embed(stage, w, depth - 1, overlay));
-        }
-        if (v == overlay.target) {
-          axpy_row(aggregated, ws,
-                   embed(stage, kVirtualOp, depth - 1, overlay));
-        }
-      }
-      result = apply_linear_row(
-          model.encoders()[static_cast<std::size_t>(depth - 1)], aggregated);
-      relu_row(result);
-    }
-    overlay.memo.emplace(key, result);
-    return result;
-  }
-
-  bool cascade_positive(NodeId v, Overlay& overlay) const {
-    for (std::size_t stage = 0; stage < stages_.size(); ++stage) {
-      const GcnModel& model = *stages_[stage];
-      const std::vector<float> h = fc_head_row(
-          model.fc_layers(), embed(stage, v, model.config().depth, overlay));
-      if (h[1] <= h[0]) return false;
-    }
-    return true;
-  }
-
   std::vector<const GcnModel*> stages_;
   const Netlist& netlist_;
   const GraphTensors& tensors_;
@@ -329,10 +280,14 @@ TEST_F(GcnOpiTest, ImpactEvaluatorRanksConeCoverage) {
   EXPECT_GT(evaluated, 0);
 }
 
-TEST_F(GcnOpiTest, FlatMemoImpactsMatchRecursiveReference) {
+TEST_F(GcnOpiTest, ImpactsMatchWholeGraphOracle) {
+  // Each arm checks every kStride-th observable node, from a rotating
+  // offset: a whole-graph forward per candidate is the oracle's cost.
+  constexpr std::size_t kStride = 16;
   Dataset second = make_dataset(generate_circuit(test_design(502)));
   const std::vector<std::vector<const GcnModel*>> cascades = {
       {model_}, {model_, second_stage_}};
+  std::size_t arm = 0;
   std::size_t evaluated = 0;
   std::size_t improved = 0;
   for (const Dataset* design : {dataset_, &second}) {
@@ -341,23 +296,40 @@ TEST_F(GcnOpiTest, FlatMemoImpactsMatchRecursiveReference) {
     for (NodeId v = 0; v < n.size(); ++v) {
       if (n.can_observe(v)) observable.push_back(v);
     }
-    for (const bool standardize : {false, true}) {
-      GraphTensors tensors = design->tensors;
-      if (standardize) tensors.standardize_features();
-      for (const auto& stages : cascades) {
-        const auto predictions = cascade_predictions(stages, tensors);
-        const ImpactEvaluator evaluator(stages, n, tensors, design->scoap,
-                                        design->levels);
-        const ReferenceImpact reference(stages, n, tensors, design->scoap,
-                                        design->levels);
-        for (const std::size_t limit : {1u, 16u, 128u}) {
-          for (const NodeId v : observable) {
-            const int expected = reference.impact_of(v, predictions, limit);
-            ASSERT_EQ(evaluator.impact_of(v, predictions, limit), expected)
-                << "node " << v << " limit " << limit << " stages "
-                << stages.size() << " standardized " << standardize;
-            evaluated += 1;
-            improved += expected > 0 ? 1 : 0;
+    for (const GraphReorder reorder : {GraphReorder::kOff, GraphReorder::kRcm}) {
+      set_graph_reorder(reorder);
+      const GraphTensors built =
+          build_graph_tensors(n, design->scoap, design->levels);
+      reset_graph_reorder();
+      for (const bool standardize : {false, true}) {
+        GraphTensors tensors = built;
+        if (standardize) tensors.standardize_features();
+        for (const auto& stages : cascades) {
+          const auto predictions = cascade_predictions(stages, tensors);
+          const ImpactEvaluator evaluator(stages, n, tensors, design->scoap,
+                                          design->levels);
+          const ReferenceImpact reference(stages, n, tensors, design->scoap,
+                                          design->levels);
+          for (std::size_t i = arm++ % kStride; i < observable.size();
+               i += kStride) {
+            const NodeId v = observable[i];
+            // Limits ascend, and a capped cone as large as the previous
+            // one is the same cone: the same edit, so the same oracle.
+            std::size_t previous_cone = ~std::size_t{0};
+            int expected = 0;
+            for (const std::size_t limit : {1u, 16u, 128u}) {
+              const std::size_t cone = n.fanin_cone(v, limit).size();
+              if (cone != previous_cone) {
+                expected = reference.impact_of(v, predictions, limit);
+              }
+              previous_cone = cone;
+              ASSERT_EQ(evaluator.impact_of(v, predictions, limit), expected)
+                  << "node " << v << " limit " << limit << " stages "
+                  << stages.size() << " standardized " << standardize
+                  << " reorder " << static_cast<int>(reorder);
+              evaluated += 1;
+              improved += expected > 0 ? 1 : 0;
+            }
           }
         }
       }
@@ -366,6 +338,131 @@ TEST_F(GcnOpiTest, FlatMemoImpactsMatchRecursiveReference) {
   // The cases must exercise real re-predictions, not only empty cones.
   EXPECT_GT(evaluated, 0u);
   EXPECT_GT(improved, 100u);
+}
+
+// End to end: where the whole fan-in cone fits under the limit, the
+// impact is the cone's positives before minus its positives after
+// EditableDesign::observe and predict() on a copy of the design.
+TEST_F(GcnOpiTest, ImpactsMatchEditableDesignObserve) {
+  constexpr std::size_t kLimit = 128;
+  // Each arm edits every kStride-th candidate, from a rotating offset.
+  constexpr std::size_t kStride = 4;
+  std::size_t arm = 0;
+  const std::vector<std::vector<const GcnModel*>> cascades = {
+      {model_}, {model_, second_stage_}};
+  std::size_t checked = 0;
+  std::size_t improved = 0;
+  for (const bool standardize : {false, true}) {
+    for (const auto& stages : cascades) {
+      Netlist netlist = dataset_->netlist;
+      EditableDesign design(netlist, standardize);
+      design.set_models(stages);
+      design.predict();
+      const std::vector<std::int32_t> predictions = design.predictions();
+      const ImpactEvaluator evaluator(stages, netlist, design.tensors(),
+                                      design.scoap(), design.levels());
+      for (NodeId v = arm++ % kStride; v < netlist.size(); v += kStride) {
+        if (!netlist.can_observe(v)) continue;
+        std::vector<NodeId> cone = netlist.fanin_cone(v);
+        if (cone.size() >= kLimit) continue;
+        cone.push_back(v);
+        int before = 0;
+        for (const NodeId u : cone) before += predictions[u];
+        const int impact = evaluator.impact_of(v, predictions, kLimit);
+        if (before == 0) {
+          EXPECT_EQ(impact, 0) << "node " << v;
+          continue;
+        }
+        Netlist copy = dataset_->netlist;
+        EditableDesign edited(copy, standardize);
+        edited.set_models(stages);
+        edited.predict();
+        edited.observe(v);
+        edited.predict();
+        const std::vector<std::int32_t> after = edited.predictions();
+        int positives = 0;
+        for (const NodeId u : cone) positives += after[u];
+        ASSERT_EQ(impact, before - positives)
+            << "node " << v << " stages " << stages.size()
+            << " standardized " << standardize;
+        checked += 1;
+        improved += impact > 0 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(improved, 0u);
+}
+
+TEST_F(GcnOpiTest, ImpactEvaluatorRejectsMismatchedInputs) {
+  const Netlist& n = dataset_->netlist;
+  const std::vector<const GcnModel*> stages = {model_};
+  const auto predictions = cascade_predictions(stages, dataset_->tensors);
+  const ImpactEvaluator evaluator(stages, n, dataset_->tensors,
+                                  dataset_->scoap, dataset_->levels);
+  NodeId target = 0;
+  while (!n.can_observe(target)) ++target;
+  const std::vector<std::int32_t> short_predictions(predictions.begin(),
+                                                    predictions.end() - 1);
+  EXPECT_THROW(evaluator.impact_of(target, short_predictions, 16),
+               std::invalid_argument);
+  EXPECT_THROW(evaluator.impacts({target}, short_predictions, 16),
+               std::invalid_argument);
+  const auto past_end = static_cast<NodeId>(n.size());
+  EXPECT_THROW(evaluator.impact_of(past_end, predictions, 16),
+               std::out_of_range);
+  EXPECT_THROW(evaluator.impacts({target, past_end}, predictions, 16),
+               std::out_of_range);
+}
+
+// One impacts() call records one dft.impact_rank span with its three
+// args; the layer steps inside it record nothing.
+TEST_F(GcnOpiTest, ImpactRankTracesOneSpanWithoutLayerSpans) {
+  const Netlist& n = dataset_->netlist;
+  const std::vector<const GcnModel*> stages = {model_, second_stage_};
+  const auto predictions = cascade_predictions(stages, dataset_->tensors);
+  const ImpactEvaluator evaluator(stages, n, dataset_->tensors,
+                                  dataset_->scoap, dataset_->levels);
+  std::vector<NodeId> candidates;
+  for (NodeId v = 0; v < n.size(); ++v) {
+    if (predictions[v] == 1 && n.can_observe(v)) candidates.push_back(v);
+  }
+  ASSERT_FALSE(candidates.empty());
+  const std::string path = "dft_impact_rank_trace.json";
+  trace_reset();
+  trace_start();
+  evaluator.impacts(candidates, predictions, 64);
+  ASSERT_TRUE(trace_stop(path));
+
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  json::Value root;
+  std::string error;
+  ASSERT_TRUE(json::parse(text.str(), root, error)) << error;
+  std::vector<const json::Value*> ranks;
+  std::size_t layers = 0;
+  for (const json::Value& event : root.find("traceEvents")->array) {
+    const json::Value* name = event.find("name");
+    if (name == nullptr) continue;
+    if (name->text == "dft.impact_rank") ranks.push_back(&event);
+    if (name->text == "gcn.layer") ++layers;
+  }
+  EXPECT_EQ(layers, 0u);
+  ASSERT_EQ(ranks.size(), 1u);
+  const json::Value* args = ranks.front()->find("args");
+  ASSERT_NE(args, nullptr);
+  const json::Value* count = args->find("candidates");
+  const json::Value* cone_nodes = args->find("cone_nodes");
+  const json::Value* rows = args->find("rows");
+  ASSERT_NE(count, nullptr);
+  ASSERT_NE(cone_nodes, nullptr);
+  ASSERT_NE(rows, nullptr);
+  EXPECT_EQ(count->number, static_cast<double>(candidates.size()));
+  EXPECT_GE(cone_nodes->number, static_cast<double>(candidates.size()));
+  // The first stage alone re-predicts every cone row at each layer.
+  EXPECT_GE(rows->number, 2 * cone_nodes->number);
 }
 
 TEST_F(GcnOpiTest, BatchImpactsMatchPerCandidateAtAnyThreadCount) {
