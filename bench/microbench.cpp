@@ -436,23 +436,38 @@ void BM_ReadBench(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadBench)->Unit(benchmark::kMillisecond);
 
-/// CO repair after one OP. levels:0 relevels the whole design per call
-/// (the 3-argument form); levels:1 passes cached levels, as
-/// EditableDesign::observe does.
+/// One OP insertion and its CO repair per iteration, each on a fresh
+/// target: the 50k-gate design's observable nodes in a fixed shuffled
+/// order (design, measures and levels are restored, untimed, when they run
+/// out). levels:0 relevels the whole design per call (the 3-argument
+/// form); levels:1 passes cached levels, as EditableDesign::observe does.
 void BM_ScoapIncrementalObserve(benchmark::State& state) {
-  Netlist netlist = shared_netlist(50000);  // copy: we mutate it
-  ScoapMeasures measures = compute_scoap(netlist);
-  NodeId target = 0;
-  for (NodeId v = netlist.size() / 2; v < netlist.size(); ++v) {
-    if (is_logic(netlist.type(v))) {
-      target = v;
-      break;
-    }
+  const Netlist& base = shared_netlist(50000);
+  const ScoapMeasures base_measures = compute_scoap(base);
+  const std::vector<std::uint32_t> base_levels = base.logic_levels();
+  std::vector<NodeId> targets;
+  for (NodeId v = 0; v < base.size(); ++v) {
+    if (base.can_observe(v)) targets.push_back(v);
   }
-  netlist.insert_observe_point(target);
-  const std::vector<std::uint32_t> levels = netlist.logic_levels();
+  Rng rng(13);
+  rng.shuffle(targets);
+  Netlist netlist = base;
+  ScoapMeasures measures = base_measures;
+  std::vector<std::uint32_t> levels = base_levels;
+  std::size_t next = 0;
   for (auto _ : state) {
+    if (next == targets.size()) {
+      state.PauseTiming();
+      netlist = base;
+      measures = base_measures;
+      levels = base_levels;
+      next = 0;
+      state.ResumeTiming();
+    }
+    const NodeId target = targets[next++];
+    netlist.insert_observe_point(target);
     if (state.range(0) != 0) {
+      levels.push_back(levels[target] + 1);
       update_observability_after_observe(netlist, target, measures, levels);
     } else {
       update_observability_after_observe(netlist, target, measures);

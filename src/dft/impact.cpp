@@ -37,13 +37,12 @@ struct LocalRows {
     cols.push_back(col);
     values.push_back(value);
   }
-  /// The first `rows` rows as a rows x `cols_count` CSR.
-  CsrMatrix prefix(std::uint32_t rows, std::uint32_t cols_count) const {
+  /// Refills `out` with the first `rows` rows, over `cols_count` columns.
+  void prefix(std::uint32_t rows, std::uint32_t cols_count,
+              CsrMatrix& out) const {
     const std::uint32_t nnz = row_ptr[rows];
-    return CsrMatrix::from_parts(
-        rows, cols_count, {row_ptr.begin(), row_ptr.begin() + rows + 1},
-        {cols.begin(), cols.begin() + nnz},
-        {values.begin(), values.begin() + nnz});
+    out.refill(rows, cols_count, {row_ptr.data(), rows + std::size_t{1}},
+               {cols.data(), nnz}, {values.data(), nnz});
   }
 };
 
@@ -68,10 +67,15 @@ void check_inputs(const Netlist& netlist, const GraphTensors& tensors,
 
 /// One evaluating thread's local graph and buffers (see impact.h).
 struct ImpactEvaluator::Scratch {
-  /// Room for a typical closure, reserved by the thread that makes the
-  /// scratch: what a pool worker allocates stays resident in its arena.
-  explicit Scratch(std::size_t node_count) : local(node_count, kUnnumbered) {
+  /// Room for a typical closure of a depth-`depth` cascade, reserved by
+  /// the thread that makes the scratch: what a pool worker allocates
+  /// stays resident in its arena.
+  Scratch(std::size_t node_count, std::size_t depth)
+      : local(node_count, kUnnumbered), pred(depth), succ(depth) {
     constexpr std::size_t kRoom = std::size_t{1} << 15;
+    for (auto* csrs : {&pred, &succ}) {
+      for (CsrMatrix& m : *csrs) m.reserve(kRoom / kNodeFeatureDim, kRoom);
+    }
     for (Matrix& m : act) m.reserve(4 * kRoom);
     for (Matrix* m : {&logits, &ws.blocks}) m->reserve(kRoom);
     for (auto* v : {&features, &pred_rows.values, &succ_rows.values}) {
@@ -92,7 +96,8 @@ struct ImpactEvaluator::Scratch {
   std::vector<std::uint32_t> ring_end;  ///< ring_end[k] = |R_k|
   LocalRows pred_rows;
   LocalRows succ_rows;
-  /// pred[k] / succ[k]: the rows of R_k over the columns of R_{k+1}.
+  /// pred[k] / succ[k]: the rows of R_k over the columns of R_{k+1},
+  /// refilled per candidate.
   std::vector<CsrMatrix> pred;
   std::vector<CsrMatrix> succ;
   std::vector<std::uint32_t> survivors;  ///< cone rows every stage kept
@@ -121,7 +126,7 @@ int ImpactEvaluator::impact_of(NodeId target,
                                std::size_t cone_limit) const {
   check_inputs(*netlist_, *tensors_, predictions, {&target, 1});
   TraceSuppressScope suppress;
-  Scratch scratch(netlist_->size());
+  Scratch scratch(netlist_->size(), depth_);
   Counts counts;
   return impact_of(target, predictions, cone_limit, scratch, counts);
 }
@@ -198,8 +203,6 @@ int ImpactEvaluator::impact_of(NodeId target,
     }
   };
   s.ring_end.assign(1, static_cast<std::uint32_t>(cone.size()));
-  s.pred.resize(depth_);
-  s.succ.resize(depth_);
   for (std::size_t k = 0; k < depth_; ++k) {
     for (std::uint32_t i = k == 0 ? 0 : s.ring_end[k - 1]; i < s.ring_end[k];
          ++i) {
@@ -215,8 +218,8 @@ int ImpactEvaluator::impact_of(NodeId target,
       succ.row_ptr.push_back(static_cast<std::uint32_t>(succ.cols.size()));
     }
     s.ring_end.push_back(static_cast<std::uint32_t>(s.nodes.size()));
-    s.pred[k] = pred.prefix(s.ring_end[k], s.ring_end[k + 1]);
-    s.succ[k] = succ.prefix(s.ring_end[k], s.ring_end[k + 1]);
+    pred.prefix(s.ring_end[k], s.ring_end[k + 1], s.pred[k]);
+    succ.prefix(s.ring_end[k], s.ring_end[k + 1], s.succ[k]);
   }
 
   // The cascade over the local graph: a stage of depth D reads E_0 of
@@ -262,34 +265,35 @@ std::vector<int> ImpactEvaluator::impacts(
   const BlockPlan plan = plan_blocks(candidates.size(), 2, kBlocksPerThread);
   Counts total;
   // One scratch per concurrently running block (the pool's workers plus
-  // the caller), made here and passed from block to block. Memory a
-  // worker thread allocates lands in its own malloc arena, which keeps it
-  // resident after it is freed; scratches from the calling thread keep
-  // the sweep's peak RSS from growing with the thread count.
-  std::mutex mutex;
-  std::vector<std::unique_ptr<Scratch>> idle;
-  while (idle.size() < std::min(plan.count, kernel_threads() + 1)) {
-    idle.push_back(std::make_unique<Scratch>(netlist_->size()));
+  // the caller), made here, passed from block to block and kept for the
+  // next call. Memory a worker thread allocates lands in its own malloc
+  // arena, which keeps it resident after it is freed; scratches from the
+  // calling thread keep peak RSS from growing with the thread count.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    while (idle_.size() < std::min(plan.count, kernel_threads() + 1)) {
+      idle_.push_back(std::make_unique<Scratch>(netlist_->size(), depth_));
+    }
   }
   run_blocks(plan, [&](std::size_t, std::size_t begin, std::size_t end) {
     // Per candidate, layer and stage a layer step would record a span.
     TraceSuppressScope suppress;
     std::unique_ptr<Scratch> scratch;
     {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (!idle.empty()) {
-        scratch = std::move(idle.back());
-        idle.pop_back();
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!idle_.empty()) {
+        scratch = std::move(idle_.back());
+        idle_.pop_back();
       }
     }
-    if (!scratch) scratch = std::make_unique<Scratch>(netlist_->size());
+    if (!scratch) scratch = std::make_unique<Scratch>(netlist_->size(), depth_);
     Counts counts;
     for (std::size_t i = begin; i < end; ++i) {
       result[i] = impact_of(candidates[i], predictions, cone_limit, *scratch,
                             counts);
     }
-    std::lock_guard<std::mutex> lock(mutex);
-    idle.push_back(std::move(scratch));
+    std::lock_guard<std::mutex> lock(mutex_);
+    idle_.push_back(std::move(scratch));
     total.cone_nodes += counts.cone_nodes;
     total.rows += counts.rows;
   });
@@ -297,6 +301,19 @@ std::vector<int> ImpactEvaluator::impacts(
   span.arg("cone_nodes", static_cast<double>(total.cone_nodes));
   span.arg("rows", static_cast<double>(total.rows));
   return result;
+}
+
+ImpactEvaluator::~ImpactEvaluator() = default;
+
+std::size_t ImpactEvaluator::csr_capacity() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t total = 0;
+  for (const auto& s : idle_) {
+    for (std::size_t k = 0; k < depth_; ++k) {
+      total += s->pred[k].capacity() + s->succ[k].capacity();
+    }
+  }
+  return total;
 }
 
 }  // namespace gcnt

@@ -22,11 +22,14 @@
 //
 // impacts() ranks candidates over the kernel pool, eight blocks per
 // thread. Each running block borrows a scratch made on the calling thread
-// (a node -> local row word per node; local rows, activations and a
-// ForwardWorkspace sized by the largest closure) and records no layer
-// spans. Results are identical at any thread count.
+// (a node -> local row word per node; local rows, their CSRs refilled in
+// place, activations and a ForwardWorkspace sized by the largest closure)
+// and records no layer spans. Scratches are kept for the next call.
+// Results are identical at any thread count.
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "gcn/model.h"
@@ -41,6 +44,7 @@ class ImpactEvaluator {
   ImpactEvaluator(std::vector<const GcnModel*> stages, const Netlist& netlist,
                   const GraphTensors& tensors, const ScoapMeasures& scoap,
                   const std::vector<std::uint32_t>& levels);
+  ~ImpactEvaluator();
 
   /// Impact = positives in cone(target) now - positives after a tentative
   /// OP insertion at `target`. `predictions` is the current whole-graph
@@ -57,6 +61,11 @@ class ImpactEvaluator {
                            const std::vector<std::int32_t>& predictions,
                            std::size_t cone_limit = 128) const;
 
+  /// CsrMatrix::capacity() summed over the local CSRs of the scratches
+  /// impacts() keeps between calls; it grows only when a closure
+  /// outgrows every earlier one (tests).
+  std::size_t csr_capacity() const;
+
  private:
   struct Scratch;
   struct Counts { std::size_t cone_nodes = 0, rows = 0; };  ///< span args
@@ -71,6 +80,9 @@ class ImpactEvaluator {
   const ScoapMeasures* scoap_;
   const std::vector<std::uint32_t>* levels_;
   std::size_t depth_ = 0;  ///< the deepest stage's D
+  mutable std::mutex mutex_;  ///< guards idle_
+  /// Scratches not running a block, kept from call to call.
+  mutable std::vector<std::unique_ptr<Scratch>> idle_;
 };
 
 }  // namespace gcnt

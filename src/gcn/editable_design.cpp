@@ -55,12 +55,12 @@ NodeId EditableDesign::observe(NodeId target) {
   // full relevelization.
   levels_.resize(netlist_.size(), 0);
   levels_[op] = levels_[target] + 1;
-  const std::vector<NodeId> cone = netlist_.fanin_cone(target);
-  update_observability_after_observe(netlist_, target, scoap_, levels_, &cone);
-  // Only refreshed rows whose stored value actually changed are seeded:
-  // usually a small subset of the cone the SCOAP walk refreshed.
+  const std::vector<NodeId> changed_co =
+      update_observability_after_observe(netlist_, target, scoap_, levels_);
+  // Only rows whose encoded feature changed bits are seeded: a subset of
+  // the nodes whose CO changed.
   std::vector<NodeId> changed_rows;
-  append_observe_point(tensors_, netlist_, target, op, scoap_, cone,
+  append_observe_point(tensors_, netlist_, target, op, scoap_, changed_co,
                        &changed_rows);
   for (const NodeId v : changed_rows) tracker_.record_feature(v);
   csr_stale_ = true;

@@ -46,10 +46,11 @@ class EditableDesign {
   void set_models(const std::vector<const GcnModel*>& stages,
                   std::size_t shards = 0, int halo = 1);
 
-  /// Inserts an observation point on `target`: SCOAP CO repaired in its
-  /// fan-in cone, the OP edge queued and its feature row appended, the
-  /// changed rows seeded. Returns the OP node. Throws Error{kUsage} when
-  /// `target` is out of range or fails Netlist::can_observe.
+  /// Inserts an observation point on `target`: SCOAP CO repaired from
+  /// `target` up its fan-in cone as far as CO changes, the OP edge queued
+  /// and its feature row appended, the changed rows seeded. Returns the
+  /// OP node. Throws Error{kUsage} when `target` is out of range or fails
+  /// Netlist::can_observe.
   NodeId observe(NodeId target);
 
   /// Inserts a control point on `target`. Throws Error{kUsage} when

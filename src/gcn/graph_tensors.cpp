@@ -398,9 +398,8 @@ void append_observe_point(GraphTensors& tensors, const Netlist& netlist,
   row[3] = tensors.encode(3, 0.0);
   if (!tensors.labels.empty()) tensors.labels.resize(op + 1, 0);
 
-  // Observability changed only in the fan-in cone of the target — and the
-  // SCOAP improvement usually dies out well before the cone does, so track
-  // which rows actually changed bits.
+  // Observability changed only in the fan-in cone of the target, and only
+  // where the caller says; track which rows actually changed bits.
   const auto refresh_row = [&](NodeId v) {
     const float encoded = tensors.encode(3, scoap.co[v]);
     if (tensors.features.at(v, 3) != encoded) {

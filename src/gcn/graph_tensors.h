@@ -148,17 +148,16 @@ GraphTensors build_graph_tensors(const Netlist& netlist);
 /// Incremental update after netlist.insert_observe_point(target) created
 /// node `op`: queues the edge target -> op, appends the new feature row
 /// ([0,1,1,0] per the paper), and refreshes the observability feature of
-/// the nodes in `refreshed` (the fan-in cone whose SCOAP CO changed). Does
+/// `target` and of the nodes in `refreshed`: any superset of the nodes
+/// whose SCOAP CO changed, such as the list the CO repair returns. Does
 /// NOT touch the CSR forms; call rebuild_csr() once per insertion round.
 /// Throws std::out_of_range, changing nothing, unless target < op and `op`
 /// is the next row (so a miscomputed id cannot stretch the graph).
 ///
 /// When `changed_rows` is non-null, every refreshed node whose stored
-/// feature value actually changed bits (the SCOAP walk refreshes the whole
-/// cone, but the improvement usually dies out after a few levels) is
-/// appended to it — the exact dirty-cone seeds for
-/// DirtyConeTracker::record_feature, far tighter than seeding the full
-/// cone.
+/// feature value actually changed bits is appended to it — the exact
+/// dirty-cone seeds for DirtyConeTracker::record_feature (a changed CO
+/// can encode to the same float).
 void append_observe_point(GraphTensors& tensors, const Netlist& netlist,
                           NodeId target, NodeId op,
                           const ScoapMeasures& scoap,

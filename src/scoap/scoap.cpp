@@ -1,8 +1,10 @@
 #include "scoap/scoap.h"
 
 #include <algorithm>
-#include <cassert>
+#include <queue>
+#include <utility>
 
+#include "common/stats.h"
 #include "common/trace.h"
 
 namespace gcnt {
@@ -230,30 +232,45 @@ void resize_for(const Netlist& netlist, ScoapMeasures& measures) {
   measures.co.resize(netlist.size(), 0);
 }
 
-void update_observability_after_observe(const Netlist& netlist, NodeId target,
-                                        ScoapMeasures& measures) {
-  update_observability_after_observe(netlist, target, measures,
-                                     netlist.logic_levels());
+std::vector<NodeId> update_observability_after_observe(
+    const Netlist& netlist, NodeId target, ScoapMeasures& measures) {
+  return update_observability_after_observe(netlist, target, measures,
+                                            netlist.logic_levels());
 }
 
-void update_observability_after_observe(
+std::vector<NodeId> update_observability_after_observe(
     const Netlist& netlist, NodeId target, ScoapMeasures& measures,
-    const std::vector<std::uint32_t>& levels,
-    const std::vector<NodeId>* fanin_cone) {
+    const std::vector<std::uint32_t>& levels) {
   resize_for(netlist, measures);
-  // Only nodes in the fan-in cone of `target` (inclusive) can improve.
-  std::vector<NodeId> cone =
-      fanin_cone != nullptr ? *fanin_cone : netlist.fanin_cone(target);
-  cone.push_back(target);
-  std::sort(cone.begin(), cone.end(), [&](NodeId a, NodeId b) {
-    return levels[a] > levels[b];
-  });
+  // Sinks keep CO 0 and are never expanded, so each push is a fanin one
+  // level or more below its pusher: (level, node) pops in descending
+  // order, after every changed fanout, with duplicates back to back.
+  using Entry = std::pair<std::uint32_t, NodeId>;
+  std::priority_queue<Entry> heap;
+  heap.emplace(levels[target], target);
+  std::vector<NodeId> changed;
+  std::size_t recomputed = 0;
   const auto co_of = [&](NodeId g) { return measures.co[g]; };
-  for (NodeId v : cone) {
+  while (!heap.empty()) {
+    const Entry top = heap.top();
+    while (!heap.empty() && heap.top() == top) heap.pop();
+    const NodeId v = top.second;
     if (is_sink(netlist.type(v))) continue;
-    measures.co[v] = observability_through_fanouts(netlist, v, measures,
-                                                   co_of);
+    ++recomputed;
+    const std::uint32_t co =
+        observability_through_fanouts(netlist, v, measures, co_of);
+    if (co == measures.co[v]) continue;
+    measures.co[v] = co;
+    changed.push_back(v);
+    for (const NodeId u : netlist.fanins(v)) heap.emplace(levels[u], u);
   }
+  static Counter& visited =
+      StatsRegistry::instance().counter("scoap.co_repair_visited");
+  static Counter& changed_count =
+      StatsRegistry::instance().counter("scoap.co_repair_changed");
+  visited.add(recomputed);
+  changed_count.add(changed.size());
+  return changed;
 }
 
 }  // namespace gcnt

@@ -53,25 +53,24 @@ void compute_observability(const Netlist& netlist,
                            const std::vector<NodeId>& order,
                            ScoapMeasures& measures);
 
-/// Incrementally repairs observability after insert_observe_point(target):
-/// controllability is unaffected, and CO can only change inside the fan-in
-/// cone of `target`, which this updates in reverse-level order. `measures`
-/// must be resized by the caller via `resize_for`.
-void update_observability_after_observe(const Netlist& netlist,
-                                        NodeId target,
-                                        ScoapMeasures& measures);
+/// Repairs observability after insert_observe_point(target) and returns
+/// the nodes whose CO changed, each once, in descending logic level. CC
+/// is unaffected, CO(v) reads only v's fanouts' CO, and only `target`
+/// gained a fanout: so it recomputes `target`, then the fanins of each
+/// node whose CO changed, and every other node keeps its stored CO (which
+/// must be the full pass's). Extends `measures` via `resize_for`; counts
+/// into the `scoap.co_repair_visited` / `_changed` counters.
+std::vector<NodeId> update_observability_after_observe(
+    const Netlist& netlist, NodeId target, ScoapMeasures& measures);
 
 /// The same repair with the caller's logic levels instead of a fresh
 /// netlist.logic_levels() pass over the whole design (the 3-argument form
 /// computes them and forwards here). `levels` must equal logic_levels()
 /// on every node of target's fan-in cone; an OP is a sink and never
 /// enters a fan-in cone, so levels extended per inserted OP qualify.
-/// `fanin_cone`, when non-null, is the caller's netlist.fanin_cone(target),
-/// used instead of walking it again. CO comes out identical.
-void update_observability_after_observe(
+std::vector<NodeId> update_observability_after_observe(
     const Netlist& netlist, NodeId target, ScoapMeasures& measures,
-    const std::vector<std::uint32_t>& levels,
-    const std::vector<NodeId>* fanin_cone = nullptr);
+    const std::vector<std::uint32_t>& levels);
 
 /// Extends the measure vectors for nodes appended since the last compute
 /// (new OBSERVE nodes); new entries get neutral values.

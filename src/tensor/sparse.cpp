@@ -67,6 +67,29 @@ std::uint32_t checked_index32(std::size_t value, const char* what) {
   return static_cast<std::uint32_t>(value);
 }
 
+/// from_parts()' checks; refill() runs them too, with the same messages.
+void check_parts(std::size_t rows, std::size_t cols,
+                 std::span<const std::uint32_t> row_ptr,
+                 std::span<const std::uint32_t> col_index, std::size_t nnz) {
+  checked_index32(rows, "CsrMatrix::from_parts: row count");
+  checked_index32(cols, "CsrMatrix::from_parts: column count");
+  checked_index32(nnz, "CsrMatrix::from_parts: nonzero count");
+  const auto fail = [](const char* what) {
+    throw Error(ErrorKind::kInternal,
+                std::string("CsrMatrix::from_parts: ") + what);
+  };
+  if (row_ptr.size() != rows + 1) fail("row_ptr size mismatch");
+  if (row_ptr.front() != 0) fail("row_ptr must start at 0");
+  if (col_index.size() != nnz) fail("col_index/values mismatch");
+  if (row_ptr.back() != nnz) fail("row_ptr end != nnz");
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (row_ptr[r] > row_ptr[r + 1]) fail("row_ptr not monotone");
+  }
+  for (const std::uint32_t c : col_index) {
+    if (c >= cols) fail("column index out of range");
+  }
+}
+
 }  // namespace
 
 CsrMatrix CsrMatrix::from_coo(const CooMatrix& coo) {
@@ -172,23 +195,7 @@ CsrMatrix CsrMatrix::from_parts(std::size_t rows, std::size_t cols,
                                 std::vector<std::uint32_t> row_ptr,
                                 std::vector<std::uint32_t> col_index,
                                 std::vector<float> values) {
-  checked_index32(rows, "CsrMatrix::from_parts: row count");
-  checked_index32(cols, "CsrMatrix::from_parts: column count");
-  checked_index32(values.size(), "CsrMatrix::from_parts: nonzero count");
-  const auto fail = [](const char* what) {
-    throw Error(ErrorKind::kInternal,
-                std::string("CsrMatrix::from_parts: ") + what);
-  };
-  if (row_ptr.size() != rows + 1) fail("row_ptr size mismatch");
-  if (row_ptr.front() != 0) fail("row_ptr must start at 0");
-  if (col_index.size() != values.size()) fail("col_index/values mismatch");
-  if (row_ptr.back() != values.size()) fail("row_ptr end != nnz");
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (row_ptr[r] > row_ptr[r + 1]) fail("row_ptr not monotone");
-  }
-  for (const std::uint32_t c : col_index) {
-    if (c >= cols) fail("column index out of range");
-  }
+  check_parts(rows, cols, row_ptr, col_index, values.size());
   CsrMatrix csr;
   csr.rows_ = rows;
   csr.cols_ = cols;
@@ -196,6 +203,24 @@ CsrMatrix CsrMatrix::from_parts(std::size_t rows, std::size_t cols,
   csr.col_index_ = std::move(col_index);
   csr.values_ = std::move(values);
   return csr;
+}
+
+void CsrMatrix::refill(std::size_t rows, std::size_t cols,
+                       std::span<const std::uint32_t> row_ptr,
+                       std::span<const std::uint32_t> col_index,
+                       std::span<const float> values) {
+  check_parts(rows, cols, row_ptr, col_index, values.size());
+  rows_ = rows;
+  cols_ = cols;
+  row_ptr_.assign(row_ptr.begin(), row_ptr.end());
+  col_index_.assign(col_index.begin(), col_index.end());
+  values_.assign(values.begin(), values.end());
+}
+
+void CsrMatrix::reserve(std::size_t rows, std::size_t nnz) {
+  row_ptr_.reserve(rows + 1);
+  col_index_.reserve(nnz);
+  values_.reserve(nnz);
 }
 
 void CsrMatrix::transpose_into(CsrMatrix& t) const {

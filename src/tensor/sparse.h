@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -68,6 +69,16 @@ class CsrMatrix {
                               std::vector<std::uint32_t> row_ptr,
                               std::vector<std::uint32_t> col_index,
                               std::vector<float> values);
+
+  /// from_parts() into this matrix, copying the arrays into its own: the
+  /// same checks (the matrix is unchanged when they throw), and no heap
+  /// allocation once the matrix has held, or reserved, parts this large.
+  void refill(std::size_t rows, std::size_t cols,
+              std::span<const std::uint32_t> row_ptr,
+              std::span<const std::uint32_t> col_index,
+              std::span<const float> values);
+  /// Room for refill() with up to `rows` rows and `nnz` nonzeros.
+  void reserve(std::size_t rows, std::size_t nnz);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }

@@ -487,6 +487,40 @@ TEST_F(GcnOpiTest, BatchImpactsMatchPerCandidateAtAnyThreadCount) {
   set_kernel_threads(0);
 }
 
+TEST_F(GcnOpiTest, ImpactsRefillLocalCsrsWithoutGrowing) {
+  // Each candidate refills its scratch's local CSRs in place, so once one
+  // call has met the largest closure, no later call over the same
+  // candidates (or any one of them) grows CsrMatrix::capacity(). CSRs
+  // built per candidate would be sized to each closure instead.
+  const Netlist& n = dataset_->netlist;
+  const std::vector<const GcnModel*> stages = {model_, second_stage_};
+  const auto predictions = cascade_predictions(stages, dataset_->tensors);
+  std::vector<NodeId> candidates;
+  for (NodeId v = 0; v < n.size(); ++v) {
+    if (n.can_observe(v) && predictions[v] == 1) candidates.push_back(v);
+  }
+  ASSERT_FALSE(candidates.empty());
+  for (const std::size_t threads : {1u, 4u}) {
+    set_kernel_threads(threads);
+    const ImpactEvaluator evaluator(stages, n, dataset_->tensors,
+                                    dataset_->scoap, dataset_->levels);
+    EXPECT_EQ(evaluator.csr_capacity(), 0u);
+    const std::vector<int> first =
+        evaluator.impacts(candidates, predictions, 128);
+    const std::size_t capacity = evaluator.csr_capacity();
+    EXPECT_GT(capacity, 0u) << threads << " threads";
+    EXPECT_EQ(evaluator.impacts(candidates, predictions, 128), first);
+    EXPECT_EQ(evaluator.csr_capacity(), capacity) << threads << " threads";
+    if (threads != 1) continue;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      EXPECT_EQ(evaluator.impacts({candidates[i]}, predictions, 128),
+                std::vector<int>{first[i]});
+      ASSERT_EQ(evaluator.csr_capacity(), capacity) << "after " << i;
+    }
+  }
+  set_kernel_threads(0);
+}
+
 TEST_F(GcnOpiTest, FlowInsertsSameOpsAcrossThreadsReorderAndShards) {
   GcnOpiOptions options;
   options.max_iterations = 4;

@@ -269,6 +269,39 @@ TEST(Csr, FromPartsPreservesRowOrderAndValidates) {
   });
 }
 
+TEST(Csr, RefillChecksLikeFromPartsAndReusesCapacity) {
+  const std::vector<std::uint32_t> row_ptr = {0, 2, 3};
+  const std::vector<std::uint32_t> cols = {2, 0, 1};
+  const std::vector<float> values = {5.0f, 1.0f, -2.0f};
+  CsrMatrix csr;
+  csr.reserve(4, 8);
+  const std::size_t reserved = csr.capacity();
+  EXPECT_GE(reserved, 5u + 8u + 8u);
+  csr.refill(2, 3, row_ptr, cols, values);
+  EXPECT_EQ(csr.rows(), 2u);
+  EXPECT_EQ(csr.cols(), 3u);
+  EXPECT_EQ(csr.row_ptr(), row_ptr);
+  EXPECT_EQ(csr.col_index(), cols);  // row order kept, as from_parts
+  EXPECT_EQ(csr.values(), values);
+  EXPECT_EQ(csr.capacity(), reserved);
+  // A smaller refill keeps the arrays; a bad one throws and changes
+  // nothing.
+  csr.refill(1, 3, {row_ptr.data(), 2}, {cols.data(), 2},
+             {values.data(), 2});
+  EXPECT_EQ(csr.rows(), 1u);
+  EXPECT_EQ(csr.nnz(), 2u);
+  EXPECT_EQ(csr.capacity(), reserved);
+  const std::vector<std::uint32_t> bad_cols = {0, 3, 1};
+  try {
+    csr.refill(2, 3, row_ptr, bad_cols, values);
+    FAIL() << "expected Error{kInternal}";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kInternal);
+  }
+  EXPECT_EQ(csr.rows(), 1u);
+  EXPECT_EQ(csr.nnz(), 2u);
+}
+
 TEST(Csr, SpmmMatchesDense) {
   Rng rng(11);
   CooMatrix coo(6, 5);
