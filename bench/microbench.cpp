@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "cop/cop.h"
 #include "data/labeler.h"
 #include "dft/impact.h"
+#include "gcn/editable_design.h"
 #include "gcn/graph_tensors.h"
 #include "gcn/model.h"
 #include "gcn/quant.h"
@@ -481,37 +483,40 @@ BENCHMARK(BM_ScoapIncrementalObserve)
 
 /// One OPI ranking step: the impact of every positive prediction of a
 /// 20k-gate design (untrained paper-sized model, standardized features,
-/// cone cap 96 as in GcnOpiOptions) across the kernel pool. Wall time,
-/// since the work runs on pool threads. Not gated.
+/// cone cap 96 as in GcnOpiOptions) across the kernel pool. cache:1 ranks
+/// against the predicted design's engine caches, as the OPI loop does;
+/// cache:0 recomputes every row. Wall time, since the work runs on pool
+/// threads. Not gated.
 void BM_ImpactRank(benchmark::State& state) {
   set_kernel_threads(static_cast<std::size_t>(state.range(0)));
-  const Netlist& netlist = shared_netlist(20000);
-  const ScoapMeasures scoap = compute_scoap(netlist);
-  const std::vector<std::uint32_t> levels = netlist.logic_levels();
-  GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
-  tensors.standardize_features();
+  Netlist netlist = shared_netlist(20000);
   GcnConfig config;
   config.embed_dims = {32, 64, 128};
   config.fc_dims = {64, 64, 128};
   const GcnModel model(config);
-  const std::vector<float> probability =
-      model.predict_positive_probability(tensors);
-  std::vector<std::int32_t> predictions(probability.size(), 0);
+  EditableDesign design(netlist, /*standardize_features=*/true);
+  design.set_models({&model});
+  design.predict();
+  const std::vector<std::int32_t> predictions = design.predictions();
   std::vector<NodeId> candidates;
   for (NodeId v = 0; v < netlist.size(); ++v) {
-    predictions[v] = probability[v] >= 0.5f ? 1 : 0;
     if (predictions[v] == 1 && netlist.can_observe(v)) candidates.push_back(v);
   }
-  const ImpactEvaluator evaluator({&model}, netlist, tensors, scoap, levels);
+  const auto evaluator =
+      state.range(1) != 0
+          ? std::make_unique<ImpactEvaluator>(design)
+          : std::make_unique<ImpactEvaluator>(
+                std::vector<const GcnModel*>{&model}, netlist,
+                design.tensors(), design.scoap(), design.levels());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.impacts(candidates, predictions, 96));
+    benchmark::DoNotOptimize(evaluator->impacts(candidates, predictions, 96));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(candidates.size()));
 }
 BENCHMARK(BM_ImpactRank)
-    ->ArgsProduct({{1, 4}})
-    ->ArgNames({"threads"})
+    ->ArgsProduct({{1, 4}, {0, 1}})
+    ->ArgNames({"threads", "cache"})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

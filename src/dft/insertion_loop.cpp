@@ -168,17 +168,16 @@ struct OpiFlow {
       .points = "OPs"};
 
   const Netlist& netlist;
-  const std::vector<const GcnModel*>& stages;
   const GcnOpiOptions& options;
 
   bool candidate(NodeId v) const { return netlist.can_observe(v); }
 
-  /// Impact of each positive prediction (Fig. 6).
+  /// Impact of each positive prediction (Fig. 6), against the engines'
+  /// cached rows.
   std::vector<int> scores(EditableDesign& design,
                           const std::vector<NodeId>& candidates,
                           const std::vector<std::int32_t>& predictions) const {
-    const ImpactEvaluator evaluator(stages, netlist, design.tensors(),
-                                    design.scoap(), design.levels());
+    const ImpactEvaluator evaluator(design);
     return evaluator.impacts(candidates, predictions,
                              options.impact_cone_limit);
   }
@@ -265,7 +264,7 @@ OpiResult run_gcn_opi(Netlist& netlist,
   // bit-identical either way) and all derived state live in the design.
   EditableDesign design(netlist, options.standardize_features);
   design.set_models(stages, options.shards, options.shard_halo);
-  OpiFlow flow{netlist, stages, options};
+  OpiFlow flow{netlist, options};
   OpiResult result;
   run_insertion_loop(design, netlist, options, flow, result);
   return result;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/error.h"
+#include "nn/loss.h"
 
 namespace gcnt {
 
@@ -131,9 +132,9 @@ EditableDesign::Prediction EditableDesign::predict() {
 std::vector<std::int32_t> EditableDesign::predictions() const {
   std::vector<std::int32_t> positive(engines_.front()->logits().rows(), 1);
   for (const auto& engine : engines_) {
-    const std::vector<float> probability = engine->positive_probability();
+    const Matrix& logits = engine->logits();
     for (std::size_t v = 0; v < positive.size(); ++v) {
-      if (probability[v] < 0.5f) positive[v] = 0;
+      if (!predicts_positive(logits.row(v), logits.cols())) positive[v] = 0;
     }
   }
   return positive;

@@ -68,9 +68,12 @@ class EditableDesign {
   bool primed() const noexcept { return primed_; }
   /// Stage `stage`'s engine; its logits are those of the last predict().
   const GcnEngine& engine(std::size_t stage) const { return *engines_[stage]; }
+  std::size_t stage_count() const noexcept { return engines_.size(); }
   /// Cascade prediction of the last predict(): 1 where every stage's
-  /// positive-class probability is at least 0.5.
+  /// logits pass predicts_positive() (nn/loss.h).
   std::vector<std::int32_t> predictions() const;
+
+  const Netlist& netlist() const noexcept { return netlist_; }
 
   /// The derived state with every pending edit applied.
   const GraphTensors& tensors() { sync(); return tensors_; }

@@ -11,6 +11,9 @@
 // to the library-only int8 tier ticks the `quant.fallback` counter once
 // per pass instead of silently mixing tiers).
 //
+// OPI impact ranking (dft/impact.h) reads the cache read-only: the logits
+// and, where an engine keeps them, E_0..E_{D-1}.
+//
 // The sharded engine is library-only: no command selects it. It stays for
 // perfbench's sharded probes and goes with them (ROADMAP item 4).
 
@@ -46,6 +49,12 @@ class GcnEngine {
 
   /// Logits of the last refresh()/update() (N x num_classes, node order).
   const Matrix& logits() const noexcept { return logits_; }
+  /// E_0..E_{D-1} of the last pass in compute row order, or null for an
+  /// engine that keeps no whole-graph embeddings (sharded).
+  virtual const std::vector<Matrix>* embeddings() const noexcept {
+    return nullptr;
+  }
+  const GcnModel& model() const noexcept { return *model_; }
 
   /// Positive-class probability per node from the cached logits —
   /// identical to GcnModel::predict_positive_probability.

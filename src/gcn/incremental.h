@@ -11,7 +11,8 @@
 // E_0..E_{D-1} of the last full forward cached and re-propagates only the
 // dirty rows, falling back to a full pass when the dirty fraction makes
 // re-propagation pointless. Both passes run the last layer step through
-// the FC head, so E_D is never stored.
+// the FC head, so E_D is never stored. OPI impact ranking reads the same
+// cache, read-only, for every row a tentative OP cannot change.
 //
 // The incremental path is bit-identical to GcnModel::infer on the updated
 // tensors: both run GcnModel::layer_step, whose row-list form runs the
@@ -65,6 +66,11 @@ class DirtyConeTracker {
 class IncrementalGcnEngine : public GcnEngine {
  public:
   explicit IncrementalGcnEngine(const GcnModel& model);
+
+  /// Bitwise those of a full forward over the last pass's tensors.
+  const std::vector<Matrix>* embeddings() const noexcept override {
+    return &embeddings_;
+  }
 
  private:
   /// GcnModel::infer with the embeddings sink, E_0..E_{D-1}.

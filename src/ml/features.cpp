@@ -18,12 +18,17 @@ Matrix extract_cone_features(const Netlist& netlist,
     for (std::size_t c = 0; c < 4; ++c) dst[c] = src[c];
   };
 
+  std::vector<std::uint32_t> seen(netlist.size(), ~std::uint32_t{0});
+  std::vector<NodeId> cone;
   for (std::size_t k = 0; k < rows.size(); ++k) {
     const NodeId v = rows[k];
     float* row = out.row(k);
     copy_node(row, v);
     std::size_t offset = 4;
-    for (NodeId u : netlist.fanin_cone(v, options.fanin_nodes)) {
+    netlist.fanin_cone(v, options.fanin_nodes, cone, seen, 0);
+    seen[v] = ~std::uint32_t{0};
+    for (NodeId u : cone) {
+      seen[u] = ~std::uint32_t{0};
       copy_node(row + offset, u);
       offset += 4;
     }

@@ -314,26 +314,34 @@ std::vector<std::uint32_t> Netlist::logic_levels(
 }
 
 std::vector<NodeId> Netlist::fanin_cone(NodeId root, std::size_t limit) const {
+  std::vector<std::uint32_t> seen(size(), ~std::uint32_t{0});
   std::vector<NodeId> cone;
-  if (limit == 0) return cone;
-  std::vector<bool> seen(size(), false);
-  seen[root] = true;
-  std::deque<NodeId> frontier{root};
-  while (!frontier.empty() && cone.size() < limit) {
-    const NodeId v = frontier.front();
-    frontier.pop_front();
-    // Sources terminate the traversal: a DFF output or PI has no
-    // combinational history.
-    if (v != root && is_source(types_[v])) continue;
-    for (NodeId u : fanins(v)) {
-      if (seen[u]) continue;
-      seen[u] = true;
-      cone.push_back(u);
-      if (cone.size() >= limit) break;
-      frontier.push_back(u);
-    }
-  }
+  fanin_cone(root, limit, cone, seen, 0);
   return cone;
+}
+
+void Netlist::fanin_cone(NodeId root, std::size_t limit,
+                         std::vector<NodeId>& cone,
+                         std::vector<std::uint32_t>& seen,
+                         std::uint32_t mark) const {
+  cone.clear();
+  if (limit == 0) return;
+  seen[root] = mark;
+  // The cone doubles as the BFS queue: the root, then the cone in order.
+  // Sources terminate the traversal: a DFF output or PI has no
+  // combinational history.
+  NodeId v = root;
+  for (std::size_t next = 0; cone.size() < limit; v = cone[next++]) {
+    if (v == root || !is_source(types_[v])) {
+      for (NodeId u : fanins(v)) {
+        if (seen[u] != ~std::uint32_t{0}) continue;
+        seen[u] = mark;
+        cone.push_back(u);
+        if (cone.size() >= limit) break;
+      }
+    }
+    if (next == cone.size()) break;
+  }
 }
 
 std::vector<NodeId> Netlist::fanout_cone(NodeId root, std::size_t limit) const {

@@ -121,6 +121,12 @@ class Netlist {
   /// stopping at sources; at most `limit` nodes are returned.
   std::vector<NodeId> fanin_cone(NodeId root,
                                  std::size_t limit = static_cast<std::size_t>(-1)) const;
+  /// fanin_cone(root, limit) into `cone` without a graph-sized
+  /// allocation: `seen` holds one word per node, ~0u where unvisited, and
+  /// leaves `mark` on the root and every cone node, which the caller
+  /// resets.
+  void fanin_cone(NodeId root, std::size_t limit, std::vector<NodeId>& cone,
+                  std::vector<std::uint32_t>& seen, std::uint32_t mark) const;
 
   /// Transitive fanout cone of `root` (excluding `root`), breadth-first,
   /// stopping at sinks; at most `limit` nodes are returned.

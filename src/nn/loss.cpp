@@ -20,6 +20,17 @@ void softmax_row(const float* logits, std::size_t c, float* out) {
   for (std::size_t j = 0; j < c; ++j) out[j] *= inv;
 }
 
+/// Column 1 of softmax_row, bitwise, without a row buffer.
+float positive_probability(const float* logits, std::size_t c) {
+  float max_logit = logits[0];
+  for (std::size_t j = 1; j < c; ++j) {
+    max_logit = std::max(max_logit, logits[j]);
+  }
+  double denom = 0.0;
+  for (std::size_t j = 0; j < c; ++j) denom += std::exp(logits[j] - max_logit);
+  return std::exp(logits[1] - max_logit) * static_cast<float>(1.0 / denom);
+}
+
 }  // namespace
 
 double softmax_cross_entropy(const Matrix& logits,
@@ -73,13 +84,15 @@ Matrix softmax(const Matrix& logits) {
 
 std::vector<float> softmax_positive(const Matrix& logits) {
   if (logits.cols() < 2) throw std::invalid_argument("softmax_positive");
-  std::vector<float> probs(logits.cols());
   std::vector<float> positive(logits.rows());
   for (std::size_t r = 0; r < logits.rows(); ++r) {
-    softmax_row(logits.row(r), logits.cols(), probs.data());
-    positive[r] = probs[1];
+    positive[r] = positive_probability(logits.row(r), logits.cols());
   }
   return positive;
+}
+
+bool predicts_positive(const float* logits, std::size_t classes) {
+  return positive_probability(logits, classes) >= 0.5f;
 }
 
 }  // namespace gcnt

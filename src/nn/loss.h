@@ -6,6 +6,7 @@
 // misclassifying a difficult-to-observe node expensive, so early stages
 // only discard high-confidence negatives.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,5 +33,10 @@ Matrix softmax(const Matrix& logits);
 
 /// Column 1 of softmax(logits), bitwise: each row's positive probability.
 std::vector<float> softmax_positive(const Matrix& logits);
+
+/// The one positive-prediction test: softmax_positive's probability for
+/// the row `logits` (`classes` >= 2 wide) is at least 0.5. Near a tie that
+/// probability rounds to exactly 0.5, so this is not logit 1 > logit 0.
+bool predicts_positive(const float* logits, std::size_t classes);
 
 }  // namespace gcnt

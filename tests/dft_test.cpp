@@ -12,9 +12,11 @@
 #include <unordered_map>
 
 #include "atpg/atpg.h"
+#include "common/error.h"
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
+#include "common/stats.h"
 #include "common/trace.h"
 #include "cop/cop.h"
 #include "data/dataset.h"
@@ -25,6 +27,7 @@
 #include "gcn/graph_tensors.h"
 #include "gcn/trainer.h"
 #include "gen/generator.h"
+#include "nn/loss.h"
 
 namespace gcnt {
 namespace {
@@ -162,7 +165,7 @@ class ReferenceImpact {
     for (const GcnModel* stage : stages_) {
       const Matrix logits = stage->infer(tensors);
       for (std::size_t i = 0; i < cone.size(); ++i) {
-        if (logits.at(cone[i], 1) <= logits.at(cone[i], 0)) {
+        if (!predicts_positive(logits.row(cone[i]), logits.cols())) {
           positive[i] = false;
         }
       }
@@ -179,14 +182,15 @@ class ReferenceImpact {
   const std::vector<std::uint32_t>& levels_;
 };
 
-/// Cascade prediction: 1 where every stage's positive probability >= 0.5.
+/// Cascade prediction: 1 where every stage's logits pass
+/// predicts_positive(), as in EditableDesign::predictions().
 std::vector<std::int32_t> cascade_predictions(
     const std::vector<const GcnModel*>& stages, const GraphTensors& tensors) {
   std::vector<std::int32_t> positive(tensors.node_count(), 1);
   for (const GcnModel* stage : stages) {
-    const auto probability = stage->predict_positive_probability(tensors);
+    const Matrix logits = stage->infer(tensors);
     for (std::size_t v = 0; v < positive.size(); ++v) {
-      if (probability[v] < 0.5f) positive[v] = 0;
+      if (!predicts_positive(logits.row(v), logits.cols())) positive[v] = 0;
     }
   }
   return positive;
@@ -394,6 +398,184 @@ TEST_F(GcnOpiTest, ImpactsMatchEditableDesignObserve) {
   EXPECT_GT(improved, 0u);
 }
 
+std::vector<NodeId> observable_nodes(const Netlist& netlist) {
+  std::vector<NodeId> observable;
+  for (NodeId v = 0; v < netlist.size(); ++v) {
+    if (netlist.can_observe(v)) observable.push_back(v);
+  }
+  return observable;
+}
+
+// Ranking against a design's engines reads their cached E_d and logits
+// for every row a tentative OP cannot change. Whatever wrote the caches
+// (a refresh, a dirty update after an OP, a fallback update after many),
+// it must give the impacts of the evaluator that recomputes every row,
+// for every observable candidate, and of the whole-graph oracle.
+TEST_F(GcnOpiTest, CachedImpactsMatchUncached) {
+  constexpr std::size_t kLimit = 128;
+  // The oracle checks every kStride-th candidate, from a rotating offset.
+  constexpr std::size_t kStride = 16;
+  enum class Caches { kRefresh, kDirty, kFallback };
+  const std::vector<std::vector<const GcnModel*>> cascades = {
+      {model_}, {model_, second_stage_}};
+  std::size_t arm = 0;
+  std::size_t improved = 0;
+  for (const GraphReorder reorder : {GraphReorder::kOff, GraphReorder::kRcm}) {
+    for (const bool standardize : {false, true}) {
+      for (const auto& stages : cascades) {
+        for (const Caches caches :
+             {Caches::kRefresh, Caches::kDirty, Caches::kFallback}) {
+          set_graph_reorder(reorder);
+          Netlist netlist = dataset_->netlist;
+          EditableDesign design(netlist, standardize);
+          design.set_models(stages);
+          ASSERT_TRUE(design.predict().refreshed);
+          const std::vector<NodeId> before = observable_nodes(netlist);
+          if (caches == Caches::kDirty) {
+            // An OP on a node with a small cone keeps the update dirty.
+            const auto small = std::find_if(
+                before.begin(), before.end(),
+                [&](NodeId v) { return netlist.fanin_cone(v, 4).size() < 4; });
+            ASSERT_NE(small, before.end());
+            design.observe(*small);
+          } else if (caches == Caches::kFallback) {
+            for (std::size_t i = 0; i < before.size(); i += 5) {
+              design.observe(before[i]);
+            }
+          }
+          if (caches != Caches::kRefresh) {
+            const EditableDesign::Prediction p = design.predict();
+            ASSERT_FALSE(p.refreshed);
+            ASSERT_EQ(p.full_fallbacks,
+                      caches == Caches::kFallback ? stages.size() : 0u);
+          }
+          reset_graph_reorder();
+          const std::vector<std::int32_t> predictions = design.predictions();
+          const std::vector<NodeId> candidates = observable_nodes(netlist);
+          const ImpactEvaluator cached(design);
+          const ImpactEvaluator uncached(stages, netlist, design.tensors(),
+                                         design.scoap(), design.levels());
+          std::vector<int> expected;
+          for (const std::size_t threads : {1u, 4u}) {
+            set_kernel_threads(threads);
+            expected = uncached.impacts(candidates, predictions, kLimit);
+            ASSERT_EQ(cached.impacts(candidates, predictions, kLimit),
+                      expected)
+                << threads << " threads, stages " << stages.size()
+                << " standardized " << standardize << " reorder "
+                << static_cast<int>(reorder) << " caches "
+                << static_cast<int>(caches);
+          }
+          set_kernel_threads(0);
+          const ReferenceImpact reference(stages, netlist, design.tensors(),
+                                          design.scoap(), design.levels());
+          for (std::size_t i = arm++ % kStride; i < candidates.size();
+               i += kStride) {
+            ASSERT_EQ(reference.impact_of(candidates[i], predictions, kLimit),
+                      expected[i])
+                << "node " << candidates[i];
+          }
+          improved += static_cast<std::size_t>(std::count_if(
+              expected.begin(), expected.end(), [](int i) { return i > 0; }));
+        }
+      }
+    }
+  }
+  EXPECT_GT(improved, 100u);
+}
+
+// The caches stand in for rows only while they describe the design's
+// tensors: a design without models, not yet predicted or with an edit no
+// predict() has seen is refused.
+TEST_F(GcnOpiTest, CachedImpactsRefuseStaleCaches) {
+  Netlist netlist = dataset_->netlist;
+  EditableDesign design(netlist, false);
+  const auto refused = [&] {
+    try {
+      const ImpactEvaluator evaluator(design);
+    } catch (const Error& e) {
+      return e.kind() == ErrorKind::kUsage;
+    }
+    return false;
+  };
+  EXPECT_TRUE(refused());  // no models
+  design.set_models({model_});
+  EXPECT_TRUE(refused());  // no predict() yet
+  design.predict();
+  EXPECT_FALSE(refused());
+  const std::vector<NodeId> observable = observable_nodes(netlist);
+  design.observe(observable.front());
+  EXPECT_TRUE(refused());  // a pending OP
+  design.predict();
+  EXPECT_FALSE(refused());
+  NodeId controllable = 0;
+  while (!netlist.can_control(controllable)) ++controllable;
+  design.control(controllable, true);
+  EXPECT_TRUE(refused());  // a pending CP
+  design.predict();
+  EXPECT_FALSE(refused());
+  design.set_models({model_, second_stage_});
+  EXPECT_TRUE(refused());  // new engines, no predict() yet
+}
+
+// The cached evaluator must do less work, not only the same arithmetic:
+// on the fixture it recomputes strictly fewer rows than the uncached one
+// and reads some from the caches. The sharded engine keeps no whole-graph
+// E_d, so ranking against it recomputes every row.
+TEST_F(GcnOpiTest, CachedImpactsRecomputeFewerRows) {
+  const bool stats_were_enabled = stats_enabled();
+  set_stats_enabled(true);
+  StatsRegistry& registry = StatsRegistry::instance();
+  Counter& recomputed = registry.counter("dft.impact_rows_recomputed");
+  Counter& cached_rows = registry.counter("dft.impact_rows_cached");
+  const std::vector<const GcnModel*> stages = {model_, second_stage_};
+  struct Work {
+    std::vector<int> impacts;
+    std::uint64_t recomputed = 0, cached = 0;
+  };
+  const auto rank = [&](const ImpactEvaluator& evaluator,
+                        const std::vector<NodeId>& candidates,
+                        const std::vector<std::int32_t>& predictions) {
+    const std::uint64_t r0 = recomputed.value();
+    const std::uint64_t c0 = cached_rows.value();
+    Work work{evaluator.impacts(candidates, predictions, 128)};
+    work.recomputed = recomputed.value() - r0;
+    work.cached = cached_rows.value() - c0;
+    return work;
+  };
+
+  Netlist netlist = dataset_->netlist;
+  EditableDesign design(netlist, false);
+  design.set_models(stages);
+  design.predict();
+  const std::vector<std::int32_t> predictions = design.predictions();
+  std::vector<NodeId> candidates;
+  for (const NodeId v : observable_nodes(netlist)) {
+    if (predictions[v] == 1) candidates.push_back(v);
+  }
+  ASSERT_FALSE(candidates.empty());
+  const Work all = rank(ImpactEvaluator(stages, netlist, design.tensors(),
+                                        design.scoap(), design.levels()),
+                        candidates, predictions);
+  const Work cached = rank(ImpactEvaluator(design), candidates, predictions);
+  EXPECT_EQ(cached.impacts, all.impacts);
+  EXPECT_GT(all.recomputed, 0u);
+  EXPECT_EQ(all.cached, 0u);
+  EXPECT_LT(cached.recomputed, all.recomputed);
+  EXPECT_GT(cached.cached, 0u);
+
+  Netlist sharded_netlist = dataset_->netlist;
+  EditableDesign sharded(sharded_netlist, false);
+  sharded.set_models(stages, 2);
+  sharded.predict();
+  ASSERT_EQ(sharded.predictions(), predictions);
+  const Work uncached = rank(ImpactEvaluator(sharded), candidates, predictions);
+  EXPECT_EQ(uncached.impacts, all.impacts);
+  EXPECT_EQ(uncached.recomputed, all.recomputed);
+  EXPECT_EQ(uncached.cached, 0u);
+  set_stats_enabled(stats_were_enabled);
+}
+
 TEST_F(GcnOpiTest, ImpactEvaluatorRejectsMismatchedInputs) {
   const Netlist& n = dataset_->netlist;
   const std::vector<const GcnModel*> stages = {model_};
@@ -488,34 +670,45 @@ TEST_F(GcnOpiTest, BatchImpactsMatchPerCandidateAtAnyThreadCount) {
 }
 
 TEST_F(GcnOpiTest, ImpactsRefillLocalCsrsWithoutGrowing) {
-  // Each candidate refills its scratch's local CSRs in place, so once one
-  // call has met the largest closure, no later call over the same
-  // candidates (or any one of them) grows CsrMatrix::capacity(). CSRs
-  // built per candidate would be sized to each closure instead.
-  const Netlist& n = dataset_->netlist;
+  // Each candidate refills its scratch's per-layer CSRs in place, so once
+  // one call has met the largest closure, no later call over the same
+  // candidates (or any one of them) grows CsrMatrix::capacity(), with or
+  // without caches. CSRs built per candidate would be sized to each
+  // closure instead.
   const std::vector<const GcnModel*> stages = {model_, second_stage_};
-  const auto predictions = cascade_predictions(stages, dataset_->tensors);
+  Netlist netlist = dataset_->netlist;
+  EditableDesign design(netlist, false);
+  design.set_models(stages);
+  design.predict();
+  const std::vector<std::int32_t> predictions = design.predictions();
   std::vector<NodeId> candidates;
-  for (NodeId v = 0; v < n.size(); ++v) {
-    if (n.can_observe(v) && predictions[v] == 1) candidates.push_back(v);
+  for (const NodeId v : observable_nodes(netlist)) {
+    if (predictions[v] == 1) candidates.push_back(v);
   }
   ASSERT_FALSE(candidates.empty());
   for (const std::size_t threads : {1u, 4u}) {
     set_kernel_threads(threads);
-    const ImpactEvaluator evaluator(stages, n, dataset_->tensors,
-                                    dataset_->scoap, dataset_->levels);
-    EXPECT_EQ(evaluator.csr_capacity(), 0u);
-    const std::vector<int> first =
-        evaluator.impacts(candidates, predictions, 128);
-    const std::size_t capacity = evaluator.csr_capacity();
-    EXPECT_GT(capacity, 0u) << threads << " threads";
-    EXPECT_EQ(evaluator.impacts(candidates, predictions, 128), first);
-    EXPECT_EQ(evaluator.csr_capacity(), capacity) << threads << " threads";
-    if (threads != 1) continue;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      EXPECT_EQ(evaluator.impacts({candidates[i]}, predictions, 128),
-                std::vector<int>{first[i]});
-      ASSERT_EQ(evaluator.csr_capacity(), capacity) << "after " << i;
+    for (const bool use_caches : {false, true}) {
+      const auto evaluator =
+          use_caches ? std::make_unique<ImpactEvaluator>(design)
+                     : std::make_unique<ImpactEvaluator>(
+                           stages, netlist, design.tensors(), design.scoap(),
+                           design.levels());
+      EXPECT_EQ(evaluator->csr_capacity(), 0u);
+      const std::vector<int> first =
+          evaluator->impacts(candidates, predictions, 128);
+      const std::size_t capacity = evaluator->csr_capacity();
+      EXPECT_GT(capacity, 0u) << threads << " threads";
+      EXPECT_EQ(evaluator->impacts(candidates, predictions, 128), first);
+      EXPECT_EQ(evaluator->csr_capacity(), capacity)
+          << threads << " threads, caches " << use_caches;
+      if (threads != 1) continue;
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        EXPECT_EQ(evaluator->impacts({candidates[i]}, predictions, 128),
+                  std::vector<int>{first[i]});
+        ASSERT_EQ(evaluator->csr_capacity(), capacity)
+            << "after " << i << ", caches " << use_caches;
+      }
     }
   }
   set_kernel_threads(0);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -113,6 +116,96 @@ TEST(Netlist, FaninConeRespectsLimit) {
   Netlist n = small_chain();
   EXPECT_EQ(n.fanin_cone(3, 1).size(), 1u);
   EXPECT_TRUE(n.fanin_cone(3, 0).empty());
+}
+
+/// A random sequential netlist: inputs, DFFs fed by late gates, and
+/// gates of one to three distinct earlier fanins.
+Netlist random_netlist(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  Netlist n;
+  std::vector<NodeId> dffs;
+  for (int i = 0; i < 12; ++i) n.add_node(CellType::kInput);
+  for (int i = 0; i < 10; ++i) dffs.push_back(n.add_node(CellType::kDff));
+  const CellType gates[] = {CellType::kAnd, CellType::kOr, CellType::kXor,
+                            CellType::kNand};
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t fanins = 1 + rng() % 3;
+    const NodeId g =
+        n.add_node(fanins == 1 ? CellType::kNot : gates[rng() % 4]);
+    std::vector<NodeId> drivers;
+    while (drivers.size() < fanins) {
+      const NodeId d = static_cast<NodeId>(rng() % g);
+      if (std::find(drivers.begin(), drivers.end(), d) == drivers.end()) {
+        drivers.push_back(d);
+        n.connect(d, g);
+      }
+    }
+  }
+  for (const NodeId dff : dffs) {
+    n.connect(static_cast<NodeId>(n.size() - 1 - rng() % 50), dff);
+  }
+  return n;
+}
+
+/// The breadth-first fanin cone as a deque over a bit per node, the form
+/// Netlist::fanin_cone had before it took a caller's word per node.
+std::vector<NodeId> reference_fanin_cone(const Netlist& n, NodeId root,
+                                         std::size_t limit) {
+  std::vector<NodeId> cone;
+  if (limit == 0) return cone;
+  std::vector<bool> seen(n.size(), false);
+  seen[root] = true;
+  std::deque<NodeId> frontier{root};
+  while (!frontier.empty() && cone.size() < limit) {
+    const NodeId v = frontier.front();
+    frontier.pop_front();
+    if (v != root && is_source(n.type(v))) continue;
+    for (NodeId u : n.fanins(v)) {
+      if (seen[u]) continue;
+      seen[u] = true;
+      cone.push_back(u);
+      if (cone.size() >= limit) break;
+      frontier.push_back(u);
+    }
+  }
+  return cone;
+}
+
+// The scratch-word form walks the same cone in the same order as the
+// deque BFS and marks exactly the root and the cone, so one word array
+// serves every root once the caller resets those marks.
+TEST(Netlist, FaninConeIntoSeenWordsMatchesFaninCone) {
+  constexpr std::uint32_t kFree = ~std::uint32_t{0};
+  for (const std::uint32_t seed : {1u, 2u, 3u}) {
+    const Netlist n = random_netlist(seed);
+    std::vector<std::uint32_t> seen(n.size(), kFree);
+    std::vector<NodeId> cone{0};  // cleared by the call
+    std::size_t largest = 0;
+    for (const std::size_t limit : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{5}, std::size_t{40},
+                                    static_cast<std::size_t>(-1)}) {
+      for (NodeId root = 0; root < n.size(); ++root) {
+        n.fanin_cone(root, limit, cone, seen, 7);
+        ASSERT_EQ(cone, reference_fanin_cone(n, root, limit))
+            << "root " << root << " limit " << limit;
+        ASSERT_EQ(n.fanin_cone(root, limit), cone);
+        largest = std::max(largest, cone.size());
+        const auto marked = static_cast<std::size_t>(
+            std::count_if(seen.begin(), seen.end(),
+                          [](std::uint32_t w) { return w != kFree; }));
+        ASSERT_EQ(marked, limit == 0 ? 0 : cone.size() + 1);
+        if (limit != 0) {
+          EXPECT_EQ(seen[root], 7u);
+          seen[root] = kFree;
+        }
+        for (const NodeId v : cone) {
+          EXPECT_EQ(seen[v], 7u);
+          seen[v] = kFree;
+        }
+      }
+    }
+    EXPECT_GT(largest, 40u);
+  }
 }
 
 TEST(Netlist, FanoutCone) {

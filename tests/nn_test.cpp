@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -247,6 +248,43 @@ TEST(Softmax, PositiveIsColumnOneBitwise) {
   ASSERT_EQ(positive.size(), 5u);
   for (std::size_t r = 0; r < 5; ++r) EXPECT_EQ(positive[r], p.at(r, 1));
   EXPECT_THROW(softmax_positive(Matrix(2, 1)), std::invalid_argument);
+}
+
+// One positive test for every caller: softmax's positive probability is
+// at least 0.5. At a tie that probability is exactly 0.5; with small
+// logits, a 1-ulp gap below the other logit still rounds to 0.5, where
+// "logit 1 > logit 0" would call the row negative.
+TEST(Softmax, PredictsPositiveIsTheProbabilityTest) {
+  const float tie[] = {0.25f, 0.25f};
+  EXPECT_TRUE(predicts_positive(tie, 2));
+  const float ulp_below[] = {0.001f, std::nextafter(0.001f, 0.0f)};
+  ASSERT_LT(ulp_below[1], ulp_below[0]);
+  EXPECT_TRUE(predicts_positive(ulp_below, 2));
+  const float ulp_above[] = {-0.001f, std::nextafter(-0.001f, 0.0f)};
+  EXPECT_TRUE(predicts_positive(ulp_above, 2));
+  const float negative[] = {0.5f, -0.5f};
+  EXPECT_FALSE(predicts_positive(negative, 2));
+
+  // Bitwise the softmax_positive threshold, near ties and far from them.
+  Matrix logits(404, 2);
+  for (std::size_t r = 0; r < logits.rows(); ++r) {
+    float other = 0.002f * static_cast<float>(r % 101) - 0.1f;
+    if (r >= 202) other *= 400.0f;
+    float positive = other;
+    for (std::size_t k = 0; k < r % 7; ++k) {
+      positive = std::nextafter(positive, r % 2 ? 1e9f : -1e9f);
+    }
+    logits.at(r, 0) = other;
+    logits.at(r, 1) = positive + (r % 101 == 100 ? 0.75f : 0.0f);
+  }
+  const std::vector<float> p = softmax_positive(logits);
+  for (std::size_t r = 0; r < logits.rows(); ++r) {
+    EXPECT_EQ(predicts_positive(logits.row(r), 2), p[r] >= 0.5f) << r;
+  }
+  const float three[] = {0.1f, 0.2f, 0.3f};
+  Matrix wide(1, 3);
+  std::copy(three, three + 3, wide.row(0));
+  EXPECT_EQ(predicts_positive(three, 3), softmax_positive(wide)[0] >= 0.5f);
 }
 
 /// Minimizing f(w) = ||w - target||^2 exercises an optimizer end to end.
